@@ -26,6 +26,7 @@ from .operators import (
     SelfMap,
     WeightedCompOp,
     composition_op,
+    depth_max,
     identity_map,
     isometry_check_linf,
     isometry_check_lip,
@@ -36,6 +37,7 @@ from .operators import (
     lip_bounds,
     lip_exact_norm,
     lip_ess_norm_tail,
+    window_preimage_sup,
     zline_double,
     zline_fold,
 )
@@ -101,12 +103,11 @@ def _stays_bounded(values, cfg: TrendConfig) -> bool:
 
 def _prefix_sup_profile(op: WeightedCompOp, quantity: np.ndarray, schedule) -> tuple:
     """(d, sup of quantity over domain vertices with depth <= d) per schedule."""
-    dom_depth = op.tree.depth[: op.phi.domain_size]
-    out = []
-    for d in schedule:
-        sel = quantity[dom_depth <= d]
-        out.append((d, float(sel.max()) if sel.size else 0.0))
-    return tuple(out)
+    per_depth = depth_max(
+        op.tree.depth[: op.phi.domain_size], quantity, op.tree.depth_limit + 1
+    )
+    prefix = np.maximum.accumulate(per_depth)
+    return tuple((d, float(prefix[d])) for d in schedule)
 
 
 def classify_linf(
@@ -188,20 +189,12 @@ def classify_linf(
 def _bounded_below_witness(op: WeightedCompOp, window_depth: int | None) -> dict:
     """The vertex deciding the inf-sup: the first uncovered one, or the one
     with the smallest preimage sup of |psi|."""
-    t = op.tree
-    limit = t.depth_limit if window_depth is None else window_depth
-    n_window = SelfMap.domain_size_for(t, limit)
-    best_w, best = None, np.inf
-    for w in range(n_window):
-        pre = op.phi.preimages[w]
-        if pre.size == 0:
-            return {"vertex": int(w), "reason": "no preimage in the window"}
-        s = float(np.abs(op.psi.values[pre]).max())
-        if s < best:
-            best_w, best = int(w), s
-    if best_w is None:
-        return {}
-    return {"vertex": best_w, "preimage_sup": best}
+    sup = window_preimage_sup(op, window_depth)
+    uncovered = np.flatnonzero(np.isneginf(sup))
+    if uncovered.size:
+        return {"vertex": int(uncovered[0]), "reason": "no preimage in the window"}
+    best_w = int(np.argmin(sup))
+    return {"vertex": best_w, "preimage_sup": float(sup[best_w])}
 
 
 def classify_lip(
@@ -329,13 +322,9 @@ def seven_equivalences(
 
     small_reach = max_reach <= inside
     stable = phi.finite_range_stable(margin)
-    lip_tail_zero = any(
-        lip_ess_norm_tail(op, n) == 0.0 for n in range(0, max(inside, 0) + 1)
-        if n < t.depth_limit
-    )
-    linf_tail_zero = any(
-        linf_ess_norm_tail(op, n) == 0.0 for n in range(0, max(inside, 0) + 1)
-        if n < t.depth_limit
+    # some tail depth n <= inside (and < N) where the tail sup is already 0
+    linf_tail_zero, lip_tail_zero = (
+        (op.tail_sups[: max(inside, 0) + 1] == 0.0).any(axis=0).tolist()
     )
     items = {
         "lip_bounded": lip_tail_zero,

@@ -106,8 +106,7 @@ class NormReport:
 def derivative(f: VertexFunction) -> VertexFunction:
     """Df(v) = f(v) - f(parent(v)) off the root, Df(root) = 0."""
     t = f.tree
-    safe_parent = np.where(t.parent < 0, 0, t.parent)
-    d = f.values - f.values[safe_parent]
+    d = f.values - f.values[t.safe_parent]
     d[0] = 0.0
     return VertexFunction(t, d)
 
@@ -118,15 +117,8 @@ def norms(f: VertexFunction) -> NormReport:
     n = t.depth_limit
     # per-depth max of |Df|, then suffix max over depths > n
     per_depth = np.zeros(n + 1)
-    np.maximum.at(per_depth, np.asarray(t.depth), df)
-    tail = []
-    running = 0.0
-    suffix = np.zeros(n + 1)
-    for d in range(n, -1, -1):
-        running = max(running, float(per_depth[d]))
-        suffix[d] = running
-    for k in range(n):
-        tail.append((k, float(suffix[k + 1])))
+    np.maximum.at(per_depth, t.depth, df)
+    suffix = np.maximum.accumulate(per_depth[::-1])[::-1]
     d_sup = float(df.max()) if df.size else 0.0
     root_val = float(f.values[0])
     return NormReport(
@@ -134,7 +126,7 @@ def norms(f: VertexFunction) -> NormReport:
         lip_norm=abs(root_val) + d_sup,
         value_at_root=root_val,
         d_sup=d_sup,
-        tail_profile=tuple(tail),
+        tail_profile=tuple(enumerate(suffix[1:].tolist())),
     )
 
 

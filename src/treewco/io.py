@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from importlib import resources
 from pathlib import Path
@@ -100,27 +101,41 @@ def _require(d: dict, key: str, pointer: str):
     return d[key]
 
 
+def _int(d: dict, key: str, pointer: str, default: int | None = None) -> int:
+    """An integer field (JSON booleans and floats rejected)."""
+    value = d.get(key, default) if default is not None else _require(d, key, pointer)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise SpecError(f"{pointer}.{key}", f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(d: dict, key: str, pointer: str) -> float:
+    value = _require(d, key, pointer)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecError(f"{pointer}.{key}", f"expected a number, got {value!r}")
+    return float(value)
+
+
 def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
     family = _require(spec, "family", pointer)
     if family == "zline":
-        return zline(int(_require(spec, "depth", pointer)))
+        return zline(_int(spec, "depth", pointer))
     if family == "homogeneous":
-        return homogeneous(
-            int(_require(spec, "q", pointer)), int(_require(spec, "depth", pointer))
-        )
+        return homogeneous(_int(spec, "q", pointer), _int(spec, "depth", pointer))
     if family == "random":
         return random_tree(
-            int(_require(spec, "depth", pointer)),
-            int(_require(spec, "seed", pointer)),
-            int(spec.get("min_children", 1)),
-            int(spec.get("max_children", 3)),
+            _int(spec, "depth", pointer),
+            _int(spec, "seed", pointer),
+            _int(spec, "min_children", pointer, 1),
+            _int(spec, "max_children", pointer, 3),
         )
     if family == "explicit":
         edges = _require(spec, "edges", pointer)
         root = _require(spec, "root", pointer)
+        depth = _int(spec, "depth", pointer) if spec.get("depth") is not None else None
         try:
-            return explicit_tree(edges, root, spec.get("depth"))
-        except ValueError as exc:
+            return explicit_tree(edges, root, depth)
+        except (ValueError, TypeError) as exc:
             raise SpecError(f"{pointer}.edges", str(exc)) from exc
     raise SpecError(f"{pointer}.family", f"unknown family {family!r}")
 
@@ -153,21 +168,17 @@ def load_function_spec(
         params = spec.get("params", {})
         try:
             if name == "F_N":
-                return depth_cap(tree, int(_require(params, "cap", f"{pointer}.params")))
+                return depth_cap(tree, _int(params, "cap", f"{pointer}.params"))
             if name == "g":
                 return ramp_function(
                     tree,
-                    int(_require(params, "n", f"{pointer}.params")),
-                    float(_require(params, "r", f"{pointer}.params")),
+                    _int(params, "n", f"{pointer}.params"),
+                    _real(params, "r", f"{pointer}.params"),
                 )
             if name == "chi":
-                return indicator(
-                    tree, int(_require(params, "vertex", f"{pointer}.params"))
-                )
+                return indicator(tree, _int(params, "vertex", f"{pointer}.params"))
             if name == "eta":
-                return sector_indicator(
-                    tree, int(_require(params, "vertex", f"{pointer}.params"))
-                )
+                return sector_indicator(tree, _int(params, "vertex", f"{pointer}.params"))
         except (ValueError, IndexError, KeyError) as exc:
             if isinstance(exc, SpecError):
                 raise
@@ -183,7 +194,7 @@ def load_map_spec(spec: dict, tree: RootedTree, pointer: str = "phi") -> SelfMap
         try:
             converted = {int(k): int(v) for k, v in table.items()}
             return map_from_table(tree, converted)
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise SpecError(f"{pointer}.map", str(exc)) from exc
     if kind == "builtin":
         name = _require(spec, "name", pointer)
@@ -192,9 +203,7 @@ def load_map_spec(spec: dict, tree: RootedTree, pointer: str = "phi") -> SelfMap
             if name == "identity":
                 return identity_map(tree)
             if name == "constant":
-                return constant_map(
-                    tree, int(_require(params, "target", f"{pointer}.params"))
-                )
+                return constant_map(tree, _int(params, "target", f"{pointer}.params"))
             if name == "zfold":
                 return zline_fold(tree)
             if name == "double":

@@ -17,17 +17,26 @@ isometry, the injectivity modulus) accept a ``within_depth`` window; by
 default they quantify over the whole truncation, while fixtures built from
 infinite families evaluate them on the half-depth window where the window
 faithfully sees all preimages.
+
+Data layout: a map keeps its preimage index as a :class:`~treewco.trees.CSR`
+(row w lists the domain vertices sent to w, in id order) plus the
+``coverage`` count per vertex.  An operator lazily caches two arrays that
+every closed form reads: ``preimage_sup``, the sup of |psi| over each
+vertex's preimage (one ``np.maximum.at`` over the image, ``-inf`` where
+there is no preimage), and ``tail_sups``, both essential-norm tail
+profiles from one per-depth maximum and a suffix maximum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .certificate import FAILS, HOLDS, Certificate
 from .functions import VertexFunction
-from .trees import RootedTree
+from .trees import CSR, RootedTree
 
 __all__ = [
     "MapSpecError",
@@ -70,13 +79,16 @@ class SelfMap:
 
     ``image[v]`` is defined for the domain prefix (all vertices of depth
     <= ``domain_depth``; breadth-first ids make that prefix contiguous).
+    ``preimages`` groups the domain by image and ``coverage[w]`` counts
+    the preimages of w.
     """
 
     tree: RootedTree
     image: np.ndarray
     domain_depth: int
     name: str = "table"
-    preimages: tuple = field(init=False, repr=False)
+    preimages: CSR = field(init=False, repr=False)
+    coverage: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         t = self.tree
@@ -95,12 +107,11 @@ class SelfMap:
             )
         img.setflags(write=False)
         object.__setattr__(self, "image", img)
-        pre: list[list[int]] = [[] for _ in range(t.n_vertices)]
-        for v in range(m):
-            pre[int(img[v])].append(v)
-        object.__setattr__(
-            self, "preimages", tuple(np.asarray(p, dtype=np.int64) for p in pre)
-        )
+        pre = CSR.group(img, t.n_vertices)
+        coverage = np.diff(pre.offsets)
+        coverage.setflags(write=False)
+        object.__setattr__(self, "preimages", pre)
+        object.__setattr__(self, "coverage", coverage)
 
     @staticmethod
     def domain_size_for(tree: RootedTree, domain_depth: int) -> int:
@@ -114,34 +125,30 @@ class SelfMap:
     def is_total(self) -> bool:
         return self.domain_depth == self.tree.depth_limit
 
-    @property
+    @cached_property
     def image_depth(self) -> np.ndarray:
         """|phi(v)| for every domain vertex."""
-        return self.tree.depth[self.image]
+        d = self.tree.depth[self.image]
+        d.setflags(write=False)
+        return d
 
     @property
     def injective_on_domain(self) -> bool:
-        return all(p.size <= 1 for p in self.preimages)
+        return bool((self.coverage <= 1).all())
 
     @property
     def surjective_on_truncation(self) -> bool:
-        return all(p.size >= 1 for p in self.preimages)
+        return bool((self.coverage >= 1).all())
 
     def preimage(self, w: int) -> np.ndarray:
-        return self.preimages[self.tree.check_vertex(w)]
+        return self.preimages.row(self.tree.check_vertex(w))
 
     def range_profile(self) -> tuple:
         """(d, max |phi(v)| over domain vertices with depth <= d) per depth."""
-        dom_depth = self.tree.depth[: self.domain_size]
-        img_depth = self.image_depth
-        out = []
-        running = 0
-        for d in range(self.domain_depth + 1):
-            sel = img_depth[dom_depth == d]
-            if sel.size:
-                running = max(running, int(sel.max()))
-            out.append((d, running))
-        return tuple(out)
+        per_depth = depth_max(
+            self.tree.depth[: self.domain_size], self.image_depth, self.domain_depth + 1
+        )
+        return tuple(enumerate(np.maximum.accumulate(per_depth).tolist()))
 
     def finite_range_stable(self, margin: int = 3) -> bool:
         """Range maximum flat over the last ``margin`` depths and at least
@@ -191,17 +198,9 @@ def zline_fold(tree: RootedTree) -> SelfMap:
     negatives to their absolute value, even negatives to n/2."""
     if tree.family != "zline":
         raise MapSpecError("fold map is defined on the line family only")
-    img = np.empty(tree.n_vertices, dtype=np.int64)
-    for v in range(tree.n_vertices):
-        n = int(tree.label_of(v))
-        if n >= 0:
-            target = n
-        elif n % 2 != 0:
-            target = -n
-        else:
-            target = n // 2
-        img[v] = tree.vertex_of(target)
-    return SelfMap(tree, img, tree.depth_limit, "zfold")
+    n = np.asarray(tree.labels, dtype=np.int64)
+    target = np.where(n >= 0, n, np.where(n % 2 != 0, -n, n // 2))
+    return SelfMap(tree, _zline_ids(target), tree.depth_limit, "zfold")
 
 
 def zline_double(tree: RootedTree) -> SelfMap:
@@ -211,10 +210,13 @@ def zline_double(tree: RootedTree) -> SelfMap:
         raise MapSpecError("doubling map is defined on the line family only")
     core = tree.depth_limit // 2
     m = SelfMap.domain_size_for(tree, core)
-    img = np.empty(m, dtype=np.int64)
-    for v in range(m):
-        img[v] = tree.vertex_of(2 * int(tree.label_of(v)))
-    return SelfMap(tree, img, core, "double")
+    n = np.asarray(tree.labels[:m], dtype=np.int64)
+    return SelfMap(tree, _zline_ids(2 * n), core, "double")
+
+
+def _zline_ids(labels: np.ndarray) -> np.ndarray:
+    """Canonical ids of integer labels on a line tree (see ``zline``)."""
+    return np.where(labels > 0, 2 * labels - 1, -2 * labels)
 
 
 def random_map(tree: RootedTree, rng: np.random.Generator) -> SelfMap:
@@ -255,9 +257,41 @@ class WeightedCompOp:
     def tree(self) -> RootedTree:
         return self.psi.tree
 
-    @property
+    @cached_property
     def abs_psi_on_domain(self) -> np.ndarray:
-        return np.abs(self.psi.values[: self.phi.domain_size])
+        a = np.abs(self.psi.values[: self.phi.domain_size])
+        a.setflags(write=False)
+        return a
+
+    @cached_property
+    def preimage_sup(self) -> np.ndarray:
+        """Sup of |psi| over the preimage of each vertex; ``-inf`` marks a
+        vertex with no preimage, apart from a covered one with sup 0."""
+        sup = np.full(self.tree.n_vertices, -np.inf)
+        np.maximum.at(sup, self.phi.image, self.abs_psi_on_domain)
+        sup.setflags(write=False)
+        return sup
+
+    @cached_property
+    def tail_sups(self) -> np.ndarray:
+        """Row n holds (sup |psi|, sup |psi||phi|) over the domain vertices
+        with |phi(v)| > n, 0 where there is none, for 0 <= n < N."""
+        d = self.phi.image_depth
+        a = self.abs_psi_on_domain
+        n_depths = self.tree.depth_limit + 1
+        per_depth = np.column_stack([depth_max(d, a, n_depths), depth_max(d, a * d, n_depths)])
+        suffix = np.maximum.accumulate(per_depth[::-1], axis=0)[::-1]
+        tails = suffix[1:]
+        tails.setflags(write=False)
+        return tails
+
+
+def depth_max(depth: np.ndarray, values: np.ndarray, n_depths: int) -> np.ndarray:
+    """Per-depth maximum of non-negative ``values`` keyed by ``depth``, 0 at
+    a depth without entries."""
+    out = np.zeros(n_depths, dtype=values.dtype)
+    np.maximum.at(out, depth, values)
+    return out
 
 
 def multiplication_op(psi: VertexFunction) -> WeightedCompOp:
@@ -294,15 +328,11 @@ def linf_ess_norm_tail(op: WeightedCompOp, n: int) -> float:
     profile is reported.
     """
     _check_tail_depth(op, n)
-    sel = op.phi.image_depth > n
-    a = op.abs_psi_on_domain[sel]
-    return float(a.max()) if a.size else 0.0
+    return float(op.tail_sups[n, 0])
 
 
 def linf_ess_norm_profile(op: WeightedCompOp) -> tuple:
-    return tuple(
-        (n, linf_ess_norm_tail(op, n)) for n in range(op.tree.depth_limit)
-    )
+    return tuple(enumerate(op.tail_sups[:, 0].tolist()))
 
 
 # -- norms from the Lipschitz space to the bounded functions ------------------
@@ -335,15 +365,11 @@ def lip_exact_norm(op: WeightedCompOp) -> float:
 def lip_ess_norm_tail(op: WeightedCompOp, n: int) -> float:
     """sup of |psi(v)|*|phi(v)| over vertices with |phi(v)| > n (0 if none)."""
     _check_tail_depth(op, n)
-    sel = op.phi.image_depth > n
-    a = op.abs_psi_on_domain[sel] * op.phi.image_depth[sel]
-    return float(a.max()) if a.size else 0.0
+    return float(op.tail_sups[n, 1])
 
 
 def lip_ess_norm_profile(op: WeightedCompOp) -> tuple:
-    return tuple(
-        (n, lip_ess_norm_tail(op, n)) for n in range(op.tree.depth_limit)
-    )
+    return tuple(enumerate(op.tail_sups[:, 1].tolist()))
 
 
 def _check_tail_depth(op: WeightedCompOp, n: int) -> None:
@@ -363,32 +389,22 @@ def tail_trend_slope(profile) -> float:
 # -- minimum moduli ------------------------------------------------------------
 
 
-def _preimage_sup(op: WeightedCompOp, w: int) -> float | None:
-    pre = op.phi.preimages[w]
-    if pre.size == 0:
-        return None
-    return float(np.abs(op.psi.values[pre]).max())
-
-
-def _window_vertices(op: WeightedCompOp, within_depth: int | None) -> np.ndarray:
+def window_preimage_sup(op: WeightedCompOp, within_depth: int | None = None) -> np.ndarray:
+    """``op.preimage_sup`` on the target vertices of depth <= the window
+    (the whole truncation by default)."""
     t = op.tree
     limit = t.depth_limit if within_depth is None else within_depth
     if not 0 <= limit <= t.depth_limit:
         raise IndexError(f"window depth {limit} outside [0, {t.depth_limit}]")
-    return np.arange(SelfMap.domain_size_for(t, limit), dtype=np.int64)
+    return op.preimage_sup[: SelfMap.domain_size_for(t, limit)]
 
 
 def j_linf(op: WeightedCompOp, within_depth: int | None = None) -> float:
     """Injectivity modulus on the bounded functions: 0 unless every target
     vertex (in the window) has a preimage, else the smallest preimage sup
     of |psi|."""
-    best = np.inf
-    for w in _window_vertices(op, within_depth):
-        s = _preimage_sup(op, int(w))
-        if s is None:
-            return 0.0
-        best = min(best, s)
-    return float(best) if np.isfinite(best) else 0.0
+    # an uncovered vertex carries -inf, which the clamp turns into 0
+    return max(float(window_preimage_sup(op, within_depth).min()), 0.0)
 
 
 def k_linf(op: WeightedCompOp) -> float:
@@ -434,34 +450,29 @@ def isometry_check_linf(
         "isometry on the bounded functions iff the map covers every vertex "
         "and sup of |psi| over each preimage equals 1"
     )
-    profile = []
-    running = np.inf
-    failing = None
-    reason = ""
-    for w in _window_vertices(op, within_depth):
-        s = _preimage_sup(op, int(w))
-        if s is None:
-            if failing is None:
-                failing, reason = int(w), "vertex has no preimage in the window"
-            running = 0.0
-        else:
-            if abs(s - 1.0) > tol and failing is None:
-                failing, reason = int(w), f"preimage sup of |psi| is {s:.12g}, not 1"
-            running = min(running, s)
-        d = t.depth_of(int(w))
-        if not profile or profile[-1][0] != d:
-            profile.append([d, running if np.isfinite(running) else 0.0])
-        else:
-            profile[-1][1] = running if np.isfinite(running) else 0.0
+    sup = window_preimage_sup(op, within_depth)
+    uncovered = np.isneginf(sup)
+    bad = uncovered | (np.abs(sup - 1.0) > tol)
+    # running inf of the preimage sups in id order, an uncovered vertex
+    # counting 0, read at the last window vertex of each depth
+    running = np.minimum.accumulate(np.where(uncovered, 0.0, sup))
+    depths = t.depth[: sup.size]
+    ends = np.flatnonzero(np.append(depths[1:] != depths[:-1], True))
     witnesses = {"window_depth": window}
-    if failing is not None:
-        witnesses.update({"vertex": failing, "reason": reason})
+    if bad.any():
+        w = int(np.argmax(bad))
+        reason = (
+            "vertex has no preimage in the window"
+            if uncovered[w]
+            else f"preimage sup of |psi| is {float(sup[w]):.12g}, not 1"
+        )
+        witnesses.update({"vertex": w, "reason": reason})
     return Certificate(
         statement="Linf.Isometry",
-        verdict=FAILS if failing is not None else HOLDS,
+        verdict=FAILS if bad.any() else HOLDS,
         criterion=criterion,
         witnesses=witnesses,
-        depth_profile=tuple((int(d), float(v)) for d, v in profile),
+        depth_profile=tuple(zip(depths[ends].tolist(), running[ends].tolist())),
         window_depth=window,
     )
 
@@ -480,45 +491,18 @@ def isometry_check_lip(
         "functions: an uncovered vertex kills a unit indicator, and a "
         "covered vertex deeper than 1 forces operator norm above 1"
     )
-    witnesses: dict = {"window_depth": window}
-    uncovered = None
-    for w in _window_vertices(op, within_depth):
-        if op.phi.preimages[int(w)].size == 0:
-            uncovered = int(w)
-            break
-    if uncovered is not None:
-        witnesses.update(
-            {
-                "vertex": uncovered,
-                "reason": "no preimage: the unit indicator at this vertex maps to 0",
-            }
-        )
-        return Certificate(
-            "Lip.NoIsometry", HOLDS, criterion, witnesses, (), window
-        )
-    w = int(t.layer(2)[0])
-    s = _preimage_sup(op, w)
-    if s is None:
-        witnesses.update(
-            {
-                "vertex": w,
-                "reason": "no preimage: the unit indicator at this vertex maps to 0",
-            }
-        )
+    uncovered = np.flatnonzero(np.isneginf(window_preimage_sup(op, within_depth)))
+    w = int(uncovered[0]) if uncovered.size else int(t.layer(2)[0])
+    s = float(op.preimage_sup[w])
+    witnesses: dict = {"window_depth": window, "vertex": w}
+    if s == -np.inf:
+        witnesses["reason"] = "no preimage: the unit indicator at this vertex maps to 0"
     elif abs(s - 1.0) > tol:
-        witnesses.update(
-            {
-                "vertex": w,
-                "reason": (
-                    f"image of the unit indicator has sup norm {s:.12g}, not 1"
-                ),
-            }
-        )
+        witnesses["reason"] = f"image of the unit indicator has sup norm {s:.12g}, not 1"
     else:
         bound = t.depth_of(w) * s
         witnesses.update(
             {
-                "vertex": w,
                 "reason": (
                     "an isometry would have norm 1, but the lower bound "
                     f"|w| * preimage sup = {bound:.12g} exceeds 1"

@@ -66,8 +66,7 @@ class OracleResult:
 
 
 def _lip_norm_raw(tree: RootedTree, values: np.ndarray) -> float:
-    safe_parent = np.where(tree.parent < 0, 0, tree.parent)
-    inc = np.abs(values - values[safe_parent])
+    inc = np.abs(values - values[tree.safe_parent])
     inc[0] = 0.0
     return float(abs(values[0]) + (inc.max() if inc.size else 0.0))
 
@@ -280,7 +279,8 @@ def _ratio_ascent(tree: RootedTree, w: int, f: np.ndarray, max_passes: int = 200
     """
     n = tree.n_vertices
     f = f.astype(np.float64).copy()
-    safe_parent = np.where(tree.parent < 0, 0, tree.parent)
+    parent, safe_parent = tree.parent, tree.safe_parent
+    kid_offsets, kid_ids = tree.children.offsets, tree.children.indices
     on_path = np.zeros(n, dtype=bool)
     on_path[tree.root_path(w)] = True
     evals = 0
@@ -289,16 +289,17 @@ def _ratio_ascent(tree: RootedTree, w: int, f: np.ndarray, max_passes: int = 200
         for u in range(n):
             inc = np.abs(f - f[safe_parent])
             inc[0] = 0.0
+            kids = kid_ids[kid_offsets[u] : kid_offsets[u + 1]]
             involved = [u] if u != 0 else []
-            involved += [int(c) for c in tree.children[u]]
+            involved += [int(c) for c in kids]
             mask = np.ones(n, dtype=bool)
             mask[involved] = False
             mask[0] = False
             c_other = float(inc[mask].max()) if mask.any() else 0.0
             anchors = []
             if u != 0:
-                anchors.append(float(f[tree.parent[u]]))
-            anchors.extend(float(f[c]) for c in tree.children[u])
+                anchors.append(float(f[parent[u]]))
+            anchors.extend(float(f[c]) for c in kids)
             big = 4.0 * (np.abs(f).max() + 1.0)
             cands = {0.0, float(f[u]), big, -big}
             for b in anchors:
@@ -400,10 +401,8 @@ def j_oracle_linf_bracket(
     limit = t.depth_limit if within_depth is None else within_depth
     n_window = SelfMap.domain_size_for(t, limit)
     lower = j_linf(op, within_depth)
-    uncovered = next(
-        (int(w) for w in range(n_window) if op.phi.preimages[w].size == 0), None
-    )
-    if uncovered is not None:
+    if not op.phi.coverage[:n_window].all():
+        uncovered = int(np.argmin(op.phi.coverage[:n_window]))
         f = np.zeros(t.n_vertices)
         f[uncovered] = 1.0
         return OracleResult(
@@ -437,10 +436,10 @@ def j_oracle_linf_bracket(
     for P in _grid_chunks(k, levels):
         absP = np.abs(P)
         ok = absP.max(axis=1) == 1.0
-        P, absP = P[ok], absP[ok]
-        if not P.shape[0]:
-            searched += _CHUNK
+        if not ok.any():
+            searched += P.shape[0]
             continue
+        P, absP = P[ok], absP[ok]
         # values at images outside the window are zero (f supported inside)
         contrib = np.zeros((P.shape[0], m))
         contrib[:, in_window] = absP[:, op.phi.image[in_window]]

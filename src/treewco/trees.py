@@ -6,16 +6,22 @@ an id prefix.  Vertices at the truncation depth are "frontier" vertices:
 they are allowed to be childless because their children simply lie beyond
 the window, while an interior childless vertex is rejected (the modeled
 infinite trees have no terminal vertex).
+
+Structure lives in flat arrays: ``parent`` and ``depth`` per vertex, the
+children as a :class:`CSR` index (row v lists the children of v in id
+order), and the depth layers as offsets into the depth-sorted ids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 __all__ = [
+    "CSR",
     "RootedTree",
     "TreeStructureError",
     "zline",
@@ -32,6 +38,29 @@ class TreeStructureError(ValueError):
 
 
 @dataclass(frozen=True)
+class CSR:
+    """Compressed rows: row i is ``indices[offsets[i]:offsets[i + 1]]``."""
+
+    offsets: np.ndarray
+    indices: np.ndarray
+
+    @classmethod
+    def group(cls, keys: np.ndarray, n_rows: int, first_id: int = 0) -> "CSR":
+        """Row r lists, in increasing order, the ids ``first_id + i`` with
+        ``keys[i] == r``."""
+        counts = np.bincount(keys, minlength=n_rows)
+        offsets = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        indices = np.argsort(keys, kind="stable") + first_id
+        offsets.setflags(write=False)
+        indices.setflags(write=False)
+        return cls(offsets, indices)
+
+    def row(self, i: int) -> np.ndarray:
+        return self.indices[self.offsets[i] : self.offsets[i + 1]]
+
+
+@dataclass(frozen=True)
 class RootedTree:
     """Immutable truncated rooted tree.
 
@@ -39,7 +68,8 @@ class RootedTree:
     depth[v] the edge distance to the root, and ``depth_limit`` the
     truncation depth N.  ``labels`` carries the display label of each
     vertex (integers on the line family, original names for explicit
-    input, the id itself otherwise).
+    input, the id itself otherwise).  ``safe_parent`` is ``parent`` with
+    the root pointing at itself, for vectorized increments.
     """
 
     parent: np.ndarray
@@ -48,29 +78,30 @@ class RootedTree:
     family: str
     labels: tuple
     meta: dict = field(default_factory=dict)
-    children: tuple = field(init=False, repr=False)
-    _layers: tuple = field(init=False, repr=False)
-    _label_index: dict = field(init=False, repr=False)
+    children: CSR = field(init=False, repr=False)
+    safe_parent: np.ndarray = field(init=False, repr=False)
+    _by_depth: np.ndarray = field(init=False, repr=False)
+    _layer_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.parent.setflags(write=False)
         self.depth.setflags(write=False)
         n = self.parent.size
-        kids: list[list[int]] = [[] for _ in range(n)]
-        for v in range(1, n):
-            kids[int(self.parent[v])].append(v)
-        object.__setattr__(
-            self, "children", tuple(np.asarray(c, dtype=np.int64) for c in kids)
+        object.__setattr__(self, "children", CSR.group(self.parent[1:], n, first_id=1))
+        safe_parent = np.where(self.parent < 0, 0, self.parent)
+        safe_parent.setflags(write=False)
+        object.__setattr__(self, "safe_parent", safe_parent)
+        by_depth = np.argsort(self.depth, kind="stable")
+        offsets = np.searchsorted(
+            self.depth[by_depth], np.arange(self.depth_limit + 2), side="left"
         )
-        layers: list[list[int]] = [[] for _ in range(self.depth_limit + 1)]
-        for v in range(n):
-            layers[int(self.depth[v])].append(v)
-        object.__setattr__(
-            self, "_layers", tuple(np.asarray(l, dtype=np.int64) for l in layers)
-        )
-        object.__setattr__(
-            self, "_label_index", {lab: i for i, lab in enumerate(self.labels)}
-        )
+        by_depth.setflags(write=False)
+        object.__setattr__(self, "_by_depth", by_depth)
+        object.__setattr__(self, "_layer_offsets", offsets)
+
+    @cached_property
+    def _label_index(self) -> dict:
+        return {lab: i for i, lab in enumerate(self.labels)}
 
     # -- basic structure ---------------------------------------------------
 
@@ -98,7 +129,7 @@ class RootedTree:
         return int(self.parent[v])
 
     def children_of(self, v: int) -> np.ndarray:
-        return self.children[self.check_vertex(v)]
+        return self.children.row(self.check_vertex(v))
 
     def depth_of(self, v: int) -> int:
         return int(self.depth[self.check_vertex(v)])
@@ -115,7 +146,7 @@ class RootedTree:
         """All vertices at depth n."""
         if not 0 <= n <= self.depth_limit:
             raise IndexError(f"depth {n} outside [0, {self.depth_limit}]")
-        return self._layers[n]
+        return self._by_depth[self._layer_offsets[n] : self._layer_offsets[n + 1]]
 
     def ancestor_at_depth(self, v: int, n: int) -> int:
         """The unique vertex on the root path of v at depth n."""
@@ -151,13 +182,12 @@ class RootedTree:
     def sector(self, v: int) -> np.ndarray:
         """v together with all its descendants inside the truncation."""
         v = self.check_vertex(v)
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            out.append(u)
-            stack.extend(int(c) for c in self.children[u])
-        return np.asarray(sorted(out), dtype=np.int64)
+        inside = np.zeros(self.n_vertices, dtype=bool)
+        inside[v] = True
+        for d in range(self.depth_of(v) + 1, self.depth_limit + 1):
+            layer = self.layer(d)
+            inside[layer] = inside[self.parent[layer]]
+        return np.flatnonzero(inside)
 
     # -- derived views -------------------------------------------------------
 
@@ -267,23 +297,19 @@ def zline(depth: int) -> RootedTree:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    n = 2 * depth + 1
-    parent_ids = np.zeros(n, dtype=np.int64)
-    depths = np.zeros(n, dtype=np.int64)
-    labels: list[int] = [0] * n
+    k = np.arange(1, depth + 1, dtype=np.int64)
+    labels = np.zeros(2 * depth + 1, dtype=np.int64)
+    labels[1::2], labels[2::2] = k, -k
+    depths = np.abs(labels)
+    # ids 2k-1 and 2k (labels k and -k) hang below ids 2k-3 and 2k-2
+    parent_ids = np.maximum(np.arange(-2, 2 * depth - 1, dtype=np.int64), 0)
     parent_ids[0] = -1
-    for k in range(1, depth + 1):
-        pos, neg = 2 * k - 1, 2 * k
-        labels[pos], labels[neg] = k, -k
-        depths[pos] = depths[neg] = k
-        parent_ids[pos] = 0 if k == 1 else 2 * k - 3
-        parent_ids[neg] = 0 if k == 1 else 2 * k - 2
     return RootedTree(
         parent=parent_ids,
         depth=depths,
         depth_limit=depth,
         family="zline",
-        labels=tuple(labels),
+        labels=tuple(labels.tolist()),
     )
 
 
@@ -310,22 +336,16 @@ def homogeneous(q: int, depth: int) -> RootedTree:
         raise ValueError("q must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    parent_ids = [-1]
-    depths = [0]
-    frontier = [0]
-    for d in range(1, depth + 1):
-        new_frontier = []
-        for p in frontier:
-            count = q + 1 if d == 1 else q
-            for _ in range(count):
-                parent_ids.append(p)
-                depths.append(d)
-                new_frontier.append(len(parent_ids) - 1)
-        frontier = new_frontier
-    n = len(parent_ids)
+    sizes = [1] + [(q + 1) * q ** (d - 1) for d in range(1, depth + 1)]
+    n = sum(sizes)
+    # breadth-first ids: ids 1..q+1 hang below the root, and vertex j >= 1
+    # has the q children q+2+(j-1)q .. q+1+jq
+    ids = np.arange(n, dtype=np.int64)
+    parent_ids = np.where(ids <= q + 1, 0, (ids - q - 2) // q + 1)
+    parent_ids[0] = -1
     return RootedTree(
-        parent=np.asarray(parent_ids, dtype=np.int64),
-        depth=np.asarray(depths, dtype=np.int64),
+        parent=parent_ids,
+        depth=np.repeat(np.arange(depth + 1, dtype=np.int64), sizes),
         depth_limit=depth,
         family="homogeneous",
         labels=tuple(range(n)),
@@ -348,22 +368,19 @@ def random_tree(
     if max_children < min_children:
         raise ValueError("max_children must be >= min_children")
     rng = np.random.default_rng(seed)
-    parent_ids = [-1]
-    depths = [0]
-    frontier = [0]
-    for d in range(1, depth + 1):
-        new_frontier = []
-        for p in frontier:
-            k = int(rng.integers(min_children, max_children + 1))
-            for _ in range(k):
-                parent_ids.append(p)
-                depths.append(d)
-                new_frontier.append(len(parent_ids) - 1)
-        frontier = new_frontier
-    n = len(parent_ids)
+    parent_ids = [np.asarray([-1], dtype=np.int64)]
+    sizes = [1]
+    start = 0
+    for _ in range(depth):
+        # one draw per parent, in id order: the seeded trees depend on it
+        counts = [int(rng.integers(min_children, max_children + 1)) for _ in range(sizes[-1])]
+        parent_ids.append(np.repeat(np.arange(start, start + sizes[-1], dtype=np.int64), counts))
+        start += sizes[-1]
+        sizes.append(sum(counts))
+    n = start + sizes[-1]
     return RootedTree(
-        parent=np.asarray(parent_ids, dtype=np.int64),
-        depth=np.asarray(depths, dtype=np.int64),
+        parent=np.concatenate(parent_ids),
+        depth=np.repeat(np.arange(depth + 1, dtype=np.int64), sizes),
         depth_limit=depth,
         family="random",
         labels=tuple(range(n)),

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -185,3 +188,42 @@ class TestCli:
         verdicts = {c["statement"]: c["verdict"] for c in payload["certificates"]}
         assert verdicts["Linf.Isometry"] == "Holds"
         assert verdicts["Linf.BoundedBelow"] == "Holds"
+
+
+BAD_INT_FIELDS = [
+    ("tree", {"family": "zline", "depth": [1]}, "tree.depth"),
+    ("tree", {"family": "zline", "depth": True}, "tree.depth"),
+    ("tree", {"family": "zline", "depth": 2.5}, "tree.depth"),
+    ("tree", {"family": "homogeneous", "q": "2", "depth": 2}, "tree.q"),
+    ("tree", {"family": "random", "depth": 2, "seed": None}, "tree.seed"),
+    ("tree", {"family": "random", "depth": 2, "seed": 1, "min_children": False}, "tree.min_children"),
+    ("tree", {"family": "random", "depth": 2, "seed": 1, "max_children": [3]}, "tree.max_children"),
+    ("psi", {"kind": "builtin", "name": "F_N", "params": {"cap": [2]}}, "psi.params.cap"),
+    ("psi", {"kind": "builtin", "name": "g", "params": {"n": True, "r": 0.5}}, "psi.params.n"),
+    ("psi", {"kind": "builtin", "name": "chi", "params": {"vertex": 1.0}}, "psi.params.vertex"),
+    ("psi", {"kind": "builtin", "name": "eta", "params": {"vertex": "1"}}, "psi.params.vertex"),
+    ("phi", {"kind": "builtin", "name": "constant", "params": {"target": [0]}}, "phi.params.target"),
+]
+
+
+class TestMalformedSpecs:
+    @pytest.mark.parametrize("which,spec,pointer", BAD_INT_FIELDS)
+    def test_bad_integer_field_exits_one_with_pointer(
+        self, specs, tmp_path, capsys, which, spec, pointer
+    ):
+        paths = dict(specs, **{which: write(tmp_path, f"bad_{which}.json", spec)})
+        rc = main(["analyze", "--tree", paths["tree"], "--psi", paths["psi"], "--phi", paths["phi"]])
+        assert rc == 1
+        assert pointer in capsys.readouterr().err
+
+    def test_list_depth_has_no_traceback(self, specs, tmp_path):
+        bad = write(tmp_path, "bad_depth.json", {"family": "zline", "depth": [1]})
+        env = dict(os.environ, PYTHONPATH=str(Path(tw.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treewco.cli", "analyze", "--tree", bad,
+             "--psi", specs["psi"], "--phi", specs["phi"]],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "tree.depth" in proc.stderr
+        assert "Traceback" not in proc.stderr

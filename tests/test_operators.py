@@ -377,3 +377,203 @@ class TestSpecialization:
         mult = tw.multiplication_op(psi)
         assert tw.linf_op_norm(mult) == psi.sup_norm
         assert tw.j_linf(mult) == pytest.approx(float(np.abs(psi.values).min()))
+
+
+# -- array core against per-vertex reference loops ------------------------------
+
+
+def ref_children(tree):
+    kids = [[] for _ in range(len(tree))]
+    for v in range(1, len(tree)):
+        kids[int(tree.parent[v])].append(v)
+    return kids
+
+
+def ref_layers(tree):
+    layers = [[] for _ in range(tree.depth_limit + 1)]
+    for v in range(len(tree)):
+        layers[int(tree.depth[v])].append(v)
+    return layers
+
+
+def ref_sector(kids, v):
+    out, stack = [], [v]
+    while stack:
+        u = stack.pop()
+        out.append(u)
+        stack.extend(kids[u])
+    return sorted(out)
+
+
+def ref_preimages(phi):
+    pre = [[] for _ in range(len(phi.tree))]
+    for v in range(phi.domain_size):
+        pre[int(phi.image[v])].append(v)
+    return pre
+
+
+def ref_range_profile(phi):
+    dom_depth = phi.tree.depth[: phi.domain_size]
+    out, running = [], 0
+    for d in range(phi.domain_depth + 1):
+        sel = phi.image_depth[dom_depth == d]
+        if sel.size:
+            running = max(running, int(sel.max()))
+        out.append((d, running))
+    return tuple(out)
+
+
+def ref_tail(op, n, lip):
+    sel = op.phi.image_depth > n
+    a = op.abs_psi_on_domain[sel]
+    if lip:
+        a = a * op.phi.image_depth[sel]
+    return float(a.max()) if a.size else 0.0
+
+
+def ref_prefix_sup(op, quantity, schedule):
+    dom_depth = op.tree.depth[: op.phi.domain_size]
+    out = []
+    for d in schedule:
+        sel = quantity[dom_depth <= d]
+        out.append((d, float(sel.max()) if sel.size else 0.0))
+    return tuple(out)
+
+
+def ref_sup(op, pre, w):
+    """Sup of |psi| over the preimage of w, None when w is uncovered."""
+    if not pre[w]:
+        return None
+    return float(np.abs(op.psi.values[pre[w]]).max())
+
+
+def ref_window(op, within):
+    limit = op.tree.depth_limit if within is None else within
+    return range(tw.SelfMap.domain_size_for(op.tree, limit))
+
+
+def ref_j_linf(op, pre, within):
+    best = np.inf
+    for w in ref_window(op, within):
+        s = ref_sup(op, pre, w)
+        if s is None:
+            return 0.0
+        best = min(best, s)
+    return float(best)
+
+
+def ref_isometry_linf(op, pre, within, tol=1e-9):
+    profile, running, failing, reason = [], np.inf, None, ""
+    for w in ref_window(op, within):
+        s = ref_sup(op, pre, w)
+        if s is None:
+            if failing is None:
+                failing, reason = w, "vertex has no preimage in the window"
+            running = 0.0
+        else:
+            if abs(s - 1.0) > tol and failing is None:
+                failing, reason = w, f"preimage sup of |psi| is {s:.12g}, not 1"
+            running = min(running, s)
+        d = op.tree.depth_of(w)
+        if not profile or profile[-1][0] != d:
+            profile.append([d, running])
+        else:
+            profile[-1][1] = running
+    witnesses = {"window_depth": op.tree.depth_limit if within is None else within}
+    if failing is not None:
+        witnesses.update({"vertex": failing, "reason": reason})
+    verdict = "Fails" if failing is not None else "Holds"
+    return verdict, witnesses, tuple((d, float(v)) for d, v in profile)
+
+
+def ref_isometry_lip_witness(op, pre, within, tol=1e-9):
+    for w in ref_window(op, within):
+        if not pre[w]:
+            return w, "no preimage"
+    w = int(op.tree.layer(2)[0])
+    s = ref_sup(op, pre, w)
+    if s is None:
+        return w, "no preimage"
+    if abs(s - 1.0) > tol:
+        return w, f"sup norm {s:.12g}, not 1"
+    return w, f"= {op.tree.depth_of(w) * s:.12g} exceeds 1"
+
+
+def ref_bounded_below_witness(op, pre, within):
+    best_w, best = None, np.inf
+    for w in ref_window(op, within):
+        s = ref_sup(op, pre, w)
+        if s is None:
+            return {"vertex": w, "reason": "no preimage in the window"}
+        if s < best:
+            best_w, best = w, s
+    return {"vertex": best_w, "preimage_sup": best}
+
+
+@st.composite
+def small_operators(draw):
+    family = draw(st.sampled_from(["random", "zline", "homogeneous"]))
+    if family == "random":
+        lo = draw(st.integers(1, 2))
+        tree = tw.random_tree(
+            draw(st.integers(1, 4)), seed=draw(st.integers(0, 10**6)),
+            min_children=lo, max_children=draw(st.integers(lo, 3)),
+        )
+    elif family == "zline":
+        tree = tw.zline(draw(st.integers(1, 8)))
+    else:
+        tree = tw.homogeneous(draw(st.integers(2, 3)), draw(st.integers(1, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(
+        ["random", "permutation", "constant"] + (["double"] if family == "zline" else [])
+    ))
+    if kind == "random":
+        phi = tw.random_map(tree, rng)
+    elif kind == "permutation":
+        phi = tw.random_permutation_map(tree, rng)
+    elif kind == "constant":
+        phi = tw.constant_map(tree, int(rng.integers(len(tree))))
+    else:
+        phi = tw.zline_double(tree)
+    # few distinct values: zero weights, ties between minimizers, exact ones
+    palette = draw(st.sampled_from(
+        [(1.0, -1.0), (0.0, 1.0), (0.0, 0.5, 1.0, -1.0, 2.0), (0.25, 3.0)]
+    ))
+    psi = rng.choice(np.asarray(palette), size=len(tree))
+    return op_on(tree, psi, phi)
+
+
+class TestArrayCoreMatchesLoops:
+    @given(small_operators())
+    @settings(max_examples=80, deadline=None)
+    def test_every_reduction_matches_reference(self, op):
+        from treewco.classify import _bounded_below_witness, _prefix_sup_profile
+
+        t, phi = op.tree, op.phi
+        kids = ref_children(t)
+        assert [t.children_of(v).tolist() for v in range(len(t))] == kids
+        assert [t.layer(d).tolist() for d in range(t.depth_limit + 1)] == ref_layers(t)
+        assert all(t.sector(v).tolist() == ref_sector(kids, v) for v in range(len(t)))
+        pre = ref_preimages(phi)
+        assert [phi.preimage(w).tolist() for w in range(len(t))] == pre
+        assert phi.injective_on_domain == all(len(p) <= 1 for p in pre)
+        assert phi.surjective_on_truncation == all(len(p) >= 1 for p in pre)
+        assert phi.range_profile() == ref_range_profile(phi)
+        N = t.depth_limit
+        assert tw.linf_ess_norm_profile(op) == tuple((n, ref_tail(op, n, False)) for n in range(N))
+        assert tw.lip_ess_norm_profile(op) == tuple((n, ref_tail(op, n, True)) for n in range(N))
+        a = op.abs_psi_on_domain
+        sched = tuple(range(1, N + 1))
+        for quantity in (a, a * (1.0 + phi.image_depth)):
+            assert _prefix_sup_profile(op, quantity, sched) == ref_prefix_sup(op, quantity, sched)
+        for within in [None] + list(range(N + 1)):
+            assert tw.j_linf(op, within) == ref_j_linf(op, pre, within)
+            cert = tw.isometry_check_linf(op, within)
+            assert (cert.verdict, cert.witnesses, cert.depth_profile) == ref_isometry_linf(
+                op, pre, within
+            )
+            assert _bounded_below_witness(op, within) == ref_bounded_below_witness(op, pre, within)
+            if N >= 2:
+                w, reason = ref_isometry_lip_witness(op, pre, within)
+                lip = tw.isometry_check_lip(op, within)
+                assert lip.witnesses["vertex"] == w and reason in lip.witnesses["reason"]

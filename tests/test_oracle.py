@@ -143,6 +143,13 @@ class TestJOracle:
         assert res.value == 1.0
         assert res.extra["formula_lower"] == 1.0
 
+    def test_search_size_counts_real_chunk_rows(self):
+        # 3**10 grid patterns span two chunks; the 2**10 - 1 unit patterns
+        # all sit in the first, so the second adds its own row count
+        op = tw.composition_op(tw.identity_map(tw.homogeneous(2, 2)))
+        res = tw.j_oracle_linf_bracket(op, grid=(0.0, 1.0, 2.0))
+        assert res.search_size == 1023 + (3**10 - 32768)
+
     def test_refuses_large_window(self):
         t = tw.zline(8)  # 17 vertices
         op = tw.composition_op(tw.identity_map(t))
