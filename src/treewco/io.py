@@ -1,9 +1,23 @@
 """JSON schemas, canonical serialization, and fixture reports.
 
-All reports are byte-stable: keys sorted, floats rendered at 12
-significant digits, no timestamps or absolute paths.  Spec loading errors
-carry a JSON-pointer-style location so the CLI can print line-precise
-messages.
+All reports are byte-stable and carry no timestamps or absolute paths.
+``canonical_json`` writes them in one pass, in this format:
+
+- object keys go through ``str()`` and are sorted;
+- 2-space indent, ``","`` between items and ``": "`` after keys;
+- a finite float prints as ``repr(float(f"{x:.12g}"))`` (12 significant
+  digits), a non-finite one as the string ``"inf"``, ``"-inf"`` or
+  ``"nan"``;
+- Python and numpy integers print as integers; ``true``, ``false`` and
+  ``null`` as in JSON;
+- strings are escaped to ASCII (``json.encoder.encode_basestring_ascii``);
+- empty containers print as ``[]`` and ``{}``, tuples as lists;
+- any other type (``np.bool_``, ``ndarray``, arbitrary objects) raises
+  ``TypeError``;
+- the text ends with one newline.
+
+Spec loading errors carry a JSON-pointer-style location so the CLI can
+print line-precise messages.
 """
 
 from __future__ import annotations
@@ -13,6 +27,7 @@ import math
 import numbers
 import os
 from importlib import resources
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
@@ -73,26 +88,83 @@ class SpecError(ValueError):
 # -- canonical serialization ---------------------------------------------------
 
 
-def _canonize(obj):
-    if isinstance(obj, dict):
-        return {str(k): _canonize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_canonize(v) for v in obj]
-    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
-        return int(obj)
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        if not math.isfinite(x):
-            return repr(x)
-        return float(f"{x:.12g}")
-    return obj
+def _float_text(x: float, memo: dict) -> str:
+    text = memo.get(x)
+    if text is None:
+        text = repr(float(f"{x:.12g}")) if math.isfinite(x) else f'"{x!r}"'
+        if x:  # 0.0 and -0.0 are equal keys with different texts
+            memo[x] = text
+    return text
+
+
+def _is_pair(p) -> bool:
+    return type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is float
+
+
+def _write(obj, level: int, out: list, memo: dict) -> None:
+    if isinstance(obj, str):
+        out.append(_encode_str(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_float_text(float(obj), memo))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in obj.items()}
+        inner = "\n" + "  " * (level + 1)
+        sep = "{"
+        for key in sorted(items):
+            out.append(f"{sep}{inner}{_encode_str(key)}: ")
+            _write(items[key], level + 1, out, memo)
+            sep = ","
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        outer = "\n" + "  " * level
+        if all(map(_is_pair, obj)):
+            # per-depth profiles: thousands of [depth, value] rows
+            leaf = inner + "  "
+            rows = [f"[{leaf}{n},{leaf}{_float_text(v, memo)}{inner}]" for n, v in obj]
+            out.append("[" + inner + ("," + inner).join(rows) + outer + "]")
+            return
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _write(item, level + 1, out, memo)
+            sep = ","
+        out.append(outer + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(_canonize(obj), sort_keys=True, indent=2) + "\n"
+    """The byte-stable report text of ``obj``; the format is in the module
+    docstring."""
+    out: list = []
+    _write(obj, 0, out, {})
+    out.append("\n")
+    return "".join(out)
 
 
 # -- spec loading ----------------------------------------------------------------
+
+
+def _object(value, pointer: str) -> dict:
+    """A section that must be a JSON object."""
+    if not isinstance(value, dict):
+        raise SpecError(pointer, f"expected an object, got {type(value).__name__}")
+    return value
 
 
 def _require(d: dict, key: str, pointer: str):
@@ -101,23 +173,50 @@ def _require(d: dict, key: str, pointer: str):
     return d[key]
 
 
+def _is_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
+def _finite(value) -> float | None:
+    """``value`` as a float, or None unless it is a finite non-bool number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _int(d: dict, key: str, pointer: str, default: int | None = None) -> int:
     """An integer field (JSON booleans and floats rejected)."""
     value = d.get(key, default) if default is not None else _require(d, key, pointer)
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    if not _is_int(value):
         raise SpecError(f"{pointer}.{key}", f"expected an integer, got {value!r}")
     return int(value)
 
 
 def _real(d: dict, key: str, pointer: str) -> float:
     value = _require(d, key, pointer)
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise SpecError(f"{pointer}.{key}", f"expected a number, got {value!r}")
-    return float(value)
+    x = _finite(value)
+    if x is None:
+        raise SpecError(f"{pointer}.{key}", f"expected a finite number, got {value!r}")
+    return x
+
+
+def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
+    """The ``(key, vertex id, entry)`` triples of a per-vertex table."""
+    table = _object(_require(spec, key, pointer), f"{pointer}.{key}")
+    for k, v in table.items():
+        try:
+            vid = tree.check_vertex(int(k))
+        except (KeyError, ValueError) as exc:
+            raise SpecError(f"{pointer}.{key}.{k}", str(exc)) from exc
+        yield k, vid, v
 
 
 def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
-    family = _require(spec, "family", pointer)
+    family = _require(_object(spec, pointer), "family", pointer)
     if family == "zline":
         return zline(_int(spec, "depth", pointer))
     if family == "homogeneous":
@@ -143,19 +242,15 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
 def load_function_spec(
     spec: dict, tree: RootedTree, pointer: str = "psi"
 ) -> VertexFunction:
-    kind = _require(spec, "kind", pointer)
+    kind = _require(_object(spec, pointer), "kind", pointer)
     if kind == "table":
-        table = _require(spec, "values", pointer)
         vals = np.zeros(tree.n_vertices)
         seen = np.zeros(tree.n_vertices, dtype=bool)
-        for k, v in table.items():
-            try:
-                vid = tree.check_vertex(int(k))
-            except (KeyError, ValueError) as exc:
-                raise SpecError(f"{pointer}.values.{k}", str(exc)) from exc
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)):
-                raise SpecError(f"{pointer}.values.{k}", "value must be finite")
-            vals[vid] = float(v)
+        for k, vid, v in _table(spec, "values", tree, pointer):
+            x = _finite(v)
+            if x is None:
+                raise SpecError(f"{pointer}.values.{k}", f"expected a finite number, got {v!r}")
+            vals[vid] = x
             seen[vid] = True
         if not seen.all():
             missing = int(np.where(~seen)[0][0])
@@ -165,7 +260,7 @@ def load_function_spec(
         return VertexFunction(tree, vals)
     if kind == "builtin":
         name = _require(spec, "name", pointer)
-        params = spec.get("params", {})
+        params = _object(spec.get("params", {}), f"{pointer}.params")
         try:
             if name == "F_N":
                 return depth_cap(tree, _int(params, "cap", f"{pointer}.params"))
@@ -188,17 +283,20 @@ def load_function_spec(
 
 
 def load_map_spec(spec: dict, tree: RootedTree, pointer: str = "phi") -> SelfMap:
-    kind = _require(spec, "kind", pointer)
+    kind = _require(_object(spec, pointer), "kind", pointer)
     if kind == "table":
-        table = _require(spec, "map", pointer)
+        images = {}
+        for k, vid, v in _table(spec, "map", tree, pointer):
+            if not _is_int(v):
+                raise SpecError(f"{pointer}.map.{k}", f"expected an integer vertex id, got {v!r}")
+            images[vid] = v
         try:
-            converted = {int(k): int(v) for k, v in table.items()}
-            return map_from_table(tree, converted)
-        except (ValueError, KeyError, TypeError) as exc:
+            return map_from_table(tree, images)
+        except ValueError as exc:
             raise SpecError(f"{pointer}.map", str(exc)) from exc
     if kind == "builtin":
         name = _require(spec, "name", pointer)
-        params = spec.get("params", {})
+        params = _object(spec.get("params", {}), f"{pointer}.params")
         try:
             if name == "identity":
                 return identity_map(tree)
@@ -225,11 +323,13 @@ def load_specs(tree_path, psi_path, phi_path):
 
 
 def _read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecError(str(path), f"invalid JSON: {exc}") from exc
+    except OSError as exc:
+        raise SpecError(str(path), f"cannot read: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise SpecError(str(path), f"invalid JSON: {exc}") from exc
 
 
 def tree_to_spec(tree: RootedTree) -> dict:

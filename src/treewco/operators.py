@@ -29,6 +29,7 @@ profiles from one per-depth maximum and a suffix maximum.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -181,10 +182,15 @@ def constant_map(tree: RootedTree, target: int) -> SelfMap:
 
 
 def map_from_table(tree: RootedTree, table: dict) -> SelfMap:
-    """Total map from an explicit id table; partial tables are rejected."""
+    """Total map from an explicit id table; partial tables, and images that
+    are not integer vertex ids of the truncation, are rejected."""
     img = np.full(tree.n_vertices, -1, dtype=np.int64)
     for k, v in table.items():
-        img[tree.check_vertex(int(k))] = int(v)
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+            raise MapSpecError(f"image of vertex {k} must be an integer, got {v!r}")
+        if not 0 <= v < tree.n_vertices:
+            raise MapSpecError(f"map sends vertex {k} outside the truncation (to {v})")
+        img[tree.check_vertex(int(k))] = v
     missing = np.where(img < 0)[0]
     if missing.size:
         raise MapSpecError(

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import SpecError
@@ -55,6 +59,14 @@ class TestLoaders:
             tw.load_map_spec({"kind": "table", "map": table}, t)
         assert "phi.map" in str(err.value)
 
+    def test_map_table_images_are_not_coerced(self):
+        # once loaded as the identity map
+        t = tw.zline(1)
+        with pytest.raises(SpecError, match=r"^phi\.map\.0: "):
+            tw.load_map_spec({"kind": "table", "map": {"0": 0.9, "1": 1, "2": 2.7}}, t)
+        phi = tw.load_map_spec({"kind": "table", "map": {"0": 0, "1": 1, "2": 2}}, t)
+        assert phi.image.tolist() == [0, 1, 2]
+
     def test_partial_function_table_rejected(self):
         t = tw.zline(3)
         with pytest.raises(SpecError) as err:
@@ -78,7 +90,84 @@ class TestLoaders:
         assert r.depth_limit == 3
 
 
+def _canonize_reference(obj):
+    """The two-pass serializer ``canonical_json`` replaced, kept as the
+    byte reference."""
+    if isinstance(obj, dict):
+        return {str(k): _canonize_reference(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonize_reference(v) for v in obj]
+    if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
+        return int(obj)
+    if isinstance(obj, (np.floating, float)):
+        x = float(obj)
+        if not math.isfinite(x):
+            return repr(x)
+        return float(f"{x:.12g}")
+    return obj
+
+
+def reference_json(obj) -> str:
+    return json.dumps(_canonize_reference(obj), sort_keys=True, indent=2) + "\n"
+
+
+_floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1 / 3, 1e-17, 2.0**60]))
+_ints = st.integers(-(2**70), 2**70)
+_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    _ints,
+    _floats,
+    st.text(),
+    _floats.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.integers(0, 255).map(np.uint8),
+)
+_depth = st.integers(0, 50)
+# [int, float] rows take the profile fast path; the other shapes are near
+# misses that must fall back to the generic path
+_row_shapes = [
+    st.tuples(_depth, _floats).map(list),
+    st.tuples(_depth, _floats.map(np.float64)).map(list),
+    st.tuples(st.booleans(), _floats).map(list),
+    st.tuples(_depth, _ints).map(list),
+    st.tuples(_depth, _floats, _floats).map(list),
+    st.tuples(_depth, _floats),
+    st.tuples(_depth.map(np.int64), _floats).map(list),
+]
+_rows = st.one_of(
+    *(st.lists(shape, min_size=1, max_size=6) for shape in _row_shapes),
+    st.lists(st.one_of(_row_shapes), max_size=6),
+)
+_payloads = st.recursive(
+    st.one_of(_scalars, _rows),
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-3, 12)), children, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
 class TestCanonicalJson:
+    @given(_payloads)
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_reference_serializer(self, payload):
+        assert canonical_json(payload) == reference_json(payload)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [np.bool_(True), np.zeros(2), object(), {"a": [1, {"b": np.bool_(False)}]}, [[1, np.zeros(1)]]],
+        ids=["np_bool", "ndarray", "object", "nested_np_bool", "ndarray_in_row"],
+    )
+    def test_unserializable_types_raise(self, payload):
+        with pytest.raises(TypeError):
+            reference_json(payload)
+        with pytest.raises(TypeError):
+            canonical_json(payload)
+
     def test_float_formatting(self):
         text = canonical_json({"x": 1 / 3})
         assert "0.333333333333" in text
@@ -206,15 +295,63 @@ BAD_INT_FIELDS = [
 ]
 
 
+BAD_SECTIONS = [
+    ("tree", 5, "tree"),
+    ("tree", [{"family": "zline", "depth": 2}], "tree"),
+    ("psi", "F_N", "psi"),
+    ("psi", {"kind": "table", "values": [1, 2]}, "psi.values"),
+    ("psi", {"kind": "builtin", "name": "F_N", "params": [2]}, "psi.params"),
+    ("phi", None, "phi"),
+    ("phi", {"kind": "table", "map": [0, 1]}, "phi.map"),
+    ("phi", {"kind": "builtin", "name": "constant", "params": 0}, "phi.params"),
+]
+
+# map images must be integer vertex ids, weights finite non-bool numbers
+BAD_TABLE_ENTRIES = [
+    ("phi", {"kind": "table", "map": {"0": 0.9, "1": 1, "2": 2.7}}, "phi.map.0"),
+    ("phi", {"kind": "table", "map": {"0": 0, "1": True}}, "phi.map.1"),
+    ("phi", {"kind": "table", "map": {"0": "1"}}, "phi.map.0"),
+    ("phi", {"kind": "table", "map": {"0": None}}, "phi.map.0"),
+    ("phi", {"kind": "table", "map": {"0": 0, "x": 0}}, "phi.map.x"),
+    ("phi", {"kind": "table", "map": {"0": 10**30}}, "phi.map"),
+    ("psi", {"kind": "table", "values": {"0": True}}, "psi.values.0"),
+    ("psi", {"kind": "table", "values": {"0": 1, "1": "2.0"}}, "psi.values.1"),
+    ("psi", {"kind": "table", "values": {"0": None}}, "psi.values.0"),
+    ("psi", {"kind": "table", "values": {"0": [1.0]}}, "psi.values.0"),
+    ("psi", {"kind": "table", "values": {"0": float("inf")}}, "psi.values.0"),
+    ("psi", {"kind": "table", "values": {"0": 10**400}}, "psi.values.0"),
+    ("psi", {"kind": "table", "values": {"99": 1.0}}, "psi.values.99"),
+]
+
+
 class TestMalformedSpecs:
+    @staticmethod
+    def analyze_err(specs, tmp_path, capsys, which, spec) -> tuple:
+        paths = dict(specs, **{which: write(tmp_path, f"bad_{which}.json", spec)})
+        rc = main(["analyze", "--tree", paths["tree"], "--psi", paths["psi"], "--phi", paths["phi"]])
+        return rc, capsys.readouterr().err
+
     @pytest.mark.parametrize("which,spec,pointer", BAD_INT_FIELDS)
     def test_bad_integer_field_exits_one_with_pointer(
         self, specs, tmp_path, capsys, which, spec, pointer
     ):
-        paths = dict(specs, **{which: write(tmp_path, f"bad_{which}.json", spec)})
-        rc = main(["analyze", "--tree", paths["tree"], "--psi", paths["psi"], "--phi", paths["phi"]])
+        rc, err = self.analyze_err(specs, tmp_path, capsys, which, spec)
         assert rc == 1
-        assert pointer in capsys.readouterr().err
+        assert pointer in err
+
+    @pytest.mark.parametrize("which,spec,pointer", BAD_SECTIONS + BAD_TABLE_ENTRIES)
+    def test_bad_section_or_entry_exits_one_with_pointer(
+        self, specs, tmp_path, capsys, which, spec, pointer
+    ):
+        rc, err = self.analyze_err(specs, tmp_path, capsys, which, spec)
+        assert rc == 1
+        assert err.startswith(f"spec error: {pointer}: ")
+
+    def test_missing_spec_file_exits_one(self, specs, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        rc = main(["analyze", "--tree", missing, "--psi", specs["psi"], "--phi", specs["phi"]])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"spec error: {missing}: cannot read")
 
     def test_list_depth_has_no_traceback(self, specs, tmp_path):
         bad = write(tmp_path, "bad_depth.json", {"family": "zline", "depth": [1]})
@@ -227,3 +364,115 @@ class TestMalformedSpecs:
         assert proc.returncode == 1
         assert "tree.depth" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+# Spec fuzzing: every integer a spec can carry stays small (depth <= 6,
+# branching <= 3), so no generated tree exceeds ~1,500 vertices.
+_json = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2, 3), st.floats(-4, 4), st.text(max_size=4)),
+    lambda c: st.one_of(
+        st.lists(c, max_size=3), st.dictionaries(st.text(max_size=4), c, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+def _sections(*shapes):
+    """Sections with the right field names (each shape is a pair of
+    required and optional field strategies), and malformed sections: any
+    field may be missing or arbitrary JSON, or the whole section is."""
+    shaped = st.one_of([st.fixed_dictionaries(req, optional=opt) for req, opt in shapes])
+    junk = [
+        st.fixed_dictionaries({}, optional={k: st.one_of(v, _json) for k, v in {**req, **opt}.items()})
+        for req, opt in shapes
+    ]
+    return shaped, st.one_of(shaped, *junk, _json)
+
+
+_depth6 = st.integers(0, 6)
+_branch = st.integers(1, 3)
+
+
+def _table(value):
+    """A table total on trees of at most three vertices (zline(1))."""
+    return st.fixed_dictionaries({k: value for k in ("0", "1", "2")})
+
+
+_edges = st.lists(st.integers(0, 4), max_size=5).map(
+    lambda ps: [[min(p, i), i + 1] for i, p in enumerate(ps)]
+)
+_TREES = _sections(
+    ({"family": st.just("zline"), "depth": _depth6}, {}),
+    ({"family": st.just("homogeneous"), "q": _branch, "depth": _depth6}, {}),
+    (
+        {"family": st.just("random"), "depth": _depth6, "seed": st.integers(0, 3)},
+        {"min_children": _branch, "max_children": _branch},
+    ),
+    (
+        {
+            "family": st.just("explicit"),
+            "edges": _edges,
+            "root": st.integers(0, 4),
+        },
+        {"depth": _depth6},
+    ),
+)
+_PSIS = _sections(
+    (
+        {
+            "kind": st.just("table"),
+            "values": _table(st.one_of(st.floats(-3, 3), st.integers(-2, 2))),
+        },
+        {},
+    ),
+    (
+        {
+            "kind": st.just("builtin"),
+            "name": st.sampled_from(["F_N", "g", "chi", "eta"]),
+            "params": st.fixed_dictionaries(
+                {"cap": _depth6, "n": _depth6, "r": st.floats(-2, 2), "vertex": st.integers(0, 6)}
+            ),
+        },
+        {},
+    ),
+)
+_PHIS = _sections(
+    (
+        {
+            "kind": st.just("table"),
+            "map": _table(st.integers(0, 2)),
+        },
+        {},
+    ),
+    (
+        {
+            "kind": st.just("builtin"),
+            "name": st.sampled_from(["identity", "constant", "zfold", "double"]),
+            "params": st.fixed_dictionaries({"target": st.integers(0, 6)}),
+        },
+        {},
+    ),
+)
+_MODES = st.sampled_from(["analyze", "norms", "export"])
+
+
+class TestSpecFuzz:
+    @staticmethod
+    def run_cli(tmp_path_factory, mode, tree, psi, phi) -> int:
+        d = tmp_path_factory.mktemp("fuzz")
+        argv = [mode]
+        for name, spec in (("tree", tree), ("psi", psi), ("phi", phi)):
+            argv += [f"--{name}", write(d, f"{name}.json", spec)]
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return main(argv)
+
+    @given(_MODES, _TREES[0], _PSIS[0], _PHIS[0])
+    @settings(max_examples=120, deadline=None)
+    def test_well_shaped_spec_exits_zero_or_one(self, tmp_path_factory, mode, tree, psi, phi):
+        assert self.run_cli(tmp_path_factory, mode, tree, psi, phi) in (0, 1)
+
+    @given(_MODES, _TREES[1], _PSIS[1], _PHIS[1])
+    @settings(max_examples=150, deadline=None)
+    def test_malformed_spec_exits_zero_or_one(self, tmp_path_factory, mode, tree, psi, phi):
+        assert self.run_cli(tmp_path_factory, mode, tree, psi, phi) in (0, 1)

@@ -30,6 +30,17 @@ class TestSelfMap:
         with pytest.raises(MapSpecError):
             tw.map_from_table(line4, table)
 
+    @pytest.mark.parametrize("image", [0.9, 1.0, True, "1", None])
+    def test_table_images_must_be_integers(self, line4, image):
+        table = {v: 0 for v in range(len(line4))}
+        table[2] = image
+        with pytest.raises(MapSpecError):
+            tw.map_from_table(line4, table)
+
+    def test_table_accepts_numpy_integers(self, line4):
+        phi = tw.map_from_table(line4, {v: np.int64(0) for v in range(len(line4))})
+        assert not phi.image.any()
+
     def test_preimage_index_matches_map(self):
         t = tw.zline(5)
         rng = np.random.default_rng(2)
