@@ -79,6 +79,10 @@ def default_schedule(depth_limit: int) -> tuple:
 
 
 def _check_schedule(schedule, depth_limit: int) -> tuple:
+    if depth_limit < 1:
+        raise ValueError(
+            f"classification needs a tree of depth >= 1, got depth {depth_limit}"
+        )
     sched = tuple(int(d) for d in schedule)
     if not sched or any(not 1 <= d <= depth_limit for d in sched):
         raise ValueError(f"schedule must be within 1..{depth_limit}")

@@ -87,6 +87,8 @@ def _schedule(args, depth_limit: int):
 
 def _cmd_analyze(args) -> int:
     op = _load_operator(args)
+    if op.tree.depth_limit < 1:
+        raise SpecError("tree.depth", f"analyze needs depth >= 1, got {op.tree.depth_limit}")
     cfg = TrendConfig(zero_tol=args.tol)
     sched = _schedule(args, op.tree.depth_limit)
     certs = classify_operator(op, sched, args.window, cfg)

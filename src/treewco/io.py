@@ -188,11 +188,16 @@ def _finite(value) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _int(d: dict, key: str, pointer: str, default: int | None = None) -> int:
-    """An integer field (JSON booleans and floats rejected)."""
+def _int(
+    d: dict, key: str, pointer: str, default: int | None = None, minimum: int | None = None
+) -> int:
+    """An integer field (JSON booleans and floats rejected), at least
+    ``minimum`` when one is given."""
     value = d.get(key, default) if default is not None else _require(d, key, pointer)
     if not _is_int(value):
         raise SpecError(f"{pointer}.{key}", f"expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise SpecError(f"{pointer}.{key}", f"must be >= {minimum}, got {value}")
     return int(value)
 
 
@@ -218,20 +223,22 @@ def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
 def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
     family = _require(_object(spec, pointer), "family", pointer)
     if family == "zline":
-        return zline(_int(spec, "depth", pointer))
+        return zline(_int(spec, "depth", pointer, minimum=0))
     if family == "homogeneous":
-        return homogeneous(_int(spec, "q", pointer), _int(spec, "depth", pointer))
-    if family == "random":
-        return random_tree(
-            _int(spec, "depth", pointer),
-            _int(spec, "seed", pointer),
-            _int(spec, "min_children", pointer, 1),
-            _int(spec, "max_children", pointer, 3),
+        return homogeneous(
+            _int(spec, "q", pointer, minimum=2), _int(spec, "depth", pointer, minimum=0)
         )
+    if family == "random":
+        depth = _int(spec, "depth", pointer, minimum=0)
+        seed = _int(spec, "seed", pointer)
+        lo = _int(spec, "min_children", pointer, 1, minimum=1)
+        return random_tree(depth, seed, lo, _int(spec, "max_children", pointer, 3, minimum=lo))
     if family == "explicit":
         edges = _require(spec, "edges", pointer)
         root = _require(spec, "root", pointer)
-        depth = _int(spec, "depth", pointer) if spec.get("depth") is not None else None
+        depth = (
+            _int(spec, "depth", pointer, minimum=0) if spec.get("depth") is not None else None
+        )
         try:
             return explicit_tree(edges, root, depth)
         except (ValueError, TypeError) as exc:

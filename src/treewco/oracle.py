@@ -35,6 +35,10 @@ MAX_EXHAUSTIVE_VERTICES_MAX = 16
 MAX_EXHAUSTIVE_VERTICES_MIN = 12
 MAX_PATTERNS = 2_000_000
 _CHUNK = 1 << 15
+# the path family's parameter grid, and the pairs per block of the
+# surjectivity quotient scan (bounds its memory on large inputs)
+_A_GRID = np.linspace(0.0, 1.0, 21)
+_PAIR_BLOCK = 1 << 16
 
 
 class OracleSizeError(ValueError):
@@ -208,22 +212,27 @@ def point_eval_lip_norm(
     raise ValueError(f"unknown method {method!r}")
 
 
+def _path_family(depths: np.ndarray) -> np.ndarray:
+    """Value a + (1-a) * d that the radial family member
+    a + (1-a) * min(depth, d) takes at a target of depth d: one row per
+    grid point a, one column per entry of ``depths``."""
+    a = _A_GRID[:, None]
+    return a + (1.0 - a) * depths[None, :]
+
+
 def _point_eval_path(tree: RootedTree, w: int) -> OracleResult:
     dw = tree.depth_of(w)
+    family = _path_family(np.asarray([dw]))[:, 0]
+    i = int(np.argmax(family))
+    best, best_a = float(family[i]), float(_A_GRID[i])
     radial = np.minimum(tree.depth, dw).astype(np.float64)
-    a_grid = np.linspace(0.0, 1.0, 21)
-    best, best_a = -1.0, 0.0
-    for a in a_grid:
-        val = a + (1.0 - a) * dw
-        if val > best:
-            best, best_a = float(val), float(a)
     f = best_a + (1.0 - best_a) * radial
     norm = _lip_norm_raw(tree, f)
     return OracleResult(
         quantity="PointEvalNormLip",
         value=best,
         method="PathExtremal",
-        search_size=a_grid.size,
+        search_size=_A_GRID.size,
         witness={
             "vertex": int(w),
             "maximizer": {int(v): float(f[v]) for v in range(tree.n_vertices)},
@@ -239,6 +248,7 @@ def _point_eval_ascent(tree: RootedTree, w: int, seed: int) -> OracleResult:
     best_ratio = 0.0
     best_f = None
     evals = 0
+    passes, converged = [], True
     for s in starts:
         if s == "indicator":
             f = np.zeros(n)
@@ -248,8 +258,10 @@ def _point_eval_ascent(tree: RootedTree, w: int, seed: int) -> OracleResult:
         else:
             f = rng.uniform(-1.0, 1.0, n)
             f[w] += 1.0
-        ratio, f, steps = _ratio_ascent(tree, w, f)
+        ratio, f, steps, used, done = _ratio_ascent(tree, w, f)
         evals += steps
+        passes.append(used)
+        converged = converged and done
         if ratio > best_ratio:
             best_ratio, best_f = ratio, f
     norm = _lip_norm_raw(tree, best_f)
@@ -265,6 +277,7 @@ def _point_eval_ascent(tree: RootedTree, w: int, seed: int) -> OracleResult:
             "maximizer": {int(v): float(best_f[v]) for v in range(n)},
             "maximizer_lip_norm": _lip_norm_raw(tree, best_f),
         },
+        extra={"passes": passes, "converged": converged},
     )
 
 
@@ -276,6 +289,9 @@ def _ratio_ascent(tree: RootedTree, w: int, f: np.ndarray, max_passes: int = 200
     of w push the value outward (building the ramp out of flat plateaus);
     ties elsewhere take the Chebyshev center of the neighbor values so
     off-path increments die out instead of pinning the denominator.
+
+    Returns ``(ratio, f, evals, passes, converged)``: ``converged`` is
+    False when ``max_passes`` ran out while the ratio was still rising.
     """
     n = tree.n_vertices
     f = f.astype(np.float64).copy()
@@ -285,7 +301,8 @@ def _ratio_ascent(tree: RootedTree, w: int, f: np.ndarray, max_passes: int = 200
     on_path[tree.root_path(w)] = True
     evals = 0
     last = -1.0
-    for _ in range(max_passes):
+    passes, converged = 0, False
+    for passes in range(1, max_passes + 1):
         for u in range(n):
             inc = np.abs(f - f[safe_parent])
             inc[0] = 0.0
@@ -324,9 +341,10 @@ def _ratio_ascent(tree: RootedTree, w: int, f: np.ndarray, max_passes: int = 200
                 f[u] = ties[0]
         ratio = _ratio_value(tree, w, f)
         if ratio <= last + 1e-12:
+            converged = True
             break
         last = ratio
-    return _ratio_value(tree, w, f), f, evals
+    return _ratio_value(tree, w, f), f, evals, passes, converged
 
 
 def _ratio_at(tree, w, f, u, t, anchors, c_other) -> float:
@@ -351,30 +369,35 @@ def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
     """sup over v of |psi(v)| * point-eval-norm(phi(v)).
 
     The exchange of the two suprema is exact because for fixed v the inner
-    problem only sees f through f(phi(v)).
+    problem only sees f through f(phi(v)).  "path" evaluates the path
+    family at every distinct target at once; "ascent" runs the point
+    evaluation ascent per target.
     """
     t = op.tree
     m = op.phi.domain_size
-    a_psi = np.abs(op.psi.values[:m])
-    cache: dict[int, float] = {}
-    searched = 0
-    best, best_v = 0.0, None
-    for v in range(m):
-        wv = int(op.phi.image[v])
-        if wv not in cache:
-            res = point_eval_lip_norm(t, wv, method=method)
-            cache[wv] = res.value
-            searched += res.search_size
-        val = float(a_psi[v]) * cache[wv]
-        if val > best:
-            best, best_v = val, v
+    targets = np.flatnonzero(op.phi.coverage)
+    if method == "path":
+        target_values = _path_family(t.depth[targets]).max(axis=0)
+        searched = _A_GRID.size * targets.size
+    elif method == "ascent":
+        found = [point_eval_lip_norm(t, w, method) for w in targets]
+        target_values = np.asarray([r.value for r in found])
+        searched = sum(r.search_size for r in found)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    point_norm = np.zeros(t.n_vertices)
+    point_norm[targets] = target_values
+    vals = np.abs(op.psi.values[:m]) * point_norm[op.phi.image]
+    best_v = int(np.argmax(vals)) if m else None
+    if best_v is not None and not vals[best_v] > 0.0:
+        best_v = None
     return OracleResult(
         quantity="OpNormLip",
-        value=best,
+        value=0.0 if best_v is None else float(vals[best_v]),
         method="PathExtremal" if method == "path" else "GridRefine",
         search_size=searched,
         witness={} if best_v is None else {
-            "vertex": int(best_v),
+            "vertex": best_v,
             "target": int(op.phi.image[best_v]),
         },
         extra={"note": "sup over f and sup over v exchanged exactly"},
@@ -491,10 +514,10 @@ def surjectivity_infeasibility(
     if not op.phi.injective_on_domain:
         raise ValueError("forced-value inversion needs an injective map")
 
+    m = op.phi.domain_size
     if hint is not None:
         if hint.tree is not t:
             raise ValueError("hint must live on the operator's source tree")
-        m = op.phi.domain_size
         achieved = op.psi.values[:m] * hint.values[op.phi.image]
         if np.abs(achieved - g.values).max() > tol:
             raise ValueError("hint does not map onto the target function")
@@ -509,38 +532,46 @@ def surjectivity_infeasibility(
                 extra={"verdict": "feasible"},
             )
 
-    forced: dict[int, float] = {}
-    for v in range(op.phi.domain_size):
-        psi_v = float(op.psi.values[v])
-        g_v = float(g.values[v])
-        if abs(psi_v) <= tol:
-            if abs(g_v) > tol:
-                return OracleResult(
-                    quantity="SurjInfeasibility",
-                    value=np.inf,
-                    method="IncrementBound",
-                    search_size=1,
-                    witness={
-                        "vertex": v,
-                        "reason": "weight vanishes where the target is nonzero",
-                    },
-                    extra={"verdict": "infeasible"},
-                )
-            continue
-        forced[int(op.phi.image[v])] = g_v / psi_v
+    psi = op.psi.values[:m]
+    vanish = np.abs(psi) <= tol
+    blocked = np.flatnonzero(vanish & (np.abs(g.values) > tol))
+    if blocked.size:
+        return OracleResult(
+            quantity="SurjInfeasibility",
+            value=np.inf,
+            method="IncrementBound",
+            search_size=1,
+            witness={
+                "vertex": int(blocked[0]),
+                "reason": "weight vanishes where the target is nonzero",
+            },
+            extra={"verdict": "infeasible"},
+        )
+    keys = op.phi.image[~vanish]
+    order = np.argsort(keys)
+    keys = keys[order]
+    forced = (g.values[~vanish] / psi[~vanish])[order]
 
-    keys = sorted(forced)
-    best_q, best_pair = 0.0, None
-    for i, u in enumerate(keys):
-        for u2 in keys[i + 1 :]:
-            dist = t.distance(u, u2)
-            q = abs(forced[u2] - forced[u]) / dist
-            if q > best_q:
-                best_q, best_pair = q, (u, u2)
-    searched = len(keys) * (len(keys) - 1) // 2
+    # scan the pairs i < j in row blocks, in the order of a nested i, j
+    # loop: the first maximum in a block, a strictly larger one across blocks
+    k = keys.size
+    cols = np.arange(k)
+    rows = max(1, _PAIR_BLOCK // max(k, 1))
+    best_q, best_pair, best_dist = 0.0, None, 0
+    for r0 in range(0, k - 1, rows):
+        i, j = np.nonzero(cols[None, :] > cols[r0 : min(r0 + rows, k - 1), None])
+        i += r0
+        dist = t.distances(keys[i], keys[j])
+        q = np.abs(forced[j] - forced[i]) / dist
+        # a NaN quotient (inf - inf) never wins, as under a scalar `>`
+        b = int(np.argmax(np.fmax(q, 0.0)))
+        if q[b] > best_q:
+            best_q, best_dist = float(q[b]), int(dist[b])
+            best_pair = [int(keys[i[b]]), int(keys[j[b]])]
+    searched = k * (k - 1) // 2
 
     witness: dict = {
-        "forced_values": {int(k): float(forced[k]) for k in keys},
+        "forced_values": dict(zip(keys.tolist(), forced.tolist())),
     }
     extra: dict = {
         "note": (
@@ -551,8 +582,8 @@ def surjectivity_infeasibility(
     if best_pair is not None:
         witness.update(
             {
-                "pair": [int(best_pair[0]), int(best_pair[1])],
-                "pair_distance": int(t.distance(*best_pair)),
+                "pair": best_pair,
+                "pair_distance": best_dist,
                 "quotient": best_q,
             }
         )
@@ -564,9 +595,13 @@ def surjectivity_infeasibility(
 
     # try the canonical interpolant: forced values, parents elsewhere
     f = np.zeros(t.n_vertices)
-    f[0] = forced.get(0, 0.0)
-    for v in range(1, t.n_vertices):
-        f[v] = forced.get(v, f[int(t.parent[v])])
+    f[keys] = forced
+    free = np.ones(t.n_vertices, dtype=bool)
+    free[keys] = False
+    for d in range(1, t.depth_limit + 1):
+        layer = t.layer(d)
+        layer = layer[free[layer]]
+        f[layer] = f[t.parent[layer]]
     fnorm = _lip_norm_raw(t, f)
     witness["interpolant_lip_norm"] = fnorm
     extra["verdict"] = "feasible" if fnorm <= 1.0 + tol else "undetermined"

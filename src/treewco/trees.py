@@ -179,6 +179,32 @@ class RootedTree:
             total += 2
         return total
 
+    @cached_property
+    def _ancestors(self) -> np.ndarray:
+        """Binary-lifting table: row k holds each vertex's 2**k-th ancestor
+        (the root is its own ancestor).  Built on first use only."""
+        rows = [self.safe_parent]
+        for _ in range(1, max(1, int(self.depth_limit).bit_length())):
+            rows.append(rows[-1][rows[-1]])
+        return np.stack(rows)
+
+    def distances(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Edge counts of the paths between ``u[i]`` and ``w[i]`` (arrays of
+        vertex ids), through the depth of their lowest common ancestor."""
+        up = self._ancestors
+        du, dw = self.depth[u], self.depth[w]
+        swap = du < dw
+        u, w = np.where(swap, w, u), np.where(swap, u, w)
+        lift = np.abs(du - dw)
+        for k in range(up.shape[0]):
+            u = np.where((lift >> k) & 1 == 1, up[k][u], u)
+        for k in range(up.shape[0] - 1, -1, -1):
+            au, aw = up[k][u], up[k][w]
+            split = au != aw
+            u, w = np.where(split, au, u), np.where(split, aw, w)
+        lca = np.where(u == w, u, self.safe_parent[u])
+        return du + dw - 2 * self.depth[lca]
+
     def sector(self, v: int) -> np.ndarray:
         """v together with all its descendants inside the truncation."""
         v = self.check_vertex(v)
@@ -363,6 +389,8 @@ def random_tree(
 
     Deterministic for a fixed (seed, bounds).
     """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if min_children < 1:
         raise ValueError("min_children must be >= 1 (no interior terminal)")
     if max_children < min_children:

@@ -97,6 +97,13 @@ class TestCrossChecks:
                 assert len(out["linf"]) == 4 and len(out["lip"]) == 4
 
 
+    def test_depth_zero_refused_by_depth_limit(self):
+        op = tw.composition_op(tw.identity_map(tw.zline(0)))
+        for classify in (tw.classify_linf, tw.classify_lip):
+            with pytest.raises(ValueError, match=r"depth >= 1, got depth 0"):
+                classify(op)
+
+
 class TestSevenEquivalences:
     def test_constant_map_all_hold(self):
         cert = tw.seven_equivalences(tw.constant_map(tw.zline(8), 0))

@@ -324,6 +324,19 @@ BAD_TABLE_ENTRIES = [
 ]
 
 
+# the tree builders' own ranges, checked at load time
+BAD_RANGES = [
+    ("tree", {"family": "homogeneous", "q": 1, "depth": 2}, "tree.q"),
+    ("tree", {"family": "homogeneous", "q": 2, "depth": -1}, "tree.depth"),
+    ("tree", {"family": "zline", "depth": -3}, "tree.depth"),
+    ("tree", {"family": "random", "depth": -1, "seed": 1}, "tree.depth"),
+    ("tree", {"family": "random", "depth": 2, "seed": 1, "min_children": 0}, "tree.min_children"),
+    ("tree", {"family": "random", "depth": 2, "seed": 1, "min_children": 3, "max_children": 2},
+     "tree.max_children"),
+    ("tree", {"family": "explicit", "edges": [[0, 1]], "root": 0, "depth": -1}, "tree.depth"),
+]
+
+
 class TestMalformedSpecs:
     @staticmethod
     def analyze_err(specs, tmp_path, capsys, which, spec) -> tuple:
@@ -339,13 +352,24 @@ class TestMalformedSpecs:
         assert rc == 1
         assert pointer in err
 
-    @pytest.mark.parametrize("which,spec,pointer", BAD_SECTIONS + BAD_TABLE_ENTRIES)
+    @pytest.mark.parametrize("which,spec,pointer", BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES)
     def test_bad_section_or_entry_exits_one_with_pointer(
         self, specs, tmp_path, capsys, which, spec, pointer
     ):
         rc, err = self.analyze_err(specs, tmp_path, capsys, which, spec)
         assert rc == 1
         assert err.startswith(f"spec error: {pointer}: ")
+
+    def test_depth_zero_analyze_names_the_depth_limit(self, specs, tmp_path, capsys):
+        paths = dict(
+            specs,
+            tree=write(tmp_path, "t0.json", {"family": "zline", "depth": 0}),
+            psi=write(tmp_path, "chi.json", {"kind": "builtin", "name": "chi", "params": {"vertex": 0}}),
+        )
+        args = ["--tree", paths["tree"], "--psi", paths["psi"], "--phi", paths["phi"]]
+        assert main(["analyze", *args]) == 1
+        assert capsys.readouterr().err == "spec error: tree.depth: analyze needs depth >= 1, got 0\n"
+        assert main(["norms", *args]) == 0
 
     def test_missing_spec_file_exits_one(self, specs, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -1,12 +1,170 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treewco as tw
-from treewco import OracleSizeError, VertexFunction, WeightedCompOp
+from treewco import OracleResult, OracleSizeError, SelfMap, VertexFunction, WeightedCompOp
+from treewco import oracle as oracle_mod
+from treewco.io import canonical_json
+from treewco.oracle import _lip_norm_raw, _ratio_ascent
 
 from conftest import random_operator, small_tree_corpus
+
+
+# -- reference implementations: the scalar loops the array passes replaced --
+
+
+def reference_norm_oracle_lip_path(op: WeightedCompOp) -> OracleResult:
+    """norm_oracle_lip(op, "path") as a loop over the domain, with one
+    scalar scan of the 21-point grid per distinct target."""
+    t = op.tree
+    m = op.phi.domain_size
+    a_psi = np.abs(op.psi.values[:m])
+    a_grid = np.linspace(0.0, 1.0, 21)
+    cache: dict[int, float] = {}
+    searched = 0
+    best, best_v = 0.0, None
+    for v in range(m):
+        wv = int(op.phi.image[v])
+        if wv not in cache:
+            dw = t.depth_of(wv)
+            top = -1.0
+            for a in a_grid:
+                val = a + (1.0 - a) * dw
+                if val > top:
+                    top = float(val)
+            cache[wv] = top
+            searched += a_grid.size
+        val = float(a_psi[v]) * cache[wv]
+        if val > best:
+            best, best_v = val, v
+    return OracleResult(
+        quantity="OpNormLip",
+        value=best,
+        method="PathExtremal",
+        search_size=searched,
+        witness={} if best_v is None else {
+            "vertex": int(best_v),
+            "target": int(op.phi.image[best_v]),
+        },
+        extra={"note": "sup over f and sup over v exchanged exactly"},
+    )
+
+
+def reference_surjectivity_infeasibility(op, g, tol=1e-9) -> OracleResult:
+    """surjectivity_infeasibility without a hint, as a loop over the domain
+    and a nested loop over pairs with scalar ``tree.distance``."""
+    t = op.tree
+    forced: dict[int, float] = {}
+    for v in range(op.phi.domain_size):
+        psi_v = float(op.psi.values[v])
+        g_v = float(g.values[v])
+        if abs(psi_v) <= tol:
+            if abs(g_v) > tol:
+                return OracleResult(
+                    quantity="SurjInfeasibility",
+                    value=np.inf,
+                    method="IncrementBound",
+                    search_size=1,
+                    witness={
+                        "vertex": v,
+                        "reason": "weight vanishes where the target is nonzero",
+                    },
+                    extra={"verdict": "infeasible"},
+                )
+            continue
+        forced[int(op.phi.image[v])] = g_v / psi_v
+    keys = sorted(forced)
+    best_q, best_pair = 0.0, None
+    for i, u in enumerate(keys):
+        for u2 in keys[i + 1 :]:
+            q = abs(forced[u2] - forced[u]) / t.distance(u, u2)
+            if q > best_q:
+                best_q, best_pair = q, (u, u2)
+    searched = len(keys) * (len(keys) - 1) // 2
+    witness: dict = {"forced_values": {int(k): float(forced[k]) for k in keys}}
+    extra: dict = {
+        "note": (
+            "pairwise increment quotient lower-bounds the derivative sup of "
+            "any interpolant; sound for infeasibility, not complete"
+        )
+    }
+    if best_pair is not None:
+        witness.update(
+            {
+                "pair": [int(best_pair[0]), int(best_pair[1])],
+                "pair_distance": int(t.distance(*best_pair)),
+                "quotient": best_q,
+            }
+        )
+    if best_q > 1.0 + 1e-12:
+        extra["verdict"] = "infeasible"
+        return OracleResult(
+            "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
+        )
+    f = np.zeros(t.n_vertices)
+    f[0] = forced.get(0, 0.0)
+    for v in range(1, t.n_vertices):
+        f[v] = forced.get(v, f[int(t.parent[v])])
+    fnorm = _lip_norm_raw(t, f)
+    witness["interpolant_lip_norm"] = fnorm
+    extra["verdict"] = "feasible" if fnorm <= 1.0 + tol else "undetermined"
+    return OracleResult(
+        "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
+    )
+
+
+def build_tree(kind: str, depth: int, seed: int):
+    if kind == "zline":
+        return tw.zline(depth)
+    if kind == "h2":
+        return tw.homogeneous(2, min(depth, 3))
+    if kind == "h3":
+        return tw.homogeneous(3, min(depth, 2))
+    return tw.random_tree(min(depth, 4), seed=seed, min_children=1, max_children=3)
+
+
+@st.composite
+def oracle_cases(draw):
+    """(op, g) with an injective map (partial domain and range allowed), a
+    weight with exact and sub-tolerance zeros, and a target of one of four
+    kinds: random reals, small integers (tied quotients), the image of a
+    unit-ball function (feasible), or that image scaled up."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the depth comes from the seed: drawn directly, most trees had one vertex
+    tree = build_tree(
+        draw(st.sampled_from(["zline", "h2", "h3", "random"])),
+        int(rng.integers(0, 8)),
+        int(rng.integers(0, 10**6)),
+    )
+    n = tree.n_vertices
+    dd = tree.depth_limit - draw(st.integers(0, tree.depth_limit // 2))
+    m = SelfMap.domain_size_for(tree, dd)
+    phi = SelfMap(tree, rng.permutation(n)[:m], dd)
+    psi = rng.choice([-2.0, -1.0, 1.0, 3.0], size=n)
+    if draw(st.booleans()):
+        psi *= rng.uniform(0.5, 1.5, size=n)
+    zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.15, 0.5]))
+    psi[zeros] = rng.choice([0.0, 1e-12, -5e-10], size=int(zeros.sum()))
+    op = WeightedCompOp(VertexFunction(tree, psi), phi)
+    kind = draw(st.sampled_from(["real", "int", "feasible", "scaled"]))
+    if kind == "real":
+        g = rng.uniform(-1.0, 1.0, size=m) * draw(st.sampled_from([0.3, 1.0, 4.0]))
+    elif kind == "int":
+        g = rng.integers(-2, 3, size=m).astype(np.float64)
+    else:
+        f = rng.uniform(-1.0, 1.0, size=n)
+        for v in range(1, n):
+            f[v] += f[int(tree.parent[v])]
+        f /= _lip_norm_raw(tree, f)
+        g = psi[:m] * f[phi.image] * (1.0 if kind == "feasible" else 3.0)
+        if rng.random() < 0.5:
+            g[(np.abs(psi[:m]) <= 1e-9) & (rng.random(m) < 0.3)] = 1.0
+    return op, VertexFunction(op.codomain_tree, g)
 
 
 class TestNormOracleLinf:
@@ -229,3 +387,110 @@ class TestInfeasibility:
         g = tw.apply_op(op, f)
         res = tw.surjectivity_infeasibility(op, g, hint=f)
         assert res.extra["verdict"] == "feasible"
+
+
+class TestArrayOraclesMatchLoops:
+    """The array passes give the reports of the loops they replaced, byte
+    for byte."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases(), block=st.sampled_from([1, 2, 5, 13, 1 << 16]))
+    def test_surjectivity_matches_reference(self, case, block):
+        op, g = case
+        # small blocks put block boundaries between tied pairs
+        with mock.patch.object(oracle_mod, "_PAIR_BLOCK", block):
+            res = tw.surjectivity_infeasibility(op, g)
+        ref = reference_surjectivity_infeasibility(op, g)
+        assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=oracle_cases(), maps=st.sampled_from(["injective", "random", "constant"]))
+    def test_lip_path_matches_reference(self, case, maps):
+        op, _ = case
+        t = op.tree
+        rng = np.random.default_rng(t.n_vertices)
+        if maps == "random":
+            op = WeightedCompOp(op.psi, tw.random_map(t, rng))
+        elif maps == "constant":
+            op = WeightedCompOp(op.psi, tw.constant_map(t, int(rng.integers(t.n_vertices))))
+        res = tw.norm_oracle_lip(op)
+        ref = reference_norm_oracle_lip_path(op)
+        assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
+
+    def test_every_verdict_and_tie_is_generated(self):
+        # the strategy reaches all three verdicts, the vanishing-weight
+        # witness, and pairs that tie with the winning quotient
+        seen = set()
+
+        @settings(max_examples=300, deadline=None, database=None)
+        @given(case=oracle_cases())
+        def collect(case):
+            op, g = case
+            ref = reference_surjectivity_infeasibility(op, g)
+            seen.add(ref.extra["verdict"])
+            if "reason" in ref.witness:
+                seen.add("vanishing")
+            forced = ref.witness.get("forced_values", {})
+            keys = sorted(forced)
+            q = [
+                abs(forced[b] - forced[a]) / op.tree.distance(a, b)
+                for i, a in enumerate(keys) for b in keys[i + 1 :]
+            ]
+            if ref.value > 0 and q.count(ref.value) > 1:
+                seen.add("tie")
+
+        collect()
+        assert seen >= {"feasible", "infeasible", "undetermined", "vanishing", "tie"}
+
+    def test_larger_trees_match_reference(self):
+        # 7,260 pairs in blocks of four rows, and 190 vertices
+        t = tw.zline(60)
+        rng = np.random.default_rng(11)
+        op = WeightedCompOp(tw.random_function(t, rng, 2.0), tw.random_permutation_map(t, rng))
+        g = VertexFunction(t, rng.uniform(-0.2, 0.2, len(t)))
+        with mock.patch.object(oracle_mod, "_PAIR_BLOCK", 500):
+            res = tw.surjectivity_infeasibility(op, g)
+        ref = reference_surjectivity_infeasibility(op, g)
+        assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
+        h = tw.homogeneous(2, 6)
+        op = WeightedCompOp(tw.random_function(h, rng), tw.random_map(h, rng))
+        assert canonical_json(tw.norm_oracle_lip(op).to_json()) == canonical_json(
+            reference_norm_oracle_lip_path(op).to_json()
+        )
+
+
+class TestPairDistances:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["zline", "h2", "h3", "random"]),
+        depth=st.integers(0, 9),
+        seed=st.integers(0, 10**6),
+    )
+    def test_match_scalar_distance(self, kind, depth, seed):
+        t = build_tree(kind, depth, seed)
+        rng = np.random.default_rng(seed)
+        u = rng.integers(0, len(t), size=200)
+        w = np.concatenate([u[:20], rng.integers(0, len(t), size=180)])
+        expect = [t.distance(int(a), int(b)) for a, b in zip(u, w)]
+        assert t.distances(u, w).tolist() == expect
+
+
+class TestAscentConvergence:
+    def test_pass_cap_reports_not_converged(self):
+        t = tw.zline(4)
+        w = t.vertex_of(3)
+        start = np.zeros(len(t))
+        start[w] = 1.0
+        ratio, _, _, passes, converged = _ratio_ascent(t, w, start, max_passes=1)
+        assert (passes, converged) == (1, False)
+        assert ratio < 3.0 - 1e-6
+        ratio, _, _, passes, converged = _ratio_ascent(t, w, start)
+        assert converged and 1 < passes < 200
+        assert ratio == pytest.approx(3.0, abs=1e-6)
+
+    def test_point_eval_reports_passes_per_start(self):
+        t = tw.homogeneous(2, 2)
+        res = tw.point_eval_lip_norm(t, 5, "ascent")
+        assert len(res.extra["passes"]) == 4
+        assert all(p >= 1 for p in res.extra["passes"])
+        assert res.extra["converged"] is True

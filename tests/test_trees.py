@@ -137,6 +137,23 @@ class TestQueries:
             line4.distance(0, -1)
 
 
+class TestBuilderRanges:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tw.zline(-1),
+            lambda: tw.homogeneous(2, -1),
+            lambda: tw.homogeneous(1, 2),
+            lambda: tw.random_tree(-1, seed=1),
+            lambda: tw.random_tree(2, seed=1, min_children=0),
+            lambda: tw.random_tree(2, seed=1, min_children=3, max_children=2),
+        ],
+    )
+    def test_out_of_range_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+
 class TestViews:
     def test_truncate_is_prefix(self):
         t = tw.zline(6)
