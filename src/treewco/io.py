@@ -60,7 +60,14 @@ from .operators import (
     zline_fold,
 )
 from .oracle import surjectivity_infeasibility
-from .trees import RootedTree, explicit_tree, homogeneous, random_tree, zline
+from .trees import (
+    RootedTree,
+    TreeBudgetError,
+    explicit_tree,
+    homogeneous,
+    random_tree,
+    zline,
+)
 
 __all__ = [
     "SpecError",
@@ -222,17 +229,21 @@ def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
 
 def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
     family = _require(_object(spec, pointer), "family", pointer)
-    if family == "zline":
-        return zline(_int(spec, "depth", pointer, minimum=0))
-    if family == "homogeneous":
-        return homogeneous(
-            _int(spec, "q", pointer, minimum=2), _int(spec, "depth", pointer, minimum=0)
-        )
-    if family == "random":
-        depth = _int(spec, "depth", pointer, minimum=0)
-        seed = _int(spec, "seed", pointer)
-        lo = _int(spec, "min_children", pointer, 1, minimum=1)
-        return random_tree(depth, seed, lo, _int(spec, "max_children", pointer, 3, minimum=lo))
+    try:
+        if family == "zline":
+            return zline(_int(spec, "depth", pointer, minimum=0))
+        if family == "homogeneous":
+            return homogeneous(
+                _int(spec, "q", pointer, minimum=2), _int(spec, "depth", pointer, minimum=0)
+            )
+        if family == "random":
+            depth = _int(spec, "depth", pointer, minimum=0)
+            seed = _int(spec, "seed", pointer)
+            lo = _int(spec, "min_children", pointer, 1, minimum=1)
+            hi = _int(spec, "max_children", pointer, 3, minimum=lo)
+            return random_tree(depth, seed, lo, hi)
+    except TreeBudgetError as exc:
+        raise SpecError(f"{pointer}.depth", str(exc)) from exc
     if family == "explicit":
         edges = _require(spec, "edges", pointer)
         root = _require(spec, "root", pointer)

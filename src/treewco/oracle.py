@@ -91,10 +91,10 @@ def norm_oracle_linf(
 ) -> OracleResult:
     """Max of the composed sup norm over grid-valued unit functions.
 
-    Only values on the range of the map influence the operator, so the
-    enumeration runs over range vertices; when the range misses some
-    vertex, sup norm 1 is realized off range and every grid pattern on the
-    range is admissible.
+    The grid levels must lie in [-1, 1] and include 1.0.  Only values on
+    the range of the map influence the operator, so the enumeration runs
+    over range vertices; when the range misses some vertex, sup norm 1 is
+    realized off range and every grid pattern on the range is admissible.
     """
     t = op.tree
     m = op.phi.domain_size
@@ -105,6 +105,8 @@ def norm_oracle_linf(
     levels = np.asarray(sorted(grid), dtype=np.float64)
     if 1.0 not in levels:
         raise ValueError("value grid must contain 1.0 to reach the unit sphere")
+    if not (np.abs(levels) <= 1.0).all():
+        raise ValueError("value grid levels must lie in [-1, 1] to stay in the unit ball")
 
     if method == "ascent":
         # per-coordinate objective is separable: each range value is best
@@ -145,24 +147,9 @@ def norm_oracle_linf(
             f"{n_patterns} grid patterns exceed the budget {MAX_PATTERNS}; "
             "use method='ascent'"
         )
-    need_unit_on_range = k == t.n_vertices
-    best = -1.0
-    best_pattern = None
-    searched = 0
-    for P in _grid_chunks(k, levels):
-        absP = np.abs(P)
-        if need_unit_on_range:
-            ok = absP.max(axis=1) == 1.0
-            if not ok.any():
-                searched += P.shape[0]
-                continue
-            P, absP = P[ok], absP[ok]
-        vals = (a_psi[None, :] * absP[:, col]).max(axis=1) if m else np.zeros(P.shape[0])
-        i = int(np.argmax(vals)) if vals.size else 0
-        if vals.size and float(vals[i]) > best:
-            best = float(vals[i])
-            best_pattern = P[i].copy()
-        searched += P.shape[0]
+    best, best_pattern, searched = _pattern_search(
+        levels, k, a_psi, col, maximize=True, unit_only=k == t.n_vertices
+    )
     f = np.zeros(t.n_vertices)
     if best_pattern is not None:
         f[range_ids] = best_pattern
@@ -178,18 +165,93 @@ def norm_oracle_linf(
     )
 
 
-def _grid_chunks(k: int, levels: np.ndarray):
-    """Yield (chunk, k) arrays covering all levels**k patterns."""
-    L = levels.size
+def _digit_planes(k: int, abs_levels: np.ndarray):
+    """Yield ``(start, planes)`` for each chunk of ``_CHUNK`` consecutive
+    indices of the ``L**k`` grid patterns: ``planes[j, r]`` is the
+    ``|level|`` of digit j of pattern ``start + r``, where digit j of
+    pattern i is ``i // L**j % L`` (least significant first).
+
+    Digit j is constant on runs of ``L**j`` consecutive patterns and steps
+    through the levels cyclically, so each plane is one ``np.repeat`` of a
+    short cycle, with the chunk's first and last runs cut to fit.  Every
+    chunk is written into the same buffer.
+    """
+    L = abs_levels.size
     total = L**k
-    if k == 0:
-        yield np.zeros((1, 0))
-        return
-    powers = L ** np.arange(k, dtype=np.int64)
+    width = min(_CHUNK, total)
+    buf = np.empty((k, width))
+    # the levels repeated cyclically, long enough for any chunk's runs
+    # starting at any level
+    wheel = np.tile(abs_levels, width // L + 2)
     for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :]) % L
-        yield levels[digits]
+        rows = min(_CHUNK, total - start)
+        planes = buf[:, :rows]
+        run = 1
+        for j in range(k):
+            first, skip = divmod(start, run)
+            n_runs = -(-(skip + rows) // run)
+            digit = wheel[first % L : first % L + n_runs]
+            if run > 1:  # runs of one pattern are the cycle itself
+                lens = np.full(n_runs, run)
+                lens[0] -= skip
+                lens[-1] -= n_runs * run - skip - rows
+                digit = np.repeat(digit, lens)
+            planes[j] = digit
+            run *= L
+        yield start, planes
+
+
+def _pattern_search(
+    levels: np.ndarray,
+    k: int,
+    a_psi: np.ndarray,
+    col: np.ndarray,
+    maximize: bool,
+    unit_only: bool,
+):
+    """Largest (``maximize``) or smallest composed sup norm
+    ``max_v a_psi[v] * |P[col[v]]|`` over the grid patterns P in
+    ``levels**k``, only over patterns with an entry of modulus 1 when
+    ``unit_only``.
+
+    Every pattern is scored against every listed domain vertex; a domain
+    vertex left out of ``a_psi`` counts as scoring 0.  Ties keep the first
+    pattern in a chunk and a strictly better one across chunks.  A chunk
+    without a unit pattern counts all its rows as searched.  Returns
+    ``(value, signed pattern or None, patterns searched)``.
+    """
+    best = -1.0 if maximize else np.inf
+    best_index = None
+    searched = 0
+    masked = -np.inf if maximize else np.inf
+    pick = np.argmax if maximize else np.argmin
+    for start, planes in _digit_planes(k, np.abs(levels)):
+        rows = planes.shape[1]
+        if unit_only:
+            unit = planes.max(axis=0) == 1.0
+            n_unit = int(np.count_nonzero(unit))
+            if not n_unit:
+                searched += rows
+                continue
+        # scores are products of nonnegatives: starting from zero changes
+        # none of them
+        vals = np.zeros(rows)
+        term = np.empty(rows)
+        for a, c in zip(a_psi, col):
+            np.multiply(a, planes[c], out=term)
+            np.maximum(vals, term, out=vals)
+        if unit_only:
+            vals[~unit] = masked
+            searched += n_unit
+        else:
+            searched += rows
+        i = int(pick(vals))
+        if (vals[i] > best) if maximize else (vals[i] < best):
+            best, best_index = float(vals[i]), start + i
+    if best_index is None:
+        return best, None, searched
+    L = levels.size
+    return best, levels[[best_index // L**j % L for j in range(k)]], searched
 
 
 # -- point evaluation on the Lipschitz unit ball --------------------------------
@@ -451,27 +513,16 @@ def j_oracle_linf_bracket(
     if levels.size**k > MAX_PATTERNS:
         raise OracleSizeError("grid pattern count exceeds the budget")
     m = op.phi.domain_size
-    a_psi = np.abs(op.psi.values[:m])
+    # f vanishes off the window, so images outside it contribute zero
     in_window = op.phi.image < n_window
-    best = np.inf
-    best_pattern = None
-    searched = 0
-    for P in _grid_chunks(k, levels):
-        absP = np.abs(P)
-        ok = absP.max(axis=1) == 1.0
-        if not ok.any():
-            searched += P.shape[0]
-            continue
-        P, absP = P[ok], absP[ok]
-        # values at images outside the window are zero (f supported inside)
-        contrib = np.zeros((P.shape[0], m))
-        contrib[:, in_window] = absP[:, op.phi.image[in_window]]
-        vals = (a_psi[None, :] * contrib).max(axis=1)
-        i = int(np.argmin(vals))
-        if float(vals[i]) < best:
-            best = float(vals[i])
-            best_pattern = P[i].copy()
-        searched += P.shape[0]
+    best, best_pattern, searched = _pattern_search(
+        levels,
+        k,
+        np.abs(op.psi.values[:m])[in_window],
+        op.phi.image[in_window],
+        maximize=False,
+        unit_only=True,
+    )
     gap = best - lower
     if gap < -1e-9:
         raise RuntimeError(

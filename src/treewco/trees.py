@@ -22,7 +22,9 @@ import numpy as np
 
 __all__ = [
     "CSR",
+    "MAX_VERTICES",
     "RootedTree",
+    "TreeBudgetError",
     "TreeStructureError",
     "zline",
     "homogeneous",
@@ -33,8 +35,21 @@ __all__ = [
 ]
 
 
+# The most vertices a family builder (zline, homogeneous, random_tree)
+# makes, about 9x homogeneous(3, 10); a larger tree is refused before any
+# of its arrays is allocated.
+MAX_VERTICES = 1 << 20
+
+
 class TreeStructureError(ValueError):
     """Raised for disconnected/cyclic input or interior terminal vertices."""
+
+
+class TreeBudgetError(ValueError):
+    """A family builder refused a tree of more than MAX_VERTICES vertices."""
+
+    def __init__(self, depth: int):
+        super().__init__(f"depth {depth} gives more than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
 @dataclass(frozen=True)
@@ -323,6 +338,8 @@ def zline(depth: int) -> RootedTree:
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    if 2 * depth + 1 > MAX_VERTICES:
+        raise TreeBudgetError(depth)
     k = np.arange(1, depth + 1, dtype=np.int64)
     labels = np.zeros(2 * depth + 1, dtype=np.int64)
     labels[1::2], labels[2::2] = k, -k
@@ -362,6 +379,13 @@ def homogeneous(q: int, depth: int) -> RootedTree:
         raise ValueError("q must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
+    # past the budget's bit length q**depth alone exceeds it, so the
+    # closed-form count is only formed for depths where it is small
+    q = int(q)
+    if depth >= MAX_VERTICES.bit_length() or (
+        1 + (q + 1) * (q**depth - 1) // (q - 1) > MAX_VERTICES
+    ):
+        raise TreeBudgetError(depth)
     sizes = [1] + [(q + 1) * q ** (d - 1) for d in range(1, depth + 1)]
     n = sum(sizes)
     # breadth-first ids: ids 1..q+1 hang below the root, and vertex j >= 1
@@ -401,10 +425,14 @@ def random_tree(
     start = 0
     for _ in range(depth):
         # one draw per parent, in id order: the seeded trees depend on it
-        counts = [int(rng.integers(min_children, max_children + 1)) for _ in range(sizes[-1])]
+        # (an array draw yields the same stream as one scalar draw each)
+        counts = rng.integers(min_children, max_children + 1, size=sizes[-1])
+        layer = int(counts.sum())
+        if start + sizes[-1] + layer > MAX_VERTICES:
+            raise TreeBudgetError(depth)
         parent_ids.append(np.repeat(np.arange(start, start + sizes[-1], dtype=np.int64), counts))
         start += sizes[-1]
-        sizes.append(sum(counts))
+        sizes.append(layer)
     n = start + sizes[-1]
     return RootedTree(
         parent=np.concatenate(parent_ids),

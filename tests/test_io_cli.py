@@ -324,8 +324,10 @@ BAD_TABLE_ENTRIES = [
 ]
 
 
-# the tree builders' own ranges, checked at load time
+# the tree builders' own ranges, checked at load time, and their vertex
+# budget
 BAD_RANGES = [
+    ("tree", {"family": "homogeneous", "q": 2, "depth": 30}, "tree.depth"),
     ("tree", {"family": "homogeneous", "q": 1, "depth": 2}, "tree.q"),
     ("tree", {"family": "homogeneous", "q": 2, "depth": -1}, "tree.depth"),
     ("tree", {"family": "zline", "depth": -3}, "tree.depth"),

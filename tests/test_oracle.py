@@ -118,6 +118,151 @@ def reference_surjectivity_infeasibility(op, g, tol=1e-9) -> OracleResult:
     )
 
 
+def reference_grid_chunks(k: int, levels: np.ndarray):
+    """Yield (chunk, k) arrays covering all levels**k patterns, digit j of
+    pattern i being i // L**j % L, in chunks of ``oracle._CHUNK`` rows."""
+    L = levels.size
+    total = L**k
+    if k == 0:
+        yield np.zeros((1, 0))
+        return
+    powers = L ** np.arange(k, dtype=np.int64)
+    for start in range(0, total, oracle_mod._CHUNK):
+        idx = np.arange(start, min(start + oracle_mod._CHUNK, total), dtype=np.int64)
+        digits = (idx[:, None] // powers[None, :]) % L
+        yield levels[digits]
+
+
+def reference_norm_oracle_linf(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> OracleResult:
+    """norm_oracle_linf(op, grid) with the (rows, k) pattern matrix per
+    chunk, compressed to its unit rows when the map is onto."""
+    t = op.tree
+    m = op.phi.domain_size
+    a_psi = np.abs(op.psi.values[:m])
+    range_ids = np.unique(op.phi.image) if m else np.empty(0, dtype=np.int64)
+    k = range_ids.size
+    col = np.searchsorted(range_ids, op.phi.image) if m else np.empty(0, dtype=np.int64)
+    levels = np.asarray(sorted(grid), dtype=np.float64)
+    if 1.0 not in levels:
+        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
+    if t.n_vertices > oracle_mod.MAX_EXHAUSTIVE_VERTICES_MAX:
+        raise OracleSizeError(
+            f"{t.n_vertices} vertices exceed the exhaustive cap "
+            f"{oracle_mod.MAX_EXHAUSTIVE_VERTICES_MAX}; use method='ascent'"
+        )
+    n_patterns = levels.size**k
+    if n_patterns > oracle_mod.MAX_PATTERNS:
+        raise OracleSizeError(
+            f"{n_patterns} grid patterns exceed the budget {oracle_mod.MAX_PATTERNS}; "
+            "use method='ascent'"
+        )
+    need_unit_on_range = k == t.n_vertices
+    best = -1.0
+    best_pattern = None
+    searched = 0
+    for P in reference_grid_chunks(k, levels):
+        absP = np.abs(P)
+        if need_unit_on_range:
+            ok = absP.max(axis=1) == 1.0
+            if not ok.any():
+                searched += P.shape[0]
+                continue
+            P, absP = P[ok], absP[ok]
+        vals = (a_psi[None, :] * absP[:, col]).max(axis=1) if m else np.zeros(P.shape[0])
+        i = int(np.argmax(vals)) if vals.size else 0
+        if vals.size and float(vals[i]) > best:
+            best = float(vals[i])
+            best_pattern = P[i].copy()
+        searched += P.shape[0]
+    f = np.zeros(t.n_vertices)
+    if best_pattern is not None:
+        f[range_ids] = best_pattern
+    if np.abs(f).max() < 1.0:
+        off = np.setdiff1d(np.arange(t.n_vertices), range_ids)
+        f[off[0] if off.size else 0] = 1.0
+    return OracleResult(
+        quantity="OpNormLinf",
+        value=max(best, 0.0),
+        method="ExhaustiveSigns",
+        search_size=searched,
+        witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
+    )
+
+
+def reference_j_oracle_linf_bracket(
+    op: WeightedCompOp, grid=(-1.0, 0.0, 1.0), within_depth=None
+) -> OracleResult:
+    """j_oracle_linf_bracket with the (rows, k) pattern matrix per chunk,
+    compressed to its unit rows, and a zero-filled (rows, m) contribution
+    matrix."""
+    t = op.tree
+    limit = t.depth_limit if within_depth is None else within_depth
+    n_window = SelfMap.domain_size_for(t, limit)
+    lower = tw.j_linf(op, within_depth)
+    if not op.phi.coverage[:n_window].all():
+        uncovered = int(np.argmin(op.phi.coverage[:n_window]))
+        f = np.zeros(t.n_vertices)
+        f[uncovered] = 1.0
+        return OracleResult(
+            quantity="JLinfUpper",
+            value=0.0,
+            method="ExhaustiveSigns",
+            search_size=1,
+            witness={
+                "minimizer": {int(v): float(f[v]) for v in range(t.n_vertices)},
+                "uncovered_vertex": uncovered,
+            },
+            extra={"formula_lower": lower, "gap": 0.0 - lower},
+        )
+    if n_window > oracle_mod.MAX_EXHAUSTIVE_VERTICES_MIN:
+        raise OracleSizeError(
+            f"{n_window} window vertices exceed the min-search cap "
+            f"{oracle_mod.MAX_EXHAUSTIVE_VERTICES_MIN}"
+        )
+    levels = np.asarray(sorted(grid), dtype=np.float64)
+    if 1.0 not in levels:
+        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
+    k = n_window
+    if levels.size**k > oracle_mod.MAX_PATTERNS:
+        raise OracleSizeError("grid pattern count exceeds the budget")
+    m = op.phi.domain_size
+    a_psi = np.abs(op.psi.values[:m])
+    in_window = op.phi.image < n_window
+    best = np.inf
+    best_pattern = None
+    searched = 0
+    for P in reference_grid_chunks(k, levels):
+        absP = np.abs(P)
+        ok = absP.max(axis=1) == 1.0
+        if not ok.any():
+            searched += P.shape[0]
+            continue
+        P, absP = P[ok], absP[ok]
+        contrib = np.zeros((P.shape[0], m))
+        contrib[:, in_window] = absP[:, op.phi.image[in_window]]
+        vals = (a_psi[None, :] * contrib).max(axis=1)
+        i = int(np.argmin(vals))
+        if float(vals[i]) < best:
+            best = float(vals[i])
+            best_pattern = P[i].copy()
+        searched += P.shape[0]
+    gap = best - lower
+    if gap < -1e-9:
+        raise RuntimeError(
+            f"oracle upper bound {best} fell below the closed form {lower}"
+        )
+    return OracleResult(
+        quantity="JLinfUpper",
+        value=best,
+        method="ExhaustiveSigns",
+        search_size=searched,
+        witness={
+            "minimizer": {int(v): float(best_pattern[v]) for v in range(k)}
+        },
+        extra={"formula_lower": lower, "gap": gap},
+    )
+
+
 def build_tree(kind: str, depth: int, seed: int):
     if kind == "zline":
         return tw.zline(depth)
@@ -167,6 +312,62 @@ def oracle_cases(draw):
     return op, VertexFunction(op.codomain_tree, g)
 
 
+SEARCH_GRIDS = [(-1.0, 0.0, 1.0), (-1.0, -0.5, 0.0, 0.5, 1.0), (1.0, -1.0)]
+SEARCH_CHUNKS = [1, 7, 1000, 1 << 15]
+# the pattern budget under which the searches are compared: larger ones
+# are refused by both, which compares the refusal too
+SEARCH_BUDGET = 3**9
+
+
+@st.composite
+def search_ops(draw):
+    """An operator on a tree of at most 17 vertices under a permutation,
+    random, identity or k-range map (the last on a partial domain), with a
+    weight that has exact zeros and tied magnitudes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["zline", "h2", "h3", "random"]))
+    if kind == "zline":
+        tree = tw.zline(int(rng.integers(0, 5)))
+    elif kind == "h2":
+        tree = tw.homogeneous(2, int(rng.integers(0, 3)))
+    elif kind == "h3":
+        tree = tw.homogeneous(3, int(rng.integers(0, 3)))
+    else:
+        tree = tw.random_tree(int(rng.integers(0, 4)), int(rng.integers(10**6)), 1, 2)
+    n = tree.n_vertices
+    maps = draw(st.sampled_from(["permutation", "random", "identity", "krange"]))
+    if maps == "permutation":
+        phi = tw.random_permutation_map(tree, rng)
+    elif maps == "random":
+        phi = tw.random_map(tree, rng)
+    elif maps == "identity":
+        phi = tw.identity_map(tree)
+    else:
+        dd = int(rng.integers(0, tree.depth_limit + 1))
+        targets = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        phi = SelfMap(tree, rng.choice(targets, size=SelfMap.domain_size_for(tree, dd)), dd)
+    psi = rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0], size=n)
+    if draw(st.booleans()):
+        psi *= rng.uniform(0.5, 1.5, size=n)
+    return WeightedCompOp(VertexFunction(tree, psi), phi)
+
+
+def search_outcome(search, *args, **kwargs) -> str:
+    """The canonical report of a search, or the error it raised."""
+    try:
+        return canonical_json(search(*args, **kwargs).to_json())
+    except (ValueError, RuntimeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def draw_grid_and_chunk(data, grids, k):
+    """A grid, and a chunk size that keeps the search to at most 500
+    chunks."""
+    grid = data.draw(st.sampled_from(grids))
+    n_patterns = min(len(grid) ** k, SEARCH_BUDGET)
+    return grid, data.draw(st.sampled_from([c for c in SEARCH_CHUNKS if n_patterns <= 500 * c]))
+
+
 class TestNormOracleLinf:
     def test_matches_formula_on_tiny_line(self):
         # 3^5 sign patterns on the 5-vertex line
@@ -191,6 +392,15 @@ class TestNormOracleLinf:
         res = tw.norm_oracle_linf(op)
         assert res.value == 1.0
         assert abs(res.witness["maximizer"]["3"] if "3" in res.witness["maximizer"] else res.witness["maximizer"][3]) == 1.0
+
+    @pytest.mark.parametrize("method", ["exhaustive", "ascent"])
+    def test_grid_levels_outside_unit_interval_rejected(self, method):
+        # f = 2 on the one range vertex left the unit ball: value 2, not 1
+        t = tw.zline(2)
+        op = tw.composition_op(tw.constant_map(t, 0))
+        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+            tw.norm_oracle_linf(op, grid=(0.0, 1.0, 2.0), method=method)
+        assert tw.norm_oracle_linf(op, grid=(0.0, 1.0), method=method).value == 1.0
 
     def test_refuses_large_trees(self):
         t = tw.homogeneous(2, 3)  # 22 vertices
@@ -416,6 +626,46 @@ class TestArrayOraclesMatchLoops:
         res = tw.norm_oracle_lip(op)
         ref = reference_norm_oracle_lip_path(op)
         assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=search_ops(), data=st.data())
+    def test_norm_linf_matches_reference(self, op, data):
+        grid, chunk = draw_grid_and_chunk(data, SEARCH_GRIDS, np.unique(op.phi.image).size)
+        with mock.patch.multiple(oracle_mod, _CHUNK=chunk, MAX_PATTERNS=SEARCH_BUDGET):
+            res = search_outcome(tw.norm_oracle_linf, op, grid)
+            ref = search_outcome(reference_norm_oracle_linf, op, grid)
+        assert res == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=search_ops(), window=st.sampled_from([None, 1, 2]), data=st.data())
+    def test_j_bracket_matches_reference(self, op, window, data):
+        t = op.tree
+        if window is not None:
+            window = min(window, t.depth_limit)
+        k = SelfMap.domain_size_for(t, t.depth_limit if window is None else window)
+        grid, chunk = draw_grid_and_chunk(data, SEARCH_GRIDS + [(0.0, 1.0, 2.0)], k)
+        with mock.patch.multiple(oracle_mod, _CHUNK=chunk, MAX_PATTERNS=SEARCH_BUDGET):
+            res = search_outcome(tw.j_oracle_linf_bracket, op, grid, window)
+            ref = search_outcome(reference_j_oracle_linf_bracket, op, grid, window)
+        assert res == ref
+
+    def test_searches_over_full_chunks_match_reference(self):
+        # 3**10 patterns each: one full 2**15-row chunk and one partial
+        rng = np.random.default_rng(12)
+        h = tw.homogeneous(2, 2)
+        op = WeightedCompOp(tw.random_function(h, rng), tw.random_permutation_map(h, rng))
+        assert canonical_json(tw.j_oracle_linf_bracket(op).to_json()) == canonical_json(
+            reference_j_oracle_linf_bracket(op).to_json()
+        )
+        t = tw.zline(5)
+        pick = rng.integers(0, 10, len(t))
+        pick[:10] = np.arange(10)  # exactly 10 range vertices
+        op = WeightedCompOp(
+            tw.random_function(t, rng), SelfMap(t, rng.permutation(len(t))[pick], 5)
+        )
+        assert canonical_json(tw.norm_oracle_linf(op).to_json()) == canonical_json(
+            reference_norm_oracle_linf(op).to_json()
+        )
 
     def test_every_verdict_and_tie_is_generated(self):
         # the strategy reaches all three verdicts, the vanishing-weight

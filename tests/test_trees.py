@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 
 import treewco as tw
 from treewco import TreeStructureError
+from treewco import trees as trees_mod
+from treewco.trees import TreeBudgetError
 
 
 def ids(tree, *labels):
@@ -154,6 +159,40 @@ class TestBuilderRanges:
             build()
 
 
+class TestVertexBudget:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: tw.homogeneous(2, 30),  # ~3.2e9 vertices
+            lambda: tw.zline(10**9),
+            lambda: tw.random_tree(40, 0, 2, 3),
+        ],
+    )
+    def test_refused_before_allocating(self, build):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TreeBudgetError, match="MAX_VERTICES"):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a budget-sized tree's arrays, not the refused tree's
+        assert peak < 64 << 20
+
+    def test_budget_is_inclusive(self):
+        with mock.patch.object(trees_mod, "MAX_VERTICES", 10):
+            assert len(tw.zline(4)) == 9
+            assert len(tw.homogeneous(2, 2)) == 10
+            with pytest.raises(TreeBudgetError):
+                tw.zline(5)
+            with pytest.raises(TreeBudgetError):
+                tw.homogeneous(3, 2)
+            # 1 + 2 + 4 + 8 vertices: the third layer crosses
+            assert len(tw.random_tree(2, 0, 2, 2)) == 7
+            with pytest.raises(TreeBudgetError):
+                tw.random_tree(3, 0, 2, 2)
+
+
 class TestViews:
     def test_truncate_is_prefix(self):
         t = tw.zline(6)
@@ -167,6 +206,19 @@ class TestViews:
         a = tw.random_tree(4, seed=9, min_children=1, max_children=3)
         b = tw.random_tree(4, seed=9, min_children=1, max_children=3)
         assert list(a.parent) == list(b.parent)
+
+    @pytest.mark.parametrize("seed,lo,hi", [(0, 1, 3), (7, 2, 3), (9, 1, 1), (31, 3, 5)])
+    def test_random_tree_matches_per_parent_draws(self, seed, lo, hi):
+        # the builder draws a layer's child counts as one array; the seeded
+        # trees are those of one scalar draw per parent in id order
+        rng = np.random.default_rng(seed)
+        parent, layer, start = [-1], 1, 0
+        for _ in range(4):
+            counts = [int(rng.integers(lo, hi + 1)) for _ in range(layer)]
+            for i, c in enumerate(counts):
+                parent += [start + i] * c
+            start, layer = start + layer, sum(counts)
+        assert tw.random_tree(4, seed, lo, hi).parent.tolist() == parent
 
     def test_random_tree_no_interior_terminal(self):
         t = tw.random_tree(5, seed=2)
