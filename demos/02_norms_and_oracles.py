@@ -3,7 +3,8 @@
 
 Three cross-checks: the sup-norm identity on the bounded functions against
 exhaustive sign patterns, the point-evaluation norm max(1, |w|) against
-coordinate ascent, and the Lipschitz-to-bounded sandwich.
+the extreme points of the Lipschitz unit ball, and the Lipschitz-to-bounded
+sandwich.
 """
 
 import numpy as np
@@ -37,14 +38,14 @@ def main():
     for label in (0, 1, 3, 6, -4):
         w = t6.vertex_of(label)
         path = tw.point_eval_lip_norm(t6, w, "path")
-        ascent = tw.point_eval_lip_norm(t6, w, "ascent")
+        extreme = tw.point_eval_lip_norm(t6, w, "exhaustive")
         print(
             f"w = {label:>2}: path-extremal {path.value:.6f}, "
-            f"coordinate ascent {ascent.value:.6f}, "
+            f"{extreme.search_size} extreme points {extreme.value:.6f}, "
             f"expected {max(1, abs(label))}"
         )
-    print("the ascent maximizer realizes the ramp along the root path,")
-    print("normalized to a unit Lipschitz function")
+    print("the best extreme point is f = 1 at depth <= 1 and otherwise the")
+    print("ramp with increments of one sign along the root path")
 
     banner("SANDWICH FOR THE LIPSCHITZ-TO-BOUNDED NORM")
     homog = tw.homogeneous(2, 3)

@@ -18,6 +18,7 @@ import numpy as np
 from .classify import TrendConfig, bundled_fixtures, classify_operator, seven_equivalences
 from .functions import norms, random_function
 from .io import (
+    SCHEMA_VERSION,
     SpecError,
     canonical_json,
     fixture_report,
@@ -93,7 +94,7 @@ def _cmd_analyze(args) -> int:
     sched = _schedule(args, op.tree.depth_limit)
     certs = classify_operator(op, sched, args.window, cfg)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
         "quantities": operator_quantities(op, args.window),
     }
@@ -107,7 +108,7 @@ def _cmd_norms(args) -> int:
     op = _load_operator(args)
     rep = norms(op.psi)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "psi_norms": {
             "sup_norm": rep.sup_norm,
             "lip_norm": rep.lip_norm,
@@ -130,6 +131,8 @@ def _cmd_oracle(args) -> int:
         from .io import _read_json, load_tree_spec
 
         tree = load_tree_spec(_read_json(args.tree), "tree")
+        if args.seed < 0:
+            raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         op = WeightedCompOp(random_function(tree, rng), random_map(tree, rng))
     try:
@@ -139,7 +142,7 @@ def _cmd_oracle(args) -> int:
     lip_res = norm_oracle_lip(op)
     lo, up = lip_bounds(op)
     payload = {
-        "schema": 1,
+        "schema": SCHEMA_VERSION,
         "seed": args.seed,
         "linf": {
             "oracle": linf_res.to_json(),

@@ -5,10 +5,11 @@ of an oracle is to confirm the formula path, so it must not call it.  The
 only formula value an oracle report quotes is the one it is being compared
 against, clearly labeled as such.
 
-Search modes are deterministic and desk-scale: exhaustive sign-pattern
-enumeration under hard size caps (refusing, not degrading, beyond them),
-a one-parameter path-extremal family, and a multi-start exact coordinate
-ascent on the Rayleigh-style ratio |f(w)| / lip-norm(f).
+Search modes are deterministic and desk-scale, and refuse, rather than
+degrade, beyond hard size caps: exhaustive grid-pattern enumeration on
+the bounded functions, exhaustive enumeration of the extreme points of the
+Lipschitz unit ball (the constants +-1 and the sign patterns of the
+increments), and a one-parameter path-extremal family.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ MAX_EXHAUSTIVE_VERTICES_MAX = 16
 MAX_EXHAUSTIVE_VERTICES_MIN = 12
 MAX_PATTERNS = 2_000_000
 _CHUNK = 1 << 15
+# the increment levels of the Lipschitz ball's non-constant extreme points
+_SIGNS = np.asarray([-1.0, 1.0])
 # the path family's parameter grid, and the pairs per block of the
 # surjectivity quotient scan (bounds its memory on large inputs)
 _A_GRID = np.linspace(0.0, 1.0, 21)
@@ -42,8 +45,8 @@ _PAIR_BLOCK = 1 << 16
 
 
 class OracleSizeError(ValueError):
-    """Search space exceeds the deterministic budget; caller may retry with
-    the coordinate-ascent mode where one exists."""
+    """Search space exceeds the deterministic budget; the message names the
+    method to retry with where one exists."""
 
 
 @dataclass(frozen=True)
@@ -165,24 +168,24 @@ def norm_oracle_linf(
     )
 
 
-def _digit_planes(k: int, abs_levels: np.ndarray):
+def _digit_planes(k: int, levels: np.ndarray):
     """Yield ``(start, planes)`` for each chunk of ``_CHUNK`` consecutive
-    indices of the ``L**k`` grid patterns: ``planes[j, r]`` is the
-    ``|level|`` of digit j of pattern ``start + r``, where digit j of
-    pattern i is ``i // L**j % L`` (least significant first).
+    indices of the ``L**k`` grid patterns: ``planes[j, r]`` is the level
+    of digit j of pattern ``start + r``, where digit j of pattern i is
+    ``i // L**j % L`` (least significant first).
 
     Digit j is constant on runs of ``L**j`` consecutive patterns and steps
     through the levels cyclically, so each plane is one ``np.repeat`` of a
     short cycle, with the chunk's first and last runs cut to fit.  Every
     chunk is written into the same buffer.
     """
-    L = abs_levels.size
+    L = levels.size
     total = L**k
     width = min(_CHUNK, total)
     buf = np.empty((k, width))
     # the levels repeated cyclically, long enough for any chunk's runs
     # starting at any level
-    wheel = np.tile(abs_levels, width // L + 2)
+    wheel = np.tile(levels, width // L + 2)
     for start in range(0, total, _CHUNK):
         rows = min(_CHUNK, total - start)
         planes = buf[:, :rows]
@@ -254,7 +257,7 @@ def _pattern_search(
     return best, levels[[best_index // L**j % L for j in range(k)]], searched
 
 
-# -- point evaluation on the Lipschitz unit ball --------------------------------
+# -- the Lipschitz unit ball -----------------------------------------------------
 
 
 def point_eval_lip_norm(
@@ -263,14 +266,15 @@ def point_eval_lip_norm(
     """sup { |f(w)| : lip-norm(f) <= 1 } by explicit search.
 
     "path": maximize over the radial family a + (1-a) * min(depth, |w|),
-    a in [0, 1].  "ascent": exact coordinate ascent on |f(w)| / lip-norm(f)
-    over all vertex values, from an indicator seed plus random starts.
+    a in [0, 1].  "exhaustive" (alias "ascent"): score every extreme point
+    of the unit ball that can move f(w), the constants and the 2**|w| sign
+    patterns of the root-path increments of w; exact.  ``seed`` is unused.
     """
     w = tree.check_vertex(w)
     if method == "path":
         return _point_eval_path(tree, w)
-    if method == "ascent":
-        return _point_eval_ascent(tree, w, seed)
+    if method in ("exhaustive", "ascent"):
+        return _point_eval_extreme(tree, w)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -303,161 +307,119 @@ def _point_eval_path(tree: RootedTree, w: int) -> OracleResult:
     )
 
 
-def _point_eval_ascent(tree: RootedTree, w: int, seed: int) -> OracleResult:
-    n = tree.n_vertices
-    rng = np.random.default_rng((seed, w))
-    starts = ["indicator", "constant", 0, 1]
-    best_ratio = 0.0
-    best_f = None
-    evals = 0
-    passes, converged = [], True
-    for s in starts:
-        if s == "indicator":
-            f = np.zeros(n)
-            f[w] = 1.0
-        elif s == "constant":
-            f = np.ones(n)
-        else:
-            f = rng.uniform(-1.0, 1.0, n)
-            f[w] += 1.0
-        ratio, f, steps, used, done = _ratio_ascent(tree, w, f)
-        evals += steps
-        passes.append(used)
-        converged = converged and done
-        if ratio > best_ratio:
-            best_ratio, best_f = ratio, f
-    norm = _lip_norm_raw(tree, best_f)
-    if norm > 0:
-        best_f = best_f / norm
+def _point_eval_extreme(tree: RootedTree, w: int) -> OracleResult:
+    k = tree.depth_of(w)
+    if 2**k > MAX_PATTERNS:
+        raise OracleSizeError(
+            f"2**{k} sign patterns exceed the budget {MAX_PATTERNS}; use method='path'"
+        )
+    edges = np.asarray(tree.root_path(w)[1:], dtype=np.int64)
+    best, f, searched = _extreme_point_search(tree, edges, np.asarray([w]), np.ones(1))
     return OracleResult(
         quantity="PointEvalNormLip",
-        value=best_ratio,
-        method="GridRefine",
-        search_size=evals,
+        value=best,
+        method="ExtremePoints",
+        search_size=searched,
         witness={
             "vertex": int(w),
-            "maximizer": {int(v): float(best_f[v]) for v in range(n)},
-            "maximizer_lip_norm": _lip_norm_raw(tree, best_f),
+            "maximizer": {int(v): float(f[v]) for v in range(tree.n_vertices)},
+            "maximizer_lip_norm": _lip_norm_raw(tree, f),
         },
-        extra={"passes": passes, "converged": converged},
     )
 
 
-def _ratio_ascent(tree: RootedTree, w: int, f: np.ndarray, max_passes: int = 200):
-    """Exact 1-D maximization of |f(w)| / lip-norm(f) one vertex at a time.
+def _extreme_point_search(
+    tree: RootedTree, edges: np.ndarray, targets: np.ndarray, weights: np.ndarray
+):
+    """Largest ``max_i weights[i] * |f(targets[i])|`` over the extreme
+    points of the Lipschitz unit ball whose increments vanish off
+    ``edges``.
 
-    On each linear piece of the denominator the ratio is monotone in the
-    coordinate, so the argmax lies on a breakpoint.  Ties on the root path
-    of w push the value outward (building the ramp out of flat plateaus);
-    ties elsewhere take the Chebyshev center of the neighbor values so
-    off-path increments die out instead of pinning the denominator.
-
-    Returns ``(ratio, f, evals, passes, converged)``: ``converged`` is
-    False when ``max_passes`` ran out while the ratio was still rising.
+    In the coordinates ``(f(root), Df)`` the unit ball is the l1-sum of R
+    and l_inf over the edges, so its extreme points are ``f = 1``,
+    ``f = -1`` and, with ``f(root) = 0``, the sign patterns of the
+    increments; a convex score peaks at one of them.  They are scored in
+    that order, digit j of a pattern being the increment at ``edges[j]``,
+    and a point replaces the best only when strictly better.  Returns
+    ``(value, maximizer, points scored)``.
     """
-    n = tree.n_vertices
-    f = f.astype(np.float64).copy()
-    parent, safe_parent = tree.parent, tree.safe_parent
-    kid_offsets, kid_ids = tree.children.offsets, tree.children.indices
-    on_path = np.zeros(n, dtype=bool)
-    on_path[tree.root_path(w)] = True
-    evals = 0
-    last = -1.0
-    passes, converged = 0, False
-    for passes in range(1, max_passes + 1):
-        for u in range(n):
-            inc = np.abs(f - f[safe_parent])
-            inc[0] = 0.0
-            kids = kid_ids[kid_offsets[u] : kid_offsets[u + 1]]
-            involved = [u] if u != 0 else []
-            involved += [int(c) for c in kids]
-            mask = np.ones(n, dtype=bool)
-            mask[involved] = False
-            mask[0] = False
-            c_other = float(inc[mask].max()) if mask.any() else 0.0
-            anchors = []
-            if u != 0:
-                anchors.append(float(f[parent[u]]))
-            anchors.extend(float(f[c]) for c in kids)
-            big = 4.0 * (np.abs(f).max() + 1.0)
-            cands = {0.0, float(f[u]), big, -big}
-            for b in anchors:
-                cands.update((b, b + c_other, b - c_other, b + 1.0, b - 1.0))
-            for i, b1 in enumerate(anchors):
-                for b2 in anchors[i + 1 :]:
-                    cands.add((b1 + b2) / 2.0)
-            if anchors:
-                cands.add((min(anchors) + max(anchors)) / 2.0)
-            scored = []
-            for t in cands:
-                scored.append((t, _ratio_at(tree, w, f, u, t, anchors, c_other)))
-                evals += 1
-            top = max(r for _, r in scored)
-            ties = [t for t, r in scored if r >= top - 1e-13]
-            if on_path[u]:
-                f[u] = max(ties, key=abs)
-            elif anchors:
-                center = (min(anchors) + max(anchors)) / 2.0
-                f[u] = min(ties, key=lambda t: abs(t - center))
-            else:
-                f[u] = ties[0]
-        ratio = _ratio_value(tree, w, f)
-        if ratio <= last + 1e-12:
-            converged = True
-            break
-        last = ratio
-    return _ratio_value(tree, w, f), f, evals, passes, converged
-
-
-def _ratio_at(tree, w, f, u, t, anchors, c_other) -> float:
-    num = abs(t) if u == w else abs(f[w])
-    root = abs(t) if u == 0 else abs(f[0])
-    d = c_other
-    for b in anchors:
-        d = max(d, abs(t - b))
-    denom = root + d
-    return num / denom if denom > 0 else 0.0
-
-
-def _ratio_value(tree, w, f) -> float:
-    denom = _lip_norm_raw(tree, f)
-    return abs(float(f[w])) / denom if denom > 0 else 0.0
-
-
-# -- operator norm from the Lipschitz space -------------------------------------
+    col = {int(e): j for j, e in enumerate(edges)}
+    # incidence[i] @ signs is the pattern's value at targets[i]
+    incidence = np.zeros((targets.size, edges.size))
+    for i, u in enumerate(targets):
+        for a in tree.root_path(u):
+            if a in col:
+                incidence[i, col[a]] = 1.0
+    best, best_index = float(weights.max(initial=0.0)), None
+    for start, planes in _digit_planes(edges.size, _SIGNS):
+        vals = (weights[:, None] * np.abs(incidence @ planes)).max(axis=0, initial=0.0)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
+            best, best_index = float(vals[i]), start + i
+    f = np.ones(tree.n_vertices)
+    if best_index is not None:
+        inc = np.zeros(tree.n_vertices)
+        inc[edges] = _SIGNS[[best_index >> j & 1 for j in range(edges.size)]]
+        # rebuild f layer by layer from its increments, with f(root) = 0
+        f[0] = 0.0
+        for d in range(1, tree.depth_limit + 1):
+            layer = tree.layer(d)
+            f[layer] = f[tree.parent[layer]] + inc[layer]
+    return best, f, 2 + 2**edges.size
 
 
 def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
-    """sup over v of |psi(v)| * point-eval-norm(phi(v)).
+    """sup over unit Lipschitz f of max_v |psi(v)| * |f(phi(v))|.
 
-    The exchange of the two suprema is exact because for fixed v the inner
-    problem only sees f through f(phi(v)).  "path" evaluates the path
-    family at every distinct target at once; "ascent" runs the point
-    evaluation ascent per target.
+    "path" exchanges the two suprema, which is exact because for fixed v
+    the inner problem only sees f through f(phi(v)), and evaluates the path
+    family at every distinct target at once.  "exhaustive" scores every
+    extreme point of the unit ball on trees of at most
+    ``MAX_EXHAUSTIVE_VERTICES_MAX`` vertices: no exchange of suprema and
+    no point-evaluation bound.
     """
     t = op.tree
     m = op.phi.domain_size
-    targets = np.flatnonzero(op.phi.coverage)
-    if method == "path":
-        target_values = _path_family(t.depth[targets]).max(axis=0)
-        searched = _A_GRID.size * targets.size
-    elif method == "ascent":
-        found = [point_eval_lip_norm(t, w, method) for w in targets]
-        target_values = np.asarray([r.value for r in found])
-        searched = sum(r.search_size for r in found)
-    else:
+    a_psi = np.abs(op.psi.values[:m])
+    if method == "exhaustive":
+        if t.n_vertices > MAX_EXHAUSTIVE_VERTICES_MAX:
+            raise OracleSizeError(
+                f"{t.n_vertices} vertices exceed the exhaustive cap "
+                f"{MAX_EXHAUSTIVE_VERTICES_MAX}; use method='path'"
+            )
+        best, f, searched = _extreme_point_search(
+            t, np.arange(1, t.n_vertices), op.phi.image, a_psi
+        )
+        vals = a_psi * np.abs(f[op.phi.image])
+        best_v = int(np.argmax(vals)) if best > 0.0 else None
+        witness = {
+            "maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)},
+            "maximizer_lip_norm": _lip_norm_raw(t, f),
+        }
+        if best_v is not None:
+            witness.update(vertex=best_v, target=int(op.phi.image[best_v]))
+        return OracleResult(
+            quantity="OpNormLip",
+            value=best,
+            method="ExtremePoints",
+            search_size=searched,
+            witness=witness,
+            extra={"note": "every extreme point of the unit ball scored, no exchange"},
+        )
+    if method != "path":
         raise ValueError(f"unknown method {method!r}")
+    targets = np.flatnonzero(op.phi.coverage)
     point_norm = np.zeros(t.n_vertices)
-    point_norm[targets] = target_values
-    vals = np.abs(op.psi.values[:m]) * point_norm[op.phi.image]
+    point_norm[targets] = _path_family(t.depth[targets]).max(axis=0)
+    vals = a_psi * point_norm[op.phi.image]
     best_v = int(np.argmax(vals)) if m else None
     if best_v is not None and not vals[best_v] > 0.0:
         best_v = None
     return OracleResult(
         quantity="OpNormLip",
         value=0.0 if best_v is None else float(vals[best_v]),
-        method="PathExtremal" if method == "path" else "GridRefine",
-        search_size=searched,
+        method="PathExtremal",
+        search_size=_A_GRID.size * targets.size,
         witness={} if best_v is None else {
             "vertex": best_v,
             "target": int(op.phi.image[best_v]),

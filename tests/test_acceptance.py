@@ -58,10 +58,10 @@ def test_c2_point_evaluation_gate():
         for w in range(len(tree)):
             want = float(max(1, tree.depth_of(w)))
             path = tw.point_eval_lip_norm(tree, w, "path").value
-            ascent = tw.point_eval_lip_norm(tree, w, "ascent").value
+            extreme = tw.point_eval_lip_norm(tree, w, "exhaustive").value
             assert abs(path - want) <= 1e-6
-            assert abs(path - ascent) <= 1e-6
-            worst = max(worst, abs(path - want), abs(path - ascent))
+            assert abs(path - extreme) <= 1e-6
+            worst = max(worst, abs(path - want), abs(path - extreme))
     _announce("c2 point-evaluation gate", f"59 vertices, worst deviation {worst:.2e}")
 
 

@@ -212,6 +212,10 @@ class TestCli:
         main(["oracle", "--tree", specs["tree"], "--seed", "9"])
         assert capsys.readouterr().out == first
 
+    def test_oracle_negative_seed_names_the_argument(self, specs, capsys):
+        assert main(["oracle", "--tree", specs["tree"], "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == "spec error: args.seed: must be >= 0, got -1\n"
+
     def test_export_node_count(self, tmp_path, capsys):
         tree = write(tmp_path, "homog.json", {"family": "homogeneous", "q": 2, "depth": 3})
         rc = main(["export", "--tree", tree])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import treewco as tw
 from treewco import OracleResult, OracleSizeError, SelfMap, VertexFunction, WeightedCompOp
 from treewco import oracle as oracle_mod
 from treewco.io import canonical_json
-from treewco.oracle import _lip_norm_raw, _ratio_ascent
+from treewco.oracle import _lip_norm_raw
 
 from conftest import random_operator, small_tree_corpus
 
@@ -429,23 +430,24 @@ class TestPointEval:
     def test_root_value_one(self):
         t = tw.zline(4)
         assert tw.point_eval_lip_norm(t, 0, "path").value == 1.0
-        assert tw.point_eval_lip_norm(t, 0, "ascent").value == pytest.approx(1.0, abs=1e-9)
+        assert tw.point_eval_lip_norm(t, 0, "exhaustive").value == 1.0
 
     def test_depth_three(self):
         t = tw.zline(4)
         w = t.vertex_of(3)
         assert tw.point_eval_lip_norm(t, w, "path").value == 3.0
-        assert tw.point_eval_lip_norm(t, w, "ascent").value == pytest.approx(3.0, abs=1e-6)
+        assert tw.point_eval_lip_norm(t, w, "exhaustive").value == 3.0
 
     def test_depth_one_ties(self):
         t = tw.zline(4)
         w = t.vertex_of(1)
         assert tw.point_eval_lip_norm(t, w, "path").value == 1.0
+        assert tw.point_eval_lip_norm(t, w, "exhaustive").value == 1.0
 
     def test_maximizer_in_unit_ball(self):
         t = tw.homogeneous(2, 3)
         for w in (0, 5, len(t) - 1):
-            for method in ("path", "ascent"):
+            for method in ("path", "exhaustive"):
                 res = tw.point_eval_lip_norm(t, w, method)
                 assert res.witness["maximizer_lip_norm"] <= 1.0 + 1e-9
 
@@ -453,8 +455,62 @@ class TestPointEval:
         t = tw.zline(3)
         for w in range(len(t)):
             a = tw.point_eval_lip_norm(t, w, "path").value
-            b = tw.point_eval_lip_norm(t, w, "ascent").value
-            assert a == pytest.approx(b, abs=1e-6)
+            b = tw.point_eval_lip_norm(t, w, "exhaustive").value
+            assert a == b
+
+    def test_exhaustive_is_exact_on_corpus(self):
+        for t in small_tree_corpus():
+            for w in range(len(t)):
+                d = t.depth_of(w)
+                res = tw.point_eval_lip_norm(t, w, "exhaustive")
+                f = np.asarray([res.witness["maximizer"][v] for v in range(len(t))])
+                assert res.value == max(1, d)
+                assert abs(f[w]) == res.value
+                assert _lip_norm_raw(t, f) <= 1.0
+                assert res.witness["maximizer_lip_norm"] == _lip_norm_raw(t, f)
+                assert res.search_size == 2 + 2**d
+                assert res.method == "ExtremePoints"
+
+    def test_ascent_names_the_exhaustive_search(self):
+        t = tw.random_tree(3, seed=11, min_children=1, max_children=2)
+        for w in range(len(t)):
+            want = canonical_json(tw.point_eval_lip_norm(t, w, "exhaustive").to_json())
+            assert canonical_json(tw.point_eval_lip_norm(t, w, "ascent", seed=w).to_json()) == want
+
+    @pytest.mark.parametrize("chunk", [1, 1 << 15])
+    def test_witness_is_first_best_point(self, chunk):
+        # the constants come first, and a pattern must beat them strictly;
+        # among patterns, index 0 (every increment -1) is the first best
+        t = tw.zline(4)
+        with mock.patch.object(oracle_mod, "_CHUNK", chunk):
+            for label in range(-4, 5):
+                w = t.vertex_of(label)
+                d = t.depth_of(w)
+                f = tw.point_eval_lip_norm(t, w, "exhaustive").witness["maximizer"]
+                if d <= 1:
+                    assert set(f.values()) == {1.0}
+                else:
+                    assert f[0] == 0.0 and f[w] == -float(d)
+
+    def test_refuses_deep_vertex_before_allocating(self):
+        t = tw.zline(25)
+        w = t.vertex_of(25)
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError, match=r"2\*\*25"):
+                tw.point_eval_lip_norm(t, w, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+        with mock.patch.object(oracle_mod, "MAX_PATTERNS", 8):
+            assert tw.point_eval_lip_norm(t, t.vertex_of(3), "exhaustive").value == 3.0
+            with pytest.raises(OracleSizeError):
+                tw.point_eval_lip_norm(t, t.vertex_of(4), "exhaustive")
+
+    def test_unknown_method(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            tw.point_eval_lip_norm(tw.zline(2), 0, "grid")
 
 
 class TestNormOracleLip:
@@ -472,11 +528,60 @@ class TestNormOracleLip:
         t = tw.zline(4)
         op = tw.composition_op(tw.identity_map(t))
         assert tw.norm_oracle_lip(op).value == pytest.approx(4.0)
+        assert tw.norm_oracle_lip(op, "exhaustive").value == 4.0
 
     def test_zero_weight(self):
         t = tw.zline(3)
         op = WeightedCompOp(VertexFunction(t, np.zeros(len(t))), tw.identity_map(t))
         assert tw.norm_oracle_lip(op).value == 0.0
+        res = tw.norm_oracle_lip(op, "exhaustive")
+        assert res.value == 0.0 and "vertex" not in res.witness
+
+    @settings(max_examples=80, deadline=None)
+    @given(op=search_ops(), data=st.data())
+    def test_exhaustive_matches_formula(self, op, data):
+        n = op.tree.n_vertices
+        if n > oracle_mod.MAX_EXHAUSTIVE_VERTICES_MAX:  # h(3, 2) has 17
+            with pytest.raises(OracleSizeError):
+                tw.norm_oracle_lip(op, "exhaustive")
+            return
+        chunk = data.draw(st.sampled_from([c for c in (1, 7, 1 << 15) if 2 ** (n - 1) <= 500 * c]))
+        with mock.patch.object(oracle_mod, "_CHUNK", chunk):
+            res = tw.norm_oracle_lip(op, "exhaustive")
+        assert abs(res.value - tw.lip_exact_norm(op)) <= 1e-9
+        assert res.search_size == 2 + 2 ** (n - 1)
+        assert res.method == "ExtremePoints"
+        f = np.asarray([res.witness["maximizer"][v] for v in range(n)])
+        assert res.witness["maximizer_lip_norm"] == _lip_norm_raw(op.tree, f) == 1.0
+        m = op.phi.domain_size
+        assert res.value == float(np.max(np.abs(op.psi.values[:m] * f[op.phi.image]), initial=0.0))
+        if res.value > 0.0:
+            v = res.witness["vertex"]
+            assert abs(op.psi.values[v] * f[res.witness["target"]]) == res.value
+
+    def test_exhaustive_on_corpus(self):
+        rng = np.random.default_rng(5)
+        for tree in small_tree_corpus():
+            for surjective in (False, True):
+                op = random_operator(tree, rng, surjective=surjective)
+                res = tw.norm_oracle_lip(op, "exhaustive")
+                assert abs(res.value - tw.lip_exact_norm(op)) <= 1e-9
+
+    def test_exhaustive_refuses_large_trees(self):
+        op = tw.composition_op(tw.identity_map(tw.homogeneous(2, 4)))  # 31 vertices
+        tracemalloc.start()
+        try:
+            with pytest.raises(OracleSizeError, match="exhaustive cap"):
+                tw.norm_oracle_lip(op, "exhaustive")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+    def test_ascent_method_removed(self):
+        op = tw.composition_op(tw.identity_map(tw.zline(2)))
+        with pytest.raises(ValueError, match="unknown method"):
+            tw.norm_oracle_lip(op, "ascent")
 
 
 class TestJOracle:
@@ -723,24 +828,3 @@ class TestPairDistances:
         w = np.concatenate([u[:20], rng.integers(0, len(t), size=180)])
         expect = [t.distance(int(a), int(b)) for a, b in zip(u, w)]
         assert t.distances(u, w).tolist() == expect
-
-
-class TestAscentConvergence:
-    def test_pass_cap_reports_not_converged(self):
-        t = tw.zline(4)
-        w = t.vertex_of(3)
-        start = np.zeros(len(t))
-        start[w] = 1.0
-        ratio, _, _, passes, converged = _ratio_ascent(t, w, start, max_passes=1)
-        assert (passes, converged) == (1, False)
-        assert ratio < 3.0 - 1e-6
-        ratio, _, _, passes, converged = _ratio_ascent(t, w, start)
-        assert converged and 1 < passes < 200
-        assert ratio == pytest.approx(3.0, abs=1e-6)
-
-    def test_point_eval_reports_passes_per_start(self):
-        t = tw.homogeneous(2, 2)
-        res = tw.point_eval_lip_norm(t, 5, "ascent")
-        assert len(res.extra["passes"]) == 4
-        assert all(p >= 1 for p in res.extra["passes"])
-        assert res.extra["converged"] is True
