@@ -10,6 +10,7 @@ tails are still visible as decay across schedule points.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,15 +33,15 @@ from .operators import (
     isometry_check_lip,
     j_linf,
     j_lip_bracket,
-    linf_ess_norm_tail,
     linf_op_norm,
     lip_bounds,
     lip_exact_norm,
-    lip_ess_norm_tail,
+    lip_ess_norm_profile,
     window_preimage_sup,
     zline_double,
     zline_fold,
 )
+from .oracle import surjectivity_infeasibility
 from .trees import zline
 
 __all__ = [
@@ -79,6 +80,8 @@ def default_schedule(depth_limit: int) -> tuple:
 
 
 def _check_schedule(schedule, depth_limit: int) -> tuple:
+    """``schedule`` as a tuple of ints: non-empty, within 1..N and strictly
+    increasing; a ValueError otherwise."""
     if depth_limit < 1:
         raise ValueError(
             f"classification needs a tree of depth >= 1, got depth {depth_limit}"
@@ -86,6 +89,9 @@ def _check_schedule(schedule, depth_limit: int) -> tuple:
     sched = tuple(int(d) for d in schedule)
     if not sched or any(not 1 <= d <= depth_limit for d in sched):
         raise ValueError(f"schedule must be within 1..{depth_limit}")
+    # the trend proxies read the last entries as the deepest ones
+    if any(a >= b for a, b in zip(sched, sched[1:])):
+        raise ValueError(f"schedule depths must be strictly increasing, got {list(sched)}")
     return sched
 
 
@@ -105,45 +111,106 @@ def _stays_bounded(values, cfg: TrendConfig) -> bool:
     return tail[-1] <= cfg.growth_factor * max(tail[0], cfg.zero_tol)
 
 
-def _prefix_sup_profile(op: WeightedCompOp, quantity: np.ndarray, schedule) -> tuple:
-    """(d, sup of quantity over domain vertices with depth <= d) per schedule."""
-    per_depth = depth_max(
-        op.tree.depth[: op.phi.domain_size], quantity, op.tree.depth_limit + 1
-    )
-    prefix = np.maximum.accumulate(per_depth)
-    return tuple((d, float(prefix[d])) for d in schedule)
+@dataclass(frozen=True)
+class _Space:
+    """What the rule set reads per function space; ``_classify`` holds the
+    rules once."""
+
+    prefix: str
+    criteria: tuple  # texts of Bounded, Compact and BoundedBelow
+    reach: Callable  # op -> the quantity whose sup decides boundedness
+    tail_column: int  # the column of ``op.tail_sups`` holding the tail
+    norm_witnesses: Callable  # op -> dict
+    isometry: Callable  # (op, window, tol) -> Certificate
+    isometry_min_depth: int
+    modulus: Callable  # (op, window) -> (lower end of the modulus, witnesses)
 
 
-def classify_linf(
+def _lip_norm_witnesses(op: WeightedCompOp) -> dict:
+    lo, up = lip_bounds(op)
+    return {"lower_bound": lo, "upper_bound": up, "exact_norm": lip_exact_norm(op)}
+
+
+def _linf_modulus(op: WeightedCompOp, window_depth: int | None) -> tuple:
+    j = j_linf(op, window_depth)
+    return j, {"injectivity_modulus": j}
+
+
+def _lip_modulus(op: WeightedCompOp, window_depth: int | None) -> tuple:
+    lo, up = j_lip_bracket(op, window_depth)
+    return lo, {"bracket": [lo, up]}
+
+
+_LINF = _Space(
+    prefix="Linf",
+    criteria=(
+        "bounded on the bounded functions iff the weight is bounded; the operator "
+        "norm equals sup |psi|",
+        "compact on the bounded functions iff the map has finite range or |psi(v)| "
+        "tends to 0 whenever |phi(v)| grows; the essential norm is the tail limit of sup |psi|",
+        "bounded below on the bounded functions iff the map covers every vertex and the "
+        "smallest preimage sup of |psi| is positive",
+    ),
+    reach=lambda op: op.abs_psi_on_domain,
+    tail_column=0,
+    norm_witnesses=lambda op: {"sup_psi": float(linf_op_norm(op))},
+    isometry=isometry_check_linf,
+    isometry_min_depth=1,
+    modulus=_linf_modulus,
+)
+
+_LIP = _Space(
+    prefix="Lip",
+    criteria=(
+        "bounded from the Lipschitz space iff sup |psi(v)|(1+|phi(v)|) is finite; the norm "
+        "lies between max(sup|psi|, sup|psi||phi|) and sup |psi|(1+|phi|)",
+        "compact from the Lipschitz space iff |psi(v)||phi(v)| tends to 0 whenever |phi(v)| "
+        "grows; the essential norm is the tail limit of sup |psi||phi|",
+        "bounded below from the Lipschitz space iff the map covers every vertex and M = "
+        "inf-sup of |psi| over preimages is positive; the modulus lies in [M/3, M]",
+    ),
+    reach=lambda op: op.reach,
+    tail_column=1,
+    norm_witnesses=_lip_norm_witnesses,
+    isometry=isometry_check_lip,
+    isometry_min_depth=2,  # the witness is a vertex deeper than 1
+    modulus=_lip_modulus,
+)
+
+
+def _classify(
+    space: _Space,
     op: WeightedCompOp,
-    schedule=None,
-    window_depth: int | None = None,
-    config: TrendConfig | None = None,
+    schedule,
+    window_depth: int | None,
+    config: TrendConfig | None,
 ) -> list[Certificate]:
-    """Certificates for the operator acting on the bounded functions."""
+    """Bounded, Compact, Isometry (on a deep enough tree) and BoundedBelow
+    certificates for one function space."""
     cfg = config or TrendConfig()
     t = op.tree
     sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    bounded_text, compact_text, below_text = space.criteria
     certs: list[Certificate] = []
 
-    a_psi = np.abs(op.psi.values[: op.phi.domain_size])
-    bounded_profile = _prefix_sup_profile(op, a_psi, sched)
+    # sup of the reach over the domain vertices of depth <= d
+    per_depth = depth_max(t.depth[: op.phi.domain_size], space.reach(op), t.depth_limit + 1)
+    prefix = np.maximum.accumulate(per_depth)
+    bounded_profile = tuple((d, float(prefix[d])) for d in sched)
     bounded_vals = [v for _, v in bounded_profile]
     certs.append(
         Certificate(
-            statement="Linf.Bounded",
+            statement=f"{space.prefix}.Bounded",
             verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
-            criterion=(
-                "bounded on the bounded functions iff the weight is bounded; "
-                "the operator norm equals sup |psi|"
-            ),
-            witnesses={"sup_psi": float(linf_op_norm(op))},
+            criterion=bounded_text,
+            witnesses=space.norm_witnesses(op),
             depth_profile=bounded_profile,
             window_depth=window_depth,
         )
     )
 
-    tail_profile = tuple((d, linf_ess_norm_tail(op, d - 1)) for d in sched)
+    tails = op.tail_sups[:, space.tail_column]
+    tail_profile = tuple((d, float(tails[d - 1])) for d in sched)
     tail_vals = [v for _, v in tail_profile]
     if op.phi.finite_range_stable(cfg.stability_margin):
         verdict = HOLDS
@@ -156,32 +223,25 @@ def classify_linf(
         witnesses = {"final_tail": tail_vals[-1]}
     certs.append(
         Certificate(
-            statement="Linf.Compact",
+            statement=f"{space.prefix}.Compact",
             verdict=verdict,
-            criterion=(
-                "compact on the bounded functions iff the map has finite range "
-                "or |psi(v)| tends to 0 whenever |phi(v)| grows; the essential "
-                "norm is the tail limit of sup |psi|"
-            ),
+            criterion=compact_text,
             witnesses=witnesses,
             depth_profile=tail_profile,
             window_depth=window_depth,
         )
     )
 
-    certs.append(isometry_check_linf(op, window_depth, cfg.isometry_tol))
+    if t.depth_limit >= space.isometry_min_depth:
+        certs.append(space.isometry(op, window_depth, cfg.isometry_tol))
 
-    j = j_linf(op, window_depth)
-    witnesses = {"injectivity_modulus": j}
+    low, witnesses = space.modulus(op, window_depth)
     witnesses.update(_bounded_below_witness(op, window_depth))
     certs.append(
         Certificate(
-            statement="Linf.BoundedBelow",
-            verdict=HOLDS if j > 0 else FAILS,
-            criterion=(
-                "bounded below on the bounded functions iff the map covers "
-                "every vertex and the smallest preimage sup of |psi| is positive"
-            ),
+            statement=f"{space.prefix}.BoundedBelow",
+            verdict=HOLDS if low > 0 else FAILS,
+            criterion=below_text,
             witnesses=witnesses,
             depth_profile=(),
             window_depth=window_depth if window_depth is not None else t.depth_limit,
@@ -201,6 +261,16 @@ def _bounded_below_witness(op: WeightedCompOp, window_depth: int | None) -> dict
     return {"vertex": best_w, "preimage_sup": float(sup[best_w])}
 
 
+def classify_linf(
+    op: WeightedCompOp,
+    schedule=None,
+    window_depth: int | None = None,
+    config: TrendConfig | None = None,
+) -> list[Certificate]:
+    """Certificates for the operator acting on the bounded functions."""
+    return _classify(_LINF, op, schedule, window_depth, config)
+
+
 def classify_lip(
     op: WeightedCompOp,
     schedule=None,
@@ -209,78 +279,7 @@ def classify_lip(
 ) -> list[Certificate]:
     """Certificates for the operator from the Lipschitz space to the
     bounded functions."""
-    cfg = config or TrendConfig()
-    t = op.tree
-    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
-    certs: list[Certificate] = []
-
-    a_psi = np.abs(op.psi.values[: op.phi.domain_size])
-    reach = a_psi * (1.0 + op.phi.image_depth)
-    bounded_profile = _prefix_sup_profile(op, reach, sched)
-    bounded_vals = [v for _, v in bounded_profile]
-    lo, up = lip_bounds(op)
-    certs.append(
-        Certificate(
-            statement="Lip.Bounded",
-            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
-            criterion=(
-                "bounded from the Lipschitz space iff sup |psi(v)|(1+|phi(v)|) "
-                "is finite; the norm lies between max(sup|psi|, sup|psi||phi|) "
-                "and sup |psi|(1+|phi|)"
-            ),
-            witnesses={"lower_bound": lo, "upper_bound": up, "exact_norm": lip_exact_norm(op)},
-            depth_profile=bounded_profile,
-            window_depth=window_depth,
-        )
-    )
-
-    tail_profile = tuple((d, lip_ess_norm_tail(op, d - 1)) for d in sched)
-    tail_vals = [v for _, v in tail_profile]
-    if op.phi.finite_range_stable(cfg.stability_margin):
-        verdict = HOLDS
-        witnesses = {
-            "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
-            "reason": "map range stabilized strictly inside the window",
-        }
-    else:
-        verdict = TREND_CONSISTENT if _decays(tail_vals, cfg) else TREND_INCONSISTENT
-        witnesses = {"final_tail": tail_vals[-1]}
-    certs.append(
-        Certificate(
-            statement="Lip.Compact",
-            verdict=verdict,
-            criterion=(
-                "compact from the Lipschitz space iff |psi(v)||phi(v)| tends "
-                "to 0 whenever |phi(v)| grows; the essential norm is the tail "
-                "limit of sup |psi||phi|"
-            ),
-            witnesses=witnesses,
-            depth_profile=tail_profile,
-            window_depth=window_depth,
-        )
-    )
-
-    if t.depth_limit >= 2:
-        certs.append(isometry_check_lip(op, window_depth, cfg.isometry_tol))
-
-    lo_j, up_j = j_lip_bracket(op, window_depth)
-    witnesses = {"bracket": [lo_j, up_j]}
-    witnesses.update(_bounded_below_witness(op, window_depth))
-    certs.append(
-        Certificate(
-            statement="Lip.BoundedBelow",
-            verdict=HOLDS if lo_j > 0 else FAILS,
-            criterion=(
-                "bounded below from the Lipschitz space iff the map covers "
-                "every vertex and M = inf-sup of |psi| over preimages is "
-                "positive; the modulus lies in [M/3, M]"
-            ),
-            witnesses=witnesses,
-            depth_profile=(),
-            window_depth=window_depth if window_depth is not None else t.depth_limit,
-        )
-    )
-    return certs
+    return _classify(_LIP, op, schedule, window_depth, config)
 
 
 def classify_operator(
@@ -365,40 +364,57 @@ def seven_equivalences(
 
 @dataclass(frozen=True)
 class Fixture:
-    """A named, fully reproducible operator instance with expected verdicts."""
+    """A named, fully reproducible operator on ``zline(depth)`` with expected
+    verdicts; ``extra`` adds the report sections only this fixture has."""
 
     name: str
     depth: int
     window_depth: int | None
     description: str
+    weight: Callable  # integer labels -> weight values
+    map: Callable  # tree -> SelfMap
     expected: dict
     notes: tuple = ()
+    extra: Callable | None = None  # (op, window, config) -> dict
 
     def build(self, depth: int | None = None) -> WeightedCompOp:
-        return _build_fixture(self.name, depth or self.depth)
+        t = zline(depth or self.depth)
+        return WeightedCompOp(VertexFunction(t, self.weight(np.asarray(t.labels))), self.map(t))
 
     def window_for(self, depth: int) -> int | None:
         return depth // 2 if self.window_depth is not None else None
 
 
-def _alternating_sign(label: int) -> float:
-    return 1.0 if label % 2 == 0 else -1.0
+def _squared_weight(op: WeightedCompOp, window: int | None, config: TrendConfig | None) -> dict:
+    """The Lipschitz tail and compactness certificate of the squared weight."""
+    sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
+    _, compact, *_ = classify_lip(sq, window_depth=window, config=config)
+    return {
+        "squared_weight": {
+            "lip_ess_tail": [[n, v] for n, v in lip_ess_norm_profile(sq)],
+            "compact_certificate": compact.to_json(),
+        }
+    }
 
 
-def _build_fixture(name: str, depth: int) -> WeightedCompOp:
-    t = zline(depth)
-    labels = np.asarray([int(t.label_of(v)) for v in range(t.n_vertices)])
-    if name == "z-isometry":
-        psi = np.where((labels < 0) & (labels % 2 != 0), 0.0, 1.0)
-        return WeightedCompOp(VertexFunction(t, psi), zline_fold(t))
-    if name == "bounded-not-compact":
-        phi = identity_map(t)
-        psi = 1.0 / (1.0 + np.abs(labels))
-        return WeightedCompOp(VertexFunction(t, psi), phi)
-    if name == "not-surjective-2n":
-        psi = np.where(labels == 0, 1.0, 1.0 / np.where(labels == 0, 1, labels))
-        return WeightedCompOp(VertexFunction(t, psi), zline_double(t))
-    raise KeyError(f"unknown fixture {name!r}")
+def _alternating_target(op: WeightedCompOp, window: int | None, config: TrendConfig | None) -> dict:
+    """The alternating target no preimage reaches, and the weighted-reach
+    infimum that stays positive all the same."""
+    cod = op.codomain_tree
+    target = np.where(np.asarray(cod.labels) % 2 == 0, 1.0, -1.0)
+    res = surjectivity_infeasibility(op, VertexFunction(cod, target))
+    return {
+        "infeasibility": res.to_json(),
+        "weighted_reach_infimum": {
+            "value": float(op.reach.min()),
+            "vertex_label": int(op.tree.labels[np.argmin(op.reach)]),
+            "reference_value": 2.0,
+            "discrepancy": (
+                "computed value 1 at n = 0 differs from the reference value 2; "
+                "the reference infimum ignores the root term"
+            ),
+        },
+    }
 
 
 def bundled_fixtures() -> list[Fixture]:
@@ -411,6 +427,8 @@ def bundled_fixtures() -> list[Fixture]:
                 "folding map on the integer line with a 0/1 weight killing "
                 "odd negatives: an isometry on the bounded functions"
             ),
+            weight=lambda n: np.where((n < 0) & (n % 2 != 0), 0.0, 1.0),
+            map=zline_fold,
             expected={
                 "Linf.Isometry": HOLDS,
                 "Linf.BoundedBelow": HOLDS,
@@ -426,10 +444,13 @@ def bundled_fixtures() -> list[Fixture]:
                 "Lipschitz space with tail climbing toward 1, so never "
                 "compact; the squared weight is compact"
             ),
+            weight=lambda n: 1.0 / (1.0 + np.abs(n)),
+            map=identity_map,
             expected={
                 "Lip.Bounded": TREND_CONSISTENT,
                 "Lip.Compact": TREND_INCONSISTENT,
             },
+            extra=_squared_weight,
         ),
         Fixture(
             name="not-surjective-2n",
@@ -440,6 +461,8 @@ def bundled_fixtures() -> list[Fixture]:
                 "reach inf |psi|(1+|phi|) stays positive yet the operator is "
                 "not onto, witnessed by an alternating target"
             ),
+            weight=lambda n: np.where(n == 0, 1.0, 1.0 / np.where(n == 0, 1, n)),
+            map=zline_double,
             expected={"Lip.BoundedBelow": FAILS},
             notes=(
                 "computed inf |psi(n)|(1+|phi(n)|) is 1, attained at n = 0; "
@@ -447,12 +470,13 @@ def bundled_fixtures() -> list[Fixture]:
                 "(the infimum over n != 0 only); the surjectivity failure is "
                 "unaffected by the discrepancy",
             ),
+            extra=_alternating_target,
         ),
     ]
 
 
 def fixture_by_name(name: str) -> Fixture:
-    for fx in bundled_fixtures():
-        if fx.name == name:
-            return fx
-    raise KeyError(f"unknown fixture {name!r}")
+    fixtures = {fx.name: fx for fx in bundled_fixtures()}
+    if name not in fixtures:
+        raise KeyError(f"unknown fixture {name!r}")
+    return fixtures[name]

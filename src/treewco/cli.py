@@ -10,12 +10,19 @@ examples (run bundled fixtures and diff against golden reports), export
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .classify import TrendConfig, bundled_fixtures, classify_operator, seven_equivalences
+from .classify import (
+    TrendConfig,
+    _check_schedule,
+    bundled_fixtures,
+    classify_operator,
+    seven_equivalences,
+)
 from .functions import norms, random_function
 from .io import (
     SCHEMA_VERSION,
@@ -81,22 +88,31 @@ def _schedule(args, depth_limit: int):
     if not args.depths:
         return None
     try:
-        return tuple(int(x) for x in args.depths.split(","))
+        return _check_schedule(tuple(int(x) for x in args.depths.split(",")), depth_limit)
     except ValueError as exc:
         raise SpecError("args.depths", str(exc)) from exc
+
+
+def _window(args, depth_limit: int) -> int | None:
+    if args.window is not None and not 0 <= args.window <= depth_limit:
+        raise SpecError("args.window", f"window depth {args.window} outside [0, {depth_limit}]")
+    return args.window
 
 
 def _cmd_analyze(args) -> int:
     op = _load_operator(args)
     if op.tree.depth_limit < 1:
         raise SpecError("tree.depth", f"analyze needs depth >= 1, got {op.tree.depth_limit}")
+    if not math.isfinite(args.tol) or args.tol < 0:
+        raise SpecError("args.tol", f"must be a finite number >= 0, got {args.tol}")
     cfg = TrendConfig(zero_tol=args.tol)
     sched = _schedule(args, op.tree.depth_limit)
-    certs = classify_operator(op, sched, args.window, cfg)
+    window = _window(args, op.tree.depth_limit)
+    certs = classify_operator(op, sched, window, cfg)
     payload = {
         "schema": SCHEMA_VERSION,
         "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
-        "quantities": operator_quantities(op, args.window),
+        "quantities": operator_quantities(op, window),
     }
     if bool(np.all(op.psi.values == 1.0)):
         payload["seven_equivalences"] = seven_equivalences(op.phi, cfg).to_json()
@@ -116,7 +132,7 @@ def _cmd_norms(args) -> int:
             "d_sup": rep.d_sup,
             "tail_profile": [[n, v] for n, v in rep.tail_profile],
         },
-        "quantities": operator_quantities(op, args.window),
+        "quantities": operator_quantities(op, _window(args, op.tree.depth_limit)),
     }
     _emit(canonical_json(payload), args.out)
     return 0

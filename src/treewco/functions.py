@@ -99,9 +99,6 @@ class NormReport:
     d_sup: float
     tail_profile: tuple
 
-    def tail_value(self, n: int) -> float:
-        return self.tail_profile[n][1]
-
 
 def derivative(f: VertexFunction) -> VertexFunction:
     """Df(v) = f(v) - f(parent(v)) off the root, Df(root) = 0."""

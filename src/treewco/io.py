@@ -59,7 +59,6 @@ from .operators import (
     zline_double,
     zline_fold,
 )
-from .oracle import surjectivity_infeasibility
 from .trees import (
     RootedTree,
     TreeBudgetError,
@@ -351,33 +350,19 @@ def _read_json(path) -> dict:
 
 
 def tree_to_spec(tree: RootedTree) -> dict:
-    if tree.family == "zline":
-        return {"schema": SCHEMA_VERSION, "family": "zline", "depth": tree.depth_limit}
+    spec = {"schema": SCHEMA_VERSION, "family": tree.family, "depth": tree.depth_limit}
     if tree.family == "homogeneous":
-        return {
-            "schema": SCHEMA_VERSION,
-            "family": "homogeneous",
-            "q": tree.meta["q"],
-            "depth": tree.depth_limit,
-        }
-    if tree.family == "random":
-        return {
-            "schema": SCHEMA_VERSION,
-            "family": "random",
-            "depth": tree.depth_limit,
-            **{k: tree.meta[k] for k in ("seed", "min_children", "max_children")},
-        }
-    edges = [
-        [tree.label_of(int(tree.parent[v])), tree.label_of(v)]
-        for v in range(1, tree.n_vertices)
-    ]
-    return {
-        "schema": SCHEMA_VERSION,
-        "family": "explicit",
-        "edges": edges,
-        "root": tree.label_of(0),
-        "depth": tree.depth_limit,
-    }
+        spec["q"] = tree.meta["q"]
+    elif tree.family == "random":
+        spec.update({k: tree.meta[k] for k in ("seed", "min_children", "max_children")})
+    elif tree.family != "zline":
+        spec["family"] = "explicit"
+        spec["edges"] = [
+            [tree.label_of(int(tree.parent[v])), tree.label_of(v)]
+            for v in range(1, tree.n_vertices)
+        ]
+        spec["root"] = tree.label_of(0)
+    return spec
 
 
 # -- fixture reports ---------------------------------------------------------------
@@ -435,36 +420,6 @@ def fixture_report(fx: Fixture, depth: int | None = None, config: TrendConfig | 
         "expected": dict(sorted(fx.expected.items())),
         "notes": list(fx.notes),
     }
-    if fx.name == "bounded-not-compact":
-        sq = WeightedCompOp(
-            VertexFunction(op.tree, op.psi.values**2), op.phi
-        )
-        from .classify import classify_lip
-
-        sq_certs = classify_lip(sq, window_depth=window, config=config)
-        report["squared_weight"] = {
-            "lip_ess_tail": [[n, v] for n, v in lip_ess_norm_profile(sq)],
-            "compact_certificate": next(
-                c.to_json() for c in sq_certs if c.statement == "Lip.Compact"
-            ),
-        }
-    if fx.name == "not-surjective-2n":
-        cod = op.codomain_tree
-        g_vals = np.asarray(
-            [1.0 if int(cod.label_of(v)) % 2 == 0 else -1.0 for v in range(cod.n_vertices)]
-        )
-        res = surjectivity_infeasibility(op, VertexFunction(cod, g_vals))
-        a = np.abs(op.psi.values[: op.phi.domain_size])
-        reach = a * (1.0 + op.phi.image_depth)
-        arg = int(np.argmin(reach))
-        report["infeasibility"] = res.to_json()
-        report["weighted_reach_infimum"] = {
-            "value": float(reach.min()),
-            "vertex_label": int(op.tree.label_of(arg)),
-            "reference_value": 2.0,
-            "discrepancy": (
-                "computed value 1 at n = 0 differs from the reference value 2; "
-                "the reference infimum ignores the root term"
-            ),
-        }
+    if fx.extra:
+        report.update(fx.extra(op, window, config))
     return report

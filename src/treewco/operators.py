@@ -122,10 +122,6 @@ class SelfMap:
     def domain_size(self) -> int:
         return self.image.size
 
-    @property
-    def is_total(self) -> bool:
-        return self.domain_depth == self.tree.depth_limit
-
     @cached_property
     def image_depth(self) -> np.ndarray:
         """|phi(v)| for every domain vertex."""
@@ -270,6 +266,14 @@ class WeightedCompOp:
         return a
 
     @cached_property
+    def reach(self) -> np.ndarray:
+        """|psi(v)|(1+|phi(v)|) for every domain vertex: its sup decides
+        boundedness from the Lipschitz space."""
+        r = self.abs_psi_on_domain * (1.0 + self.phi.image_depth)
+        r.setflags(write=False)
+        return r
+
+    @cached_property
     def preimage_sup(self) -> np.ndarray:
         """Sup of |psi| over the preimage of each vertex; ``-inf`` marks a
         vertex with no preimage, apart from a covered one with sup 0."""
@@ -350,10 +354,8 @@ def lip_bounds(op: WeightedCompOp) -> tuple[float, float]:
     a = op.abs_psi_on_domain
     if not a.size:
         return (0.0, 0.0)
-    d = op.phi.image_depth
-    lower = max(float(a.max()), float((a * d).max()))
-    upper = float((a * (1.0 + d)).max())
-    return (lower, upper)
+    lower = max(float(a.max()), float((a * op.phi.image_depth).max()))
+    return (lower, float(op.reach.max()))
 
 
 def lip_exact_norm(op: WeightedCompOp) -> float:
@@ -438,8 +440,7 @@ def k_lip_bracket(op: WeightedCompOp) -> tuple[float, float]:
     a = op.abs_psi_on_domain
     if not op.phi.injective_on_domain or not a.size or float(a.min()) == 0.0:
         return (0.0, 0.0)
-    upper = float((a * (1.0 + op.phi.image_depth)).min())
-    return (float(a.min()) / 3.0, upper)
+    return (float(a.min()) / 3.0, float(op.reach.min()))
 
 
 # -- isometry certificates ------------------------------------------------------

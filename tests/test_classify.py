@@ -2,15 +2,299 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import FAILS, HOLDS, TREND_CONSISTENT, TREND_INCONSISTENT
-from treewco import VertexFunction, WeightedCompOp
-from treewco.io import canonical_json, fixture_report, golden_dir
+from treewco import Certificate, VertexFunction, WeightedCompOp
+from treewco.classify import (
+    TrendConfig,
+    _bounded_below_witness,
+    _check_schedule,
+    _decays,
+    _stays_bounded,
+    default_schedule,
+)
+from treewco.io import (
+    SCHEMA_VERSION,
+    canonical_json,
+    fixture_report,
+    golden_dir,
+    operator_quantities,
+    tree_to_spec,
+)
 
 
 def verdicts(certs):
     return {c.statement: c.verdict for c in certs}
+
+
+# -- reference classifiers: one hand-written body per function space ---------------
+
+
+def _prefix_sup_profile(op, quantity, schedule):
+    per_depth = tw.operators.depth_max(
+        op.tree.depth[: op.phi.domain_size], quantity, op.tree.depth_limit + 1
+    )
+    prefix = np.maximum.accumulate(per_depth)
+    return tuple((d, float(prefix[d])) for d in schedule)
+
+
+def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
+    cfg = config or TrendConfig()
+    t = op.tree
+    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    certs = []
+
+    a_psi = np.abs(op.psi.values[: op.phi.domain_size])
+    bounded_profile = _prefix_sup_profile(op, a_psi, sched)
+    bounded_vals = [v for _, v in bounded_profile]
+    certs.append(
+        Certificate(
+            statement="Linf.Bounded",
+            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
+            criterion=(
+                "bounded on the bounded functions iff the weight is bounded; "
+                "the operator norm equals sup |psi|"
+            ),
+            witnesses={"sup_psi": float(tw.linf_op_norm(op))},
+            depth_profile=bounded_profile,
+            window_depth=window_depth,
+        )
+    )
+
+    tail_profile = tuple((d, tw.linf_ess_norm_tail(op, d - 1)) for d in sched)
+    tail_vals = [v for _, v in tail_profile]
+    if op.phi.finite_range_stable(cfg.stability_margin):
+        verdict = HOLDS
+        witnesses = {
+            "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
+            "reason": "map range stabilized strictly inside the window",
+        }
+    else:
+        verdict = TREND_CONSISTENT if _decays(tail_vals, cfg) else TREND_INCONSISTENT
+        witnesses = {"final_tail": tail_vals[-1]}
+    certs.append(
+        Certificate(
+            statement="Linf.Compact",
+            verdict=verdict,
+            criterion=(
+                "compact on the bounded functions iff the map has finite range "
+                "or |psi(v)| tends to 0 whenever |phi(v)| grows; the essential "
+                "norm is the tail limit of sup |psi|"
+            ),
+            witnesses=witnesses,
+            depth_profile=tail_profile,
+            window_depth=window_depth,
+        )
+    )
+
+    certs.append(tw.isometry_check_linf(op, window_depth, cfg.isometry_tol))
+
+    j = tw.j_linf(op, window_depth)
+    witnesses = {"injectivity_modulus": j}
+    witnesses.update(_bounded_below_witness(op, window_depth))
+    certs.append(
+        Certificate(
+            statement="Linf.BoundedBelow",
+            verdict=HOLDS if j > 0 else FAILS,
+            criterion=(
+                "bounded below on the bounded functions iff the map covers "
+                "every vertex and the smallest preimage sup of |psi| is positive"
+            ),
+            witnesses=witnesses,
+            depth_profile=(),
+            window_depth=window_depth if window_depth is not None else t.depth_limit,
+        )
+    )
+    return certs
+
+
+def ref_classify_lip(op, schedule=None, window_depth=None, config=None):
+    cfg = config or TrendConfig()
+    t = op.tree
+    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    certs = []
+
+    a_psi = np.abs(op.psi.values[: op.phi.domain_size])
+    reach = a_psi * (1.0 + op.phi.image_depth)
+    bounded_profile = _prefix_sup_profile(op, reach, sched)
+    bounded_vals = [v for _, v in bounded_profile]
+    lo, up = tw.lip_bounds(op)
+    certs.append(
+        Certificate(
+            statement="Lip.Bounded",
+            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
+            criterion=(
+                "bounded from the Lipschitz space iff sup |psi(v)|(1+|phi(v)|) "
+                "is finite; the norm lies between max(sup|psi|, sup|psi||phi|) "
+                "and sup |psi|(1+|phi|)"
+            ),
+            witnesses={"lower_bound": lo, "upper_bound": up, "exact_norm": tw.lip_exact_norm(op)},
+            depth_profile=bounded_profile,
+            window_depth=window_depth,
+        )
+    )
+
+    tail_profile = tuple((d, tw.lip_ess_norm_tail(op, d - 1)) for d in sched)
+    tail_vals = [v for _, v in tail_profile]
+    if op.phi.finite_range_stable(cfg.stability_margin):
+        verdict = HOLDS
+        witnesses = {
+            "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
+            "reason": "map range stabilized strictly inside the window",
+        }
+    else:
+        verdict = TREND_CONSISTENT if _decays(tail_vals, cfg) else TREND_INCONSISTENT
+        witnesses = {"final_tail": tail_vals[-1]}
+    certs.append(
+        Certificate(
+            statement="Lip.Compact",
+            verdict=verdict,
+            criterion=(
+                "compact from the Lipschitz space iff |psi(v)||phi(v)| tends "
+                "to 0 whenever |phi(v)| grows; the essential norm is the tail "
+                "limit of sup |psi||phi|"
+            ),
+            witnesses=witnesses,
+            depth_profile=tail_profile,
+            window_depth=window_depth,
+        )
+    )
+
+    if t.depth_limit >= 2:
+        certs.append(tw.isometry_check_lip(op, window_depth, cfg.isometry_tol))
+
+    lo_j, up_j = tw.j_lip_bracket(op, window_depth)
+    witnesses = {"bracket": [lo_j, up_j]}
+    witnesses.update(_bounded_below_witness(op, window_depth))
+    certs.append(
+        Certificate(
+            statement="Lip.BoundedBelow",
+            verdict=HOLDS if lo_j > 0 else FAILS,
+            criterion=(
+                "bounded below from the Lipschitz space iff the map covers "
+                "every vertex and M = inf-sup of |psi| over preimages is "
+                "positive; the modulus lies in [M/3, M]"
+            ),
+            witnesses=witnesses,
+            depth_profile=(),
+            window_depth=window_depth if window_depth is not None else t.depth_limit,
+        )
+    )
+    return certs
+
+
+def ref_fixture_op(name, depth):
+    t = tw.zline(depth)
+    labels = np.asarray([int(t.label_of(v)) for v in range(t.n_vertices)])
+    if name == "z-isometry":
+        psi = np.where((labels < 0) & (labels % 2 != 0), 0.0, 1.0)
+        return WeightedCompOp(VertexFunction(t, psi), tw.zline_fold(t))
+    if name == "bounded-not-compact":
+        psi = 1.0 / (1.0 + np.abs(labels))
+        return WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
+    psi = np.where(labels == 0, 1.0, 1.0 / np.where(labels == 0, 1, labels))
+    return WeightedCompOp(VertexFunction(t, psi), tw.zline_double(t))
+
+
+def ref_fixture_report(fx, depth, config=None):
+    op = ref_fixture_op(fx.name, depth)
+    window = fx.window_for(depth)
+    certs = tw.classify_operator(op, window_depth=window, config=config)
+    report = {
+        "schema": SCHEMA_VERSION,
+        "fixture": fx.name,
+        "description": fx.description,
+        "depth": depth,
+        "window_depth": window,
+        "tree": tree_to_spec(op.tree),
+        "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
+        "quantities": operator_quantities(op, window),
+        "expected": dict(sorted(fx.expected.items())),
+        "notes": list(fx.notes),
+    }
+    if fx.name == "bounded-not-compact":
+        sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
+        sq_certs = tw.classify_lip(sq, window_depth=window, config=config)
+        report["squared_weight"] = {
+            "lip_ess_tail": [[n, v] for n, v in tw.lip_ess_norm_profile(sq)],
+            "compact_certificate": next(
+                c.to_json() for c in sq_certs if c.statement == "Lip.Compact"
+            ),
+        }
+    if fx.name == "not-surjective-2n":
+        cod = op.codomain_tree
+        g_vals = np.asarray(
+            [1.0 if int(cod.label_of(v)) % 2 == 0 else -1.0 for v in range(cod.n_vertices)]
+        )
+        res = tw.surjectivity_infeasibility(op, VertexFunction(cod, g_vals))
+        a = np.abs(op.psi.values[: op.phi.domain_size])
+        reach = a * (1.0 + op.phi.image_depth)
+        arg = int(np.argmin(reach))
+        report["infeasibility"] = res.to_json()
+        report["weighted_reach_infimum"] = {
+            "value": float(reach.min()),
+            "vertex_label": int(op.tree.label_of(arg)),
+            "reference_value": 2.0,
+            "discrepancy": (
+                "computed value 1 at n = 0 differs from the reference value 2; "
+                "the reference infimum ignores the root term"
+            ),
+        }
+    return report
+
+
+_CONFIGS = (
+    TrendConfig(),
+    TrendConfig(decay_factor=1.2, zero_tol=1e-3, growth_factor=1.5, stability_margin=1),
+)
+
+
+@st.composite
+def _classify_cases(draw):
+    """An operator on a small tree, with a window, schedule and config."""
+    family = draw(st.sampled_from(["zline", "h2", "h3", "random"]))
+    if family == "zline":
+        t = tw.zline(draw(st.integers(1, 10)))
+    elif family == "h2":
+        t = tw.homogeneous(2, draw(st.integers(1, 4)))
+    elif family == "h3":
+        t = tw.homogeneous(3, draw(st.integers(1, 3)))
+    else:
+        t = tw.random_tree(draw(st.integers(1, 4)), seed=draw(st.integers(0, 50)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    maps = ["identity", "permutation", "random", "constant"]
+    if family == "zline":
+        maps += ["fold", "double"]
+    kind = draw(st.sampled_from(maps))
+    if kind == "identity":
+        phi = tw.identity_map(t)
+    elif kind == "permutation":
+        phi = tw.random_permutation_map(t, rng)
+    elif kind == "random":
+        phi = tw.random_map(t, rng)
+    elif kind == "constant":
+        phi = tw.constant_map(t, int(rng.integers(t.n_vertices)))
+    elif kind == "fold":
+        phi = tw.zline_fold(t)
+    else:
+        phi = tw.zline_double(t)
+    depth = t.depth.astype(float)
+    psi = {
+        "ones": np.ones(t.n_vertices),
+        "random": rng.normal(size=t.n_vertices),
+        "decay": 0.5**depth,
+        "grow": depth + 1.0,
+    }[draw(st.sampled_from(["ones", "random", "decay", "grow"]))]
+    psi[rng.random(t.n_vertices) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    op = WeightedCompOp(VertexFunction(t, psi), phi)
+    n = t.depth_limit
+    window = draw(st.sampled_from([None, n // 2]))
+    schedule = draw(
+        st.sampled_from([None, (draw(st.integers(1, n)),), tuple(range(1, n + 1))])
+    )
+    return op, schedule, window, draw(st.sampled_from(_CONFIGS))
 
 
 class TestClassifyLinf:
@@ -97,11 +381,53 @@ class TestCrossChecks:
                 assert len(out["linf"]) == 4 and len(out["lip"]) == 4
 
 
+    def test_non_increasing_schedule_refused(self):
+        t = tw.zline(8)
+        op = WeightedCompOp(VertexFunction(t, t.depth.astype(float)), tw.identity_map(t))
+        for classify in (tw.classify_linf, tw.classify_lip):
+            # an unbounded weight: the default schedule sees the growth
+            assert classify(op)[0].verdict == TREND_INCONSISTENT
+            for bad in ((8, 4, 2, 1), (1, 2, 2, 4)):
+                with pytest.raises(ValueError, match="strictly increasing"):
+                    classify(op, bad)
+
     def test_depth_zero_refused_by_depth_limit(self):
         op = tw.composition_op(tw.identity_map(tw.zline(0)))
         for classify in (tw.classify_linf, tw.classify_lip):
             with pytest.raises(ValueError, match=r"depth >= 1, got depth 0"):
                 classify(op)
+
+
+class TestOneClassifier:
+    @given(_classify_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference_bytes(self, case):
+        op, schedule, window, cfg = case
+        for new, ref in ((tw.classify_linf, ref_classify_linf), (tw.classify_lip, ref_classify_lip)):
+            got = canonical_json([c.to_json() for c in new(op, schedule, window, cfg)])
+            want = canonical_json([c.to_json() for c in ref(op, schedule, window, cfg)])
+            assert got == want
+
+    def test_depth_one_has_no_lipschitz_isometry_certificate(self):
+        for t in (tw.zline(1), tw.homogeneous(2, 1)):
+            op = tw.composition_op(tw.identity_map(t))
+            statements = [c.statement for c in tw.classify_lip(op)]
+            assert statements == ["Lip.Bounded", "Lip.Compact", "Lip.BoundedBelow"]
+
+    def test_reach_is_the_weighted_reach(self):
+        rng = np.random.default_rng(4)
+        t = tw.zline(6)
+        op = WeightedCompOp(tw.random_function(t, rng, 2.0), tw.zline_double(t))
+        want = np.abs(op.psi.values[: op.phi.domain_size]) * (1.0 + op.phi.image_depth)
+        assert np.array_equal(op.reach, want)
+        assert not op.reach.flags.writeable
+
+    @pytest.mark.parametrize("config", [None, _CONFIGS[1]])
+    @pytest.mark.parametrize("depth", range(6, 13))
+    def test_fixture_reports_match_reference(self, depth, config):
+        for fx in tw.bundled_fixtures():
+            got = canonical_json(fixture_report(fx, depth, config))
+            assert got == canonical_json(ref_fixture_report(fx, depth, config)), fx.name
 
 
 class TestSevenEquivalences:

@@ -343,6 +343,23 @@ BAD_RANGES = [
 ]
 
 
+# command-line arguments out of range for the zline(4) specs; norms reads
+# only the window
+BAD_ARGS = [
+    ("analyze", ["--window", "99"], "args.window: window depth 99 outside [0, 4]"),
+    ("analyze", ["--window", "-1"], "args.window: window depth -1 outside [0, 4]"),
+    ("norms", ["--window", "5"], "args.window: window depth 5 outside [0, 4]"),
+    ("analyze", ["--depths", "0"], "args.depths: schedule must be within 1..4"),
+    ("analyze", ["--depths", "9"], "args.depths: schedule must be within 1..4"),
+    ("analyze", ["--depths", "4,2,1"], "args.depths: schedule depths must be strictly increasing"),
+    ("analyze", ["--depths", "1,1"], "args.depths: schedule depths must be strictly increasing"),
+    ("analyze", ["--depths", "1,x"], "args.depths: invalid literal"),
+    ("analyze", ["--tol", "nan"], "args.tol: must be a finite number >= 0, got nan"),
+    ("analyze", ["--tol", "inf"], "args.tol: must be a finite number >= 0, got inf"),
+    ("analyze", ["--tol", "-1"], "args.tol: must be a finite number >= 0, got -1.0"),
+]
+
+
 class TestMalformedSpecs:
     @staticmethod
     def analyze_err(specs, tmp_path, capsys, which, spec) -> tuple:
@@ -365,6 +382,31 @@ class TestMalformedSpecs:
         rc, err = self.analyze_err(specs, tmp_path, capsys, which, spec)
         assert rc == 1
         assert err.startswith(f"spec error: {pointer}: ")
+
+    @pytest.mark.parametrize("mode,extra,message", BAD_ARGS)
+    def test_bad_argument_exits_one_with_pointer(self, specs, capsys, mode, extra, message):
+        args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
+        assert main([mode, *args, *extra]) == 1
+        assert capsys.readouterr().err.startswith(f"spec error: {message}")
+
+    def test_decreasing_depths_refused_not_reordered(self, tmp_path, capsys):
+        # weight depth(v) on zline(8) is unbounded; a decreasing schedule
+        # once read its shallowest entries as the deepest and called it bounded
+        t = tw.zline(8)
+        paths = {
+            "tree": write(tmp_path, "t.json", {"family": "zline", "depth": 8}),
+            "psi": write(tmp_path, "psi.json", {
+                "kind": "table", "values": {str(v): int(t.depth[v]) for v in range(len(t))}
+            }),
+            "phi": write(tmp_path, "phi.json", {"kind": "builtin", "name": "identity"}),
+        }
+        args = ["analyze", "--tree", paths["tree"], "--psi", paths["psi"], "--phi", paths["phi"]]
+        assert main([*args, "--depths", "8,4,2,1"]) == 1
+        assert capsys.readouterr().err.startswith("spec error: args.depths: ")
+        assert main([*args, "--depths", "1,2,4,8"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        got = {c["statement"]: c["verdict"] for c in payload["certificates"]}
+        assert got["Linf.Bounded"] == got["Lip.Bounded"] == "TrendInconsistent"
 
     def test_depth_zero_analyze_names_the_depth_limit(self, specs, tmp_path, capsys):
         paths = dict(

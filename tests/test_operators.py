@@ -558,7 +558,7 @@ class TestArrayCoreMatchesLoops:
     @given(small_operators())
     @settings(max_examples=80, deadline=None)
     def test_every_reduction_matches_reference(self, op):
-        from treewco.classify import _bounded_below_witness, _prefix_sup_profile
+        from treewco.classify import _bounded_below_witness
 
         t, phi = op.tree, op.phi
         kids = ref_children(t)
@@ -575,8 +575,10 @@ class TestArrayCoreMatchesLoops:
         assert tw.lip_ess_norm_profile(op) == tuple((n, ref_tail(op, n, True)) for n in range(N))
         a = op.abs_psi_on_domain
         sched = tuple(range(1, N + 1))
-        for quantity in (a, a * (1.0 + phi.image_depth)):
-            assert _prefix_sup_profile(op, quantity, sched) == ref_prefix_sup(op, quantity, sched)
+        # the Bounded profiles: prefix sups of |psi| and of the weighted reach
+        for classify, quantity in ((tw.classify_linf, a), (tw.classify_lip, op.reach)):
+            assert classify(op, sched)[0].depth_profile == ref_prefix_sup(op, quantity, sched)
+        assert np.array_equal(op.reach, a * (1.0 + phi.image_depth))
         for within in [None] + list(range(N + 1)):
             assert tw.j_linf(op, within) == ref_j_linf(op, pre, within)
             cert = tw.isometry_check_linf(op, within)
