@@ -382,7 +382,8 @@ class Fixture:
         return WeightedCompOp(VertexFunction(t, self.weight(np.asarray(t.labels))), self.map(t))
 
     def window_for(self, depth: int) -> int | None:
-        return depth // 2 if self.window_depth is not None else None
+        """``window_depth`` scaled from the fixture's own depth to ``depth``."""
+        return None if self.window_depth is None else self.window_depth * depth // self.depth
 
 
 def _squared_weight(op: WeightedCompOp, window: int | None, config: TrendConfig | None) -> dict:

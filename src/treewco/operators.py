@@ -18,10 +18,9 @@ default they quantify over the whole truncation, while fixtures built from
 infinite families evaluate them on the half-depth window where the window
 faithfully sees all preimages.
 
-Data layout: a map keeps its preimage index as a :class:`~treewco.trees.CSR`
-(row w lists the domain vertices sent to w, in id order) plus the
-``coverage`` count per vertex.  An operator lazily caches two arrays that
-every closed form reads: ``preimage_sup``, the sup of |psi| over each
+Data layout: a map keeps its image array and the ``coverage`` count of
+preimages per vertex.  An operator lazily caches two arrays that every
+closed form reads: ``preimage_sup``, the sup of |psi| over each
 vertex's preimage (one ``np.maximum.at`` over the image, ``-inf`` where
 there is no preimage), and ``tail_sups``, both essential-norm tail
 profiles from one per-depth maximum and a suffix maximum.
@@ -37,7 +36,7 @@ import numpy as np
 
 from .certificate import FAILS, HOLDS, Certificate
 from .functions import VertexFunction
-from .trees import CSR, RootedTree
+from .trees import RootedTree
 
 __all__ = [
     "MapSpecError",
@@ -80,15 +79,13 @@ class SelfMap:
 
     ``image[v]`` is defined for the domain prefix (all vertices of depth
     <= ``domain_depth``; breadth-first ids make that prefix contiguous).
-    ``preimages`` groups the domain by image and ``coverage[w]`` counts
-    the preimages of w.
+    ``coverage[w]`` counts the preimages of w.
     """
 
     tree: RootedTree
     image: np.ndarray
     domain_depth: int
     name: str = "table"
-    preimages: CSR = field(init=False, repr=False)
     coverage: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -108,15 +105,13 @@ class SelfMap:
             )
         img.setflags(write=False)
         object.__setattr__(self, "image", img)
-        pre = CSR.group(img, t.n_vertices)
-        coverage = np.diff(pre.offsets)
+        coverage = np.bincount(img, minlength=t.n_vertices)
         coverage.setflags(write=False)
-        object.__setattr__(self, "preimages", pre)
         object.__setattr__(self, "coverage", coverage)
 
     @staticmethod
     def domain_size_for(tree: RootedTree, domain_depth: int) -> int:
-        return int(np.searchsorted(tree.depth, domain_depth + 1))
+        return int(tree.layer_offsets[domain_depth + 1])
 
     @property
     def domain_size(self) -> int:
@@ -138,7 +133,7 @@ class SelfMap:
         return bool((self.coverage >= 1).all())
 
     def preimage(self, w: int) -> np.ndarray:
-        return self.preimages.row(self.tree.check_vertex(w))
+        return np.flatnonzero(self.image == self.tree.check_vertex(w))
 
     def range_profile(self) -> tuple:
         """(d, max |phi(v)| over domain vertices with depth <= d) per depth."""

@@ -113,16 +113,15 @@ def norm_oracle_linf(
 
     if method == "ascent":
         # per-coordinate objective is separable: each range value is best
-        # pushed to a grid extreme; one sweep is exact
+        # pushed to a grid extreme; one sweep in id order is exact.  The sup
+        # before range vertex w is the running max of the preimage sups p
+        # (1.0 is a level); w takes the first level maximizing it with p[w]
         f = np.zeros(t.n_vertices)
-        for w in range_ids:
-            best_v, best_t = -1.0, 0.0
-            for lev in levels:
-                f[w] = lev
-                val = _composed_sup_raw(op, f)
-                if val > best_v:
-                    best_v, best_t = val, lev
-            f[w] = best_t
+        p = np.zeros(k)
+        np.maximum.at(p, col, a_psi)
+        before = np.maximum.accumulate(np.concatenate(([0.0], p)))[:-1]
+        scores = np.maximum(before[:, None], p[:, None] * np.abs(levels))
+        f[range_ids] = levels[np.argmax(scores, axis=1)]
         if k < t.n_vertices:
             off = np.setdiff1d(np.arange(t.n_vertices), range_ids)
             f[off] = 1.0
@@ -446,8 +445,8 @@ def j_oracle_linf_bracket(
     """
     t = op.tree
     limit = t.depth_limit if within_depth is None else within_depth
+    lower = j_linf(op, within_depth)  # refuses a window outside the truncation
     n_window = SelfMap.domain_size_for(t, limit)
-    lower = j_linf(op, within_depth)
     if not op.phi.coverage[:n_window].all():
         uncovered = int(np.argmin(op.phi.coverage[:n_window]))
         f = np.zeros(t.n_vertices)

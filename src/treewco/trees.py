@@ -7,9 +7,10 @@ they are allowed to be childless because their children simply lie beyond
 the window, while an interior childless vertex is rejected (the modeled
 infinite trees have no terminal vertex).
 
-Structure lives in flat arrays: ``parent`` and ``depth`` per vertex, the
-children as a :class:`CSR` index (row v lists the children of v in id
-order), and the depth layers as offsets into the depth-sorted ids.
+Structure lives in flat arrays: ``parent`` and ``depth`` per vertex.  The
+breadth-first layout is the only index: the children of a vertex, a depth
+layer and every truncation are contiguous id ranges, read from two offset
+arrays, and a sector is one id range per layer below its top vertex.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 __all__ = [
-    "CSR",
     "MAX_VERTICES",
     "RootedTree",
     "TreeBudgetError",
@@ -52,27 +52,25 @@ class TreeBudgetError(ValueError):
         super().__init__(f"depth {depth} gives more than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
-@dataclass(frozen=True)
-class CSR:
-    """Compressed rows: row i is ``indices[offsets[i]:offsets[i + 1]]``."""
+def _check_breadth_first(parent: np.ndarray, depth: np.ndarray, depth_limit: int) -> None:
+    """Refuse arrays whose ids are not breadth-first: every id range would be wrong."""
 
-    offsets: np.ndarray
-    indices: np.ndarray
+    def refuse(reason: str):
+        raise TreeStructureError(f"ids are not breadth-first: {reason}")
 
-    @classmethod
-    def group(cls, keys: np.ndarray, n_rows: int, first_id: int = 0) -> "CSR":
-        """Row r lists, in increasing order, the ids ``first_id + i`` with
-        ``keys[i] == r``."""
-        counts = np.bincount(keys, minlength=n_rows)
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        indices = np.argsort(keys, kind="stable") + first_id
-        offsets.setflags(write=False)
-        indices.setflags(write=False)
-        return cls(offsets, indices)
-
-    def row(self, i: int) -> np.ndarray:
-        return self.indices[self.offsets[i] : self.offsets[i + 1]]
+    if parent.ndim != 1 or depth.shape != parent.shape or not parent.size:
+        refuse(f"parent {parent.shape} and depth {depth.shape} must be equal non-empty vectors")
+    if parent[0] != -1 or depth[0] != 0:
+        refuse("vertex 0 must be the root, with parent -1 and depth 0")
+    p = parent[1:]
+    if ((p < 0) | (p >= np.arange(1, parent.size))).any():
+        refuse("a vertex's parent id is not below its own")
+    if (np.diff(p) < 0).any():
+        refuse("parent ids decrease")
+    if (depth[1:] != depth[p] + 1).any():
+        refuse("a depth is not one more than the parent's")
+    if depth.max() > depth_limit:
+        refuse(f"a vertex lies deeper than the depth limit {depth_limit}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +82,9 @@ class RootedTree:
     truncation depth N.  ``labels`` carries the display label of each
     vertex (integers on the line family, original names for explicit
     input, the id itself otherwise).  ``safe_parent`` is ``parent`` with
-    the root pointing at itself, for vectorized increments.
+    the root pointing at itself, for vectorized increments.  Ids must be
+    breadth-first, so the children of v are the ids ``child_offsets[v]``
+    up to ``child_offsets[v + 1]`` and depth d those from ``layer_offsets[d]``.
     """
 
     parent: np.ndarray
@@ -93,26 +93,22 @@ class RootedTree:
     family: str
     labels: tuple
     meta: dict = field(default_factory=dict)
-    children: CSR = field(init=False, repr=False)
     safe_parent: np.ndarray = field(init=False, repr=False)
-    _by_depth: np.ndarray = field(init=False, repr=False)
-    _layer_offsets: np.ndarray = field(init=False, repr=False)
+    child_offsets: np.ndarray = field(init=False, repr=False)
+    layer_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.parent.setflags(write=False)
-        self.depth.setflags(write=False)
-        n = self.parent.size
-        object.__setattr__(self, "children", CSR.group(self.parent[1:], n, first_id=1))
-        safe_parent = np.where(self.parent < 0, 0, self.parent)
-        safe_parent.setflags(write=False)
-        object.__setattr__(self, "safe_parent", safe_parent)
-        by_depth = np.argsort(self.depth, kind="stable")
-        offsets = np.searchsorted(
-            self.depth[by_depth], np.arange(self.depth_limit + 2), side="left"
+        parent, depth = self.parent, self.depth
+        _check_breadth_first(parent, depth, self.depth_limit)
+        derived = dict(
+            safe_parent=np.where(parent < 0, 0, parent),
+            # parents are sorted: the ids whose parent is below v come first
+            child_offsets=1 + np.searchsorted(parent[1:], np.arange(parent.size + 1)),
+            layer_offsets=np.searchsorted(depth, np.arange(self.depth_limit + 2)),
         )
-        by_depth.setflags(write=False)
-        object.__setattr__(self, "_by_depth", by_depth)
-        object.__setattr__(self, "_layer_offsets", offsets)
+        for name, arr in [("parent", parent), ("depth", depth), *derived.items()]:
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @cached_property
     def _label_index(self) -> dict:
@@ -144,7 +140,8 @@ class RootedTree:
         return int(self.parent[v])
 
     def children_of(self, v: int) -> np.ndarray:
-        return self.children.row(self.check_vertex(v))
+        v = self.check_vertex(v)
+        return np.arange(self.child_offsets[v], self.child_offsets[v + 1])
 
     def depth_of(self, v: int) -> int:
         return int(self.depth[self.check_vertex(v)])
@@ -152,16 +149,13 @@ class RootedTree:
     def is_frontier(self, v: int) -> bool:
         return self.depth_of(v) == self.depth_limit
 
-    def vertices(self) -> np.ndarray:
-        return np.arange(self.n_vertices, dtype=np.int64)
-
     # -- metric / combinatorial queries -------------------------------------
 
     def layer(self, n: int) -> np.ndarray:
         """All vertices at depth n."""
         if not 0 <= n <= self.depth_limit:
             raise IndexError(f"depth {n} outside [0, {self.depth_limit}]")
-        return self._by_depth[self._layer_offsets[n] : self._layer_offsets[n + 1]]
+        return np.arange(self.layer_offsets[n], self.layer_offsets[n + 1])
 
     def ancestor_at_depth(self, v: int, n: int) -> int:
         """The unique vertex on the root path of v at depth n."""
@@ -222,13 +216,12 @@ class RootedTree:
 
     def sector(self, v: int) -> np.ndarray:
         """v together with all its descendants inside the truncation."""
-        v = self.check_vertex(v)
-        inside = np.zeros(self.n_vertices, dtype=bool)
-        inside[v] = True
-        for d in range(self.depth_of(v) + 1, self.depth_limit + 1):
-            layer = self.layer(d)
-            inside[layer] = inside[self.parent[layer]]
-        return np.flatnonzero(inside)
+        lo = self.check_vertex(v)
+        hi, ranges = lo + 1, []
+        while lo < hi:  # the children of an id range are one id range
+            ranges.append(np.arange(lo, hi))
+            lo, hi = self.child_offsets[lo], self.child_offsets[hi]
+        return np.concatenate(ranges)
 
     # -- derived views -------------------------------------------------------
 
@@ -242,7 +235,7 @@ class RootedTree:
             raise IndexError(f"depth {depth} outside [0, {self.depth_limit}]")
         if depth == self.depth_limit:
             return self
-        m = int(np.searchsorted(self.depth, depth + 1))
+        m = int(self.layer_offsets[depth + 1])
         return RootedTree(
             parent=self.parent[:m].copy(),
             depth=self.depth[:m].copy(),
@@ -287,41 +280,6 @@ class RootedTree:
 
 
 # -- builders ----------------------------------------------------------------
-
-
-def _from_adjacency(
-    root_label,
-    children_by_label: Mapping,
-    depth_limit: int,
-    family: str,
-    meta: dict | None = None,
-) -> RootedTree:
-    """BFS-number an adjacency description; children sorted by label."""
-    order = [root_label]
-    parent_ids = [-1]
-    depths = [0]
-    index = {root_label: 0}
-    head = 0
-    while head < len(order):
-        lab = order[head]
-        d = depths[head]
-        if d < depth_limit:
-            for c in sorted(children_by_label.get(lab, ()), key=_label_key):
-                if c in index:
-                    raise TreeStructureError(f"vertex {c!r} reached twice (cycle?)")
-                index[c] = len(order)
-                order.append(c)
-                parent_ids.append(head)
-                depths.append(d + 1)
-        head += 1
-    return RootedTree(
-        parent=np.asarray(parent_ids, dtype=np.int64),
-        depth=np.asarray(depths, dtype=np.int64),
-        depth_limit=depth_limit,
-        family=family,
-        labels=tuple(order),
-        meta=meta or {},
-    )
 
 
 def _label_key(lab):
@@ -449,8 +407,10 @@ def explicit_tree(
 ) -> RootedTree:
     """Build from an undirected edge list plus a root.
 
-    Rejects disconnected or cyclic input, and any interior vertex without
-    children (a terminal vertex strictly inside the truncation).
+    Ids are breadth-first, each vertex's children in label order (integers
+    first).  Rejects disconnected or cyclic input, and any interior vertex
+    without children (a terminal vertex strictly inside the truncation),
+    naming the first one in id order.
     """
     adj: dict = {}
     for e in edges:
@@ -463,36 +423,30 @@ def explicit_tree(
         raise TreeStructureError(f"root {root!r} not in edge list")
     if not adj:
         adj = {root: set()}
-    # orient away from the root
-    children: dict = {lab: [] for lab in adj}
-    seen = {root}
-    queue = [root]
-    depth = {root: 0}
-    head = 0
-    n_edges = sum(len(s) for s in adj.values()) // 2
-    while head < len(queue):
-        u = queue[head]
-        head += 1
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            children[u].append(v)
-            depth[v] = depth[u] + 1
-            queue.append(v)
-    if len(seen) != len(adj):
+    # breadth-first over label-sorted neighbours; ``order`` grows as it is walked
+    order, parent_ids, depths, seen = [root], [-1], [0], {root}
+    for head, u in enumerate(order):
+        for v in sorted(adj[u], key=_label_key):
+            if v not in seen:
+                seen.add(v)
+                order.append(v)
+                parent_ids.append(head)
+                depths.append(depths[head] + 1)
+    if len(order) != len(adj):
         raise TreeStructureError("edge list is disconnected from the root")
-    if n_edges != len(adj) - 1:
+    if sum(len(s) for s in adj.values()) // 2 != len(adj) - 1:
         raise TreeStructureError("edge list contains a cycle")
-    max_depth = max(depth.values())
+    max_depth = depths[-1]
     limit = max_depth if depth_limit is None else depth_limit
     if limit < max_depth:
         raise TreeStructureError(
             f"declared depth {limit} below deepest vertex ({max_depth})"
         )
-    for lab, d in depth.items():
-        if d < limit and not children[lab]:
-            raise TreeStructureError(
-                f"interior terminal vertex {lab!r} at depth {d} (< {limit})"
-            )
-    return _from_adjacency(root, children, limit, "explicit")
+    parent, depth = np.asarray(parent_ids, dtype=np.int64), np.asarray(depths, dtype=np.int64)
+    childless = (depth < limit) & (np.bincount(parent[1:], minlength=parent.size) == 0)
+    if childless.any():
+        v = int(np.argmax(childless))
+        raise TreeStructureError(
+            f"interior terminal vertex {order[v]!r} at depth {depths[v]} (< {limit})"
+        )
+    return RootedTree(parent, depth, limit, "explicit", tuple(order))

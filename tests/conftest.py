@@ -42,3 +42,16 @@ def random_operator(tree, rng, scale=2.0, surjective=False):
 
 def label_fn(tree):
     return np.asarray([int(tree.label_of(v)) for v in range(len(tree))])
+
+
+def shuffled_edges(tree, rng):
+    """The edges of ``tree`` under mixed int/str labels whose order differs
+    from the id order, shuffled and randomly oriented; and the root's label."""
+    perm = rng.permutation(len(tree))
+    labels = [
+        int(perm[v]) if rng.random() < 0.5 else f"{'xyz'[v % 3]}{int(perm[v])}"
+        for v in range(len(tree))
+    ]
+    edges = [[labels[int(tree.parent[v])], labels[v]] for v in range(1, len(tree))]
+    edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
+    return [edges[i] for i in rng.permutation(len(edges))], labels[0]

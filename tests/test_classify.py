@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -493,6 +495,17 @@ class TestFixturesAndGolden:
         assert reach["reference_value"] == 2.0
         assert "differs" in reach["discrepancy"]
         assert report["infeasibility"]["extra"]["verdict"] == "infeasible"
+
+    def test_window_scales_with_the_stored_window(self):
+        fx = dataclasses.replace(tw.fixture_by_name("z-isometry"), depth=10, window_depth=3)
+        assert fx.window_for(10) == 3
+        assert fx.window_for(20) == 6
+        assert dataclasses.replace(fx, window_depth=None).window_for(10) is None
+        # the bundled windows are half the depth at every depth
+        for fx in tw.bundled_fixtures():
+            for depth in range(1, 33):
+                half = None if fx.window_depth is None else depth // 2
+                assert fx.window_for(depth) == half
 
     def test_unknown_fixture_rejected(self):
         with pytest.raises(KeyError):

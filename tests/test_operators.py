@@ -8,7 +8,7 @@ import treewco as tw
 from treewco import VertexFunction, WeightedCompOp
 from treewco.operators import MapSpecError
 
-from conftest import label_fn, random_operator, small_tree_corpus
+from conftest import label_fn, random_operator, shuffled_edges, small_tree_corpus
 
 
 def ones_op(phi):
@@ -523,8 +523,12 @@ def ref_bounded_below_witness(op, pre, within):
 
 @st.composite
 def small_operators(draw):
-    family = draw(st.sampled_from(["random", "zline", "homogeneous"]))
-    if family == "random":
+    family = draw(st.sampled_from(["random", "zline", "homogeneous", "explicit"]))
+    if family == "explicit":
+        base = tw.random_tree(draw(st.integers(1, 4)), seed=draw(st.integers(0, 10**6)))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tree = tw.explicit_tree(*shuffled_edges(base, rng))
+    elif family == "random":
         lo = draw(st.integers(1, 2))
         tree = tw.random_tree(
             draw(st.integers(1, 4)), seed=draw(st.integers(0, 10**6)),

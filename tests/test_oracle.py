@@ -190,6 +190,38 @@ def reference_norm_oracle_linf(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> Ora
     )
 
 
+def reference_norm_oracle_linf_ascent(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> OracleResult:
+    """norm_oracle_linf(op, grid, "ascent") as the greedy sweep that
+    re-evaluates the composed sup for every range vertex and level."""
+    t = op.tree
+    range_ids = np.unique(op.phi.image)
+    levels = np.asarray(sorted(grid), dtype=np.float64)
+    if 1.0 not in levels:
+        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
+    if not (np.abs(levels) <= 1.0).all():
+        raise ValueError("value grid levels must lie in [-1, 1] to stay in the unit ball")
+    f = np.zeros(t.n_vertices)
+    for w in range_ids:
+        best_v, best_t = -1.0, 0.0
+        for lev in levels:
+            f[w] = lev
+            val = oracle_mod._composed_sup_raw(op, f)
+            if val > best_v:
+                best_v, best_t = val, lev
+        f[w] = best_t
+    if range_ids.size < t.n_vertices:
+        f[np.setdiff1d(np.arange(t.n_vertices), range_ids)] = 1.0
+    elif np.abs(f).max() < 1.0:
+        f[int(range_ids[0])] = 1.0
+    return OracleResult(
+        quantity="OpNormLinf",
+        value=oracle_mod._composed_sup_raw(op, f),
+        method="GridRefine",
+        search_size=int(range_ids.size * levels.size),
+        witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
+    )
+
+
 def reference_j_oracle_linf_bracket(
     op: WeightedCompOp, grid=(-1.0, 0.0, 1.0), within_depth=None
 ) -> OracleResult:
@@ -320,21 +352,32 @@ SEARCH_CHUNKS = [1, 7, 1000, 1 << 15]
 SEARCH_BUDGET = 3**9
 
 
+SEARCH_DEPTHS = {"zline": (0, 5), "h2": (0, 3), "h3": (0, 3), "random": (0, 4)}
+# trees of 7 to 127 vertices, mostly above the exhaustive cap of 16
+SWEEP_DEPTHS = {"zline": (4, 30), "h2": (2, 5), "h3": (2, 4), "random": (4, 7)}
+# the search grids, an unsorted one with a near-1 level, and the edge cases
+SWEEP_GRIDS = SEARCH_GRIDS + [
+    (0.0, 1.0), (1.0,), (0.3, -0.7, 1.0, 0.9999999999999999), (0.0, 1.0, 2.0)
+]
+
+
 @st.composite
-def search_ops(draw):
-    """An operator on a tree of at most 17 vertices under a permutation,
-    random, identity or k-range map (the last on a partial domain), with a
-    weight that has exact zeros and tied magnitudes."""
+def search_ops(draw, depths=SEARCH_DEPTHS):
+    """An operator under a permutation, random, identity or k-range map
+    (the last on a partial domain), with a weight that has exact zeros and
+    tied magnitudes, on a tree whose depth is drawn from ``depths`` (by
+    default one of at most 17 vertices)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["zline", "h2", "h3", "random"]))
+    depth = int(rng.integers(*depths[kind]))
     if kind == "zline":
-        tree = tw.zline(int(rng.integers(0, 5)))
+        tree = tw.zline(depth)
     elif kind == "h2":
-        tree = tw.homogeneous(2, int(rng.integers(0, 3)))
+        tree = tw.homogeneous(2, depth)
     elif kind == "h3":
-        tree = tw.homogeneous(3, int(rng.integers(0, 3)))
+        tree = tw.homogeneous(3, depth)
     else:
-        tree = tw.random_tree(int(rng.integers(0, 4)), int(rng.integers(10**6)), 1, 2)
+        tree = tw.random_tree(depth, int(rng.integers(10**6)), 1, 2)
     n = tree.n_vertices
     maps = draw(st.sampled_from(["permutation", "random", "identity", "krange"]))
     if maps == "permutation":
@@ -610,6 +653,12 @@ class TestJOracle:
         assert res.value == 0.0
         assert "uncovered_vertex" in res.witness
 
+    @pytest.mark.parametrize("window", [-2, -1, 3, 4])
+    def test_window_outside_truncation_refused(self, window):
+        op = tw.composition_op(tw.identity_map(tw.zline(2)))
+        with pytest.raises(IndexError, match=f"window depth {window} outside"):
+            tw.j_oracle_linf_bracket(op, within_depth=window)
+
     def test_fold_fixture_windowed_both_one(self):
         op = tw.fixture_by_name("z-isometry").build(4)
         res = tw.j_oracle_linf_bracket(op, within_depth=2)
@@ -739,6 +788,16 @@ class TestArrayOraclesMatchLoops:
         with mock.patch.multiple(oracle_mod, _CHUNK=chunk, MAX_PATTERNS=SEARCH_BUDGET):
             res = search_outcome(tw.norm_oracle_linf, op, grid)
             ref = search_outcome(reference_norm_oracle_linf, op, grid)
+        assert res == ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        op=st.one_of(search_ops(), search_ops(SWEEP_DEPTHS)),
+        grid=st.sampled_from(SWEEP_GRIDS),
+    )
+    def test_grid_sweep_matches_reference(self, op, grid):
+        res = search_outcome(tw.norm_oracle_linf, op, grid, "ascent")
+        ref = search_outcome(reference_norm_oracle_linf_ascent, op, grid)
         assert res == ref
 
     @settings(max_examples=150, deadline=None)

@@ -1,15 +1,22 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import TreeStructureError
 from treewco import trees as trees_mod
-from treewco.trees import TreeBudgetError
+from treewco.trees import TreeBudgetError, _label_key
+
+from conftest import shuffled_edges
 
 
 def ids(tree, *labels):
@@ -83,6 +90,157 @@ class TestExplicit:
         t = tw.explicit_tree([[0, 1], [0, 2], [1, 3], [2, 4]], root=0)
         assert len(t) == 5
         assert t.depth_limit == 2
+
+
+def reference_explicit_tree(edges, root, depth_limit=None):
+    """explicit_tree as two walks: orient the edges by a breadth-first walk
+    in set order, then number the oriented tree by a second walk with the
+    children sorted by label."""
+    adj: dict = {}
+    for e in edges:
+        if len(e) != 2 or e[0] == e[1]:
+            raise TreeStructureError(f"bad edge {e!r}")
+        u, v = e
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    if root not in adj and adj:
+        raise TreeStructureError(f"root {root!r} not in edge list")
+    if not adj:
+        adj = {root: set()}
+    children: dict = {lab: [] for lab in adj}
+    seen, queue, depth, head = {root}, [root], {root: 0}, 0
+    n_edges = sum(len(s) for s in adj.values()) // 2
+    while head < len(queue):
+        u = queue[head]
+        head += 1
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                children[u].append(v)
+                depth[v] = depth[u] + 1
+                queue.append(v)
+    if len(seen) != len(adj):
+        raise TreeStructureError("edge list is disconnected from the root")
+    if n_edges != len(adj) - 1:
+        raise TreeStructureError("edge list contains a cycle")
+    max_depth = max(depth.values())
+    limit = max_depth if depth_limit is None else depth_limit
+    if limit < max_depth:
+        raise TreeStructureError(f"declared depth {limit} below deepest vertex ({max_depth})")
+    for lab, d in depth.items():
+        if d < limit and not children[lab]:
+            raise TreeStructureError(f"interior terminal vertex {lab!r} at depth {d} (< {limit})")
+    order, parent_ids, depths, head = [root], [-1], [0], 0
+    while head < len(order):
+        if depths[head] < limit:
+            for c in sorted(children[order[head]], key=_label_key):
+                order.append(c)
+                parent_ids.append(head)
+                depths.append(depths[head] + 1)
+        head += 1
+    return parent_ids, depths, tuple(order), limit
+
+
+def explicit_outcome(build, edges, root, depth_limit):
+    """(parent, depth, labels, depth limit) as lists, or the error type."""
+    try:
+        t = build(edges, root, depth_limit)
+    except TreeStructureError as exc:
+        return type(exc).__name__
+    if isinstance(t, tw.RootedTree):
+        return t.parent.tolist(), t.depth.tolist(), t.labels, t.depth_limit
+    return t
+
+
+class TestOneWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        kind=st.sampled_from(["random", "zline", "h2"]),
+        depth=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+        defect=st.sampled_from(
+            ["none", "none", "duplicate", "cycle", "component", "loop", "triple", "root"]
+        ),
+        declared=st.sampled_from([None, -1, 0, 1, 10**12]),
+    )
+    def test_matches_two_walks(self, kind, depth, seed, defect, declared):
+        rng = np.random.default_rng(seed)
+        if kind == "random":
+            base = tw.random_tree(depth, seed, 1, 3)
+        elif kind == "zline":
+            base = tw.zline(depth)
+        else:
+            base = tw.homogeneous(2, min(depth, 3))
+        edges, root = shuffled_edges(base, rng)
+        labels = [lab for e in edges for lab in e] or [root]
+        pick = labels[int(rng.integers(len(labels)))]
+        if defect == "duplicate" and edges:
+            edges.append(edges[int(rng.integers(len(edges)))][::-1])
+        elif defect == "cycle" and len(labels) > 2:
+            a, b = rng.choice(len(labels), 2, replace=False)
+            if labels[a] != labels[b]:
+                edges.append([labels[a], labels[b]])
+        elif defect == "component":
+            edges.append(["island", 10**9])
+        elif defect == "loop":
+            edges.insert(int(rng.integers(len(edges) + 1)), [pick, pick])
+        elif defect == "triple":
+            edges.append([pick, "t", "u"])
+        elif defect == "root":
+            root = "nowhere"
+        # a declared depth relative to the deepest vertex, or absolute
+        limit = None if declared is None else (
+            declared if declared == 10**12 else base.depth_limit + declared
+        )
+        ref = explicit_outcome(reference_explicit_tree, edges, root, limit)
+        assert explicit_outcome(tw.explicit_tree, edges, root, limit) == ref
+
+    def test_interior_terminal_named_by_id_order(self):
+        # b, c and d are all interior terminal vertices; b has the first id
+        code = (
+            "import treewco as tw\n"
+            "try:\n"
+            "    tw.explicit_tree([['r','a'],['r','b'],['r','c'],['r','d'],['a','x']], 'r')\n"
+            "except tw.TreeStructureError as e:\n"
+            "    print(e)\n"
+        )
+        src = str(Path(tw.__file__).resolve().parents[1])
+        messages = set()
+        for seed in range(1, 9):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+            )
+            messages.add(run.stdout.strip())
+        assert messages == {"interior terminal vertex 'b' at depth 1 (< 2)"}
+
+
+class TestBreadthFirstLayout:
+    @pytest.mark.parametrize(
+        "parent,depth,limit",
+        [
+            ([], [], 0),  # no root
+            ([-1, 0], [0], 1),  # lengths differ
+            ([0, 0], [0, 1], 1),  # root has a parent
+            ([-1, 0], [1, 2], 2),  # root not at depth 0
+            ([-1, -1], [0, 1], 1),  # a second root
+            ([-1, 2, 0], [0, 2, 1], 2),  # a parent after its child
+            ([-1, 0, 0, 2, 1], [0, 1, 1, 2, 2], 2),  # a depth-first numbering
+            ([-1, 0, 0], [0, 1, 2], 2),  # depth not parent's plus one
+            ([-1, 0, 1], [0, 1, 2], 1),  # deeper than the limit
+        ],
+    )
+    def test_refuses_arrays_that_are_not_breadth_first(self, parent, depth, limit):
+        with pytest.raises(TreeStructureError, match="breadth-first"):
+            tw.RootedTree(
+                np.asarray(parent, dtype=np.int64), np.asarray(depth, dtype=np.int64),
+                limit, "explicit", tuple(range(len(parent))),
+            )
+
+    def test_ranges_are_read_only(self, homog22):
+        for arr in (homog22.child_offsets, homog22.layer_offsets, homog22.parent):
+            with pytest.raises(ValueError):
+                arr[0] = 5
 
 
 class TestQueries:
