@@ -139,7 +139,9 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if args.tree and args.psi and args.phi:
+    if bool(args.psi) != bool(args.phi):
+        raise SpecError("args", "oracle needs both --psi and --phi, or neither")
+    if args.tree and args.psi:
         op = _load_operator(args)
     else:
         if not args.tree:

@@ -94,7 +94,12 @@ class SelfMap:
             raise MapSpecError(
                 f"domain depth {self.domain_depth} outside [0, {t.depth_limit}]"
             )
-        img = np.asarray(self.image, dtype=np.int64)
+        img = np.asarray(self.image)
+        if img.dtype.kind not in "iu":
+            raise MapSpecError(
+                f"image entries must be integers, got dtype {img.dtype}"
+            )
+        img = img.astype(np.int64, copy=False)
         m = self.domain_size_for(t, self.domain_depth)
         if img.shape != (m,):
             raise MapSpecError(f"expected {m} image entries, got {img.shape}")

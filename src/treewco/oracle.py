@@ -10,6 +10,11 @@ degrade, beyond hard size caps: exhaustive grid-pattern enumeration on
 the bounded functions, exhaustive enumeration of the extreme points of the
 Lipschitz unit ball (the constants +-1 and the sign patterns of the
 increments), and a one-parameter path-extremal family.
+
+The surjectivity check is exact, not merely sound: it computes the least
+Lipschitz norm of a preimage by McShane extension through the forced
+values, with root value 0 unless forced, since moving it off 0 costs its
+modulus and gains at most as much at depth >= 1.
 """
 
 from __future__ import annotations
@@ -507,17 +512,20 @@ def j_oracle_linf_bracket(
 def surjectivity_infeasibility(
     op: WeightedCompOp,
     g: VertexFunction,
-    hint: VertexFunction | None = None,
     tol: float = 1e-9,
 ) -> OracleResult:
-    """Certificate that no Lipschitz unit-ball function maps onto g.
+    """Decide whether some Lipschitz unit-ball function maps onto g.
 
-    The forced values f(phi(v)) = g(v) / psi(v) determine f on the range
-    of the map; the pairwise quotient |f(u) - f(u')| / d(u, u') lower
-    bounds the derivative sup of any interpolant, so a quotient above 1 is
-    a sound infeasibility witness.  The test is sound but not complete:
-    verdicts are "infeasible", "feasible" (with an explicit witness), or
-    "undetermined".
+    The forced values F(phi(v)) = g(v) / psi(v) fix f on the range of the
+    map.  With f(root) = c, McShane extension (Bull. AMS 40, 1934) gives
+    the least Lipschitz norm of a preimage as
+    |c| + max(L*, max_u |c - F(u)| / |u|), where L* is the largest
+    pairwise quotient |F(u) - F(u')| / d(u, u') over the forced vertices.
+    A forced root fixes c, and its quotients are among the pairs.
+    Otherwise c = 0 is optimal: since |u| >= 1, moving c off 0 adds |c|
+    and lowers each |c - F(u)| / |u| by at most |c|.  The verdict is
+    "infeasible" exactly when that norm, reported as the witness
+    ``preimage_lip_norm``, exceeds 1 + tol, and "feasible" otherwise.
     """
     t = op.tree
     cod = op.codomain_tree
@@ -527,23 +535,6 @@ def surjectivity_infeasibility(
         raise ValueError("forced-value inversion needs an injective map")
 
     m = op.phi.domain_size
-    if hint is not None:
-        if hint.tree is not t:
-            raise ValueError("hint must live on the operator's source tree")
-        achieved = op.psi.values[:m] * hint.values[op.phi.image]
-        if np.abs(achieved - g.values).max() > tol:
-            raise ValueError("hint does not map onto the target function")
-        hnorm = _lip_norm_raw(t, hint.values)
-        if hnorm <= 1.0 + tol:
-            return OracleResult(
-                quantity="SurjInfeasibility",
-                value=0.0,
-                method="IncrementBound",
-                search_size=1,
-                witness={"feasible_preimage_lip_norm": hnorm},
-                extra={"verdict": "feasible"},
-            )
-
     psi = op.psi.values[:m]
     vanish = np.abs(psi) <= tol
     blocked = np.flatnonzero(vanish & (np.abs(g.values) > tol))
@@ -582,14 +573,14 @@ def surjectivity_infeasibility(
             best_pair = [int(keys[i[b]]), int(keys[j[b]])]
     searched = k * (k - 1) // 2
 
+    if k and keys[0] == 0:  # a forced root is keys[0], and c = F(root)
+        norm = abs(float(forced[0])) + best_q
+    else:  # c = 0, and each forced u adds the quotient |F(u)| / |u|
+        norm = max(best_q, float((np.abs(forced) / t.depth[keys]).max(initial=0.0)))
+
     witness: dict = {
         "forced_values": dict(zip(keys.tolist(), forced.tolist())),
-    }
-    extra: dict = {
-        "note": (
-            "pairwise increment quotient lower-bounds the derivative sup of "
-            "any interpolant; sound for infeasibility, not complete"
-        )
+        "preimage_lip_norm": norm,
     }
     if best_pair is not None:
         witness.update(
@@ -599,24 +590,13 @@ def surjectivity_infeasibility(
                 "quotient": best_q,
             }
         )
-    if best_q > 1.0 + 1e-12:
-        extra["verdict"] = "infeasible"
-        return OracleResult(
-            "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
-        )
-
-    # try the canonical interpolant: forced values, parents elsewhere
-    f = np.zeros(t.n_vertices)
-    f[keys] = forced
-    free = np.ones(t.n_vertices, dtype=bool)
-    free[keys] = False
-    for d in range(1, t.depth_limit + 1):
-        layer = t.layer(d)
-        layer = layer[free[layer]]
-        f[layer] = f[t.parent[layer]]
-    fnorm = _lip_norm_raw(t, f)
-    witness["interpolant_lip_norm"] = fnorm
-    extra["verdict"] = "feasible" if fnorm <= 1.0 + tol else "undetermined"
+    extra = {
+        "note": (
+            "least preimage Lipschitz norm by McShane extension, root value 0 "
+            "unless forced; exact"
+        ),
+        "verdict": "infeasible" if norm > 1.0 + tol else "feasible",
+    }
     return OracleResult(
         "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
     )

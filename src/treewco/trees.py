@@ -162,9 +162,7 @@ class RootedTree:
         v = self.check_vertex(v)
         if not 0 <= n <= self.depth_of(v):
             raise IndexError(f"depth {n} not on the root path of vertex {v}")
-        while int(self.depth[v]) > n:
-            v = int(self.parent[v])
-        return v
+        return self.root_path(v)[n]
 
     def root_path(self, v: int) -> list[int]:
         """Vertices from the root to v, inclusive."""
@@ -177,16 +175,7 @@ class RootedTree:
     def distance(self, v: int, w: int) -> int:
         """Edge count of the unique path between v and w."""
         v, w = self.check_vertex(v), self.check_vertex(w)
-        dv, dw = int(self.depth[v]), int(self.depth[w])
-        total = 0
-        while dv > dw:
-            v, dv, total = int(self.parent[v]), dv - 1, total + 1
-        while dw > dv:
-            w, dw, total = int(self.parent[w]), dw - 1, total + 1
-        while v != w:
-            v, w = int(self.parent[v]), int(self.parent[w])
-            total += 2
-        return total
+        return int(self.distances(np.asarray([v]), np.asarray([w]))[0])
 
     @cached_property
     def _ancestors(self) -> np.ndarray:
@@ -264,8 +253,9 @@ class RootedTree:
         nmax = max(self.depth_limit, 1)
         for v in range(self.n_vertices):
             shade = 100 - int(55 * self.depth_of(v) / nmax)
+            label = str(self.labels[v]).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(
-                f'  v{v} [label="{self.labels[v]}" fillcolor="gray{shade}"];'
+                f'  v{v} [label="{label}" fillcolor="gray{shade}"];'
             )
         for v in range(1, self.n_vertices):
             lines.append(f"  v{int(self.parent[v])} -> v{v};")

@@ -40,6 +40,21 @@ def random_operator(tree, rng, scale=2.0, surjective=False):
     return tw.WeightedCompOp(tw.random_function(tree, rng, scale), phi)
 
 
+def reference_distance(tree, v, w):
+    """Edge count of the path between v and w, by walking both up to their
+    lowest common ancestor: the scalar reference for ``tree.distances``."""
+    dv, dw = int(tree.depth[v]), int(tree.depth[w])
+    total = 0
+    while dv > dw:
+        v, dv, total = int(tree.parent[v]), dv - 1, total + 1
+    while dw > dv:
+        w, dw, total = int(tree.parent[w]), dw - 1, total + 1
+    while v != w:
+        v, w = int(tree.parent[v]), int(tree.parent[w])
+        total += 2
+    return total
+
+
 def label_fn(tree):
     return np.asarray([int(tree.label_of(v)) for v in range(len(tree))])
 

@@ -216,6 +216,23 @@ class TestCli:
         assert main(["oracle", "--tree", specs["tree"], "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "spec error: args.seed: must be >= 0, got -1\n"
 
+    @pytest.mark.parametrize("given", ["psi", "phi"])
+    def test_oracle_refuses_a_lone_psi_or_phi(self, specs, capsys, given):
+        rc = main(["oracle", "--tree", specs["tree"], f"--{given}", specs[given]])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "spec error: args: oracle needs both --psi and --phi, or neither\n"
+        )
+
+    def test_export_escapes_quotes_and_backslashes(self, tmp_path, capsys):
+        edges = [["r", 'a"b'], ["r", "c\\d"]]
+        tree = write(
+            tmp_path, "t.json", {"family": "explicit", "edges": edges, "root": "r", "depth": 1}
+        )
+        assert main(["export", "--tree", tree]) == 0
+        dot = capsys.readouterr().out
+        assert 'label="a\\"b"' in dot and 'label="c\\\\d"' in dot
+
     def test_export_node_count(self, tmp_path, capsys):
         tree = write(tmp_path, "homog.json", {"family": "homogeneous", "q": 2, "depth": 3})
         rc = main(["export", "--tree", tree])

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treewco as tw
-from treewco import VertexFunction, WeightedCompOp
+from treewco import SelfMap, VertexFunction, WeightedCompOp
 from treewco.operators import MapSpecError
 
 from conftest import label_fn, random_operator, shuffled_edges, small_tree_corpus
@@ -36,6 +36,13 @@ class TestSelfMap:
         table[2] = image
         with pytest.raises(MapSpecError):
             tw.map_from_table(line4, table)
+
+    @pytest.mark.parametrize(
+        "image", [[0.9, 1.0, 2.7], [0.0, 1.0, 2.0], [True, False, True], ["0", "1", "2"]]
+    )
+    def test_image_array_must_be_integers(self, image):
+        with pytest.raises(MapSpecError, match="must be integers"):
+            SelfMap(tw.zline(1), np.asarray(image), 1)
 
     def test_table_accepts_numpy_integers(self, line4):
         phi = tw.map_from_table(line4, {v: np.int64(0) for v in range(len(line4))})

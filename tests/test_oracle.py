@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import treewco as tw
 from treewco import OracleResult, OracleSizeError, SelfMap, VertexFunction, WeightedCompOp
@@ -13,7 +13,7 @@ from treewco import oracle as oracle_mod
 from treewco.io import canonical_json
 from treewco.oracle import _lip_norm_raw
 
-from conftest import random_operator, small_tree_corpus
+from conftest import random_operator, reference_distance, small_tree_corpus
 
 
 # -- reference implementations: the scalar loops the array passes replaced --
@@ -57,8 +57,10 @@ def reference_norm_oracle_lip_path(op: WeightedCompOp) -> OracleResult:
 
 
 def reference_surjectivity_infeasibility(op, g, tol=1e-9) -> OracleResult:
-    """surjectivity_infeasibility without a hint, as a loop over the domain
-    and a nested loop over pairs with scalar ``tree.distance``."""
+    """surjectivity_infeasibility as a loop over the domain, a nested loop
+    over pairs with the scalar ``reference_distance``, and McShane's norm
+    |c| + max(L*, max_u |c - F(u)| / d(root, u)), with c = F(root) when the
+    root is forced and c = 0 otherwise."""
     t = op.tree
     forced: dict[int, float] = {}
     for v in range(op.phi.domain_size):
@@ -83,40 +85,74 @@ def reference_surjectivity_infeasibility(op, g, tol=1e-9) -> OracleResult:
     best_q, best_pair = 0.0, None
     for i, u in enumerate(keys):
         for u2 in keys[i + 1 :]:
-            q = abs(forced[u2] - forced[u]) / t.distance(u, u2)
+            q = abs(forced[u2] - forced[u]) / reference_distance(t, u, u2)
             if q > best_q:
                 best_q, best_pair = q, (u, u2)
     searched = len(keys) * (len(keys) - 1) // 2
-    witness: dict = {"forced_values": {int(k): float(forced[k]) for k in keys}}
-    extra: dict = {
-        "note": (
-            "pairwise increment quotient lower-bounds the derivative sup of "
-            "any interpolant; sound for infeasibility, not complete"
-        )
+    c = forced.get(0, 0.0)
+    lip = max([best_q] + [abs(c - forced[u]) / reference_distance(t, 0, u) for u in keys if u])
+    norm = abs(c) + lip
+    witness: dict = {
+        "forced_values": {int(k): float(forced[k]) for k in keys},
+        "preimage_lip_norm": norm,
     }
     if best_pair is not None:
         witness.update(
             {
                 "pair": [int(best_pair[0]), int(best_pair[1])],
-                "pair_distance": int(t.distance(*best_pair)),
+                "pair_distance": reference_distance(t, *best_pair),
                 "quotient": best_q,
             }
         )
-    if best_q > 1.0 + 1e-12:
-        extra["verdict"] = "infeasible"
-        return OracleResult(
-            "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
-        )
-    f = np.zeros(t.n_vertices)
-    f[0] = forced.get(0, 0.0)
-    for v in range(1, t.n_vertices):
-        f[v] = forced.get(v, f[int(t.parent[v])])
-    fnorm = _lip_norm_raw(t, f)
-    witness["interpolant_lip_norm"] = fnorm
-    extra["verdict"] = "feasible" if fnorm <= 1.0 + tol else "undetermined"
+    extra = {
+        "note": (
+            "least preimage Lipschitz norm by McShane extension, root value 0 "
+            "unless forced; exact"
+        ),
+        "verdict": "infeasible" if norm > 1.0 + tol else "feasible",
+    }
     return OracleResult(
         "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
     )
+
+
+def kink_preimage_lip_norm(tree, forced: dict) -> float:
+    """min over the root value c of |c| + max(L*, max_u |c - F(u)| / |u|),
+    with c = F(root) when the root is forced.
+
+    Numpy only, and without the argument that c = 0 is optimal: the
+    function of c is convex and piecewise linear, so its minimum sits at a
+    kink, and every kink is among 0, each F(u), each F(u) +- L* |u|, and
+    each crossing of two of the lines +-(c - F(u)) / |u|.
+    """
+    keys = np.asarray(sorted(forced), dtype=np.int64)
+    vals = np.asarray([forced[int(k)] for k in keys])
+    i, j = np.triu_indices(keys.size, 1)
+    dist = np.asarray([reference_distance(tree, keys[a], keys[b]) for a, b in zip(i, j)])
+    lip_star = float((np.abs(vals[j] - vals[i]) / dist).max(initial=0.0))
+    free = keys != 0
+    F, a = vals[free], tree.depth[keys[free]].astype(np.float64)
+
+    def norm(c):
+        lines = np.abs(c[:, None] - F[None, :]) / a[None, :]
+        return np.abs(c) + np.maximum(lip_star, lines.max(axis=1, initial=0.0))
+
+    if not free.all():
+        return float(norm(vals[~free])[0])
+    i, j = np.triu_indices(F.size, 1)
+    p, r = i[a[i] != a[j]], j[a[i] != a[j]]  # lines of equal slope never cross
+    kinks = np.concatenate(
+        [
+            [0.0],
+            F,
+            F + lip_star * a,
+            F - lip_star * a,
+            # (c - F(u)) / |u| = (c - F(u')) / |u'|, and = -(c - F(u')) / |u'|
+            (F[p] / a[p] - F[r] / a[r]) / (1 / a[p] - 1 / a[r]),
+            (F[i] * a[j] + F[j] * a[i]) / (a[i] + a[j]),
+        ]
+    )
+    return float(norm(kinks).min())
 
 
 def reference_grid_chunks(k: int, levels: np.ndarray):
@@ -309,9 +345,11 @@ def build_tree(kind: str, depth: int, seed: int):
 @st.composite
 def oracle_cases(draw):
     """(op, g) with an injective map (partial domain and range allowed), a
-    weight with exact and sub-tolerance zeros, and a target of one of four
+    weight with exact and sub-tolerance zeros, and a target of one of five
     kinds: random reals, small integers (tied quotients), the image of a
-    unit-ball function (feasible), or that image scaled up."""
+    unit-ball function (feasible), that image scaled up, or the image of
+    that function plus a constant (pair quotients at most 1, the root
+    value above)."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     # the depth comes from the seed: drawn directly, most trees had one vertex
     tree = build_tree(
@@ -329,7 +367,7 @@ def oracle_cases(draw):
     zeros = rng.random(n) < draw(st.sampled_from([0.0, 0.0, 0.15, 0.5]))
     psi[zeros] = rng.choice([0.0, 1e-12, -5e-10], size=int(zeros.sum()))
     op = WeightedCompOp(VertexFunction(tree, psi), phi)
-    kind = draw(st.sampled_from(["real", "int", "feasible", "scaled"]))
+    kind = draw(st.sampled_from(["real", "int", "feasible", "scaled", "shifted"]))
     if kind == "real":
         g = rng.uniform(-1.0, 1.0, size=m) * draw(st.sampled_from([0.3, 1.0, 4.0]))
     elif kind == "int":
@@ -339,7 +377,9 @@ def oracle_cases(draw):
         for v in range(1, n):
             f[v] += f[int(tree.parent[v])]
         f /= _lip_norm_raw(tree, f)
-        g = psi[:m] * f[phi.image] * (1.0 if kind == "feasible" else 3.0)
+        if kind == "shifted":  # pair quotients stay at most 1, the root value does not
+            f += 1.5
+        g = psi[:m] * f[phi.image] * (3.0 if kind == "scaled" else 1.0)
         if rng.random() < 0.5:
             g[(np.abs(psi[:m]) <= 1e-9) & (rng.random(m) < 0.3)] = 1.0
     return op, VertexFunction(op.codomain_tree, g)
@@ -709,22 +749,13 @@ class TestInfeasibility:
         res = tw.surjectivity_infeasibility(op, self.alternating(op, scale=0.0))
         assert res.extra["verdict"] == "feasible"
 
-    def test_indicator_preimage_feasible_with_hint(self):
-        t = tw.zline(4)
-        op = tw.composition_op(tw.identity_map(t))
-        w = t.vertex_of(2)
-        g = tw.indicator(t, w)
-        res = tw.surjectivity_infeasibility(op, g, hint=g)
-        assert res.extra["verdict"] == "feasible"
-        assert res.witness["feasible_preimage_lip_norm"] == pytest.approx(1.0)
-
     def test_indicator_preimage_feasible_without_hint(self):
         t = tw.zline(4)
         op = tw.composition_op(tw.identity_map(t))
         g = tw.indicator(t, t.vertex_of(2))
         res = tw.surjectivity_infeasibility(op, g)
         assert res.extra["verdict"] == "feasible"
-        assert res.witness["interpolant_lip_norm"] == pytest.approx(1.0)
+        assert res.witness["preimage_lip_norm"] == pytest.approx(1.0)
 
     def test_vanishing_weight_blocks_nonzero_target(self):
         t = tw.zline(3)
@@ -743,14 +774,72 @@ class TestInfeasibility:
         with pytest.raises(ValueError):
             tw.surjectivity_infeasibility(op, g)
 
-    def test_hint_never_contradicted(self):
-        # a valid hint must yield "feasible" regardless of pair bounds
-        t = tw.zline(5)
+    def test_free_root_reach_decides(self):
+        # every pair quotient is 1/2, but f(1) = 3/2 at depth 1 costs 3/2
+        # from the free root: the least preimage norm is 3/2
+        t = tw.zline(1)
+        psi = np.asarray([0.0, 1.0, 1.0])
+        op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
+        g = VertexFunction(t, np.asarray([0.0, 1.5, 0.5]))
+        res = tw.surjectivity_infeasibility(op, g)
+        assert res.value == 0.5
+        assert res.witness["preimage_lip_norm"] == 1.5
+        assert res.extra["verdict"] == "infeasible"
+
+    def test_forced_root_value_decides(self):
+        # the pair quotients stay at most 1, but f(root) = 1/2 adds 1/2
+        t = tw.zline(1)
         op = tw.composition_op(tw.identity_map(t))
-        f = tw.depth_cap(t, 2)
-        g = tw.apply_op(op, f)
-        res = tw.surjectivity_infeasibility(op, g, hint=f)
-        assert res.extra["verdict"] == "feasible"
+        g = VertexFunction(t, np.asarray([0.5, 1.3, -0.2]))
+        res = tw.surjectivity_infeasibility(op, g)
+        assert res.value == pytest.approx(0.8)
+        assert res.witness["preimage_lip_norm"] == pytest.approx(1.3)
+        assert res.extra["verdict"] == "infeasible"
+
+    def test_tol_is_the_only_threshold(self):
+        t = tw.zline(1)
+        op = tw.composition_op(tw.identity_map(t))
+        g = VertexFunction(t, np.asarray([0.0, 1.0 + 5e-10, 0.0]))
+        assert tw.surjectivity_infeasibility(op, g).extra["verdict"] == "feasible"
+        res = tw.surjectivity_infeasibility(op, g, tol=1e-10)
+        assert res.extra["verdict"] == "infeasible"
+
+
+class TestPreimageNorm:
+    """``preimage_lip_norm`` is the least Lipschitz norm of a preimage."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    def test_matches_kink_minimum(self, case):
+        op, g = case
+        res = tw.surjectivity_infeasibility(op, g)
+        assume("forced_values" in res.witness)
+        forced = {int(k): v for k, v in res.witness["forced_values"].items()}
+        expect = kink_preimage_lip_norm(op.tree, forced)
+        assert abs(res.witness["preimage_lip_norm"] - expect) <= 1e-12
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    def test_mcshane_extension_attains_it(self, case):
+        op, g = case
+        res = tw.surjectivity_infeasibility(op, g)
+        assume("forced_values" in res.witness)
+        t = op.tree
+        forced = {int(k): v for k, v in res.witness["forced_values"].items()}
+        norm = res.witness["preimage_lip_norm"]
+        # f(v) = min_s F(s) + K d(s, v) over the forced s and the root
+        c = forced.get(0, 0.0)
+        anchors = {0: c, **forced}
+        lip = norm - abs(c)
+        f = np.asarray(
+            [
+                min(val + lip * reference_distance(t, s, v) for s, val in anchors.items())
+                for v in range(t.n_vertices)
+            ]
+        )
+        assert np.allclose(f[list(forced)], list(forced.values()), rtol=0.0, atol=1e-12)
+        assert abs(f[0] - c) <= 1e-12
+        assert abs(_lip_norm_raw(t, f) - norm) <= 1e-12
 
 
 class TestArrayOraclesMatchLoops:
@@ -832,11 +921,14 @@ class TestArrayOraclesMatchLoops:
         )
 
     def test_every_verdict_and_tie_is_generated(self):
-        # the strategy reaches all three verdicts, the vanishing-weight
-        # witness, and pairs that tie with the winning quotient
+        # the strategy reaches both verdicts, the vanishing-weight witness,
+        # pairs that tie with the winning quotient, and both ways the root
+        # decides a verdict the pairs alone leave open: a free root, where
+        # max |F(u)| / |u| exceeds 1 and every quotient, and a forced root,
+        # whose value lifts the quotient above 1
         seen = set()
 
-        @settings(max_examples=300, deadline=None, database=None)
+        @settings(max_examples=600, deadline=None, database=None)
         @given(case=oracle_cases())
         def collect(case):
             op, g = case
@@ -844,17 +936,22 @@ class TestArrayOraclesMatchLoops:
             seen.add(ref.extra["verdict"])
             if "reason" in ref.witness:
                 seen.add("vanishing")
-            forced = ref.witness.get("forced_values", {})
+                return
+            forced = ref.witness["forced_values"]
             keys = sorted(forced)
             q = [
-                abs(forced[b] - forced[a]) / op.tree.distance(a, b)
+                abs(forced[b] - forced[a]) / reference_distance(op.tree, a, b)
                 for i, a in enumerate(keys) for b in keys[i + 1 :]
             ]
             if ref.value > 0 and q.count(ref.value) > 1:
                 seen.add("tie")
+            if ref.value <= 1.0 < ref.witness["preimage_lip_norm"]:
+                seen.add("forced root" if 0 in forced else "free root")
 
         collect()
-        assert seen >= {"feasible", "infeasible", "undetermined", "vanishing", "tie"}
+        assert seen >= {
+            "feasible", "infeasible", "vanishing", "tie", "free root", "forced root"
+        }
 
     def test_larger_trees_match_reference(self):
         # 7,260 pairs in blocks of four rows, and 190 vertices
@@ -885,5 +982,5 @@ class TestPairDistances:
         rng = np.random.default_rng(seed)
         u = rng.integers(0, len(t), size=200)
         w = np.concatenate([u[:20], rng.integers(0, len(t), size=180)])
-        expect = [t.distance(int(a), int(b)) for a, b in zip(u, w)]
+        expect = [reference_distance(t, int(a), int(b)) for a, b in zip(u, w)]
         assert t.distances(u, w).tolist() == expect

@@ -390,6 +390,13 @@ class TestViews:
         overlay = homog22.to_dot({0: 1})
         assert "style=dashed" in overlay
 
+    def test_dot_labels_are_escaped(self):
+        t = tw.explicit_tree([["r", 'a"b'], ["r", "c\\d"], ["r", 7]], root="r")
+        dot = t.to_dot()
+        assert 'label="a\\"b"' in dot
+        assert 'label="c\\\\d"' in dot
+        assert 'label="7"' in dot and 'label="r"' in dot
+
     def test_explicit_round_trip_id_for_id(self):
         t = tw.explicit_tree([["a", "b"], ["a", "c"], ["b", "d"], ["c", "e"]], root="a")
         spec = tw.tree_to_spec(t)
