@@ -86,8 +86,6 @@ from .trees import (
     homogeneous,
     random_tree,
     zline,
-    zline_label,
-    zline_vertex,
 )
 
 __version__ = "0.1.0"

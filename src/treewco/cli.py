@@ -3,8 +3,10 @@
 Modes: analyze (certificates), norms (weight norms plus operator
 quantities), oracle (brute-force cross-check of the closed forms),
 examples (run bundled fixtures and diff against golden reports), export
-(DOT of the tree with the self-map overlaid).  Exit codes: 0 success,
-1 spec error, 2 fixture drift.
+(DOT of the tree with the self-map overlaid).  Each mode accepts only
+the flags it reads (``_MODES``).  Exit codes: 0 success, 1 spec error,
+2 fixture drift or an argparse usage error, such as a flag the mode does
+not read.
 """
 
 from __future__ import annotations
@@ -47,15 +49,16 @@ from .oracle import (
 )
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tree", help="tree spec JSON path")
-    p.add_argument("--psi", help="weight spec JSON path")
-    p.add_argument("--phi", help="self-map spec JSON path")
-    p.add_argument("--depths", help="comma-separated depth schedule")
-    p.add_argument("--window", type=int, default=None, help="window depth for coverage checks")
-    p.add_argument("--tol", type=float, default=1e-6, help="trend zero tolerance")
-    p.add_argument("--seed", type=int, default=0, help="seed for any randomness")
-    p.add_argument("--out", help="output path (stdout when omitted)")
+_FLAGS = {
+    "tree": {"help": "tree spec JSON path"},
+    "psi": {"help": "weight spec JSON path"},
+    "phi": {"help": "self-map spec JSON path"},
+    "depths": {"help": "comma-separated depth schedule"},
+    "window": {"type": int, "default": None, "help": "window depth for coverage checks"},
+    "tol": {"type": float, "default": 1e-6, "help": "trend zero tolerance"},
+    "seed": {"type": int, "default": 0, "help": "seed for any randomness"},
+    "out": {"help": "output file (a directory for examples); stdout when omitted"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -64,15 +67,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="weighted composition operators on truncated rooted trees",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    for mode in ("analyze", "norms", "oracle", "examples", "export"):
+    for mode, (_, flags) in _MODES.items():
         p = sub.add_parser(mode)
-        _add_common(p)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     return parser
+
+
+def _write(path: Path, text: str, make_parent: bool = False) -> None:
+    """Write one output file; a path the OS refuses is an ``args.out`` error."""
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise SpecError("args.out", f"cannot write: {exc.strerror}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(Path(out), text)
     else:
         sys.stdout.write(text)
 
@@ -141,18 +155,15 @@ def _cmd_norms(args) -> int:
 def _cmd_oracle(args) -> int:
     if bool(args.psi) != bool(args.phi):
         raise SpecError("args", "oracle needs both --psi and --phi, or neither")
-    if args.tree and args.psi:
-        op = _load_operator(args)
-    else:
-        if not args.tree:
-            raise SpecError("args", "oracle needs at least --tree")
-        from .io import _read_json, load_tree_spec
-
-        tree = load_tree_spec(_read_json(args.tree), "tree")
+    if not args.tree:
+        raise SpecError("args", "oracle needs at least --tree")
+    tree, psi, phi = load_specs(args.tree, args.psi or None, args.phi or None)
+    if psi is None:
         if args.seed < 0:
             raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
-        op = WeightedCompOp(random_function(tree, rng), random_map(tree, rng))
+        psi, phi = random_function(tree, rng), random_map(tree, rng)
+    op = WeightedCompOp(psi, phi)
     try:
         linf_res = norm_oracle_linf(op)
     except OracleSizeError:
@@ -186,8 +197,7 @@ def _cmd_examples(args) -> int:
     for fx in bundled_fixtures():
         report = canonical_json(fixture_report(fx))
         if out_dir:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{fx.name}.json").write_text(report, encoding="utf-8")
+            _write(out_dir / f"{fx.name}.json", report, make_parent=True)
         gold_path = gold / f"{fx.name}.json"
         if not gold_path.exists():
             print(f"[MISSING] {fx.name}: no golden file at {gold_path}")
@@ -205,30 +215,25 @@ def _cmd_examples(args) -> int:
 def _cmd_export(args) -> int:
     if not args.tree:
         raise SpecError("args", "export needs --tree")
-    from .io import _read_json, load_map_spec, load_tree_spec
-
-    tree = load_tree_spec(_read_json(args.tree), "tree")
-    overlay = None
-    if args.phi:
-        phi = load_map_spec(_read_json(args.phi), tree, "phi")
-        overlay = phi.as_table()
-    _emit(tree.to_dot(overlay), args.out)
+    tree, _, phi = load_specs(args.tree, phi_path=args.phi or None)
+    _emit(tree.to_dot(None if phi is None else phi.as_table()), args.out)
     return 0
 
 
-_COMMANDS = {
-    "analyze": _cmd_analyze,
-    "norms": _cmd_norms,
-    "oracle": _cmd_oracle,
-    "examples": _cmd_examples,
-    "export": _cmd_export,
+# mode -> (command, the flags it reads); the parser offers each mode only its own
+_MODES = {
+    "analyze": (_cmd_analyze, ("tree", "psi", "phi", "depths", "window", "tol", "out")),
+    "norms": (_cmd_norms, ("tree", "psi", "phi", "window", "out")),
+    "oracle": (_cmd_oracle, ("tree", "psi", "phi", "seed", "out")),
+    "examples": (_cmd_examples, ("out",)),
+    "export": (_cmd_export, ("tree", "phi", "out")),
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.mode](args)
+        return _MODES[args.mode][0](args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

@@ -112,18 +112,17 @@ def norms(f: VertexFunction) -> NormReport:
     t = f.tree
     df = np.abs(derivative(f).values)
     n = t.depth_limit
-    # per-depth max of |Df|, then suffix max over depths > n
-    per_depth = np.zeros(n + 1)
-    np.maximum.at(per_depth, t.depth, df)
-    suffix = np.maximum.accumulate(per_depth[::-1])[::-1]
-    d_sup = float(df.max()) if df.size else 0.0
+    # suffix max of |Df| in id order (0 past the last id), read where each
+    # depth layer starts: the max over depths >= that layer's
+    suffix = np.append(np.maximum.accumulate(df[::-1])[::-1], 0.0)
+    d_sup = float(suffix[0])
     root_val = float(f.values[0])
     return NormReport(
         sup_norm=f.sup_norm,
         lip_norm=abs(root_val) + d_sup,
         value_at_root=root_val,
         d_sup=d_sup,
-        tail_profile=tuple(enumerate(suffix[1:].tolist())),
+        tail_profile=tuple(enumerate(suffix[t.layer_offsets[1 : n + 1]].tolist())),
     )
 
 

@@ -216,13 +216,18 @@ def _real(d: dict, key: str, pointer: str) -> float:
 
 
 def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
-    """The ``(key, vertex id, entry)`` triples of a per-vertex table."""
+    """The ``(key, vertex id, entry)`` triples of a per-vertex table, which
+    names each vertex once (``"1"``, ``"01"`` and ``"1 "`` are all vertex 1)."""
     table = _object(_require(spec, key, pointer), f"{pointer}.{key}")
+    seen = set()
     for k, v in table.items():
         try:
             vid = tree.check_vertex(int(k))
         except (KeyError, ValueError) as exc:
             raise SpecError(f"{pointer}.{key}.{k}", str(exc)) from exc
+        if vid in seen:
+            raise SpecError(f"{pointer}.{key}.{k}", f"vertex {vid} is given twice")
+        seen.add(vid)
         yield k, vid, v
 
 
@@ -256,6 +261,37 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
     raise SpecError(f"{pointer}.family", f"unknown family {family!r}")
 
 
+# builtin name -> (builder, (param, parser), ...); the builder takes the
+# tree, then each parsed param in order
+_WEIGHTS = {
+    "F_N": (depth_cap, ("cap", _int)),
+    "g": (ramp_function, ("n", _int), ("r", _real)),
+    "chi": (indicator, ("vertex", _int)),
+    "eta": (sector_indicator, ("vertex", _int)),
+}
+_MAPS = {
+    "identity": (identity_map,),
+    "constant": (constant_map, ("target", _int)),
+    "zfold": (zline_fold,),
+    "double": (zline_double,),
+}
+
+
+def _builtin(spec: dict, tree: RootedTree, pointer: str, table: dict):
+    """The builtin of ``table`` that ``spec`` names, built on ``tree``."""
+    name = _require(spec, "name", pointer)
+    params = _object(spec.get("params", {}), f"{pointer}.params")
+    if not isinstance(name, str) or name not in table:
+        raise SpecError(f"{pointer}.name", f"unknown builtin {name!r}")
+    builder, *fields = table[name]
+    try:
+        return builder(tree, *(parse(params, key, f"{pointer}.params") for key, parse in fields))
+    except SpecError:
+        raise
+    except (ValueError, IndexError, KeyError) as exc:
+        raise SpecError(f"{pointer}.params", str(exc)) from exc
+
+
 def load_function_spec(
     spec: dict, tree: RootedTree, pointer: str = "psi"
 ) -> VertexFunction:
@@ -276,26 +312,7 @@ def load_function_spec(
             )
         return VertexFunction(tree, vals)
     if kind == "builtin":
-        name = _require(spec, "name", pointer)
-        params = _object(spec.get("params", {}), f"{pointer}.params")
-        try:
-            if name == "F_N":
-                return depth_cap(tree, _int(params, "cap", f"{pointer}.params"))
-            if name == "g":
-                return ramp_function(
-                    tree,
-                    _int(params, "n", f"{pointer}.params"),
-                    _real(params, "r", f"{pointer}.params"),
-                )
-            if name == "chi":
-                return indicator(tree, _int(params, "vertex", f"{pointer}.params"))
-            if name == "eta":
-                return sector_indicator(tree, _int(params, "vertex", f"{pointer}.params"))
-        except (ValueError, IndexError, KeyError) as exc:
-            if isinstance(exc, SpecError):
-                raise
-            raise SpecError(f"{pointer}.params", str(exc)) from exc
-        raise SpecError(f"{pointer}.name", f"unknown builtin {name!r}")
+        return _builtin(spec, tree, pointer, _WEIGHTS)
     raise SpecError(f"{pointer}.kind", f"unknown kind {kind!r}")
 
 
@@ -312,30 +329,16 @@ def load_map_spec(spec: dict, tree: RootedTree, pointer: str = "phi") -> SelfMap
         except ValueError as exc:
             raise SpecError(f"{pointer}.map", str(exc)) from exc
     if kind == "builtin":
-        name = _require(spec, "name", pointer)
-        params = _object(spec.get("params", {}), f"{pointer}.params")
-        try:
-            if name == "identity":
-                return identity_map(tree)
-            if name == "constant":
-                return constant_map(tree, _int(params, "target", f"{pointer}.params"))
-            if name == "zfold":
-                return zline_fold(tree)
-            if name == "double":
-                return zline_double(tree)
-        except (ValueError, KeyError) as exc:
-            if isinstance(exc, SpecError):
-                raise
-            raise SpecError(f"{pointer}.params", str(exc)) from exc
-        raise SpecError(f"{pointer}.name", f"unknown builtin {name!r}")
+        return _builtin(spec, tree, pointer, _MAPS)
     raise SpecError(f"{pointer}.kind", f"unknown kind {kind!r}")
 
 
-def load_specs(tree_path, psi_path, phi_path):
-    """Load and cross-validate the three spec files."""
+def load_specs(tree_path, psi_path=None, phi_path=None):
+    """Load the tree spec file and, on that tree, the weight and self-map
+    spec files; an absent path loads as None."""
     tree = load_tree_spec(_read_json(tree_path), "tree")
-    psi = load_function_spec(_read_json(psi_path), tree, "psi")
-    phi = load_map_spec(_read_json(phi_path), tree, "phi")
+    psi = None if psi_path is None else load_function_spec(_read_json(psi_path), tree, "psi")
+    phi = None if phi_path is None else load_map_spec(_read_json(phi_path), tree, "phi")
     return tree, psi, phi
 
 

@@ -464,7 +464,8 @@ def isometry_check_linf(
     # counting 0, read at the last window vertex of each depth
     running = np.minimum.accumulate(np.where(uncovered, 0.0, sup))
     depths = t.depth[: sup.size]
-    ends = np.flatnonzero(np.append(depths[1:] != depths[:-1], True))
+    # unique: the layers past the tree's deepest vertex are empty
+    ends = np.unique(t.layer_offsets[1 : window + 2]) - 1
     witnesses = {"window_depth": window}
     if bad.any():
         w = int(np.argmax(bad))

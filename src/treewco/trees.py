@@ -30,8 +30,6 @@ __all__ = [
     "homogeneous",
     "random_tree",
     "explicit_tree",
-    "zline_vertex",
-    "zline_label",
 ]
 
 
@@ -302,19 +300,6 @@ def zline(depth: int) -> RootedTree:
         family="zline",
         labels=tuple(labels.tolist()),
     )
-
-
-def zline_vertex(tree: RootedTree, n: int) -> int:
-    """Canonical id of the integer-labeled vertex n on a line tree."""
-    if tree.family != "zline":
-        raise ValueError("zline_vertex requires a line-family tree")
-    return tree.vertex_of(n)
-
-
-def zline_label(tree: RootedTree, v: int) -> int:
-    if tree.family != "zline":
-        raise ValueError("zline_label requires a line-family tree")
-    return int(tree.label_of(v))
 
 
 def homogeneous(q: int, depth: int) -> RootedTree:

@@ -83,6 +83,18 @@ class TestNorms:
             prof = [v for _, v in tw.norms(rand_f(t, seed)).tail_profile]
             assert all(a >= b for a, b in zip(prof, prof[1:]))
 
+    def test_tail_profile_matches_loop_reference(self):
+        trees = [tw.zline(6), tw.homogeneous(2, 3), tw.random_tree(4, seed=3), tw.zline(0)]
+        for t in trees:
+            for seed in range(4):
+                f = rand_f(t, seed)
+                df = np.abs(tw.derivative(f).values)
+                expect = [
+                    (n, max((df[v] for v in range(len(t)) if t.depth[v] > n), default=0.0))
+                    for n in range(t.depth_limit)
+                ]
+                assert tw.norms(f).tail_profile == tuple(expect)
+
     def test_depth_cap_tail_vanishes(self):
         t = tw.zline(8)
         rep = tw.norms(tw.depth_cap(t, 3))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import treewco as tw
-from treewco import SpecError
+from treewco import SpecError, cli
 from treewco.cli import main
 from treewco.io import canonical_json, fixture_report, golden_dir
 
@@ -275,6 +276,43 @@ class TestCli:
         assert rc == 0
         assert (tmp_path / "reports" / "z-isometry.json").exists()
 
+    @pytest.mark.parametrize(
+        "mode,flag",
+        [("analyze", "--seed"), ("norms", "--tol"), ("oracle", "--window"),
+         ("examples", "--tree"), ("export", "--psi")],
+    )
+    def test_flag_the_mode_does_not_read_is_a_usage_error(self, capsys, mode, flag):
+        # each of these once exited 0 and dropped the flag
+        with pytest.raises(SystemExit) as exc:
+            main([mode, flag, "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_cli_block_lists_each_modes_flags(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+        documented = {}
+        for line in block.splitlines():
+            if line.startswith("treewco "):
+                documented[line.split()[1]] = set(re.findall(r"--([a-z]+)", line))
+        assert documented == {mode: set(flags) for mode, (_, flags) in cli._MODES.items()}
+
+    @pytest.mark.parametrize("case", ["analyze_nodir", "analyze_dir", "export_nodir", "examples_file"])
+    def test_unwritable_out_exits_one(self, specs, tmp_path, capsys, case):
+        spec_args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
+        (tmp_path / "file").write_text("")
+        argv = {
+            "analyze_nodir": ["analyze", *spec_args, "--out", str(tmp_path / "nodir" / "r.json")],
+            "analyze_dir": ["analyze", *spec_args, "--out", str(tmp_path)],
+            "export_nodir": ["export", "--tree", specs["tree"], "--out",
+                             str(tmp_path / "nodir" / "t.dot")],
+            "examples_file": ["examples", "--out", str(tmp_path / "file")],
+        }[case]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("spec error: args.out: cannot write: ")
+        assert captured.out == ""
+
     def test_analyze_fold_fixture_from_spec_files(self, tmp_path):
         # the fold fixture expressed as spec files, through the loader path
         fx_op = tw.fixture_by_name("z-isometry").build(8)
@@ -345,6 +383,17 @@ BAD_TABLE_ENTRIES = [
 ]
 
 
+# lookups by a spec's strings: an unhashable builtin name must not reach the
+# builtin table, and table keys naming one vertex twice ("1", "01", "1 ")
+# once let the last entry win silently
+BAD_LOOKUPS = [
+    ("psi", {"kind": "builtin", "name": ["F_N"]}, "psi.name"),
+    ("phi", {"kind": "builtin", "name": {}}, "phi.name"),
+    ("psi", {"kind": "table", "values": {"0": 1, "1": 2, "2": 3, "01": 9}}, "psi.values.01"),
+    ("phi", {"kind": "table", "map": {"0": 0, "1": 1, "1 ": 0}}, "phi.map.1 "),
+]
+
+
 # the tree builders' own ranges, checked at load time, and their vertex
 # budget
 BAD_RANGES = [
@@ -392,7 +441,9 @@ class TestMalformedSpecs:
         assert rc == 1
         assert pointer in err
 
-    @pytest.mark.parametrize("which,spec,pointer", BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES)
+    @pytest.mark.parametrize(
+        "which,spec,pointer", BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES + BAD_LOOKUPS
+    )
     def test_bad_section_or_entry_exits_one_with_pointer(
         self, specs, tmp_path, capsys, which, spec, pointer
     ):
@@ -551,7 +602,8 @@ class TestSpecFuzz:
         d = tmp_path_factory.mktemp("fuzz")
         argv = [mode]
         for name, spec in (("tree", tree), ("psi", psi), ("phi", phi)):
-            argv += [f"--{name}", write(d, f"{name}.json", spec)]
+            if name in cli._MODES[mode][1]:  # export reads no --psi
+                argv += [f"--{name}", write(d, f"{name}.json", spec)]
         sink = io.StringIO()
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             return main(argv)
