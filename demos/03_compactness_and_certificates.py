@@ -23,13 +23,14 @@ def main():
     sq = tw.WeightedCompOp(
         tw.VertexFunction(op.tree, op.psi.values**2), op.phi
     )
+    tail, tail_sq = tw.lip_ess_norm_profile(op), tw.lip_ess_norm_profile(sq)
     print("depth n :", [n for n in range(0, 16, 2)])
-    print("tail    :", [round(tw.lip_ess_norm_tail(op, n), 3) for n in range(0, 16, 2)])
-    print("tail^2  :", [round(tw.lip_ess_norm_tail(sq, n), 3) for n in range(0, 16, 2)])
+    print("tail    :", [round(tail[n][1], 3) for n in range(0, 16, 2)])
+    print("tail^2  :", [round(tail_sq[n][1], 3) for n in range(0, 16, 2)])
     print("slopes  :",
-          round(tw.tail_trend_slope(tw.lip_ess_norm_profile(op)), 4),
+          round(tw.tail_trend_slope(tail), 4),
           "vs",
-          round(tw.tail_trend_slope(tw.lip_ess_norm_profile(sq)), 4))
+          round(tw.tail_trend_slope(tail_sq), 4))
 
     banner("CERTIFICATES")
     for cert in tw.classify_lip(op):

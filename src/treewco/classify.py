@@ -53,6 +53,7 @@ __all__ = [
     "seven_equivalences",
     "Fixture",
     "bundled_fixtures",
+    "fixture_by_name",
 ]
 
 

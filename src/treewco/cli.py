@@ -157,10 +157,10 @@ def _cmd_oracle(args) -> int:
         raise SpecError("args", "oracle needs both --psi and --phi, or neither")
     if not args.tree:
         raise SpecError("args", "oracle needs at least --tree")
+    if args.seed < 0:
+        raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
     tree, psi, phi = load_specs(args.tree, args.psi or None, args.phi or None)
     if psi is None:
-        if args.seed < 0:
-            raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
         rng = np.random.default_rng(args.seed)
         psi, phi = random_function(tree, rng), random_map(tree, rng)
     op = WeightedCompOp(psi, phi)

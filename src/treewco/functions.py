@@ -27,9 +27,6 @@ __all__ = [
     "sector_indicator",
     "depth_cap",
     "ramp_function",
-    "ramp_lip_norm",
-    "truncate_beyond",
-    "freeze_beyond",
     "random_function",
 ]
 
@@ -182,37 +179,6 @@ def ramp_function(tree: RootedTree, n: int, r: float) -> VertexFunction:
     mid = (n / (n - s)) * np.maximum(d - s, 0.0) ** (r + 1) / (n - s) ** r
     vals = np.where(d < s, 0.0, np.where(d >= n, float(n), mid))
     return VertexFunction(tree, vals)
-
-
-def ramp_lip_norm(n: int, r: float) -> float:
-    """Exact Lipschitz norm of ramp_function(n, r): the deepest in-ramp
-    increment, (n/(n-sqrt(n))) * ((n-sqrt(n))^(r+1) - (n-sqrt(n)-1)^(r+1))
-    / (n-sqrt(n))^r.  Tends to r+1 as n grows."""
-    s = math.sqrt(n)
-    x = n - s
-    return (n / x) * (x ** (r + 1) - (x - 1) ** (r + 1)) / x**r
-
-
-def truncate_beyond(f: VertexFunction, depth: int) -> VertexFunction:
-    """Keep f on depths <= depth, zero beyond."""
-    t = f.tree
-    if not 0 <= depth <= t.depth_limit:
-        raise IndexError(f"depth {depth} outside [0, {t.depth_limit}]")
-    return VertexFunction(t, np.where(t.depth <= depth, f.values, 0.0))
-
-
-def freeze_beyond(f: VertexFunction, depth: int) -> VertexFunction:
-    """Keep f on depths <= depth; beyond, take the value at the depth-n
-    ancestor on the root path (so increments vanish past the cut)."""
-    t = f.tree
-    if not 0 <= depth <= t.depth_limit:
-        raise IndexError(f"depth {depth} outside [0, {t.depth_limit}]")
-    anchor = np.arange(t.n_vertices, dtype=np.int64)
-    # walk each too-deep vertex up to the cut, one layer at a time
-    for _ in range(t.depth_limit - depth):
-        deep = t.depth[anchor] > depth
-        anchor[deep] = t.parent[anchor[deep]]
-    return VertexFunction(t, f.values[anchor])
 
 
 def random_function(tree: RootedTree, rng: np.random.Generator, scale: float = 1.0) -> VertexFunction:

@@ -78,6 +78,7 @@ __all__ = [
     "tree_to_spec",
     "golden_dir",
     "fixture_report",
+    "operator_quantities",
 ]
 
 SCHEMA_VERSION = 1
@@ -343,9 +344,18 @@ def load_specs(tree_path, psi_path=None, phi_path=None):
 
 
 def _read_json(path) -> dict:
+    def unique_keys(pairs: list) -> dict:
+        # json.load alone keeps the last of a repeated key silently
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SpecError(str(path), f"key {key!r} is given twice")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise SpecError(str(path), f"cannot read: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:

@@ -53,11 +53,9 @@ __all__ = [
     "composition_op",
     "apply_op",
     "linf_op_norm",
-    "linf_ess_norm_tail",
     "linf_ess_norm_profile",
     "lip_bounds",
     "lip_exact_norm",
-    "lip_ess_norm_tail",
     "lip_ess_norm_profile",
     "j_linf",
     "k_linf",
@@ -136,9 +134,6 @@ class SelfMap:
     @property
     def surjective_on_truncation(self) -> bool:
         return bool((self.coverage >= 1).all())
-
-    def preimage(self, w: int) -> np.ndarray:
-        return np.flatnonzero(self.image == self.tree.check_vertex(w))
 
     def range_profile(self) -> tuple:
         """(d, max |phi(v)| over domain vertices with depth <= d) per depth."""
@@ -331,17 +326,8 @@ def linf_op_norm(op: WeightedCompOp) -> float:
     return float(a.max()) if a.size else 0.0
 
 
-def linf_ess_norm_tail(op: WeightedCompOp, n: int) -> float:
-    """s_n = sup of |psi(v)| over vertices with |phi(v)| > n (0 if none).
-
-    The essential norm equals the limit of s_n; on a truncation only the
-    profile is reported.
-    """
-    _check_tail_depth(op, n)
-    return float(op.tail_sups[n, 0])
-
-
 def linf_ess_norm_profile(op: WeightedCompOp) -> tuple:
+    """(n, sup |psi(v)| over |phi(v)| > n) for 0 <= n < N; the essential norm is the limit."""
     return tuple(enumerate(op.tail_sups[:, 0].tolist()))
 
 
@@ -370,19 +356,9 @@ def lip_exact_norm(op: WeightedCompOp) -> float:
     return float((a * d).max())
 
 
-def lip_ess_norm_tail(op: WeightedCompOp, n: int) -> float:
-    """sup of |psi(v)|*|phi(v)| over vertices with |phi(v)| > n (0 if none)."""
-    _check_tail_depth(op, n)
-    return float(op.tail_sups[n, 1])
-
-
 def lip_ess_norm_profile(op: WeightedCompOp) -> tuple:
+    """(n, sup |psi(v)||phi(v)| over |phi(v)| > n) for 0 <= n < N."""
     return tuple(enumerate(op.tail_sups[:, 1].tolist()))
-
-
-def _check_tail_depth(op: WeightedCompOp, n: int) -> None:
-    if not 0 <= n < op.tree.depth_limit:
-        raise IndexError(f"tail depth {n} outside [0, {op.tree.depth_limit})")
 
 
 def tail_trend_slope(profile) -> float:

@@ -118,10 +118,6 @@ class RootedTree:
     def n_vertices(self) -> int:
         return self.parent.size
 
-    @property
-    def root(self) -> int:
-        return 0
-
     def __len__(self) -> int:
         return self.parent.size
 
@@ -131,21 +127,12 @@ class RootedTree:
             raise KeyError(f"vertex {v} not in tree with {self.n_vertices} vertices")
         return v
 
-    def parent_of(self, v: int) -> int:
-        v = self.check_vertex(v)
-        if v == 0:
-            raise KeyError("root has no parent")
-        return int(self.parent[v])
-
     def children_of(self, v: int) -> np.ndarray:
         v = self.check_vertex(v)
         return np.arange(self.child_offsets[v], self.child_offsets[v + 1])
 
     def depth_of(self, v: int) -> int:
         return int(self.depth[self.check_vertex(v)])
-
-    def is_frontier(self, v: int) -> bool:
-        return self.depth_of(v) == self.depth_limit
 
     # -- metric / combinatorial queries -------------------------------------
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,14 @@ def reference_distance(tree, v, w):
         v, w = int(tree.parent[v]), int(tree.parent[w])
         total += 2
     return total
+
+
+def ramp_lip_norm(n, r):
+    """Exact Lipschitz norm of ``ramp_function(tree, n, r)``: the deepest
+    in-ramp increment, (n/(n-sqrt(n))) * ((n-sqrt(n))^(r+1) -
+    (n-sqrt(n)-1)^(r+1)) / (n-sqrt(n))^r.  Tends to r+1 as n grows."""
+    x = n - math.sqrt(n)
+    return (n / x) * (x ** (r + 1) - (x - 1) ** (r + 1)) / x**r
 
 
 def label_fn(tree):

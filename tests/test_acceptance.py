@@ -17,7 +17,7 @@ import pytest
 import treewco as tw
 from treewco import VertexFunction, WeightedCompOp
 
-from conftest import random_operator, small_tree_corpus
+from conftest import ramp_lip_norm, random_operator, small_tree_corpus
 
 _SUITE_START = time.perf_counter()
 
@@ -136,11 +136,11 @@ def test_c5_fold_isometry_fixture():
 def test_c6_bounded_not_compact_fixture():
     fx = tw.fixture_by_name("bounded-not-compact")
     op = fx.build(16)
-    tail = [tw.lip_ess_norm_tail(op, n) for n in range(16)]
+    tail = [v for _, v in tw.lip_ess_norm_profile(op)]
     assert tail[-1] >= 0.8
     assert tail[-1] == pytest.approx(16.0 / 17.0)
     sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-    sq_tail = [tw.lip_ess_norm_tail(sq, n) for n in range(16)]
+    sq_tail = [v for _, v in tw.lip_ess_norm_profile(sq)]
     assert sq_tail[-1] < 0.1
     _announce(
         "c6 bounded-not-compact",
@@ -185,7 +185,7 @@ def test_c8_ramp_norm_law():
         for n in (16, 64, 256):
             tree = tw.zline(n)
             got = tw.norms(tw.ramp_function(tree, n, r)).lip_norm
-            want = tw.ramp_lip_norm(n, r)
+            want = ramp_lip_norm(n, r)
             assert abs(got - want) <= 1e-9
             worst = max(worst, abs(got - want))
             gap = got - (r + 1.0)

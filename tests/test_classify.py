@@ -65,7 +65,8 @@ def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
         )
     )
 
-    tail_profile = tuple((d, tw.linf_ess_norm_tail(op, d - 1)) for d in sched)
+    tails = tw.linf_ess_norm_profile(op)
+    tail_profile = tuple((d, tails[d - 1][1]) for d in sched)
     tail_vals = [v for _, v in tail_profile]
     if op.phi.finite_range_stable(cfg.stability_margin):
         verdict = HOLDS
@@ -138,7 +139,8 @@ def ref_classify_lip(op, schedule=None, window_depth=None, config=None):
         )
     )
 
-    tail_profile = tuple((d, tw.lip_ess_norm_tail(op, d - 1)) for d in sched)
+    tails = tw.lip_ess_norm_profile(op)
+    tail_profile = tuple((d, tails[d - 1][1]) for d in sched)
     tail_vals = [v for _, v in tail_profile]
     if op.phi.finite_range_stable(cfg.stability_margin):
         verdict = HOLDS

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 import treewco as tw
 from treewco import VertexFunction
 
+from conftest import ramp_lip_norm
+
 
 def rand_f(tree, seed, scale=3.0):
     return tw.random_function(tree, np.random.default_rng(seed), scale)
@@ -161,7 +163,7 @@ class TestWitnessFamilies:
         g = tw.ramp_function(t, 16, 0.5)
         assert g(t.vertex_of(16)) == 16.0
         assert g(t.vertex_of(20)) == 16.0
-        assert abs(tw.norms(g).lip_norm - tw.ramp_lip_norm(16, 0.5)) < 1e-9
+        assert abs(tw.norms(g).lip_norm - ramp_lip_norm(16, 0.5)) < 1e-9
 
     def test_ramp_preconditions(self):
         with pytest.raises(IndexError):
@@ -175,45 +177,6 @@ class TestWitnessFamilies:
         t = tw.zline(4)
         f = tw.depth_cap(t, 9)
         assert np.array_equal(f.values, t.depth.astype(float))
-
-
-class TestCutOperators:
-    def test_truncate_at_full_depth_is_identity(self):
-        t = tw.zline(5)
-        f = rand_f(t, 4)
-        assert np.array_equal(tw.truncate_beyond(f, 5).values, f.values)
-
-    def test_freeze_keeps_capped_functions(self):
-        t = tw.zline(8)
-        f = tw.depth_cap(t, 3)
-        for n in (3, 5):
-            assert np.array_equal(tw.freeze_beyond(f, n).values, f.values)
-
-    def test_freeze_pointwise_bound(self):
-        t = tw.random_tree(5, seed=8)
-        f = rand_f(t, 5)
-        rep = tw.norms(f)
-        for n in (1, 2, 3):
-            frozen = tw.freeze_beyond(f, n)
-            for v in range(len(t)):
-                d = t.depth_of(v)
-                if d > n:
-                    assert abs(f(v) - frozen(v)) <= (d - n) * rep.d_sup + 1e-12
-
-    def test_truncate_zeroes_deep_values(self):
-        t = tw.zline(4)
-        f = VertexFunction(t, np.ones(len(t)))
-        cut = tw.truncate_beyond(f, 2)
-        for v in range(len(t)):
-            assert cut(v) == (1.0 if t.depth_of(v) <= 2 else 0.0)
-
-    def test_bad_depth_rejected(self):
-        t = tw.zline(3)
-        f = rand_f(t, 6)
-        with pytest.raises(IndexError):
-            tw.truncate_beyond(f, 9)
-        with pytest.raises(IndexError):
-            tw.freeze_beyond(f, -1)
 
 
 class TestValidation:

@@ -217,6 +217,14 @@ class TestCli:
         assert main(["oracle", "--tree", specs["tree"], "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "spec error: args.seed: must be >= 0, got -1\n"
 
+    def test_oracle_negative_seed_refused_with_both_specs(self, specs, capsys):
+        # no randomness is drawn here, but the seed is still checked
+        args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
+        assert main(["oracle", *args, "--seed", "-4"]) == 1
+        assert capsys.readouterr().err == "spec error: args.seed: must be >= 0, got -4\n"
+        assert main(["oracle", *args, "--seed", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 4
+
     @pytest.mark.parametrize("given", ["psi", "phi"])
     def test_oracle_refuses_a_lone_psi_or_phi(self, specs, capsys, given):
         rc = main(["oracle", "--tree", specs["tree"], f"--{given}", specs[given]])
@@ -486,6 +494,24 @@ class TestMalformedSpecs:
         assert main(["analyze", *args]) == 1
         assert capsys.readouterr().err == "spec error: tree.depth: analyze needs depth >= 1, got 0\n"
         assert main(["norms", *args]) == 0
+
+    @pytest.mark.parametrize("which,text,key", [
+        ("tree", '{"family": "zline", "depth": 4, "depth": 1}', "depth"),
+        # json.load alone keeps the last: vertex 1 once loaded as 7, and
+        # norms exited 0 with sup_norm 7.0
+        ("psi", '{"kind": "table", "values": {"0": 1, "1": 2, "1": 7, "2": 3, '
+                '"3": 0, "4": 0, "5": 0, "6": 0, "7": 0, "8": 0}}', "1"),
+        ("phi", '{"kind": "builtin", "name": "constant", "params": {"target": 0, "target": 2}}',
+         "target"),
+    ], ids=["tree", "psi", "phi"])
+    def test_repeated_key_exits_one_naming_the_file(
+        self, specs, tmp_path, capsys, which, text, key
+    ):
+        bad = tmp_path / f"repeated_{which}.json"
+        bad.write_text(text, encoding="utf-8")
+        paths = dict(specs, **{which: str(bad)})
+        assert main(["norms", "--tree", paths["tree"], "--psi", paths["psi"], "--phi", paths["phi"]]) == 1
+        assert capsys.readouterr().err == f"spec error: {bad}: key '{key}' is given twice\n"
 
     def test_missing_spec_file_exits_one(self, specs, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

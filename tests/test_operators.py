@@ -53,9 +53,9 @@ class TestSelfMap:
         rng = np.random.default_rng(2)
         phi = tw.random_map(t, rng)
         for w in range(len(t)):
-            pre = set(int(v) for v in phi.preimage(w))
-            expect = {v for v in range(len(t)) if int(phi.image[v]) == w}
-            assert pre == expect
+            expect = [v for v in range(len(t)) if int(phi.image[v]) == w]
+            assert np.flatnonzero(phi.image == w).tolist() == expect
+            assert phi.coverage[w] == len(expect)
 
     def test_injectivity_and_surjectivity_flags(self, line4):
         ident = tw.identity_map(line4)
@@ -103,7 +103,7 @@ class TestApply:
         w = 4
         out = tw.apply_op(op, tw.indicator(t, w))
         expect = np.zeros(len(t))
-        pre = op.phi.preimage(w)
+        pre = np.flatnonzero(op.phi.image == w)
         expect[pre] = op.psi.values[pre]
         assert np.array_equal(out.values, expect)
 
@@ -144,29 +144,29 @@ class TestLinfNorm:
 class TestEssTails:
     def test_finite_range_tail_zero(self, line4):
         op = ones_op(tw.constant_map(line4, 0))
-        for n in range(line4.depth_limit):
-            assert tw.linf_ess_norm_tail(op, n) == 0.0
-            assert tw.lip_ess_norm_tail(op, n) == 0.0
+        assert op.tail_sups.shape == (line4.depth_limit, 2)
+        assert not op.tail_sups.any()
 
     def test_zero_one_law_per_depth(self):
         for tree in small_tree_corpus():
             rng = np.random.default_rng(7)
             for _ in range(5):
                 op = ones_op(tw.random_map(tree, rng))
-                for n in range(tree.depth_limit):
-                    assert tw.linf_ess_norm_tail(op, n) in (0.0, 1.0)
+                assert all(v in (0.0, 1.0) for _, v in tw.linf_ess_norm_profile(op))
 
     def test_unbounded_range_unit_weight_tail_all_one(self):
         t = tw.zline(6)
         op = ones_op(tw.identity_map(t))
-        assert all(tw.linf_ess_norm_tail(op, n) == 1.0 for n in range(6))
+        assert tw.linf_ess_norm_profile(op) == tuple((n, 1.0) for n in range(6))
 
     def test_decaying_weight_tail_values(self):
         t = tw.zline(6)
         psi = 1.0 / (1.0 + t.depth.astype(float))
         op = op_on(t, psi, tw.identity_map(t))
-        for n in range(6):
-            assert tw.linf_ess_norm_tail(op, n) == pytest.approx(1.0 / (n + 2))
+        tail = tw.linf_ess_norm_profile(op)
+        assert [n for n, _ in tail] == list(range(6))
+        for n, v in tail:
+            assert v == pytest.approx(1.0 / (n + 2))
 
     def test_tails_nonincreasing(self):
         for tree in small_tree_corpus():
@@ -182,10 +182,11 @@ class TestEssTails:
         phi = tw.identity_map(t)
         psi = 1.0 / (1.0 + t.depth.astype(float))
         op = op_on(t, psi, phi)
-        tail = [tw.lip_ess_norm_tail(op, n) for n in range(10)]
+        tail = [v for _, v in tw.lip_ess_norm_profile(op)]
+        assert len(tail) == 10
         assert all(v == pytest.approx(10.0 / 11.0) for v in tail)
         sq = op_on(t, psi**2, phi)
-        tail_sq = [tw.lip_ess_norm_tail(sq, n) for n in range(10)]
+        tail_sq = [v for _, v in tw.lip_ess_norm_profile(sq)]
         assert all(a >= b for a, b in zip(tail_sq, tail_sq[1:]))
         assert tail_sq[-1] == pytest.approx(10.0 / 121.0)
 
@@ -577,7 +578,8 @@ class TestArrayCoreMatchesLoops:
         assert [t.layer(d).tolist() for d in range(t.depth_limit + 1)] == ref_layers(t)
         assert all(t.sector(v).tolist() == ref_sector(kids, v) for v in range(len(t)))
         pre = ref_preimages(phi)
-        assert [phi.preimage(w).tolist() for w in range(len(t))] == pre
+        assert [np.flatnonzero(phi.image == w).tolist() for w in range(len(t))] == pre
+        assert phi.coverage.tolist() == [len(p) for p in pre]
         assert phi.injective_on_domain == all(len(p) <= 1 for p in pre)
         assert phi.surjective_on_truncation == all(len(p) >= 1 for p in pre)
         assert phi.range_profile() == ref_range_profile(phi)

@@ -27,8 +27,8 @@ class TestZLine:
     def test_vertex_set_and_parents(self):
         t = tw.zline(3)
         assert sorted(int(t.label_of(v)) for v in range(len(t))) == list(range(-3, 4))
-        assert t.label_of(t.parent_of(t.vertex_of(2))) == 1
-        assert t.label_of(t.parent_of(t.vertex_of(-2))) == -1
+        assert t.label_of(t.parent[t.vertex_of(2)]) == 1
+        assert t.label_of(t.parent[t.vertex_of(-2)]) == -1
         assert t.depth_of(t.vertex_of(-3)) == 3
 
     def test_id_bijection(self):
@@ -42,7 +42,7 @@ class TestZLine:
         t = tw.zline(4)
         for v in range(len(t)):
             degree = len(t.children_of(v)) + (0 if v == 0 else 1)
-            if t.is_frontier(v):
+            if t.depth[v] == t.depth_limit:
                 assert degree == 1
             else:
                 assert degree == 2
@@ -67,7 +67,7 @@ class TestHomogeneous:
     def test_interior_degree(self):
         t = tw.homogeneous(3, 3)
         for v in range(len(t)):
-            if not t.is_frontier(v):
+            if t.depth[v] != t.depth_limit:
                 degree = len(t.children_of(v)) + (0 if v == 0 else 1)
                 assert degree == 4
 
@@ -281,7 +281,7 @@ class TestQueries:
         for v in range(len(t)):
             assert t.distance(0, v) == t.depth_of(v)
             if v != 0:
-                assert t.distance(v, t.parent_of(v)) == 1
+                assert t.distance(v, t.parent[v]) == 1
 
     def test_layer_and_ancestor(self):
         t = tw.zline(3)
@@ -381,7 +381,7 @@ class TestViews:
     def test_random_tree_no_interior_terminal(self):
         t = tw.random_tree(5, seed=2)
         for v in range(len(t)):
-            if not t.is_frontier(v):
+            if t.depth[v] != t.depth_limit:
                 assert len(t.children_of(v)) >= 1
 
     def test_dot_export(self, homog22):
