@@ -6,6 +6,12 @@ Holds/Fails with a witness; statements about limits get TrendConsistent or
 TrendInconsistent, judged on the last three entries of a depth schedule.
 The default schedule is geometric (1, 2, 4, ..., N) so that slow algebraic
 tails are still visible as decay across schedule points.
+
+A tail decays when its last schedule value is below ``zero_tol`` or two
+schedule points earlier it was at least ``_DECAY_FACTOR`` times as large;
+a profile stays bounded when its last value is at most ``_GROWTH_FACTOR``
+times the larger of the one before and ``zero_tol``.  ``zero_tol`` is the
+one settable threshold.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .certificate import (
 )
 from .functions import VertexFunction
 from .operators import (
+    STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
     composition_op,
@@ -35,7 +42,6 @@ from .operators import (
     j_lip_bracket,
     linf_op_norm,
     lip_bounds,
-    lip_exact_norm,
     lip_ess_norm_profile,
     window_preimage_sup,
     zline_double,
@@ -45,7 +51,6 @@ from .oracle import surjectivity_infeasibility
 from .trees import zline
 
 __all__ = [
-    "TrendConfig",
     "default_schedule",
     "classify_linf",
     "classify_lip",
@@ -57,15 +62,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TrendConfig:
-    """Thresholds for the finite-data trend proxies (configuration, not math)."""
-
-    decay_factor: float = 1.5
-    zero_tol: float = 1e-6
-    growth_factor: float = 1.05
-    stability_margin: int = 3
-    isometry_tol: float = 1e-9
+_DECAY_FACTOR = 1.5
+_GROWTH_FACTOR = 1.05
 
 
 def default_schedule(depth_limit: int) -> tuple:
@@ -96,20 +94,20 @@ def _check_schedule(schedule, depth_limit: int) -> tuple:
     return sched
 
 
-def _decays(values, cfg: TrendConfig) -> bool:
+def _decays(values, zero_tol: float) -> bool:
     tail = list(values)[-3:]
-    if tail[-1] < cfg.zero_tol:
+    if tail[-1] < zero_tol:
         return True
     if len(tail) < 3:
         return False
-    return tail[0] >= cfg.decay_factor * tail[-1]
+    return tail[0] >= _DECAY_FACTOR * tail[-1]
 
 
-def _stays_bounded(values, cfg: TrendConfig) -> bool:
+def _stays_bounded(values, zero_tol: float) -> bool:
     tail = list(values)[-2:]
     if len(tail) < 2:
         return True
-    return tail[-1] <= cfg.growth_factor * max(tail[0], cfg.zero_tol)
+    return tail[-1] <= _GROWTH_FACTOR * max(tail[0], zero_tol)
 
 
 @dataclass(frozen=True)
@@ -122,14 +120,14 @@ class _Space:
     reach: Callable  # op -> the quantity whose sup decides boundedness
     tail_column: int  # the column of ``op.tail_sups`` holding the tail
     norm_witnesses: Callable  # op -> dict
-    isometry: Callable  # (op, window, tol) -> Certificate
+    isometry: Callable  # (op, window) -> Certificate
     isometry_min_depth: int
     modulus: Callable  # (op, window) -> (lower end of the modulus, witnesses)
 
 
 def _lip_norm_witnesses(op: WeightedCompOp) -> dict:
-    lo, up = lip_bounds(op)
-    return {"lower_bound": lo, "upper_bound": up, "exact_norm": lip_exact_norm(op)}
+    lo, up = lip_bounds(op)  # the lower end is the exact norm
+    return {"lower_bound": lo, "upper_bound": up, "exact_norm": lo}
 
 
 def _linf_modulus(op: WeightedCompOp, window_depth: int | None) -> tuple:
@@ -184,11 +182,10 @@ def _classify(
     op: WeightedCompOp,
     schedule,
     window_depth: int | None,
-    config: TrendConfig | None,
+    zero_tol: float,
 ) -> list[Certificate]:
     """Bounded, Compact, Isometry (on a deep enough tree) and BoundedBelow
     certificates for one function space."""
-    cfg = config or TrendConfig()
     t = op.tree
     sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
     bounded_text, compact_text, below_text = space.criteria
@@ -202,7 +199,7 @@ def _classify(
     certs.append(
         Certificate(
             statement=f"{space.prefix}.Bounded",
-            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
+            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, zero_tol) else TREND_INCONSISTENT,
             criterion=bounded_text,
             witnesses=space.norm_witnesses(op),
             depth_profile=bounded_profile,
@@ -213,14 +210,14 @@ def _classify(
     tails = op.tail_sups[:, space.tail_column]
     tail_profile = tuple((d, float(tails[d - 1])) for d in sched)
     tail_vals = [v for _, v in tail_profile]
-    if op.phi.finite_range_stable(cfg.stability_margin):
+    if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
             "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
             "reason": "map range stabilized strictly inside the window",
         }
     else:
-        verdict = TREND_CONSISTENT if _decays(tail_vals, cfg) else TREND_INCONSISTENT
+        verdict = TREND_CONSISTENT if _decays(tail_vals, zero_tol) else TREND_INCONSISTENT
         witnesses = {"final_tail": tail_vals[-1]}
     certs.append(
         Certificate(
@@ -234,7 +231,7 @@ def _classify(
     )
 
     if t.depth_limit >= space.isometry_min_depth:
-        certs.append(space.isometry(op, window_depth, cfg.isometry_tol))
+        certs.append(space.isometry(op, window_depth))
 
     low, witnesses = space.modulus(op, window_depth)
     witnesses.update(_bounded_below_witness(op, window_depth))
@@ -266,33 +263,32 @@ def classify_linf(
     op: WeightedCompOp,
     schedule=None,
     window_depth: int | None = None,
-    config: TrendConfig | None = None,
+    zero_tol: float = 1e-6,
 ) -> list[Certificate]:
     """Certificates for the operator acting on the bounded functions."""
-    return _classify(_LINF, op, schedule, window_depth, config)
+    return _classify(_LINF, op, schedule, window_depth, zero_tol)
 
 
 def classify_lip(
     op: WeightedCompOp,
     schedule=None,
     window_depth: int | None = None,
-    config: TrendConfig | None = None,
+    zero_tol: float = 1e-6,
 ) -> list[Certificate]:
     """Certificates for the operator from the Lipschitz space to the
     bounded functions."""
-    return _classify(_LIP, op, schedule, window_depth, config)
+    return _classify(_LIP, op, schedule, window_depth, zero_tol)
 
 
 def classify_operator(
     op: WeightedCompOp,
     schedule=None,
     window_depth: int | None = None,
-    config: TrendConfig | None = None,
+    zero_tol: float = 1e-6,
 ) -> dict:
     """Both certificate sets plus automatic cross-implication checks."""
-    cfg = config or TrendConfig()
-    linf = classify_linf(op, schedule, window_depth, cfg)
-    lip = classify_lip(op, schedule, window_depth, cfg)
+    linf = classify_linf(op, schedule, window_depth, zero_tol)
+    lip = classify_lip(op, schedule, window_depth, zero_tol)
     by = {c.statement: c for c in linf + lip}
 
     # isometry implies bounded below on the same window
@@ -303,29 +299,25 @@ def classify_operator(
     reach_vals = [v for _, v in by["Lip.Bounded"].depth_profile]
     if (
         by["Linf.Bounded"].verdict == TREND_CONSISTENT
-        and _stays_bounded(reach_vals, cfg)
+        and _stays_bounded(reach_vals, zero_tol)
         and by["Lip.Bounded"].verdict != TREND_CONSISTENT
     ):
         raise RuntimeError("bounded weight and reach profile without a bounded verdict")
     return {"linf": linf, "lip": lip}
 
 
-def seven_equivalences(
-    phi: SelfMap, config: TrendConfig | None = None
-) -> Certificate:
+def seven_equivalences(phi: SelfMap) -> Certificate:
     """For unit weight, the bounded/compact statements across both spaces
     all reduce to the map having finite range; evaluates each item from its
     own datum and checks they agree whenever the window decides them."""
-    cfg = config or TrendConfig()
     t = phi.tree
-    margin = cfg.stability_margin
     op = composition_op(phi)
     prof = phi.range_profile()
     max_reach = prof[-1][1]
-    inside = t.depth_limit - margin
+    inside = t.depth_limit - STABILITY_MARGIN
 
     small_reach = max_reach <= inside
-    stable = phi.finite_range_stable(margin)
+    stable = phi.finite_range_stable()
     # some tail depth n <= inside (and < N) where the tail sup is already 0
     linf_tail_zero, lip_tail_zero = (
         (op.tail_sups[: max(inside, 0) + 1] == 0.0).any(axis=0).tolist()
@@ -376,7 +368,7 @@ class Fixture:
     map: Callable  # tree -> SelfMap
     expected: dict
     notes: tuple = ()
-    extra: Callable | None = None  # (op, window, config) -> dict
+    extra: Callable | None = None  # (op, window) -> dict
 
     def build(self, depth: int | None = None) -> WeightedCompOp:
         t = zline(depth or self.depth)
@@ -387,10 +379,10 @@ class Fixture:
         return None if self.window_depth is None else self.window_depth * depth // self.depth
 
 
-def _squared_weight(op: WeightedCompOp, window: int | None, config: TrendConfig | None) -> dict:
+def _squared_weight(op: WeightedCompOp, window: int | None) -> dict:
     """The Lipschitz tail and compactness certificate of the squared weight."""
     sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-    _, compact, *_ = classify_lip(sq, window_depth=window, config=config)
+    _, compact, *_ = classify_lip(sq, window_depth=window)
     return {
         "squared_weight": {
             "lip_ess_tail": [[n, v] for n, v in lip_ess_norm_profile(sq)],
@@ -399,7 +391,7 @@ def _squared_weight(op: WeightedCompOp, window: int | None, config: TrendConfig 
     }
 
 
-def _alternating_target(op: WeightedCompOp, window: int | None, config: TrendConfig | None) -> dict:
+def _alternating_target(op: WeightedCompOp, window: int | None) -> dict:
     """The alternating target no preimage reaches, and the weighted-reach
     infimum that stays positive all the same."""
     cod = op.codomain_tree

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .classify import (
-    TrendConfig,
     _check_schedule,
     bundled_fixtures,
     classify_operator,
@@ -119,17 +118,16 @@ def _cmd_analyze(args) -> int:
         raise SpecError("tree.depth", f"analyze needs depth >= 1, got {op.tree.depth_limit}")
     if not math.isfinite(args.tol) or args.tol < 0:
         raise SpecError("args.tol", f"must be a finite number >= 0, got {args.tol}")
-    cfg = TrendConfig(zero_tol=args.tol)
     sched = _schedule(args, op.tree.depth_limit)
     window = _window(args, op.tree.depth_limit)
-    certs = classify_operator(op, sched, window, cfg)
+    certs = classify_operator(op, sched, window, zero_tol=args.tol)
     payload = {
         "schema": SCHEMA_VERSION,
         "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
         "quantities": operator_quantities(op, window),
     }
     if bool(np.all(op.psi.values == 1.0)):
-        payload["seven_equivalences"] = seven_equivalences(op.phi, cfg).to_json()
+        payload["seven_equivalences"] = seven_equivalences(op.phi).to_json()
     _emit(canonical_json(payload), args.out)
     return 0
 

@@ -123,8 +123,9 @@ def norms(f: VertexFunction) -> NormReport:
     )
 
 
-def growth_check(f: VertexFunction, tol: float = 1e-9):
-    """Verify |f(v)| <= |f(root)| + depth(v) * sup|Df| at every vertex.
+def growth_check(f: VertexFunction):
+    """Verify |f(v)| <= |f(root)| + depth(v) * sup|Df| at every vertex, up
+    to a slack of -1e-9 for roundoff.
 
     This holds for every function (telescoping along the root path), so a
     False return signals an implementation bug.  Returns (ok, worst vertex,
@@ -135,7 +136,7 @@ def growth_check(f: VertexFunction, tol: float = 1e-9):
     bound = abs(rep.value_at_root) + t.depth * rep.d_sup
     slack = bound - np.abs(f.values)
     worst = int(np.argmin(slack))
-    return bool(slack[worst] >= -tol), worst, float(slack[worst])
+    return bool(slack[worst] >= -1e-9), worst, float(slack[worst])
 
 
 def indicator(tree: RootedTree, w: int) -> VertexFunction:

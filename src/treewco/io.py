@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .classify import Fixture, TrendConfig, classify_operator
+from .classify import Fixture, classify_operator
 from .functions import (
     VertexFunction,
     depth_cap,
@@ -413,12 +413,12 @@ def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> 
     }
 
 
-def fixture_report(fx: Fixture, depth: int | None = None, config: TrendConfig | None = None) -> dict:
+def fixture_report(fx: Fixture, depth: int | None = None) -> dict:
     """Full deterministic report for one bundled fixture."""
     depth = depth or fx.depth
     op = fx.build(depth)
     window = fx.window_for(depth)
-    certs = classify_operator(op, window_depth=window, config=config)
+    certs = classify_operator(op, window_depth=window)
     report = {
         "schema": SCHEMA_VERSION,
         "fixture": fx.name,
@@ -434,5 +434,5 @@ def fixture_report(fx: Fixture, depth: int | None = None, config: TrendConfig | 
         "notes": list(fx.notes),
     }
     if fx.extra:
-        report.update(fx.extra(op, window, config))
+        report.update(fx.extra(op, window))
     return report

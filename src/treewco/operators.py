@@ -18,6 +18,11 @@ default they quantify over the whole truncation, while fixtures built from
 infinite families evaluate them on the half-depth window where the window
 faithfully sees all preimages.
 
+Two thresholds are fixed: ``STABILITY_MARGIN``, the depths by which a
+map's range must stop short of the window edge to count as finite
+(``SelfMap.finite_range_stable``), and ``ISOMETRY_TOL``, within which the
+isometry checks count a preimage sup as 1.
+
 Data layout: a map keeps its image array and the ``coverage`` count of
 preimages per vertex.  An operator lazily caches two arrays that every
 closed form reads: ``preimage_sup``, the sup of |psi| over each
@@ -36,7 +41,7 @@ import numpy as np
 
 from .certificate import FAILS, HOLDS, Certificate
 from .functions import VertexFunction
-from .trees import RootedTree
+from .trees import RootedTree, zline_ids
 
 __all__ = [
     "MapSpecError",
@@ -65,6 +70,9 @@ __all__ = [
     "isometry_check_lip",
     "tail_trend_slope",
 ]
+
+STABILITY_MARGIN = 3
+ISOMETRY_TOL = 1e-9
 
 
 class MapSpecError(ValueError):
@@ -142,11 +150,12 @@ class SelfMap:
         )
         return tuple(enumerate(np.maximum.accumulate(per_depth).tolist()))
 
-    def finite_range_stable(self, margin: int = 3) -> bool:
-        """Range maximum flat over the last ``margin`` depths and at least
-        ``margin`` short of the window edge: the honest finite-data proxy
-        for a finite-range map."""
+    def finite_range_stable(self) -> bool:
+        """Range maximum flat over the last ``STABILITY_MARGIN`` depths and
+        at least that many short of the window edge: the honest
+        finite-data proxy for a finite-range map."""
         prof = self.range_profile()
+        margin = STABILITY_MARGIN
         if len(prof) <= margin:
             return prof[-1][1] <= self.tree.depth_limit - margin
         return (
@@ -197,7 +206,7 @@ def zline_fold(tree: RootedTree) -> SelfMap:
         raise MapSpecError("fold map is defined on the line family only")
     n = np.asarray(tree.labels, dtype=np.int64)
     target = np.where(n >= 0, n, np.where(n % 2 != 0, -n, n // 2))
-    return SelfMap(tree, _zline_ids(target), tree.depth_limit, "zfold")
+    return SelfMap(tree, zline_ids(target), tree.depth_limit, "zfold")
 
 
 def zline_double(tree: RootedTree) -> SelfMap:
@@ -208,12 +217,7 @@ def zline_double(tree: RootedTree) -> SelfMap:
     core = tree.depth_limit // 2
     m = SelfMap.domain_size_for(tree, core)
     n = np.asarray(tree.labels[:m], dtype=np.int64)
-    return SelfMap(tree, _zline_ids(2 * n), core, "double")
-
-
-def _zline_ids(labels: np.ndarray) -> np.ndarray:
-    """Canonical ids of integer labels on a line tree (see ``zline``)."""
-    return np.where(labels > 0, 2 * labels - 1, -2 * labels)
+    return SelfMap(tree, zline_ids(2 * n), core, "double")
 
 
 def random_map(tree: RootedTree, rng: np.random.Generator) -> SelfMap:
@@ -336,12 +340,9 @@ def linf_ess_norm_profile(op: WeightedCompOp) -> tuple:
 
 def lip_bounds(op: WeightedCompOp) -> tuple[float, float]:
     """Sandwich for the Lipschitz-to-bounded operator norm:
-    max(sup|psi|, sup|psi|*|phi|) <= norm <= sup |psi|*(1+|phi|)."""
-    a = op.abs_psi_on_domain
-    if not a.size:
-        return (0.0, 0.0)
-    lower = max(float(a.max()), float((a * op.phi.image_depth).max()))
-    return (lower, float(op.reach.max()))
+    max(sup|psi|, sup|psi|*|phi|) <= norm <= sup |psi|*(1+|phi|).  The
+    lower end is ``lip_exact_norm``, the same maximum."""
+    return (lip_exact_norm(op), float(op.reach.max(initial=0.0)))
 
 
 def lip_exact_norm(op: WeightedCompOp) -> float:
@@ -422,9 +423,7 @@ def k_lip_bracket(op: WeightedCompOp) -> tuple[float, float]:
 # -- isometry certificates ------------------------------------------------------
 
 
-def isometry_check_linf(
-    op: WeightedCompOp, within_depth: int | None = None, tol: float = 1e-9
-) -> Certificate:
+def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
     """Isometry on the bounded functions: every window vertex must be
     covered and have preimage sup of |psi| equal to 1."""
     t = op.tree
@@ -435,7 +434,7 @@ def isometry_check_linf(
     )
     sup = window_preimage_sup(op, within_depth)
     uncovered = np.isneginf(sup)
-    bad = uncovered | (np.abs(sup - 1.0) > tol)
+    bad = uncovered | (np.abs(sup - 1.0) > ISOMETRY_TOL)
     # running inf of the preimage sups in id order, an uncovered vertex
     # counting 0, read at the last window vertex of each depth
     running = np.minimum.accumulate(np.where(uncovered, 0.0, sup))
@@ -461,9 +460,7 @@ def isometry_check_linf(
     )
 
 
-def isometry_check_lip(
-    op: WeightedCompOp, within_depth: int | None = None, tol: float = 1e-9
-) -> Certificate:
+def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
     """No operator from the Lipschitz space to the bounded functions is an
     isometry; always returns Holds with an explicit witness."""
     t = op.tree
@@ -481,7 +478,7 @@ def isometry_check_lip(
     witnesses: dict = {"window_depth": window, "vertex": w}
     if s == -np.inf:
         witnesses["reason"] = "no preimage: the unit indicator at this vertex maps to 0"
-    elif abs(s - 1.0) > tol:
+    elif abs(s - 1.0) > ISOMETRY_TOL:
         witnesses["reason"] = f"image of the unit indicator has sup norm {s:.12g}, not 1"
     else:
         bound = t.depth_of(w) * s

@@ -6,10 +6,10 @@ only formula value an oracle report quotes is the one it is being compared
 against, clearly labeled as such.
 
 Search modes are deterministic and desk-scale, and refuse, rather than
-degrade, beyond hard size caps: exhaustive grid-pattern enumeration on
-the bounded functions, exhaustive enumeration of the extreme points of the
-Lipschitz unit ball (the constants +-1 and the sign patterns of the
-increments), and a one-parameter path-extremal family.
+degrade, beyond hard size caps: exhaustive enumeration of the patterns of
+the levels -1, 0, 1 on the bounded functions, exhaustive enumeration of the
+extreme points of the Lipschitz unit ball (the constants +-1 and the sign
+patterns of the increments), and a one-parameter path-extremal family.
 
 The surjectivity check is exact, not merely sound: it computes the least
 Lipschitz norm of a preimage by McShane extension through the forced
@@ -41,8 +41,14 @@ MAX_EXHAUSTIVE_VERTICES_MAX = 16
 MAX_EXHAUSTIVE_VERTICES_MIN = 12
 MAX_PATTERNS = 2_000_000
 _CHUNK = 1 << 15
-# the increment levels of the Lipschitz ball's non-constant extreme points
+# the values a bounded unit function takes at each vertex in the searches
+# on the bounded functions, and the increment levels of the Lipschitz
+# ball's non-constant extreme points
+_LEVELS = np.asarray([-1.0, 0.0, 1.0])
 _SIGNS = np.asarray([-1.0, 1.0])
+# |psi| and |g| at most this count as zero in the surjectivity check, and
+# a preimage norm at most 1 + this counts as 1
+_SURJ_TOL = 1e-9
 # the path family's parameter grid, and the pairs per block of the
 # surjectivity quotient scan (bounds its memory on large inputs)
 _A_GRID = np.linspace(0.0, 1.0, 21)
@@ -92,52 +98,32 @@ def _composed_sup_raw(op: WeightedCompOp, f_values: np.ndarray) -> float:
 # -- operator norm on the bounded functions ------------------------------------
 
 
-def norm_oracle_linf(
-    op: WeightedCompOp,
-    grid=(-1.0, 0.0, 1.0),
-    method: str = "exhaustive",
-) -> OracleResult:
-    """Max of the composed sup norm over grid-valued unit functions.
+def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleResult:
+    """Max of the composed sup norm over unit functions valued in -1, 0, 1.
 
-    The grid levels must lie in [-1, 1] and include 1.0.  Only values on
-    the range of the map influence the operator, so the enumeration runs
-    over range vertices; when the range misses some vertex, sup norm 1 is
-    realized off range and every grid pattern on the range is admissible.
+    Only values on the range of the map influence the operator, so the
+    enumeration runs over range vertices; when the range misses some
+    vertex, sup norm 1 is realized off range and every pattern on the
+    range is admissible.
+
+    "ascent" is the sweep over the range vertices in id order that gives
+    each the first level maximizing the composed sup: the objective is
+    separable and -1 always attains the maximum, so the sweep's result is
+    -1 on the range and 1 off it, a maximizer.
     """
     t = op.tree
     m = op.phi.domain_size
-    a_psi = np.abs(op.psi.values[:m])
-    range_ids = np.unique(op.phi.image) if m else np.empty(0, dtype=np.int64)
+    range_ids = np.unique(op.phi.image)
     k = range_ids.size
-    col = np.searchsorted(range_ids, op.phi.image) if m else np.empty(0, dtype=np.int64)
-    levels = np.asarray(sorted(grid), dtype=np.float64)
-    if 1.0 not in levels:
-        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
-    if not (np.abs(levels) <= 1.0).all():
-        raise ValueError("value grid levels must lie in [-1, 1] to stay in the unit ball")
 
     if method == "ascent":
-        # per-coordinate objective is separable: each range value is best
-        # pushed to a grid extreme; one sweep in id order is exact.  The sup
-        # before range vertex w is the running max of the preimage sups p
-        # (1.0 is a level); w takes the first level maximizing it with p[w]
-        f = np.zeros(t.n_vertices)
-        p = np.zeros(k)
-        np.maximum.at(p, col, a_psi)
-        before = np.maximum.accumulate(np.concatenate(([0.0], p)))[:-1]
-        scores = np.maximum(before[:, None], p[:, None] * np.abs(levels))
-        f[range_ids] = levels[np.argmax(scores, axis=1)]
-        if k < t.n_vertices:
-            off = np.setdiff1d(np.arange(t.n_vertices), range_ids)
-            f[off] = 1.0
-        elif np.abs(f).max() < 1.0:
-            f[int(range_ids[0])] = 1.0
-        value = _composed_sup_raw(op, f)
+        f = np.ones(t.n_vertices)
+        f[range_ids] = -1.0
         return OracleResult(
             quantity="OpNormLinf",
-            value=value,
+            value=_composed_sup_raw(op, f),
             method="GridRefine",
-            search_size=int(k * levels.size),
+            search_size=int(k * _LEVELS.size),
             witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
         )
 
@@ -148,14 +134,18 @@ def norm_oracle_linf(
             f"{t.n_vertices} vertices exceed the exhaustive cap "
             f"{MAX_EXHAUSTIVE_VERTICES_MAX}; use method='ascent'"
         )
-    n_patterns = levels.size**k
+    n_patterns = _LEVELS.size**k
     if n_patterns > MAX_PATTERNS:
         raise OracleSizeError(
             f"{n_patterns} grid patterns exceed the budget {MAX_PATTERNS}; "
             "use method='ascent'"
         )
     best, best_pattern, searched = _pattern_search(
-        levels, k, a_psi, col, maximize=True, unit_only=k == t.n_vertices
+        k,
+        np.abs(op.psi.values[:m]),
+        np.searchsorted(range_ids, op.phi.image),
+        maximize=True,
+        unit_only=k == t.n_vertices,
     )
     f = np.zeros(t.n_vertices)
     if best_pattern is not None:
@@ -209,7 +199,6 @@ def _digit_planes(k: int, levels: np.ndarray):
 
 
 def _pattern_search(
-    levels: np.ndarray,
     k: int,
     a_psi: np.ndarray,
     col: np.ndarray,
@@ -217,8 +206,8 @@ def _pattern_search(
     unit_only: bool,
 ):
     """Largest (``maximize``) or smallest composed sup norm
-    ``max_v a_psi[v] * |P[col[v]]|`` over the grid patterns P in
-    ``levels**k``, only over patterns with an entry of modulus 1 when
+    ``max_v a_psi[v] * |P[col[v]]|`` over the patterns P in
+    ``_LEVELS**k``, only over patterns with an entry of modulus 1 when
     ``unit_only``.
 
     Every pattern is scored against every listed domain vertex; a domain
@@ -232,7 +221,7 @@ def _pattern_search(
     searched = 0
     masked = -np.inf if maximize else np.inf
     pick = np.argmax if maximize else np.argmin
-    for start, planes in _digit_planes(k, np.abs(levels)):
+    for start, planes in _digit_planes(k, np.abs(_LEVELS)):
         rows = planes.shape[1]
         if unit_only:
             unit = planes.max(axis=0) == 1.0
@@ -257,8 +246,8 @@ def _pattern_search(
             best, best_index = float(vals[i]), start + i
     if best_index is None:
         return best, None, searched
-    L = levels.size
-    return best, levels[[best_index // L**j % L for j in range(k)]], searched
+    L = _LEVELS.size
+    return best, _LEVELS[[best_index // L**j % L for j in range(k)]], searched
 
 
 # -- the Lipschitz unit ball -----------------------------------------------------
@@ -435,15 +424,11 @@ def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
 # -- injectivity modulus upper bound ---------------------------------------------
 
 
-def j_oracle_linf_bracket(
-    op: WeightedCompOp,
-    grid=(-1.0, 0.0, 1.0),
-    within_depth: int | None = None,
-) -> OracleResult:
+def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -> OracleResult:
     """Certified upper bound on the injectivity modulus on the bounded
-    functions: the minimum composed sup norm over grid unit functions
-    (single-vertex indicators are always among the candidates), reported
-    against the closed-form value.
+    functions: the minimum composed sup norm over unit functions valued in
+    -1, 0, 1 (single-vertex indicators are among them), reported against
+    the closed-form value.
 
     With ``within_depth`` the search runs over unit functions supported on
     the window, matching the windowed closed form.
@@ -472,17 +457,12 @@ def j_oracle_linf_bracket(
             f"{n_window} window vertices exceed the min-search cap "
             f"{MAX_EXHAUSTIVE_VERTICES_MIN}"
         )
-    levels = np.asarray(sorted(grid), dtype=np.float64)
-    if 1.0 not in levels:
-        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
+    # 3**12 patterns at the cap, well inside MAX_PATTERNS
     k = n_window
-    if levels.size**k > MAX_PATTERNS:
-        raise OracleSizeError("grid pattern count exceeds the budget")
     m = op.phi.domain_size
     # f vanishes off the window, so images outside it contribute zero
     in_window = op.phi.image < n_window
     best, best_pattern, searched = _pattern_search(
-        levels,
         k,
         np.abs(op.psi.values[:m])[in_window],
         op.phi.image[in_window],
@@ -509,11 +489,7 @@ def j_oracle_linf_bracket(
 # -- surjectivity infeasibility ----------------------------------------------------
 
 
-def surjectivity_infeasibility(
-    op: WeightedCompOp,
-    g: VertexFunction,
-    tol: float = 1e-9,
-) -> OracleResult:
+def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleResult:
     """Decide whether some Lipschitz unit-ball function maps onto g.
 
     The forced values F(phi(v)) = g(v) / psi(v) fix f on the range of the
@@ -525,7 +501,8 @@ def surjectivity_infeasibility(
     Otherwise c = 0 is optimal: since |u| >= 1, moving c off 0 adds |c|
     and lowers each |c - F(u)| / |u| by at most |c|.  The verdict is
     "infeasible" exactly when that norm, reported as the witness
-    ``preimage_lip_norm``, exceeds 1 + tol, and "feasible" otherwise.
+    ``preimage_lip_norm``, exceeds ``1 + _SURJ_TOL``, and "feasible"
+    otherwise.
     """
     t = op.tree
     cod = op.codomain_tree
@@ -536,8 +513,8 @@ def surjectivity_infeasibility(
 
     m = op.phi.domain_size
     psi = op.psi.values[:m]
-    vanish = np.abs(psi) <= tol
-    blocked = np.flatnonzero(vanish & (np.abs(g.values) > tol))
+    vanish = np.abs(psi) <= _SURJ_TOL
+    blocked = np.flatnonzero(vanish & (np.abs(g.values) > _SURJ_TOL))
     if blocked.size:
         return OracleResult(
             quantity="SurjInfeasibility",
@@ -595,7 +572,7 @@ def surjectivity_infeasibility(
             "least preimage Lipschitz norm by McShane extension, root value 0 "
             "unless forced; exact"
         ),
-        "verdict": "infeasible" if norm > 1.0 + tol else "feasible",
+        "verdict": "infeasible" if norm > 1.0 + _SURJ_TOL else "feasible",
     }
     return OracleResult(
         "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra

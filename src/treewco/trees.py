@@ -289,6 +289,12 @@ def zline(depth: int) -> RootedTree:
     )
 
 
+def zline_ids(labels: np.ndarray) -> np.ndarray:
+    """Canonical ids of integer labels on a line tree, the inverse of the
+    labels ``zline`` gives its ids."""
+    return np.where(labels > 0, 2 * labels - 1, -2 * labels)
+
+
 def homogeneous(q: int, depth: int) -> RootedTree:
     """Homogeneous tree where every vertex has q+1 neighbors.
 

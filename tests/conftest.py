@@ -1,11 +1,24 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import treewco as tw
+
+# Hypothesis imports this module (and libcst, when installed) only to report
+# a failing example; under -W error, libcst's import-time DeprecationWarning
+# (mypy_extensions.TypedDict) then turns that report into an INTERNALERROR
+# that ends the session.  Importing it once here, with only that category
+# ignored, leaves -W error in force for every test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -10,7 +10,6 @@ import treewco as tw
 from treewco import FAILS, HOLDS, TREND_CONSISTENT, TREND_INCONSISTENT
 from treewco import Certificate, VertexFunction, WeightedCompOp
 from treewco.classify import (
-    TrendConfig,
     _bounded_below_witness,
     _check_schedule,
     _decays,
@@ -42,8 +41,7 @@ def _prefix_sup_profile(op, quantity, schedule):
     return tuple((d, float(prefix[d])) for d in schedule)
 
 
-def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
-    cfg = config or TrendConfig()
+def ref_classify_linf(op, schedule=None, window_depth=None, zero_tol=1e-6):
     t = op.tree
     sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
     certs = []
@@ -54,7 +52,7 @@ def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
     certs.append(
         Certificate(
             statement="Linf.Bounded",
-            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
+            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, zero_tol) else TREND_INCONSISTENT,
             criterion=(
                 "bounded on the bounded functions iff the weight is bounded; "
                 "the operator norm equals sup |psi|"
@@ -68,14 +66,14 @@ def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
     tails = tw.linf_ess_norm_profile(op)
     tail_profile = tuple((d, tails[d - 1][1]) for d in sched)
     tail_vals = [v for _, v in tail_profile]
-    if op.phi.finite_range_stable(cfg.stability_margin):
+    if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
             "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
             "reason": "map range stabilized strictly inside the window",
         }
     else:
-        verdict = TREND_CONSISTENT if _decays(tail_vals, cfg) else TREND_INCONSISTENT
+        verdict = TREND_CONSISTENT if _decays(tail_vals, zero_tol) else TREND_INCONSISTENT
         witnesses = {"final_tail": tail_vals[-1]}
     certs.append(
         Certificate(
@@ -92,7 +90,7 @@ def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
         )
     )
 
-    certs.append(tw.isometry_check_linf(op, window_depth, cfg.isometry_tol))
+    certs.append(tw.isometry_check_linf(op, window_depth))
 
     j = tw.j_linf(op, window_depth)
     witnesses = {"injectivity_modulus": j}
@@ -113,8 +111,7 @@ def ref_classify_linf(op, schedule=None, window_depth=None, config=None):
     return certs
 
 
-def ref_classify_lip(op, schedule=None, window_depth=None, config=None):
-    cfg = config or TrendConfig()
+def ref_classify_lip(op, schedule=None, window_depth=None, zero_tol=1e-6):
     t = op.tree
     sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
     certs = []
@@ -127,7 +124,7 @@ def ref_classify_lip(op, schedule=None, window_depth=None, config=None):
     certs.append(
         Certificate(
             statement="Lip.Bounded",
-            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, cfg) else TREND_INCONSISTENT,
+            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, zero_tol) else TREND_INCONSISTENT,
             criterion=(
                 "bounded from the Lipschitz space iff sup |psi(v)|(1+|phi(v)|) "
                 "is finite; the norm lies between max(sup|psi|, sup|psi||phi|) "
@@ -142,14 +139,14 @@ def ref_classify_lip(op, schedule=None, window_depth=None, config=None):
     tails = tw.lip_ess_norm_profile(op)
     tail_profile = tuple((d, tails[d - 1][1]) for d in sched)
     tail_vals = [v for _, v in tail_profile]
-    if op.phi.finite_range_stable(cfg.stability_margin):
+    if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
             "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
             "reason": "map range stabilized strictly inside the window",
         }
     else:
-        verdict = TREND_CONSISTENT if _decays(tail_vals, cfg) else TREND_INCONSISTENT
+        verdict = TREND_CONSISTENT if _decays(tail_vals, zero_tol) else TREND_INCONSISTENT
         witnesses = {"final_tail": tail_vals[-1]}
     certs.append(
         Certificate(
@@ -167,7 +164,7 @@ def ref_classify_lip(op, schedule=None, window_depth=None, config=None):
     )
 
     if t.depth_limit >= 2:
-        certs.append(tw.isometry_check_lip(op, window_depth, cfg.isometry_tol))
+        certs.append(tw.isometry_check_lip(op, window_depth))
 
     lo_j, up_j = tw.j_lip_bracket(op, window_depth)
     witnesses = {"bracket": [lo_j, up_j]}
@@ -202,10 +199,10 @@ def ref_fixture_op(name, depth):
     return WeightedCompOp(VertexFunction(t, psi), tw.zline_double(t))
 
 
-def ref_fixture_report(fx, depth, config=None):
+def ref_fixture_report(fx, depth, zero_tol=1e-6):
     op = ref_fixture_op(fx.name, depth)
     window = fx.window_for(depth)
-    certs = tw.classify_operator(op, window_depth=window, config=config)
+    certs = tw.classify_operator(op, None, window, zero_tol)
     report = {
         "schema": SCHEMA_VERSION,
         "fixture": fx.name,
@@ -220,7 +217,7 @@ def ref_fixture_report(fx, depth, config=None):
     }
     if fx.name == "bounded-not-compact":
         sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-        sq_certs = tw.classify_lip(sq, window_depth=window, config=config)
+        sq_certs = tw.classify_lip(sq, None, window, zero_tol)
         report["squared_weight"] = {
             "lip_ess_tail": [[n, v] for n, v in tw.lip_ess_norm_profile(sq)],
             "compact_certificate": next(
@@ -249,15 +246,12 @@ def ref_fixture_report(fx, depth, config=None):
     return report
 
 
-_CONFIGS = (
-    TrendConfig(),
-    TrendConfig(decay_factor=1.2, zero_tol=1e-3, growth_factor=1.5, stability_margin=1),
-)
+_ZERO_TOLS = (1e-6, 1e-3)
 
 
 @st.composite
 def _classify_cases(draw):
-    """An operator on a small tree, with a window, schedule and config."""
+    """An operator on a small tree, with a window, schedule and zero_tol."""
     family = draw(st.sampled_from(["zline", "h2", "h3", "random"]))
     if family == "zline":
         t = tw.zline(draw(st.integers(1, 10)))
@@ -298,7 +292,7 @@ def _classify_cases(draw):
     schedule = draw(
         st.sampled_from([None, (draw(st.integers(1, n)),), tuple(range(1, n + 1))])
     )
-    return op, schedule, window, draw(st.sampled_from(_CONFIGS))
+    return op, schedule, window, draw(st.sampled_from(_ZERO_TOLS))
 
 
 class TestClassifyLinf:
@@ -406,10 +400,10 @@ class TestOneClassifier:
     @given(_classify_cases())
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_bytes(self, case):
-        op, schedule, window, cfg = case
+        op, schedule, window, zero_tol = case
         for new, ref in ((tw.classify_linf, ref_classify_linf), (tw.classify_lip, ref_classify_lip)):
-            got = canonical_json([c.to_json() for c in new(op, schedule, window, cfg)])
-            want = canonical_json([c.to_json() for c in ref(op, schedule, window, cfg)])
+            got = canonical_json([c.to_json() for c in new(op, schedule, window, zero_tol)])
+            want = canonical_json([c.to_json() for c in ref(op, schedule, window, zero_tol)])
             assert got == want
 
     def test_depth_one_has_no_lipschitz_isometry_certificate(self):
@@ -426,12 +420,14 @@ class TestOneClassifier:
         assert np.array_equal(op.reach, want)
         assert not op.reach.flags.writeable
 
-    @pytest.mark.parametrize("config", [None, _CONFIGS[1]])
+    # keyword arguments of the reference: under the second zero_tol the
+    # report is unchanged, so no bundled verdict hinges on the threshold
+    @pytest.mark.parametrize("config", [None, {"zero_tol": _ZERO_TOLS[1]}])
     @pytest.mark.parametrize("depth", range(6, 13))
     def test_fixture_reports_match_reference(self, depth, config):
         for fx in tw.bundled_fixtures():
-            got = canonical_json(fixture_report(fx, depth, config))
-            assert got == canonical_json(ref_fixture_report(fx, depth, config)), fx.name
+            got = canonical_json(fixture_report(fx, depth))
+            assert got == canonical_json(ref_fixture_report(fx, depth, **(config or {}))), fx.name
 
 
 class TestSevenEquivalences:

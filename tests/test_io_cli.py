@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import treewco as tw
 from treewco import SpecError, cli
 from treewco.cli import main
-from treewco.io import canonical_json, fixture_report, golden_dir
+from treewco.io import SCHEMA_VERSION, canonical_json, fixture_report, golden_dir
 
 
 def write(tmp_path: Path, name: str, payload: dict) -> str:
@@ -193,6 +193,38 @@ class TestCli:
         payload = json.loads(out.read_text())
         statements = {c["statement"] for c in payload["certificates"]}
         assert "Linf.Bounded" in statements and "Lip.NoIsometry" in statements
+
+    def test_analyze_tol_is_the_classifiers_zero_tol(self, tmp_path):
+        # a flat tail of 1e-4 never decays: only a zero_tol above it makes
+        # the compactness trend consistent
+        t = tw.zline(8)
+        paths = {
+            "tree": write(tmp_path, "tree.json", {"family": "zline", "depth": 8}),
+            "psi": write(
+                tmp_path, "psi.json", {"kind": "table", "values": {str(v): 1e-4 for v in range(len(t))}}
+            ),
+            "phi": write(tmp_path, "phi.json", {"kind": "builtin", "name": "identity"}),
+        }
+        op = tw.WeightedCompOp(tw.VertexFunction(t, np.full(len(t), 1e-4)), tw.identity_map(t))
+        env = dict(os.environ, PYTHONPATH=str(Path(tw.__file__).resolve().parents[1]))
+        compact = {}
+        for tol in ("1e-6", "1e-3"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "treewco.cli", "analyze", "--tree", paths["tree"],
+                 "--psi", paths["psi"], "--phi", paths["phi"], "--tol", tol],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            certs = tw.classify_operator(op, None, None, zero_tol=float(tol))
+            assert proc.stdout == canonical_json({
+                "schema": SCHEMA_VERSION,
+                "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
+                "quantities": tw.operator_quantities(op),
+            })
+            compact[tol] = json.loads(proc.stdout)["certificates"][1]
+        assert compact["1e-6"]["statement"] == "Linf.Compact"
+        assert compact["1e-6"]["verdict"] == "TrendInconsistent"
+        assert compact["1e-3"]["verdict"] == "TrendConsistent"
 
     def test_norms(self, specs, capsys):
         rc = main(["norms", "--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]])

@@ -239,6 +239,8 @@ class TestLipNorms:
                 lo, up = tw.lip_bounds(op)
                 mid = tw.lip_exact_norm(op)
                 assert lo - 1e-12 <= mid <= up + 1e-12
+                a, d = op.abs_psi_on_domain, op.phi.image_depth
+                assert lo == max(a.max(), (a * d).max())
 
 
 class TestModuli:
@@ -375,7 +377,8 @@ class TestSpecialization:
         a = np.abs(psi.values)
         d = t.depth.astype(float)
         lo, up = tw.lip_bounds(op)
-        assert lo == pytest.approx(max(a.max(), (a * d).max()))
+        # the lower end is lip_exact_norm's max, equal bit for bit
+        assert lo == max(a.max(), (a * d).max())
         assert up == pytest.approx((a * (1 + d)).max())
 
     def test_composition_norm_and_moduli(self):

@@ -56,12 +56,13 @@ def reference_norm_oracle_lip_path(op: WeightedCompOp) -> OracleResult:
     )
 
 
-def reference_surjectivity_infeasibility(op, g, tol=1e-9) -> OracleResult:
+def reference_surjectivity_infeasibility(op, g) -> OracleResult:
     """surjectivity_infeasibility as a loop over the domain, a nested loop
     over pairs with the scalar ``reference_distance``, and McShane's norm
     |c| + max(L*, max_u |c - F(u)| / d(root, u)), with c = F(root) when the
     root is forced and c = 0 otherwise."""
     t = op.tree
+    tol = 1e-9
     forced: dict[int, float] = {}
     for v in range(op.phi.domain_size):
         psi_v = float(op.psi.values[v])
@@ -155,10 +156,13 @@ def kink_preimage_lip_norm(tree, forced: dict) -> float:
     return float(norm(kinks).min())
 
 
-def reference_grid_chunks(k: int, levels: np.ndarray):
-    """Yield (chunk, k) arrays covering all levels**k patterns, digit j of
+LEVELS = np.asarray([-1.0, 0.0, 1.0])
+
+
+def reference_grid_chunks(k: int):
+    """Yield (chunk, k) arrays covering all LEVELS**k patterns, digit j of
     pattern i being i // L**j % L, in chunks of ``oracle._CHUNK`` rows."""
-    L = levels.size
+    L = LEVELS.size
     total = L**k
     if k == 0:
         yield np.zeros((1, 0))
@@ -167,27 +171,24 @@ def reference_grid_chunks(k: int, levels: np.ndarray):
     for start in range(0, total, oracle_mod._CHUNK):
         idx = np.arange(start, min(start + oracle_mod._CHUNK, total), dtype=np.int64)
         digits = (idx[:, None] // powers[None, :]) % L
-        yield levels[digits]
+        yield LEVELS[digits]
 
 
-def reference_norm_oracle_linf(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> OracleResult:
-    """norm_oracle_linf(op, grid) with the (rows, k) pattern matrix per
-    chunk, compressed to its unit rows when the map is onto."""
+def reference_norm_oracle_linf(op: WeightedCompOp) -> OracleResult:
+    """norm_oracle_linf(op) with the (rows, k) pattern matrix per chunk,
+    compressed to its unit rows when the map is onto."""
     t = op.tree
     m = op.phi.domain_size
     a_psi = np.abs(op.psi.values[:m])
     range_ids = np.unique(op.phi.image) if m else np.empty(0, dtype=np.int64)
     k = range_ids.size
     col = np.searchsorted(range_ids, op.phi.image) if m else np.empty(0, dtype=np.int64)
-    levels = np.asarray(sorted(grid), dtype=np.float64)
-    if 1.0 not in levels:
-        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
     if t.n_vertices > oracle_mod.MAX_EXHAUSTIVE_VERTICES_MAX:
         raise OracleSizeError(
             f"{t.n_vertices} vertices exceed the exhaustive cap "
             f"{oracle_mod.MAX_EXHAUSTIVE_VERTICES_MAX}; use method='ascent'"
         )
-    n_patterns = levels.size**k
+    n_patterns = LEVELS.size**k
     if n_patterns > oracle_mod.MAX_PATTERNS:
         raise OracleSizeError(
             f"{n_patterns} grid patterns exceed the budget {oracle_mod.MAX_PATTERNS}; "
@@ -197,7 +198,7 @@ def reference_norm_oracle_linf(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> Ora
     best = -1.0
     best_pattern = None
     searched = 0
-    for P in reference_grid_chunks(k, levels):
+    for P in reference_grid_chunks(k):
         absP = np.abs(P)
         if need_unit_on_range:
             ok = absP.max(axis=1) == 1.0
@@ -226,20 +227,15 @@ def reference_norm_oracle_linf(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> Ora
     )
 
 
-def reference_norm_oracle_linf_ascent(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0)) -> OracleResult:
-    """norm_oracle_linf(op, grid, "ascent") as the greedy sweep that
+def reference_norm_oracle_linf_ascent(op: WeightedCompOp) -> OracleResult:
+    """norm_oracle_linf(op, "ascent") as the greedy sweep that
     re-evaluates the composed sup for every range vertex and level."""
     t = op.tree
     range_ids = np.unique(op.phi.image)
-    levels = np.asarray(sorted(grid), dtype=np.float64)
-    if 1.0 not in levels:
-        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
-    if not (np.abs(levels) <= 1.0).all():
-        raise ValueError("value grid levels must lie in [-1, 1] to stay in the unit ball")
     f = np.zeros(t.n_vertices)
     for w in range_ids:
         best_v, best_t = -1.0, 0.0
-        for lev in levels:
+        for lev in LEVELS:
             f[w] = lev
             val = oracle_mod._composed_sup_raw(op, f)
             if val > best_v:
@@ -253,14 +249,12 @@ def reference_norm_oracle_linf_ascent(op: WeightedCompOp, grid=(-1.0, 0.0, 1.0))
         quantity="OpNormLinf",
         value=oracle_mod._composed_sup_raw(op, f),
         method="GridRefine",
-        search_size=int(range_ids.size * levels.size),
+        search_size=int(range_ids.size * LEVELS.size),
         witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
     )
 
 
-def reference_j_oracle_linf_bracket(
-    op: WeightedCompOp, grid=(-1.0, 0.0, 1.0), within_depth=None
-) -> OracleResult:
+def reference_j_oracle_linf_bracket(op: WeightedCompOp, within_depth=None) -> OracleResult:
     """j_oracle_linf_bracket with the (rows, k) pattern matrix per chunk,
     compressed to its unit rows, and a zero-filled (rows, m) contribution
     matrix."""
@@ -288,19 +282,14 @@ def reference_j_oracle_linf_bracket(
             f"{n_window} window vertices exceed the min-search cap "
             f"{oracle_mod.MAX_EXHAUSTIVE_VERTICES_MIN}"
         )
-    levels = np.asarray(sorted(grid), dtype=np.float64)
-    if 1.0 not in levels:
-        raise ValueError("value grid must contain 1.0 to reach the unit sphere")
     k = n_window
-    if levels.size**k > oracle_mod.MAX_PATTERNS:
-        raise OracleSizeError("grid pattern count exceeds the budget")
     m = op.phi.domain_size
     a_psi = np.abs(op.psi.values[:m])
     in_window = op.phi.image < n_window
     best = np.inf
     best_pattern = None
     searched = 0
-    for P in reference_grid_chunks(k, levels):
+    for P in reference_grid_chunks(k):
         absP = np.abs(P)
         ok = absP.max(axis=1) == 1.0
         if not ok.any():
@@ -385,7 +374,6 @@ def oracle_cases(draw):
     return op, VertexFunction(op.codomain_tree, g)
 
 
-SEARCH_GRIDS = [(-1.0, 0.0, 1.0), (-1.0, -0.5, 0.0, 0.5, 1.0), (1.0, -1.0)]
 SEARCH_CHUNKS = [1, 7, 1000, 1 << 15]
 # the pattern budget under which the searches are compared: larger ones
 # are refused by both, which compares the refusal too
@@ -395,10 +383,6 @@ SEARCH_BUDGET = 3**9
 SEARCH_DEPTHS = {"zline": (0, 5), "h2": (0, 3), "h3": (0, 3), "random": (0, 4)}
 # trees of 7 to 127 vertices, mostly above the exhaustive cap of 16
 SWEEP_DEPTHS = {"zline": (4, 30), "h2": (2, 5), "h3": (2, 4), "random": (4, 7)}
-# the search grids, an unsorted one with a near-1 level, and the edge cases
-SWEEP_GRIDS = SEARCH_GRIDS + [
-    (0.0, 1.0), (1.0,), (0.3, -0.7, 1.0, 0.9999999999999999), (0.0, 1.0, 2.0)
-]
 
 
 @st.composite
@@ -444,12 +428,10 @@ def search_outcome(search, *args, **kwargs) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def draw_grid_and_chunk(data, grids, k):
-    """A grid, and a chunk size that keeps the search to at most 500
+def draw_chunk(data, n_patterns):
+    """A chunk size that keeps a search of ``n_patterns`` to at most 500
     chunks."""
-    grid = data.draw(st.sampled_from(grids))
-    n_patterns = min(len(grid) ** k, SEARCH_BUDGET)
-    return grid, data.draw(st.sampled_from([c for c in SEARCH_CHUNKS if n_patterns <= 500 * c]))
+    return data.draw(st.sampled_from([c for c in SEARCH_CHUNKS if n_patterns <= 500 * c]))
 
 
 class TestNormOracleLinf:
@@ -476,15 +458,6 @@ class TestNormOracleLinf:
         res = tw.norm_oracle_linf(op)
         assert res.value == 1.0
         assert abs(res.witness["maximizer"]["3"] if "3" in res.witness["maximizer"] else res.witness["maximizer"][3]) == 1.0
-
-    @pytest.mark.parametrize("method", ["exhaustive", "ascent"])
-    def test_grid_levels_outside_unit_interval_rejected(self, method):
-        # f = 2 on the one range vertex left the unit ball: value 2, not 1
-        t = tw.zline(2)
-        op = tw.composition_op(tw.constant_map(t, 0))
-        with pytest.raises(ValueError, match=r"\[-1, 1\]"):
-            tw.norm_oracle_linf(op, grid=(0.0, 1.0, 2.0), method=method)
-        assert tw.norm_oracle_linf(op, grid=(0.0, 1.0), method=method).value == 1.0
 
     def test_refuses_large_trees(self):
         t = tw.homogeneous(2, 3)  # 22 vertices
@@ -706,11 +679,12 @@ class TestJOracle:
         assert res.extra["formula_lower"] == 1.0
 
     def test_search_size_counts_real_chunk_rows(self):
-        # 3**10 grid patterns span two chunks; the 2**10 - 1 unit patterns
-        # all sit in the first, so the second adds its own row count
-        op = tw.composition_op(tw.identity_map(tw.homogeneous(2, 2)))
-        res = tw.j_oracle_linf_bracket(op, grid=(0.0, 1.0, 2.0))
-        assert res.search_size == 1023 + (3**10 - 32768)
+        # the only pattern without a unit entry is pattern 0: in a chunk of
+        # its own, that chunk adds its row count
+        op = tw.composition_op(tw.identity_map(tw.homogeneous(2, 1)))
+        assert tw.j_oracle_linf_bracket(op).search_size == 3**4 - 1
+        with mock.patch.object(oracle_mod, "_CHUNK", 1):
+            assert tw.j_oracle_linf_bracket(op).search_size == 3**4
 
     def test_refuses_large_window(self):
         t = tw.zline(8)  # 17 vertices
@@ -797,12 +771,13 @@ class TestInfeasibility:
         assert res.extra["verdict"] == "infeasible"
 
     def test_tol_is_the_only_threshold(self):
+        # a preimage norm within 1e-9 of 1 counts as 1
         t = tw.zline(1)
         op = tw.composition_op(tw.identity_map(t))
         g = VertexFunction(t, np.asarray([0.0, 1.0 + 5e-10, 0.0]))
         assert tw.surjectivity_infeasibility(op, g).extra["verdict"] == "feasible"
-        res = tw.surjectivity_infeasibility(op, g, tol=1e-10)
-        assert res.extra["verdict"] == "infeasible"
+        g = VertexFunction(t, np.asarray([0.0, 1.0 + 2e-9, 0.0]))
+        assert tw.surjectivity_infeasibility(op, g).extra["verdict"] == "infeasible"
 
 
 class TestPreimageNorm:
@@ -873,20 +848,17 @@ class TestArrayOraclesMatchLoops:
     @settings(max_examples=150, deadline=None)
     @given(op=search_ops(), data=st.data())
     def test_norm_linf_matches_reference(self, op, data):
-        grid, chunk = draw_grid_and_chunk(data, SEARCH_GRIDS, np.unique(op.phi.image).size)
+        chunk = draw_chunk(data, min(3 ** np.unique(op.phi.image).size, SEARCH_BUDGET))
         with mock.patch.multiple(oracle_mod, _CHUNK=chunk, MAX_PATTERNS=SEARCH_BUDGET):
-            res = search_outcome(tw.norm_oracle_linf, op, grid)
-            ref = search_outcome(reference_norm_oracle_linf, op, grid)
+            res = search_outcome(tw.norm_oracle_linf, op)
+            ref = search_outcome(reference_norm_oracle_linf, op)
         assert res == ref
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        op=st.one_of(search_ops(), search_ops(SWEEP_DEPTHS)),
-        grid=st.sampled_from(SWEEP_GRIDS),
-    )
-    def test_grid_sweep_matches_reference(self, op, grid):
-        res = search_outcome(tw.norm_oracle_linf, op, grid, "ascent")
-        ref = search_outcome(reference_norm_oracle_linf_ascent, op, grid)
+    @given(op=st.one_of(search_ops(), search_ops(SWEEP_DEPTHS)))
+    def test_grid_sweep_matches_reference(self, op):
+        res = search_outcome(tw.norm_oracle_linf, op, "ascent")
+        ref = search_outcome(reference_norm_oracle_linf_ascent, op)
         assert res == ref
 
     @settings(max_examples=150, deadline=None)
@@ -896,10 +868,10 @@ class TestArrayOraclesMatchLoops:
         if window is not None:
             window = min(window, t.depth_limit)
         k = SelfMap.domain_size_for(t, t.depth_limit if window is None else window)
-        grid, chunk = draw_grid_and_chunk(data, SEARCH_GRIDS + [(0.0, 1.0, 2.0)], k)
-        with mock.patch.multiple(oracle_mod, _CHUNK=chunk, MAX_PATTERNS=SEARCH_BUDGET):
-            res = search_outcome(tw.j_oracle_linf_bracket, op, grid, window)
-            ref = search_outcome(reference_j_oracle_linf_bracket, op, grid, window)
+        # past the cap of 12 window vertices both refuse before searching
+        with mock.patch.object(oracle_mod, "_CHUNK", draw_chunk(data, 3 ** min(k, 12))):
+            res = search_outcome(tw.j_oracle_linf_bracket, op, window)
+            ref = search_outcome(reference_j_oracle_linf_bracket, op, window)
         assert res == ref
 
     def test_searches_over_full_chunks_match_reference(self):
