@@ -52,26 +52,6 @@ class VertexFunction:
     def __call__(self, v: int) -> float:
         return float(self.values[self.tree.check_vertex(v)])
 
-    def __add__(self, other: "VertexFunction") -> "VertexFunction":
-        self._check_same_tree(other)
-        return VertexFunction(self.tree, self.values + other.values)
-
-    def __sub__(self, other: "VertexFunction") -> "VertexFunction":
-        self._check_same_tree(other)
-        return VertexFunction(self.tree, self.values - other.values)
-
-    def __mul__(self, scalar: float) -> "VertexFunction":
-        return VertexFunction(self.tree, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VertexFunction":
-        return VertexFunction(self.tree, -self.values)
-
-    def _check_same_tree(self, other: "VertexFunction") -> None:
-        if other.tree is not self.tree:
-            raise ValueError("vertex functions live on different trees")
-
     @property
     def sup_norm(self) -> float:
         return float(np.abs(self.values).max()) if self.values.size else 0.0

@@ -52,7 +52,6 @@ from .operators import (
     linf_ess_norm_profile,
     linf_op_norm,
     lip_bounds,
-    lip_exact_norm,
     lip_ess_norm_profile,
     map_from_table,
     tail_trend_slope,
@@ -389,7 +388,7 @@ def golden_dir() -> Path:
 
 
 def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> dict:
-    lo, up = lip_bounds(op)
+    exact, up = lip_bounds(op)  # the lower end is the exact norm
     jlo, jup = j_lip_bracket(op, window_depth)
     klo, kup = k_lip_bracket(op)
     linf_tail = linf_ess_norm_profile(op)
@@ -398,9 +397,9 @@ def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> 
         "linf_op_norm": linf_op_norm(op),
         "linf_ess_tail": [[n, v] for n, v in linf_tail],
         "linf_ess_tail_slope": tail_trend_slope(linf_tail),
-        "lip_lower_bound": lo,
+        "lip_lower_bound": exact,
         "lip_upper_bound": up,
-        "lip_exact_norm": lip_exact_norm(op),
+        "lip_exact_norm": exact,
         "lip_ess_tail": [[n, v] for n, v in lip_tail],
         "lip_ess_tail_slope": tail_trend_slope(lip_tail),
         "j_linf": j_linf(op, window_depth),

@@ -10,6 +10,8 @@ degrade, beyond hard size caps: exhaustive enumeration of the patterns of
 the levels -1, 0, 1 on the bounded functions, exhaustive enumeration of the
 extreme points of the Lipschitz unit ball (the constants +-1 and the sign
 patterns of the increments), and a one-parameter path-extremal family.
+The three exhaustive searches share one loop, ``_first_best``, over the
+digit-plane chunks of ``_digit_planes``; each brings only a score.
 
 The surjectivity check is exact, not merely sound: it computes the least
 Lipschitz norm of a preimage by McShane extension through the forced
@@ -102,9 +104,11 @@ def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleRe
     """Max of the composed sup norm over unit functions valued in -1, 0, 1.
 
     Only values on the range of the map influence the operator, so the
-    enumeration runs over range vertices; when the range misses some
-    vertex, sup norm 1 is realized off range and every pattern on the
-    range is admissible.
+    enumeration runs over the patterns on the range vertices.  When the
+    range misses some vertex, sup norm 1 can be realized off the range
+    and every pattern is admissible; otherwise the all-zero pattern is
+    not, and ``search_size`` leaves it out.  The maximizer is 0 off the
+    range.
 
     "ascent" is the sweep over the range vertices in id order that gives
     each the first level maximizing the composed sup: the objective is
@@ -140,24 +144,20 @@ def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleRe
             f"{n_patterns} grid patterns exceed the budget {MAX_PATTERNS}; "
             "use method='ascent'"
         )
-    best, best_pattern, searched = _pattern_search(
-        k,
-        np.abs(op.psi.values[:m]),
-        np.searchsorted(range_ids, op.phi.image),
-        maximize=True,
-        unit_only=k == t.n_vertices,
+    a_psi = np.abs(op.psi.values[:m])
+    col = np.searchsorted(range_ids, op.phi.image)
+    # pattern 0, -1 on the whole range, scores the largest possible value
+    # and comes first, so it wins: the all-zero pattern needs no mask
+    best, index = _first_best(
+        k, np.abs(_LEVELS), lambda start, planes: _composed_sups(planes, a_psi, col), -1.0
     )
     f = np.zeros(t.n_vertices)
-    if best_pattern is not None:
-        f[range_ids] = best_pattern
-    if np.abs(f).max() < 1.0:
-        off = np.setdiff1d(np.arange(t.n_vertices), range_ids)
-        f[off[0] if off.size else 0] = 1.0
+    f[range_ids] = _digits(index, _LEVELS, k)
     return OracleResult(
         quantity="OpNormLinf",
-        value=max(best, 0.0),
+        value=best,
         method="ExhaustiveSigns",
-        search_size=searched,
+        search_size=n_patterns - (k == t.n_vertices),
         witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
     )
 
@@ -171,7 +171,8 @@ def _digit_planes(k: int, levels: np.ndarray):
     Digit j is constant on runs of ``L**j`` consecutive patterns and steps
     through the levels cyclically, so each plane is one ``np.repeat`` of a
     short cycle, with the chunk's first and last runs cut to fit.  Every
-    chunk is written into the same buffer.
+    chunk is written into the same buffer.  ``_first_best`` is the one
+    loop over the chunks, and ``_digits`` decodes one pattern.
     """
     L = levels.size
     total = L**k
@@ -198,56 +199,42 @@ def _digit_planes(k: int, levels: np.ndarray):
         yield start, planes
 
 
-def _pattern_search(
-    k: int,
-    a_psi: np.ndarray,
-    col: np.ndarray,
-    maximize: bool,
-    unit_only: bool,
-):
-    """Largest (``maximize``) or smallest composed sup norm
-    ``max_v a_psi[v] * |P[col[v]]|`` over the patterns P in
-    ``_LEVELS**k``, only over patterns with an entry of modulus 1 when
-    ``unit_only``.
+def _first_best(k: int, levels: np.ndarray, score, best: float):
+    """Walk the ``levels**k`` grid patterns chunk by chunk and return the
+    largest score with the index of its pattern, or ``(best, None)`` when
+    no pattern beats the given ``best``.
 
-    Every pattern is scored against every listed domain vertex; a domain
-    vertex left out of ``a_psi`` counts as scoring 0.  Ties keep the first
-    pattern in a chunk and a strictly better one across chunks.  A chunk
-    without a unit pattern counts all its rows as searched.  Returns
-    ``(value, signed pattern or None, patterns searched)``.
+    ``score(start, planes)`` returns one score per pattern ``start + r`` of
+    a chunk.  Ties keep the first pattern in a chunk, and a later chunk
+    wins only when strictly better.
     """
-    best = -1.0 if maximize else np.inf
     best_index = None
-    searched = 0
-    masked = -np.inf if maximize else np.inf
-    pick = np.argmax if maximize else np.argmin
-    for start, planes in _digit_planes(k, np.abs(_LEVELS)):
-        rows = planes.shape[1]
-        if unit_only:
-            unit = planes.max(axis=0) == 1.0
-            n_unit = int(np.count_nonzero(unit))
-            if not n_unit:
-                searched += rows
-                continue
-        # scores are products of nonnegatives: starting from zero changes
-        # none of them
-        vals = np.zeros(rows)
-        term = np.empty(rows)
-        for a, c in zip(a_psi, col):
-            np.multiply(a, planes[c], out=term)
-            np.maximum(vals, term, out=vals)
-        if unit_only:
-            vals[~unit] = masked
-            searched += n_unit
-        else:
-            searched += rows
-        i = int(pick(vals))
-        if (vals[i] > best) if maximize else (vals[i] < best):
+    for start, planes in _digit_planes(k, levels):
+        vals = score(start, planes)
+        i = int(np.argmax(vals))
+        if vals[i] > best:
             best, best_index = float(vals[i]), start + i
-    if best_index is None:
-        return best, None, searched
-    L = _LEVELS.size
-    return best, _LEVELS[[best_index // L**j % L for j in range(k)]], searched
+    return best, best_index
+
+
+def _digits(index: int, levels: np.ndarray, k: int) -> np.ndarray:
+    """Pattern ``index`` of the ``levels**k`` grid, as ``_digit_planes``
+    orders it."""
+    L = levels.size
+    return levels[[index // L**j % L for j in range(k)]]
+
+
+def _composed_sups(planes: np.ndarray, a_psi: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """The composed sup norm ``max_v a_psi[v] * planes[col[v], r]`` of each
+    pattern r of a chunk of ``|level|`` planes; 0 with no vertex listed."""
+    # scores are products of nonnegatives: starting from zero changes
+    # none of them
+    vals = np.zeros(planes.shape[1])
+    term = np.empty_like(vals)
+    for a, c in zip(a_psi, col):
+        np.multiply(a, planes[c], out=term)
+        np.maximum(vals, term, out=vals)
+    return vals
 
 
 # -- the Lipschitz unit ball -----------------------------------------------------
@@ -343,16 +330,16 @@ def _extreme_point_search(
         for a in tree.root_path(u):
             if a in col:
                 incidence[i, col[a]] = 1.0
-    best, best_index = float(weights.max(initial=0.0)), None
-    for start, planes in _digit_planes(edges.size, _SIGNS):
-        vals = (weights[:, None] * np.abs(incidence @ planes)).max(axis=0, initial=0.0)
-        i = int(np.argmax(vals))
-        if vals[i] > best:
-            best, best_index = float(vals[i]), start + i
+
+    def score(start, planes):
+        return (weights[:, None] * np.abs(incidence @ planes)).max(axis=0, initial=0.0)
+
+    # both constants score the largest weight
+    best, index = _first_best(edges.size, _SIGNS, score, float(weights.max(initial=0.0)))
     f = np.ones(tree.n_vertices)
-    if best_index is not None:
+    if index is not None:
         inc = np.zeros(tree.n_vertices)
-        inc[edges] = _SIGNS[[best_index >> j & 1 for j in range(edges.size)]]
+        inc[edges] = _digits(index, _SIGNS, edges.size)
         # rebuild f layer by layer from its increments, with f(root) = 0
         f[0] = 0.0
         for d in range(1, tree.depth_limit + 1):
@@ -459,16 +446,22 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
         )
     # 3**12 patterns at the cap, well inside MAX_PATTERNS
     k = n_window
-    m = op.phi.domain_size
     # f vanishes off the window, so images outside it contribute zero
     in_window = op.phi.image < n_window
-    best, best_pattern, searched = _pattern_search(
-        k,
-        np.abs(op.psi.values[:m])[in_window],
-        op.phi.image[in_window],
-        maximize=False,
-        unit_only=True,
-    )
+    a_psi = np.abs(op.psi.values[: op.phi.domain_size])[in_window]
+    col = op.phi.image[in_window]
+    # every digit the level 0: the one pattern that is no unit function
+    zero = (3**k - 1) // 2
+
+    def score(start, planes):
+        # negated, so that the largest score is the smallest composed sup
+        vals = -_composed_sups(planes, a_psi, col)
+        if start <= zero < start + vals.size:
+            vals[zero - start] = -np.inf
+        return vals
+
+    neg_best, index = _first_best(k, np.abs(_LEVELS), score, -np.inf)
+    best, best_pattern = -neg_best, _digits(index, _LEVELS, k)
     gap = best - lower
     if gap < -1e-9:
         raise RuntimeError(
@@ -478,7 +471,7 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
         quantity="JLinfUpper",
         value=best,
         method="ExhaustiveSigns",
-        search_size=searched,
+        search_size=3**k - 1,
         witness={
             "minimizer": {int(v): float(best_pattern[v]) for v in range(k)}
         },

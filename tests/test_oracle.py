@@ -203,7 +203,6 @@ def reference_norm_oracle_linf(op: WeightedCompOp) -> OracleResult:
         if need_unit_on_range:
             ok = absP.max(axis=1) == 1.0
             if not ok.any():
-                searched += P.shape[0]
                 continue
             P, absP = P[ok], absP[ok]
         vals = (a_psi[None, :] * absP[:, col]).max(axis=1) if m else np.zeros(P.shape[0])
@@ -293,7 +292,6 @@ def reference_j_oracle_linf_bracket(op: WeightedCompOp, within_depth=None) -> Or
         absP = np.abs(P)
         ok = absP.max(axis=1) == 1.0
         if not ok.any():
-            searched += P.shape[0]
             continue
         P, absP = P[ok], absP[ok]
         contrib = np.zeros((P.shape[0], m))
@@ -679,12 +677,12 @@ class TestJOracle:
         assert res.extra["formula_lower"] == 1.0
 
     def test_search_size_counts_real_chunk_rows(self):
-        # the only pattern without a unit entry is pattern 0: in a chunk of
-        # its own, that chunk adds its row count
+        # the only pattern without a unit entry is the all-zero one, and it
+        # is left out whatever chunk it falls in
         op = tw.composition_op(tw.identity_map(tw.homogeneous(2, 1)))
-        assert tw.j_oracle_linf_bracket(op).search_size == 3**4 - 1
-        with mock.patch.object(oracle_mod, "_CHUNK", 1):
-            assert tw.j_oracle_linf_bracket(op).search_size == 3**4
+        for chunk in (1, 7, oracle_mod._CHUNK):
+            with mock.patch.object(oracle_mod, "_CHUNK", chunk):
+                assert tw.j_oracle_linf_bracket(op).search_size == 3**4 - 1
 
     def test_refuses_large_window(self):
         t = tw.zline(8)  # 17 vertices
@@ -853,6 +851,25 @@ class TestArrayOraclesMatchLoops:
             res = search_outcome(tw.norm_oracle_linf, op)
             ref = search_outcome(reference_norm_oracle_linf, op)
         assert res == ref
+
+    @settings(max_examples=150, deadline=None)
+    @given(op=search_ops(), data=st.data())
+    def test_searches_in_closed_form(self, op, data):
+        # pattern 0, -1 on the range, is the maximizer, and each search
+        # counts its unit patterns, whatever the chunk size
+        n = op.tree.n_vertices
+        range_ids = np.unique(op.phi.image)
+        k = range_ids.size
+        chunk = draw_chunk(data, 3 ** min(n, 12))
+        with mock.patch.multiple(oracle_mod, _CHUNK=chunk, MAX_PATTERNS=SEARCH_BUDGET):
+            if n <= oracle_mod.MAX_EXHAUSTIVE_VERTICES_MAX and 3**k <= SEARCH_BUDGET:
+                res = tw.norm_oracle_linf(op)
+                f = np.zeros(n)
+                f[range_ids] = -1.0
+                assert res.witness["maximizer"] == dict(enumerate(f.tolist()))
+                assert res.search_size == 3**k - (k == n)
+            if op.phi.coverage.all() and n <= oracle_mod.MAX_EXHAUSTIVE_VERTICES_MIN:
+                assert tw.j_oracle_linf_bracket(op).search_size == 3**n - 1
 
     @settings(max_examples=200, deadline=None)
     @given(op=st.one_of(search_ops(), search_ops(SWEEP_DEPTHS)))
