@@ -16,7 +16,9 @@ digit-plane chunks of ``_digit_planes``; each brings only a score.
 The surjectivity check is exact, not merely sound: it computes the least
 Lipschitz norm of a preimage by McShane extension through the forced
 values, with root value 0 unless forced, since moving it off 0 costs its
-modulus and gains at most as much at depth >= 1.
+modulus and gains at most as much at depth >= 1.  Its largest pair
+quotient needs only the adjacent forced pairs, with no forced vertex
+between them.
 """
 
 from __future__ import annotations
@@ -55,6 +57,14 @@ _SURJ_TOL = 1e-9
 # surjectivity quotient scan (bounds its memory on large inputs)
 _A_GRID = np.linspace(0.0, 1.0, 21)
 _PAIR_BLOCK = 1 << 16
+# at most this many forced pairs are scanned outright; above it only the
+# endpoints of the near-maximal adjacent pairs are.  The measured crossover
+# of the two is about 1,000 pairs on zline bijections and 1,400-2,000 on
+# homogeneous ones
+_SCAN_PAIRS = 1_500
+# adjacent pairs within this relative margin of the largest quotient may
+# tie with it in the full scan after rounding
+_TIE_REL = 1e-9
 
 
 class OracleSizeError(ValueError):
@@ -496,10 +506,17 @@ def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleR
     "infeasible" exactly when that norm, reported as the witness
     ``preimage_lip_norm``, exceeds ``1 + _SURJ_TOL``, and "feasible"
     otherwise.
+
+    L* is the largest quotient of an adjacent pair, one with no forced
+    vertex strictly inside its path (``_max_quotient``); up to
+    ``_SCAN_PAIRS`` pairs are scanned outright.  The reported pair is the
+    first maximal one in (u, u') order over all pairs, and ``search_size``
+    counts the k(k-1)/2 pairs decided, not the ones scored.  The target
+    must live on a tree shaped like the operator's codomain view.
     """
     t = op.tree
     cod = op.codomain_tree
-    if g.tree.n_vertices != cod.n_vertices:
+    if g.tree is not cod and not np.array_equal(g.tree.parent, cod.parent):
         raise ValueError("target function must live on the operator's codomain view")
     if not op.phi.injective_on_domain:
         raise ValueError("forced-value inversion needs an injective map")
@@ -524,23 +541,8 @@ def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleR
     order = np.argsort(keys)
     keys = keys[order]
     forced = (g.values[~vanish] / psi[~vanish])[order]
-
-    # scan the pairs i < j in row blocks, in the order of a nested i, j
-    # loop: the first maximum in a block, a strictly larger one across blocks
     k = keys.size
-    cols = np.arange(k)
-    rows = max(1, _PAIR_BLOCK // max(k, 1))
-    best_q, best_pair, best_dist = 0.0, None, 0
-    for r0 in range(0, k - 1, rows):
-        i, j = np.nonzero(cols[None, :] > cols[r0 : min(r0 + rows, k - 1), None])
-        i += r0
-        dist = t.distances(keys[i], keys[j])
-        q = np.abs(forced[j] - forced[i]) / dist
-        # a NaN quotient (inf - inf) never wins, as under a scalar `>`
-        b = int(np.argmax(np.fmax(q, 0.0)))
-        if q[b] > best_q:
-            best_q, best_dist = float(q[b]), int(dist[b])
-            best_pair = [int(keys[i[b]]), int(keys[j[b]])]
+    best_q, best_pair, best_dist = _max_quotient(t, keys, forced)
     searched = k * (k - 1) // 2
 
     if k and keys[0] == 0:  # a forced root is keys[0], and c = F(root)
@@ -570,3 +572,88 @@ def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleR
     return OracleResult(
         "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
     )
+
+
+def _max_quotient(t: RootedTree, keys: np.ndarray, forced: np.ndarray):
+    """The largest quotient |F(u) - F(u')| / d(u, u') over the pairs of the
+    forced vertices ``keys`` (sorted ids) with values ``forced``, as
+    ``_quotient_scan`` reports it on all of them.
+
+    Only adjacent pairs, with no forced vertex strictly inside their path,
+    can be needed: a forced w inside splits d(u, u') = d(u, w) + d(w, u')
+    and |F(u) - F(u')| <= |F(u) - F(w)| + |F(w) - F(u')|, so the mediant
+    bounds q(u, u') by max(q(u, w), q(w, u')), with equality only when
+    both parts attain it.  Adjacent pairs join a forced vertex to its
+    nearest forced proper ancestor, or two forced vertices with the same
+    top: the highest vertex of the root path below that ancestor (the root
+    when there is none).  The first maximal pair of the full scan chains
+    through adjacent pairs at the maximum, so scanning the endpoints of
+    the adjacent pairs within a rounding margin of it reports the same
+    pair, quotient and distance.
+    """
+    k = keys.size
+    # forced values that are not finite, or whose spread overflows, leave
+    # no rounding margin for the chain argument
+    if k * (k - 1) // 2 <= _SCAN_PAIRS or not np.isfinite(forced.max() - forced.min()):
+        return _quotient_scan(t, keys, forced)
+    is_forced = np.zeros(t.n_vertices, dtype=bool)
+    is_forced[keys] = True
+    # one step toward the root that stops below a forced vertex and at the
+    # root; 2**r >= D steps take every vertex to its top
+    up = np.where(is_forced[t.safe_parent], np.arange(t.n_vertices), t.safe_parent)
+    for _ in range((int(t.depth_limit) - 1).bit_length()):
+        up = up[up]
+    top = up[keys]
+    # a forced vertex and its nearest forced proper ancestor, the parent of
+    # its top, at their depth difference; only the root's top group has no
+    # such ancestor
+    below = np.flatnonzero(top != 0)
+    above = np.searchsorted(keys, t.safe_parent[top[below]])
+    # every pair of a top group: position r of the grouped order pairs with
+    # the later positions of its group
+    grouped = np.argsort(top)
+    tops = top[grouped]
+    later = np.searchsorted(tops, tops, side="right") - np.arange(k) - 1
+    n_same = int(later.sum())
+    # many forced vertices can share a top (leaves below a free root):
+    # past the budget they are not built, and the blocked scan of every key
+    # runs in bounded memory
+    if below.size + n_same > MAX_PATTERNS:
+        return _quotient_scan(t, keys, forced)
+    r = np.repeat(np.arange(k), later)
+    s = r + 1 + np.arange(n_same) - np.repeat(np.cumsum(later) - later, later)
+    a = np.concatenate([above, grouped[r]])
+    b = np.concatenate([below, grouped[s]])
+    dist = np.empty(a.size, dtype=np.int64)
+    dist[: below.size] = t.depth[keys[below]] - t.depth[keys[above]]
+    for c0 in range(below.size, a.size, _PAIR_BLOCK):
+        i, j = a[c0 : c0 + _PAIR_BLOCK], b[c0 : c0 + _PAIR_BLOCK]
+        dist[c0 : c0 + i.size] = t.distances(keys[i], keys[j])
+    q = np.abs(forced[b] - forced[a]) / dist
+    # with every quotient 0 nothing ties, and the scan of no keys reports that
+    near = (q > 0.0) & (q >= q.max() * (1.0 - _TIE_REL))
+    keep = np.unique(np.concatenate([a[near], b[near]]))
+    return _quotient_scan(t, keys[keep], forced[keep])
+
+
+def _quotient_scan(t: RootedTree, keys: np.ndarray, forced: np.ndarray):
+    """``(quotient, pair, distance)`` of the first maximal pair i < j of
+    ``keys`` in the order of a nested i, j loop, ``(0.0, None, 0)`` when
+    no quotient is positive.  The pairs are scanned in row blocks of about
+    ``_PAIR_BLOCK``: the first maximum in a block, a strictly larger one
+    across blocks."""
+    k = keys.size
+    cols = np.arange(k)
+    rows = max(1, _PAIR_BLOCK // max(k, 1))
+    best_q, best_pair, best_dist = 0.0, None, 0
+    for r0 in range(0, k - 1, rows):
+        i, j = np.nonzero(cols[None, :] > cols[r0 : min(r0 + rows, k - 1), None])
+        i += r0
+        dist = t.distances(keys[i], keys[j])
+        q = np.abs(forced[j] - forced[i]) / dist
+        # a NaN quotient (inf - inf) never wins, as under a scalar `>`
+        b = int(np.argmax(np.fmax(q, 0.0)))
+        if q[b] > best_q:
+            best_q, best_dist = float(q[b]), int(dist[b])
+            best_pair = [int(keys[i[b]]), int(keys[j[b]])]
+    return best_q, best_pair, best_dist

@@ -13,7 +13,7 @@ from treewco import oracle as oracle_mod
 from treewco.io import canonical_json
 from treewco.oracle import _lip_norm_raw
 
-from conftest import random_operator, reference_distance, small_tree_corpus
+from conftest import label_fn, random_operator, reference_distance, small_tree_corpus
 
 
 # -- reference implementations: the scalar loops the array passes replaced --
@@ -370,6 +370,11 @@ def oracle_cases(draw):
         if rng.random() < 0.5:
             g[(np.abs(psi[:m]) <= 1e-9) & (rng.random(m) < 0.3)] = 1.0
     return op, VertexFunction(op.codomain_tree, g)
+
+
+# _SCAN_PAIRS at 0 sends every surjectivity check down the adjacent-pair
+# path, and at 2**62 every one through the all-pairs scan
+SCAN_PAIRS = [0, 1 << 62]
 
 
 SEARCH_CHUNKS = [1, 7, 1000, 1 << 15]
@@ -768,6 +773,14 @@ class TestInfeasibility:
         assert res.witness["preimage_lip_norm"] == pytest.approx(1.3)
         assert res.extra["verdict"] == "infeasible"
 
+    def test_target_on_another_tree_rejected(self):
+        # five vertices each, but a line is not a star: the forced values
+        # would land on the wrong vertices
+        op = tw.composition_op(tw.identity_map(tw.zline(2)))
+        g = VertexFunction(tw.homogeneous(3, 1), np.zeros(5))
+        with pytest.raises(ValueError, match="codomain"):
+            tw.surjectivity_infeasibility(op, g)
+
     def test_tol_is_the_only_threshold(self):
         # a preimage norm within 1e-9 of 1 counts as 1
         t = tw.zline(1)
@@ -820,12 +833,74 @@ class TestArrayOraclesMatchLoops:
     for byte."""
 
     @settings(max_examples=150, deadline=None)
-    @given(case=oracle_cases(), block=st.sampled_from([1, 2, 5, 13, 1 << 16]))
-    def test_surjectivity_matches_reference(self, case, block):
+    @given(
+        case=oracle_cases(),
+        block=st.sampled_from([1, 2, 5, 13, 1 << 16]),
+        scan_pairs=st.sampled_from(SCAN_PAIRS),
+    )
+    def test_surjectivity_matches_reference(self, case, block, scan_pairs):
         op, g = case
-        # small blocks put block boundaries between tied pairs
-        with mock.patch.object(oracle_mod, "_PAIR_BLOCK", block):
+        # small blocks put block boundaries between tied pairs; the drawn
+        # trees have too few pairs to reach the adjacent-pair path unpatched
+        with mock.patch.multiple(oracle_mod, _PAIR_BLOCK=block, _SCAN_PAIRS=scan_pairs):
             res = tw.surjectivity_infeasibility(op, g)
+        ref = reference_surjectivity_infeasibility(op, g)
+        assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
+
+    @pytest.mark.parametrize("forced", ["every", "even"])
+    def test_near_collinear_targets_match_reference(self, forced):
+        # F = label * (1/3) in floating point: the quotients of many pairs
+        # agree up to rounding, so a tie set of exact maxima would miss the
+        # pair the full scan picks
+        for n in range(5, 61):
+            t = tw.zline(n)
+            labels = label_fn(t)
+            psi = np.ones(len(t))
+            if forced == "even":
+                psi[labels % 2 == 1] = 0.0
+            op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
+            g = VertexFunction(t, np.where(psi > 0, (1.0 / 3.0) * labels, 0.0))
+            ref = canonical_json(reference_surjectivity_infeasibility(op, g).to_json())
+            for scan_pairs in SCAN_PAIRS:
+                with mock.patch.object(oracle_mod, "_SCAN_PAIRS", scan_pairs):
+                    res = tw.surjectivity_infeasibility(op, g)
+                assert canonical_json(res.to_json()) == ref, (n, scan_pairs)
+
+    def test_overflowing_spread_matches_reference(self):
+        # only the pair of labels 1 and -2 overflows to an infinite
+        # quotient; the largest edge quotients all touch label 1, so a tie
+        # set taken from the edges would leave label -2 out
+        t = tw.zline(30)
+        op = tw.composition_op(tw.identity_map(t))
+        g = np.zeros(len(t))
+        g[t.vertex_of(1)], g[t.vertex_of(-2)] = 1.7e308, -1.0e308
+        g = VertexFunction(t, g)
+        ref = canonical_json(reference_surjectivity_infeasibility(op, g).to_json())
+        for scan_pairs in SCAN_PAIRS:
+            # the overflow is the point: numpy's warning about it is not
+            with np.errstate(over="ignore"), mock.patch.object(
+                oracle_mod, "_SCAN_PAIRS", scan_pairs
+            ):
+                res = tw.surjectivity_infeasibility(op, g)
+            assert canonical_json(res.to_json()) == ref
+
+    @pytest.mark.parametrize("max_patterns", [oracle_mod.MAX_PATTERNS, 100])
+    def test_shared_top_matches_reference(self, max_patterns):
+        # only the 64 leaves of h(2, 5) are forced, and the root is free: all
+        # share the root as their top, 2,016 pairs of one group; past a
+        # budget of 100 candidates the scan runs on every key instead
+        t = tw.homogeneous(2, 5)
+        rng = np.random.default_rng(5)
+        leaves = t.depth == t.depth_limit
+        psi = np.where(leaves, rng.uniform(0.5, 2.0, len(t)), 0.0)
+        op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
+        g = VertexFunction(t, np.where(leaves, rng.uniform(-3.0, 3.0, len(t)), 0.0))
+        scan = oracle_mod._quotient_scan
+        with mock.patch.multiple(oracle_mod, _SCAN_PAIRS=0, MAX_PATTERNS=max_patterns):
+            with mock.patch.object(oracle_mod, "_quotient_scan", wraps=scan) as spy:
+                res = tw.surjectivity_infeasibility(op, g)
+        scanned = spy.call_args.args[1].size
+        assert scanned == (leaves.sum() if max_patterns == 100 else 2)
         ref = reference_surjectivity_infeasibility(op, g)
         assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
 
@@ -957,6 +1032,25 @@ class TestArrayOraclesMatchLoops:
         assert canonical_json(tw.norm_oracle_lip(op).to_json()) == canonical_json(
             reference_norm_oracle_lip_path(op).to_json()
         )
+
+
+class TestSurjectivityAtScale:
+    @pytest.mark.parametrize(
+        "family, args", [("zline", (10**4,)), ("homogeneous", (3, 9))], ids=["zline", "h3"]
+    )
+    def test_bijection_quotient_is_the_largest_edge_increment(self, family, args):
+        # every vertex forced: the adjacent pairs are the tree's edges
+        tree = getattr(tw, family)(*args)
+        rng = np.random.default_rng(len(tree))
+        phi = tw.random_permutation_map(tree, rng)
+        psi = rng.uniform(0.5, 2.0, len(tree))
+        op = WeightedCompOp(VertexFunction(tree, psi), phi)
+        g = VertexFunction(tree, rng.uniform(-1.0, 1.0, len(tree)))
+        res = tw.surjectivity_infeasibility(op, g)
+        F = np.empty(len(tree))
+        F[phi.image] = g.values / psi
+        assert res.witness["quotient"] == np.abs(F[1:] - F[tree.parent[1:]]).max()
+        assert res.witness["pair_distance"] == 1
 
 
 class TestPairDistances:
