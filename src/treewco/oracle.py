@@ -10,8 +10,11 @@ degrade, beyond hard size caps: exhaustive enumeration of the patterns of
 the levels -1, 0, 1 on the bounded functions, exhaustive enumeration of the
 extreme points of the Lipschitz unit ball (the constants +-1 and the sign
 patterns of the increments), and a one-parameter path-extremal family.
-The three exhaustive searches share one loop, ``_first_best``, over the
-digit-plane chunks of ``_digit_planes``; each brings only a score.
+The three exhaustive searches share one loop, ``_first_best``, which
+builds each pattern's state by digit recursion from the pattern it
+extends: a running maximum for the searches on the bounded functions, a
+running sum of increments for the extreme points.  Each search brings
+only its digit terms and a score.
 
 The surjectivity check is exact, not merely sound: it computes the least
 Lipschitz norm of a preimage by McShane extension through the forced
@@ -44,6 +47,7 @@ __all__ = [
 MAX_EXHAUSTIVE_VERTICES_MAX = 16
 MAX_EXHAUSTIVE_VERTICES_MIN = 12
 MAX_PATTERNS = 2_000_000
+# at most this many patterns are scored per block of an exhaustive search
 _CHUNK = 1 << 15
 # the values a bounded unit function takes at each vertex in the searches
 # on the bounded functions, and the increment levels of the Lipschitz
@@ -138,7 +142,7 @@ def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleRe
             value=_composed_sup_raw(op, f),
             method="GridRefine",
             search_size=int(k * _LEVELS.size),
-            witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
+            witness={"maximizer": dict(enumerate(f.tolist()))},
         )
 
     if method != "exhaustive":
@@ -154,13 +158,10 @@ def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleRe
             f"{n_patterns} grid patterns exceed the budget {MAX_PATTERNS}; "
             "use method='ascent'"
         )
-    a_psi = np.abs(op.psi.values[:m])
-    col = np.searchsorted(range_ids, op.phi.image)
     # pattern 0, -1 on the whole range, scores the largest possible value
     # and comes first, so it wins: the all-zero pattern needs no mask
-    best, index = _first_best(
-        k, np.abs(_LEVELS), lambda start, planes: _composed_sups(planes, a_psi, col), -1.0
-    )
+    col = np.searchsorted(range_ids, op.phi.image)
+    best, index = _sup_first_best(k, col, np.abs(op.psi.values[:m]), lambda first, s: s, -1.0)
     f = np.zeros(t.n_vertices)
     f[range_ids] = _digits(index, _LEVELS, k)
     return OracleResult(
@@ -168,83 +169,72 @@ def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleRe
         value=best,
         method="ExhaustiveSigns",
         search_size=n_patterns - (k == t.n_vertices),
-        witness={"maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)}},
+        witness={"maximizer": dict(enumerate(f.tolist()))},
     )
 
 
-def _digit_planes(k: int, levels: np.ndarray):
-    """Yield ``(start, planes)`` for each chunk of ``_CHUNK`` consecutive
-    indices of the ``L**k`` grid patterns: ``planes[j, r]`` is the level
-    of digit j of pattern ``start + r``, where digit j of pattern i is
-    ``i // L**j % L`` (least significant first).
+def _states(start: np.ndarray, terms: np.ndarray, op) -> np.ndarray:
+    """The states of the ``L**len(terms)`` patterns of the digits
+    ``terms``, patterns on the last axis, by digit recursion: pattern
+    ``d * P + i`` extends pattern i of the P before it by level d of the
+    next digit, and its state is ``op`` of the two."""
+    state = start
+    for term in terms:
+        state = op(state[..., None, :], term[..., :, None])
+        state = state.reshape(*state.shape[:-2], -1)
+    return state
 
-    Digit j is constant on runs of ``L**j`` consecutive patterns and steps
-    through the levels cyclically, so each plane is one ``np.repeat`` of a
-    short cycle, with the chunk's first and last runs cut to fit.  Every
-    chunk is written into the same buffer.  ``_first_best`` is the one
-    loop over the chunks, and ``_digits`` decodes one pattern.
+
+def _first_best(terms: np.ndarray, op, start: np.ndarray, score, best: float):
+    """Score every pattern of the ``L**k`` grid and return the largest
+    score with the index of its pattern, or ``(best, None)`` when no
+    pattern beats the given ``best``.
+
+    Digit j of pattern i is ``i // L**j % L`` (least significant first).
+    ``terms[j]`` holds, levels on its last axis, what each level of digit
+    j adds to a pattern's state through ``op``, and ``start`` is the
+    state of the empty pattern, whose patterns axis has length 1.  The
+    states of the low digits, as many as give at most ``_CHUNK``
+    patterns, are built once, and so are those of the high digits: block
+    h holds the patterns ``h * size + r``, and its states are
+    ``op(low, high[h])``.  ``score(first, states)`` turns a block's states
+    into one score per pattern, ``first`` being the block's first index,
+    and may overwrite them.  Ties keep the first pattern in a block, and a
+    later block wins only when strictly better.
     """
-    L = levels.size
-    total = L**k
-    width = min(_CHUNK, total)
-    buf = np.empty((k, width))
-    # the levels repeated cyclically, long enough for any chunk's runs
-    # starting at any level
-    wheel = np.tile(levels, width // L + 2)
-    for start in range(0, total, _CHUNK):
-        rows = min(_CHUNK, total - start)
-        planes = buf[:, :rows]
-        run = 1
-        for j in range(k):
-            first, skip = divmod(start, run)
-            n_runs = -(-(skip + rows) // run)
-            digit = wheel[first % L : first % L + n_runs]
-            if run > 1:  # runs of one pattern are the cycle itself
-                lens = np.full(n_runs, run)
-                lens[0] -= skip
-                lens[-1] -= n_runs * run - skip - rows
-                digit = np.repeat(digit, lens)
-            planes[j] = digit
-            run *= L
-        yield start, planes
-
-
-def _first_best(k: int, levels: np.ndarray, score, best: float):
-    """Walk the ``levels**k`` grid patterns chunk by chunk and return the
-    largest score with the index of its pattern, or ``(best, None)`` when
-    no pattern beats the given ``best``.
-
-    ``score(start, planes)`` returns one score per pattern ``start + r`` of
-    a chunk.  Ties keep the first pattern in a chunk, and a later chunk
-    wins only when strictly better.
-    """
+    L = terms.shape[-1]
+    lo = 0
+    while lo < len(terms) and L ** (lo + 1) <= _CHUNK:
+        lo += 1
+    low = _states(start, terms[:lo], op)
+    high = _states(start, terms[lo:], op)
+    size = low.shape[-1]
+    block = np.empty_like(low)
     best_index = None
-    for start, planes in _digit_planes(k, levels):
-        vals = score(start, planes)
+    for h in range(high.shape[-1]):
+        vals = score(h * size, op(low, high[..., h, None], out=block))
         i = int(np.argmax(vals))
         if vals[i] > best:
-            best, best_index = float(vals[i]), start + i
+            best, best_index = float(vals[i]), h * size + i
     return best, best_index
 
 
+def _sup_first_best(k: int, col: np.ndarray, a_psi: np.ndarray, score, best: float):
+    """``_first_best`` over the composed sup norms
+    ``max_v a_psi[v] * |level of digit col[v]|`` of the ``3**k`` patterns
+    of ``_LEVELS``, 0 with no vertex listed.  Digit c adds the largest
+    ``a_psi`` over the vertices ``col`` sends to c, times ``|level|``:
+    with ``|level|`` 0 or 1 this is exact."""
+    a_max = np.zeros(k)
+    np.maximum.at(a_max, col, a_psi)
+    return _first_best(a_max[:, None] * np.abs(_LEVELS), np.maximum, np.zeros(1), score, best)
+
+
 def _digits(index: int, levels: np.ndarray, k: int) -> np.ndarray:
-    """Pattern ``index`` of the ``levels**k`` grid, as ``_digit_planes``
+    """Pattern ``index`` of the ``levels**k`` grid, as ``_first_best``
     orders it."""
     L = levels.size
     return levels[[index // L**j % L for j in range(k)]]
-
-
-def _composed_sups(planes: np.ndarray, a_psi: np.ndarray, col: np.ndarray) -> np.ndarray:
-    """The composed sup norm ``max_v a_psi[v] * planes[col[v], r]`` of each
-    pattern r of a chunk of ``|level|`` planes; 0 with no vertex listed."""
-    # scores are products of nonnegatives: starting from zero changes
-    # none of them
-    vals = np.zeros(planes.shape[1])
-    term = np.empty_like(vals)
-    for a, c in zip(a_psi, col):
-        np.multiply(a, planes[c], out=term)
-        np.maximum(vals, term, out=vals)
-    return vals
 
 
 # -- the Lipschitz unit ball -----------------------------------------------------
@@ -291,7 +281,7 @@ def _point_eval_path(tree: RootedTree, w: int) -> OracleResult:
         search_size=_A_GRID.size,
         witness={
             "vertex": int(w),
-            "maximizer": {int(v): float(f[v]) for v in range(tree.n_vertices)},
+            "maximizer": dict(enumerate(f.tolist())),
             "maximizer_lip_norm": norm,
         },
     )
@@ -312,7 +302,7 @@ def _point_eval_extreme(tree: RootedTree, w: int) -> OracleResult:
         search_size=searched,
         witness={
             "vertex": int(w),
-            "maximizer": {int(v): float(f[v]) for v in range(tree.n_vertices)},
+            "maximizer": dict(enumerate(f.tolist())),
             "maximizer_lip_norm": _lip_norm_raw(tree, f),
         },
     )
@@ -334,18 +324,23 @@ def _extreme_point_search(
     ``(value, maximizer, points scored)``.
     """
     col = {int(e): j for j, e in enumerate(edges)}
-    # incidence[i] @ signs is the pattern's value at targets[i]
+    # incidence[i, j] is 1 when edges[j] lies on the root path of targets[i]
     incidence = np.zeros((targets.size, edges.size))
     for i, u in enumerate(targets):
         for a in tree.root_path(u):
             if a in col:
                 incidence[i, col[a]] = 1.0
 
-    def score(start, planes):
-        return (weights[:, None] * np.abs(incidence @ planes)).max(axis=0, initial=0.0)
+    def score(first, values):
+        values = np.abs(values, out=values)
+        values *= weights[:, None]
+        return values.max(axis=0, initial=0.0)
 
-    # both constants score the largest weight
-    best, index = _first_best(edges.size, _SIGNS, score, float(weights.max(initial=0.0)))
+    # a pattern's state is its value at every target, a sum of increments
+    # +-1 and so an exact integer.  Both constants score the largest weight
+    terms = incidence.T[:, :, None] * _SIGNS
+    start = np.zeros((targets.size, 1))
+    best, index = _first_best(terms, np.add, start, score, float(weights.max(initial=0.0)))
     f = np.ones(tree.n_vertices)
     if index is not None:
         inc = np.zeros(tree.n_vertices)
@@ -383,7 +378,7 @@ def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
         vals = a_psi * np.abs(f[op.phi.image])
         best_v = int(np.argmax(vals)) if best > 0.0 else None
         witness = {
-            "maximizer": {int(v): float(f[v]) for v in range(t.n_vertices)},
+            "maximizer": dict(enumerate(f.tolist())),
             "maximizer_lip_norm": _lip_norm_raw(t, f),
         }
         if best_v is not None:
@@ -444,7 +439,7 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
             method="ExhaustiveSigns",
             search_size=1,
             witness={
-                "minimizer": {int(v): float(f[v]) for v in range(t.n_vertices)},
+                "minimizer": dict(enumerate(f.tolist())),
                 "uncovered_vertex": uncovered,
             },
             extra={"formula_lower": lower, "gap": 0.0 - lower},
@@ -463,14 +458,14 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
     # every digit the level 0: the one pattern that is no unit function
     zero = (3**k - 1) // 2
 
-    def score(start, planes):
+    def score(first, sups):
         # negated, so that the largest score is the smallest composed sup
-        vals = -_composed_sups(planes, a_psi, col)
-        if start <= zero < start + vals.size:
-            vals[zero - start] = -np.inf
+        vals = np.negative(sups, out=sups)
+        if first <= zero < first + vals.size:
+            vals[zero - first] = -np.inf
         return vals
 
-    neg_best, index = _first_best(k, np.abs(_LEVELS), score, -np.inf)
+    neg_best, index = _sup_first_best(k, col, a_psi, score, -np.inf)
     best, best_pattern = -neg_best, _digits(index, _LEVELS, k)
     gap = best - lower
     if gap < -1e-9:
@@ -482,9 +477,7 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
         value=best,
         method="ExhaustiveSigns",
         search_size=3**k - 1,
-        witness={
-            "minimizer": {int(v): float(best_pattern[v]) for v in range(k)}
-        },
+        witness={"minimizer": dict(enumerate(best_pattern.tolist()))},
         extra={"formula_lower": lower, "gap": gap},
     )
 

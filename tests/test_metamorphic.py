@@ -1,7 +1,9 @@
 """Metamorphic invariants: whole analyze reports checked against themselves
 under a tree automorphism, an exact rescaling of the weight, and a round
-trip of the tree through its spec.  None of them needs an oracle, so the
-trees can be larger than the exhaustive searches allow.
+trip of the tree through its spec; the operator checked against its
+factorization into multiplication after composition; and the sup norms
+checked to grow with the truncation depth.  None of them needs an oracle,
+so the trees can be larger than the exhaustive searches allow.
 """
 
 from __future__ import annotations
@@ -234,3 +236,46 @@ def test_tree_spec_round_trip_keeps_the_analyze_text(tmp_path_factory, case):
     out = d / "report.json"
     assert main([*args, "--out", str(out)]) == 0
     assert out.read_text(encoding="utf-8") == text
+
+
+# -- factorization -------------------------------------------------------------------
+
+
+@given(operators(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_weighted_composition_is_multiplication_after_composition(case, seed):
+    op, _ = case
+    t = op.tree
+    f = VertexFunction(t, np.random.default_rng(seed).uniform(-3.0, 3.0, len(t)))
+    got = tw.apply_op(op, f)
+    assert got.tree is op.codomain_tree
+    composed = tw.apply_op(tw.composition_op(op.phi), f)
+    assert got.values.tolist() == (op.psi.values[: op.phi.domain_size] * composed.values).tolist()
+    # vertex by vertex from the map's table, not from its image array
+    want = [float(op.psi.values[v]) * float(f.values[w]) for v, w in op.phi.as_table().items()]
+    assert got.values.tolist() == want
+
+
+# -- monotonicity in the truncation depth ----------------------------------------------
+
+
+@given(
+    st.sampled_from([tw.zline_fold, tw.zline_double]),
+    st.integers(1, 40),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_sup_norms_never_decrease_with_the_depth(map_of, top, seed, tied):
+    # zline(N)'s ids are the first 2N + 1 of zline(N + 1)'s, so one weight
+    # on the deepest line restricts to every shallower one
+    rng = np.random.default_rng(seed)
+    n = 2 * top + 1
+    psi = rng.choice([0.0, 0.5, -1.0, 2.0], size=n) if tied else rng.uniform(-2.0, 2.0, n)
+    norms = []
+    for depth in range(top + 1):
+        t = tw.zline(depth)
+        op = WeightedCompOp(VertexFunction(t, psi[: len(t)]), map_of(t))
+        norms.append((tw.linf_op_norm(op), tw.lip_exact_norm(op)))
+    for (linf, lip), (linf2, lip2) in zip(norms, norms[1:]):
+        assert linf <= linf2 and lip <= lip2

@@ -377,6 +377,10 @@ def oracle_cases(draw):
 SCAN_PAIRS = [0, 1 << 62]
 
 
+# a chunk caps the patterns per block: a block holds L**j patterns, j the
+# most low digits that fit, so with the 3 levels 1, 7, 1000 and 2**15 give
+# blocks of 1, 3, 729 and 3**9 patterns, and with the 2 signs of the
+# extreme points blocks of 1, 4, 512 and 2**15
 SEARCH_CHUNKS = [1, 7, 1000, 1 << 15]
 # the pattern budget under which the searches are compared: larger ones
 # are refused by both, which compares the refusal too
@@ -433,7 +437,8 @@ def search_outcome(search, *args, **kwargs) -> str:
 
 def draw_chunk(data, n_patterns):
     """A chunk size that keeps a search of ``n_patterns`` to at most 500
-    chunks."""
+    chunks, so fewer than 1,500 blocks: a block holds more than a third of
+    a chunk."""
     return data.draw(st.sampled_from([c for c in SEARCH_CHUNKS if n_patterns <= 500 * c]))
 
 
@@ -475,6 +480,31 @@ class TestNormOracleLinf:
             op = random_operator(t, rng)
             res = tw.norm_oracle_linf(op, method="ascent")
             assert res.value == pytest.approx(tw.linf_op_norm(op), abs=1e-12)
+
+    def test_searches_at_the_caps_hold_one_block(self):
+        # 3**13 and 3**12 patterns, while only the low digits' states and
+        # one block of 3**9 are held at a time
+        rng = np.random.default_rng(13)
+        t = tw.zline(7)
+        pick = rng.integers(0, 13, len(t))
+        pick[:13] = np.arange(13)
+        phi = SelfMap(t, rng.permutation(len(t))[pick], 7)
+        op = WeightedCompOp(tw.random_function(t, rng), phi)
+        t12 = tw.random_tree(2, 4, 1, 3)
+        op12 = WeightedCompOp(tw.random_function(t12, rng), tw.random_permutation_map(t12, rng))
+        for search, case, value, size in (
+            (tw.norm_oracle_linf, op, tw.linf_op_norm(op), 3**13),
+            (tw.j_oracle_linf_bracket, op12, tw.j_linf(op12), 3**12 - 1),
+        ):
+            search(case)  # numpy's first np.unique imports numpy.ma, 1.1 MB
+            tracemalloc.start()
+            try:
+                res = search(case)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20
+            assert res.value == value and res.search_size == size
 
     def test_maximizer_is_unit_function(self):
         rng = np.random.default_rng(2)
@@ -967,22 +997,28 @@ class TestArrayOraclesMatchLoops:
         assert res == ref
 
     def test_searches_over_full_chunks_match_reference(self):
-        # 3**10 patterns each: one full 2**15-row chunk and one partial
+        # a default block holds 3**9 patterns, so 10 to 13 digits take 3 to
+        # 81 blocks, each the low digits' states combined with one state of
+        # the high digits
         rng = np.random.default_rng(12)
-        h = tw.homogeneous(2, 2)
-        op = WeightedCompOp(tw.random_function(h, rng), tw.random_permutation_map(h, rng))
-        assert canonical_json(tw.j_oracle_linf_bracket(op).to_json()) == canonical_json(
-            reference_j_oracle_linf_bracket(op).to_json()
-        )
-        t = tw.zline(5)
-        pick = rng.integers(0, 10, len(t))
-        pick[:10] = np.arange(10)  # exactly 10 range vertices
-        op = WeightedCompOp(
-            tw.random_function(t, rng), SelfMap(t, rng.permutation(len(t))[pick], 5)
-        )
-        assert canonical_json(tw.norm_oracle_linf(op).to_json()) == canonical_json(
-            reference_norm_oracle_linf(op).to_json()
-        )
+        for tree in (tw.homogeneous(2, 2), tw.zline(5), tw.random_tree(2, 4, 1, 3)):
+            assert len(tree) in (10, 11, 12)
+            # few distinct weights, zeros among them: the minimum ties
+            psi = VertexFunction(tree, rng.choice([0.0, 0.5, 1.0, 2.0], size=len(tree)))
+            op = WeightedCompOp(psi, tw.random_permutation_map(tree, rng))
+            assert canonical_json(tw.j_oracle_linf_bracket(op).to_json()) == canonical_json(
+                reference_j_oracle_linf_bracket(op).to_json()
+            )
+        t = tw.zline(7)
+        for k in range(10, 14):
+            pick = rng.integers(0, k, len(t))
+            pick[:k] = np.arange(k)  # exactly k range vertices
+            op = WeightedCompOp(
+                tw.random_function(t, rng), SelfMap(t, rng.permutation(len(t))[pick], 7)
+            )
+            assert canonical_json(tw.norm_oracle_linf(op).to_json()) == canonical_json(
+                reference_norm_oracle_linf(op).to_json()
+            )
 
     def test_every_verdict_and_tie_is_generated(self):
         # the strategy reaches both verdicts, the vanishing-weight witness,
