@@ -242,7 +242,7 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
             )
         if family == "random":
             depth = _int(spec, "depth", pointer, minimum=0)
-            seed = _int(spec, "seed", pointer)
+            seed = _int(spec, "seed", pointer, minimum=0)
             lo = _int(spec, "min_children", pointer, 1, minimum=1)
             hi = _int(spec, "max_children", pointer, 3, minimum=lo)
             return random_tree(depth, seed, lo, hi)
@@ -251,6 +251,8 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
     if family == "explicit":
         edges = _require(spec, "edges", pointer)
         root = _require(spec, "root", pointer)
+        if isinstance(root, (list, dict)):
+            raise SpecError(f"{pointer}.root", f"expected a vertex label, got {root!r}")
         depth = (
             _int(spec, "depth", pointer, minimum=0) if spec.get("depth") is not None else None
         )

@@ -439,8 +439,10 @@ def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> 
     # counting 0, read at the last window vertex of each depth
     running = np.minimum.accumulate(np.where(uncovered, 0.0, sup))
     depths = t.depth[: sup.size]
-    # unique: the layers past the tree's deepest vertex are empty
-    ends = np.unique(t.layer_offsets[1 : window + 2]) - 1
+    # the first of each run: the layers past the tree's deepest vertex are
+    # empty and repeat the last offset
+    offsets = t.layer_offsets[1 : window + 2]
+    ends = offsets[np.concatenate(([True], offsets[1:] != offsets[:-1]))] - 1
     witnesses = {"window_depth": window}
     if bad.any():
         w = int(np.argmax(bad))

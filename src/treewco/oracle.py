@@ -5,11 +5,15 @@ of an oracle is to confirm the formula path, so it must not call it.  The
 only formula value an oracle report quotes is the one it is being compared
 against, clearly labeled as such.
 
-Search modes are deterministic and desk-scale, and refuse, rather than
+The searches are deterministic and desk-scale, and refuse, rather than
 degrade, beyond hard size caps: exhaustive enumeration of the patterns of
-the levels -1, 0, 1 on the bounded functions, exhaustive enumeration of the
-extreme points of the Lipschitz unit ball (the constants +-1 and the sign
-patterns of the increments), and a one-parameter path-extremal family.
+the levels -1, 0, 1 on the bounded functions, and exhaustive enumeration
+of the extreme points of the Lipschitz unit ball (the constants +-1 and
+the sign patterns of the increments).  At any size, an attained witness
+builds one unit-ball function from the closed form's argmax and evaluates
+the composed sup norm on it: a lower bound that meets the closed form
+only if the formula's value is attained.
+
 The three exhaustive searches share one loop, ``_first_best``, which
 builds each pattern's state by digit recursion from the pattern it
 extends: a running maximum for the searches on the bounded functions, a
@@ -57,9 +61,8 @@ _SIGNS = np.asarray([-1.0, 1.0])
 # |psi| and |g| at most this count as zero in the surjectivity check, and
 # a preimage norm at most 1 + this counts as 1
 _SURJ_TOL = 1e-9
-# the path family's parameter grid, and the pairs per block of the
-# surjectivity quotient scan (bounds its memory on large inputs)
-_A_GRID = np.linspace(0.0, 1.0, 21)
+# the pairs per block of the surjectivity quotient scan (bounds its memory
+# on large inputs)
 _PAIR_BLOCK = 1 << 16
 # at most this many forced pairs are scanned outright; above it only the
 # endpoints of the near-maximal adjacent pairs are.  The measured crossover
@@ -105,10 +108,20 @@ def _lip_norm_raw(tree: RootedTree, values: np.ndarray) -> float:
     return float(abs(values[0]) + (inc.max() if inc.size else 0.0))
 
 
-def _composed_sup_raw(op: WeightedCompOp, f_values: np.ndarray) -> float:
+def _attained(
+    op: WeightedCompOp, quantity: str, f: np.ndarray, f_norm: float, rule: str
+) -> OracleResult:
+    """The composed sup norm max_v |psi(v) * f(phi(v))| of one function
+    ``f`` of unit-ball norm ``f_norm``, built by ``rule``: a lower bound on
+    the operator norm at any size.  The witness names the first vertex
+    that attains it, and is empty when the value is 0."""
     m = op.phi.domain_size
-    out = np.abs(op.psi.values[:m] * f_values[op.phi.image])
-    return float(out.max()) if out.size else 0.0
+    vals = np.abs(op.psi.values[:m] * f[op.phi.image])
+    v = int(np.argmax(vals))
+    witness = {}
+    if vals[v] > 0.0:
+        witness = {"vertex": v, "target": int(op.phi.image[v]), "rule": rule, "f_norm": f_norm}
+    return OracleResult(quantity, float(vals[v]), "AttainedWitness", 1, witness)
 
 
 # -- operator norm on the bounded functions ------------------------------------
@@ -124,26 +137,20 @@ def norm_oracle_linf(op: WeightedCompOp, method: str = "exhaustive") -> OracleRe
     not, and ``search_size`` leaves it out.  The maximizer is 0 off the
     range.
 
-    "ascent" is the sweep over the range vertices in id order that gives
-    each the first level maximizing the composed sup: the objective is
-    separable and -1 always attains the maximum, so the sweep's result is
-    -1 on the range and 1 off it, a maximizer.
+    "ascent" evaluates, at any size, the unit function -1 on the range and
+    1 off it, where the greedy sweep over the levels of each range vertex
+    ends: the composed sup is separable, and -1 attains each maximum.
     """
     t = op.tree
     m = op.phi.domain_size
-    range_ids = np.unique(op.phi.image)
+    range_ids = np.flatnonzero(op.phi.coverage)
     k = range_ids.size
 
     if method == "ascent":
         f = np.ones(t.n_vertices)
         f[range_ids] = -1.0
-        return OracleResult(
-            quantity="OpNormLinf",
-            value=_composed_sup_raw(op, f),
-            method="GridRefine",
-            search_size=int(k * _LEVELS.size),
-            witness={"maximizer": dict(enumerate(f.tolist()))},
-        )
+        rule = "f = -1 on the range of phi, 1 off it"
+        return _attained(op, "OpNormLinf", f, float(np.abs(f).max()), rule)
 
     if method != "exhaustive":
         raise ValueError(f"unknown method {method!r}")
@@ -241,58 +248,24 @@ def _digits(index: int, levels: np.ndarray, k: int) -> np.ndarray:
 
 
 def point_eval_lip_norm(
-    tree: RootedTree, w: int, method: str = "path", seed: int = 0
+    tree: RootedTree, w: int, method: str = "exhaustive", seed: int = 0
 ) -> OracleResult:
     """sup { |f(w)| : lip-norm(f) <= 1 } by explicit search.
 
-    "path": maximize over the radial family a + (1-a) * min(depth, |w|),
-    a in [0, 1].  "exhaustive" (alias "ascent"): score every extreme point
-    of the unit ball that can move f(w), the constants and the 2**|w| sign
-    patterns of the root-path increments of w; exact.  ``seed`` is unused.
+    "exhaustive" (alias "ascent") scores every extreme point of the unit
+    ball that can move f(w), the constants and the 2**|w| sign patterns of
+    the root-path increments of w; exact.  ``seed`` is unused.
     """
     w = tree.check_vertex(w)
-    if method == "path":
-        return _point_eval_path(tree, w)
     if method in ("exhaustive", "ascent"):
         return _point_eval_extreme(tree, w)
     raise ValueError(f"unknown method {method!r}")
 
 
-def _path_family(depths: np.ndarray) -> np.ndarray:
-    """Value a + (1-a) * d that the radial family member
-    a + (1-a) * min(depth, d) takes at a target of depth d: one row per
-    grid point a, one column per entry of ``depths``."""
-    a = _A_GRID[:, None]
-    return a + (1.0 - a) * depths[None, :]
-
-
-def _point_eval_path(tree: RootedTree, w: int) -> OracleResult:
-    dw = tree.depth_of(w)
-    family = _path_family(np.asarray([dw]))[:, 0]
-    i = int(np.argmax(family))
-    best, best_a = float(family[i]), float(_A_GRID[i])
-    radial = np.minimum(tree.depth, dw).astype(np.float64)
-    f = best_a + (1.0 - best_a) * radial
-    norm = _lip_norm_raw(tree, f)
-    return OracleResult(
-        quantity="PointEvalNormLip",
-        value=best,
-        method="PathExtremal",
-        search_size=_A_GRID.size,
-        witness={
-            "vertex": int(w),
-            "maximizer": dict(enumerate(f.tolist())),
-            "maximizer_lip_norm": norm,
-        },
-    )
-
-
 def _point_eval_extreme(tree: RootedTree, w: int) -> OracleResult:
     k = tree.depth_of(w)
     if 2**k > MAX_PATTERNS:
-        raise OracleSizeError(
-            f"2**{k} sign patterns exceed the budget {MAX_PATTERNS}; use method='path'"
-        )
+        raise OracleSizeError(f"2**{k} sign patterns exceed the budget {MAX_PATTERNS}")
     edges = np.asarray(tree.root_path(w)[1:], dtype=np.int64)
     best, f, searched = _extreme_point_search(tree, edges, np.asarray([w]), np.ones(1))
     return OracleResult(
@@ -353,12 +326,13 @@ def _extreme_point_search(
     return best, f, 2 + 2**edges.size
 
 
-def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
+def norm_oracle_lip(op: WeightedCompOp, method: str = "witness") -> OracleResult:
     """sup over unit Lipschitz f of max_v |psi(v)| * |f(phi(v))|.
 
-    "path" exchanges the two suprema, which is exact because for fixed v
-    the inner problem only sees f through f(phi(v)), and evaluates the path
-    family at every distinct target at once.  "exhaustive" scores every
+    "witness" evaluates one unit-ball function at any size: with v* the
+    first argmax of |psi(v)| * max(1, |phi(v)|), f = 1 when |phi(v*)| <= 1
+    and otherwise f = min(|x|, |phi(v*)|), which is at most max(1, |x|)
+    everywhere and equal to it at phi(v*).  "exhaustive" scores every
     extreme point of the unit ball on trees of at most
     ``MAX_EXHAUSTIVE_VERTICES_MAX`` vertices: no exchange of suprema and
     no point-evaluation bound.
@@ -370,7 +344,7 @@ def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
         if t.n_vertices > MAX_EXHAUSTIVE_VERTICES_MAX:
             raise OracleSizeError(
                 f"{t.n_vertices} vertices exceed the exhaustive cap "
-                f"{MAX_EXHAUSTIVE_VERTICES_MAX}; use method='path'"
+                f"{MAX_EXHAUSTIVE_VERTICES_MAX}; use method='witness'"
             )
         best, f, searched = _extreme_point_search(
             t, np.arange(1, t.n_vertices), op.phi.image, a_psi
@@ -391,26 +365,15 @@ def norm_oracle_lip(op: WeightedCompOp, method: str = "path") -> OracleResult:
             witness=witness,
             extra={"note": "every extreme point of the unit ball scored, no exchange"},
         )
-    if method != "path":
+    if method != "witness":
         raise ValueError(f"unknown method {method!r}")
-    targets = np.flatnonzero(op.phi.coverage)
-    point_norm = np.zeros(t.n_vertices)
-    point_norm[targets] = _path_family(t.depth[targets]).max(axis=0)
-    vals = a_psi * point_norm[op.phi.image]
-    best_v = int(np.argmax(vals)) if m else None
-    if best_v is not None and not vals[best_v] > 0.0:
-        best_v = None
-    return OracleResult(
-        quantity="OpNormLip",
-        value=0.0 if best_v is None else float(vals[best_v]),
-        method="PathExtremal",
-        search_size=_A_GRID.size * targets.size,
-        witness={} if best_v is None else {
-            "vertex": best_v,
-            "target": int(op.phi.image[best_v]),
-        },
-        extra={"note": "sup over f and sup over v exchanged exactly"},
-    )
+    depth = t.depth[op.phi.image]
+    d = int(depth[np.argmax(a_psi * np.maximum(1, depth))])
+    if d <= 1:
+        f, rule = np.ones(t.n_vertices), "f = 1"
+    else:
+        f, rule = np.minimum(t.depth, d).astype(np.float64), f"f = min(|x|, {d})"
+    return _attained(op, "OpNormLip", f, _lip_norm_raw(t, f), rule)
 
 
 # -- injectivity modulus upper bound ---------------------------------------------
@@ -625,7 +588,8 @@ def _max_quotient(t: RootedTree, keys: np.ndarray, forced: np.ndarray):
     q = np.abs(forced[b] - forced[a]) / dist
     # with every quotient 0 nothing ties, and the scan of no keys reports that
     near = (q > 0.0) & (q >= q.max() * (1.0 - _TIE_REL))
-    keep = np.unique(np.concatenate([a[near], b[near]]))
+    keep = np.zeros(k, dtype=bool)
+    keep[a[near]] = keep[b[near]] = True
     return _quotient_scan(t, keys[keep], forced[keep])
 
 

@@ -239,6 +239,42 @@ class TestCli:
         assert payload["linf"]["agree"] and payload["lip"]["agree"]
         assert payload["lip"]["within_bounds"]
 
+    @pytest.mark.parametrize(
+        "tree", [{"family": "zline", "depth": 8}, {"family": "homogeneous", "q": 2, "depth": 4}]
+    )
+    def test_oracle_above_the_exhaustive_cap(self, tmp_path, capsys, tree):
+        # 17 and 31 vertices: the bounded-function norm falls back from the
+        # exhaustive search, and both norms report one attained witness
+        rc = main(["oracle", "--tree", write(tmp_path, "tree.json", tree), "--seed", "3"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["linf"]["agree"] and payload["lip"]["agree"]
+        assert payload["lip"]["within_bounds"]
+        for space in ("linf", "lip"):
+            res = payload[space]["oracle"]
+            assert res["method"] == "AttainedWitness" and res["search_size"] == 1
+            assert "maximizer" not in res["witness"]
+
+    def test_cli_modes_do_not_import_numpy_ma(self, specs):
+        # numpy.ma costs a fresh process about 11 ms and 1.1 MB; numpy's
+        # np.unique imports it on first call
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from treewco.cli import main\n"
+            "for args in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(args) == 0\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        files = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
+        runs = json.dumps([["analyze", *files], ["oracle", *files]])
+        env = dict(os.environ, PYTHONPATH=str(Path(tw.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, runs], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_oracle_seed_determinism(self, specs, capsys):
         main(["oracle", "--tree", specs["tree"], "--seed", "9"])
         first = capsys.readouterr().out
@@ -425,12 +461,16 @@ BAD_TABLE_ENTRIES = [
 
 # lookups by a spec's strings: an unhashable builtin name must not reach the
 # builtin table, and table keys naming one vertex twice ("1", "01", "1 ")
-# once let the last entry win silently
+# once let the last entry win silently.  Nor may an unhashable root reach
+# the tree builder's label lookup, or a negative seed numpy's generator,
+# whose errors name no field
 BAD_LOOKUPS = [
     ("psi", {"kind": "builtin", "name": ["F_N"]}, "psi.name"),
     ("phi", {"kind": "builtin", "name": {}}, "phi.name"),
     ("psi", {"kind": "table", "values": {"0": 1, "1": 2, "2": 3, "01": 9}}, "psi.values.01"),
     ("phi", {"kind": "table", "map": {"0": 0, "1": 1, "1 ": 0}}, "phi.map.1 "),
+    ("tree", {"family": "explicit", "edges": [[0, 1]], "root": [0]}, "tree.root"),
+    ("tree", {"family": "random", "depth": 2, "seed": -1}, "tree.seed"),
 ]
 
 
