@@ -33,7 +33,6 @@ from .operators import (
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
-    composition_op,
     depth_max,
     identity_map,
     isometry_check_linf,
@@ -308,26 +307,26 @@ def classify_operator(
 
 def seven_equivalences(phi: SelfMap) -> Certificate:
     """For unit weight, the bounded/compact statements across both spaces
-    all reduce to the map having finite range; evaluates each item from its
-    own datum and checks they agree whenever the window decides them."""
+    all reduce to the map having finite range; evaluates the items from
+    three data (a vanishing tail sup, the reach within the window, range
+    stability) and checks they agree whenever the window decides them."""
     t = phi.tree
-    op = composition_op(phi)
     prof = phi.range_profile()
     max_reach = prof[-1][1]
     inside = t.depth_limit - STABILITY_MARGIN
 
     small_reach = max_reach <= inside
     stable = phi.finite_range_stable()
-    # some tail depth n <= inside (and < N) where the tail sup is already 0
-    linf_tail_zero, lip_tail_zero = (
-        (op.tail_sups[: max(inside, 0) + 1] == 0.0).any(axis=0).tolist()
-    )
+    # some tail depth n <= inside (and < N) where the tail sup is already 0:
+    # under unit weight both tail sups at n vanish exactly when no image
+    # lies deeper than n, and n <= max(inside, 0) < N once N >= 1
+    tail_zero = t.depth_limit >= 1 and max_reach <= max(inside, 0)
     items = {
-        "lip_bounded": lip_tail_zero,
-        "lip0_bounded": lip_tail_zero,
-        "linf_compact": linf_tail_zero,
-        "lip_compact": lip_tail_zero,
-        "lip0_compact": lip_tail_zero,
+        "lip_bounded": tail_zero,
+        "lip0_bounded": tail_zero,
+        "linf_compact": tail_zero,
+        "lip_compact": tail_zero,
+        "lip0_compact": tail_zero,
         "lip_to_lip_compact": small_reach,
         "finite_range": stable,
     }

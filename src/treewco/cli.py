@@ -165,7 +165,10 @@ def _cmd_oracle(args) -> int:
         linf_res = norm_oracle_linf(op)
     except OracleSizeError:
         linf_res = norm_oracle_linf(op, method="ascent")
-    lip_res = norm_oracle_lip(op)
+    try:
+        lip_res = norm_oracle_lip(op, "exhaustive")
+    except OracleSizeError:
+        lip_res = norm_oracle_lip(op)
     linf_formula = linf_op_norm(op)
     exact, up = lip_bounds(op)  # the lower end is the exact norm
     payload = {

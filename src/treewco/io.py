@@ -16,6 +16,21 @@ All reports are byte-stable and carry no timestamps or absolute paths.
   ``TypeError``;
 - the text ends with one newline.
 
+The float text skips the round trip through ``float``: it is
+``f"{x:.12g}"``, with ``".0"`` appended when it has neither ``"."`` nor
+``"e"``, and ``repr(float(text))`` in its place when it has an ``"e"``.
+That is byte-equal to ``repr(float(f"{x:.12g}"))``.  Without an
+``"e"``, x is a normal double, and 12 digits are within ``DBL_DIG`` (15),
+so the ``.12g`` digits are the only decimal of at most 15 digits that
+reads back as that double: they are ``repr``'s shortest round-trip
+digits.  Both forms are then positional (``repr`` switches to an exponent
+only below 1e-4 or from 1e16 on), and they differ only in ``repr``'s
+trailing ``".0"``.  Any text with an ``"e"`` (exponents from 12 to 15,
+subnormals) takes the round trip itself.  A zero prints as its ``repr``,
+since 0.0 and -0.0 are equal memo keys.
+``tests/test_io_cli.py::TestCanonicalJson::test_float_text_is_the_round_trip_text``
+checks this on raw 64-bit patterns and the edge values.
+
 Spec loading errors carry a JSON-pointer-style location so the CLI can
 print line-precise messages.
 """
@@ -49,12 +64,9 @@ from .operators import (
     j_lip_bracket,
     k_linf,
     k_lip_bracket,
-    linf_ess_norm_profile,
     linf_op_norm,
     lip_bounds,
-    lip_ess_norm_profile,
     map_from_table,
-    tail_trend_slope,
     zline_double,
     zline_fold,
 )
@@ -97,9 +109,19 @@ class SpecError(ValueError):
 def _float_text(x: float, memo: dict) -> str:
     text = memo.get(x)
     if text is None:
-        text = repr(float(f"{x:.12g}")) if math.isfinite(x) else f'"{x!r}"'
-        if x:  # 0.0 and -0.0 are equal keys with different texts
-            memo[x] = text
+        if not x:  # 0.0 and -0.0 are equal keys with different texts
+            return repr(x)
+        if math.isfinite(x):
+            # repr(float(f"{x:.12g}")) without the round trip; see the
+            # module docstring
+            text = f"{x:.12g}"
+            if "e" in text:
+                text = repr(float(text))
+            elif "." not in text:
+                text += ".0"
+        else:
+            text = f'"{x!r}"'
+        memo[x] = text
     return text
 
 
@@ -141,7 +163,10 @@ def _write(obj, level: int, out: list, memo: dict) -> None:
         if all(map(_is_pair, obj)):
             # per-depth profiles: thousands of [depth, value] rows
             leaf = inner + "  "
-            rows = [f"[{leaf}{n},{leaf}{_float_text(v, memo)}{inner}]" for n, v in obj]
+            get = memo.get  # a memo hit costs no call of _float_text
+            rows = [
+                f"[{leaf}{n},{leaf}{get(v) or _float_text(v, memo)}{inner}]" for n, v in obj
+            ]
             out.append("[" + inner + ("," + inner).join(rows) + outer + "]")
             return
         sep = "["
@@ -389,21 +414,32 @@ def golden_dir() -> Path:
     return Path(resources.files("treewco") / "golden")
 
 
+def _tail(column: np.ndarray) -> tuple[list, float]:
+    """The ``[n, value]`` rows of one ``tail_sups`` column and their
+    least-squares slope: what ``linf_ess_norm_profile`` or
+    ``lip_ess_norm_profile`` and ``tail_trend_slope`` give, bit for bit,
+    since ``np.polyfit`` sees the same values."""
+    rows = list(map(list, enumerate(column.tolist())))
+    if column.size < 2:
+        return rows, 0.0
+    return rows, float(np.polyfit(np.arange(column.size, dtype=np.float64), column, 1)[0])
+
+
 def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> dict:
     exact, up = lip_bounds(op)  # the lower end is the exact norm
     jlo, jup = j_lip_bracket(op, window_depth)
     klo, kup = k_lip_bracket(op)
-    linf_tail = linf_ess_norm_profile(op)
-    lip_tail = lip_ess_norm_profile(op)
+    linf_tail, linf_slope = _tail(op.tail_sups[:, 0])
+    lip_tail, lip_slope = _tail(op.tail_sups[:, 1])
     return {
         "linf_op_norm": linf_op_norm(op),
-        "linf_ess_tail": [[n, v] for n, v in linf_tail],
-        "linf_ess_tail_slope": tail_trend_slope(linf_tail),
+        "linf_ess_tail": linf_tail,
+        "linf_ess_tail_slope": linf_slope,
         "lip_lower_bound": exact,
         "lip_upper_bound": up,
         "lip_exact_norm": exact,
-        "lip_ess_tail": [[n, v] for n, v in lip_tail],
-        "lip_ess_tail_slope": tail_trend_slope(lip_tail),
+        "lip_ess_tail": lip_tail,
+        "lip_ess_tail_slope": lip_slope,
         "j_linf": j_linf(op, window_depth),
         "k_linf": k_linf(op),
         "j_lip_bracket": [jlo, jup],

@@ -393,17 +393,16 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
     lower = j_linf(op, within_depth)  # refuses a window outside the truncation
     n_window = SelfMap.domain_size_for(t, limit)
     if not op.phi.coverage[:n_window].all():
+        # the indicator of a vertex no image reaches composes to 0
         uncovered = int(np.argmin(op.phi.coverage[:n_window]))
-        f = np.zeros(t.n_vertices)
-        f[uncovered] = 1.0
         return OracleResult(
             quantity="JLinfUpper",
             value=0.0,
             method="ExhaustiveSigns",
             search_size=1,
             witness={
-                "minimizer": dict(enumerate(f.tolist())),
                 "uncovered_vertex": uncovered,
+                "rule": f"f = 1 at vertex {uncovered}, 0 elsewhere",
             },
             extra={"formula_lower": lower, "gap": 0.0 - lower},
         )

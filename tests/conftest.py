@@ -55,6 +55,20 @@ def random_operator(tree, rng, scale=2.0, surjective=False):
     return tw.WeightedCompOp(tw.random_function(tree, rng, scale), phi)
 
 
+def analyze_payload(op, window=None) -> dict:
+    """The payload ``treewco analyze`` prints for ``op`` (default schedule
+    and zero tolerance)."""
+    certs = tw.classify_operator(op, None, window)
+    payload = {
+        "schema": 1,
+        "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
+        "quantities": tw.operator_quantities(op, window),
+    }
+    if bool(np.all(op.psi.values == 1.0)):
+        payload["seven_equivalences"] = tw.seven_equivalences(op.phi).to_json()
+    return payload
+
+
 def reference_distance(tree, v, w):
     """Edge count of the path between v and w, by walking both up to their
     lowest common ancestor: the scalar reference for ``tree.distances``."""

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from treewco.io import (
     operator_quantities,
     tree_to_spec,
 )
+from treewco.operators import STABILITY_MARGIN
 
 
 def verdicts(certs):
@@ -430,7 +432,90 @@ class TestOneClassifier:
             assert got == canonical_json(ref_fixture_report(fx, depth, **(config or {}))), fx.name
 
 
+def ref_seven_equivalences(phi) -> Certificate:
+    """seven_equivalences reading both tail sups off a second operator, the
+    composition operator of ``phi``."""
+    t = phi.tree
+    op = tw.composition_op(phi)
+    prof = phi.range_profile()
+    max_reach = prof[-1][1]
+    inside = t.depth_limit - STABILITY_MARGIN
+    small_reach = max_reach <= inside
+    stable = phi.finite_range_stable()
+    linf_tail_zero, lip_tail_zero = (
+        (op.tail_sups[: max(inside, 0) + 1] == 0.0).any(axis=0).tolist()
+    )
+    items = {
+        "lip_bounded": lip_tail_zero,
+        "lip0_bounded": lip_tail_zero,
+        "linf_compact": linf_tail_zero,
+        "lip_compact": lip_tail_zero,
+        "lip0_compact": lip_tail_zero,
+        "lip_to_lip_compact": small_reach,
+        "finite_range": stable,
+    }
+    agree = len(set(items.values())) == 1
+    if agree:
+        verdict = HOLDS if items["finite_range"] else FAILS
+    else:
+        verdict = TREND_INCONSISTENT
+    cert = tw.seven_equivalences(phi)
+    return dataclasses.replace(
+        cert, verdict=verdict, witnesses={"items": items, "max_reach": int(max_reach)},
+        depth_profile=prof,
+    )
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _seven_maps(t, rng):
+    """Every constant map, the identity, and seeded random and permutation
+    maps of ``t``; fold and doubling on the integer line."""
+    maps = [tw.identity_map(t), tw.random_map(t, rng), tw.random_permutation_map(t, rng)]
+    maps += [tw.constant_map(t, v) for v in range(t.n_vertices)]
+    if t.family == "zline":
+        maps += [tw.zline_fold(t), tw.zline_double(t)]
+    return maps
+
+
+class TestTailsFromColumns:
+    @given(_classify_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_and_slopes_match_the_profiles(self, case):
+        op, _, window, _ = case
+        q = operator_quantities(op, window)
+        for key, profile in (("linf", tw.linf_ess_norm_profile(op)),
+                             ("lip", tw.lip_ess_norm_profile(op))):
+            rows = q[f"{key}_ess_tail"]
+            assert [(type(n), type(v)) for n, v in rows] == [(int, float)] * len(profile)
+            assert [(n, _bits(v)) for n, v in rows] == [(n, _bits(v)) for n, v in profile]
+            assert _bits(q[f"{key}_ess_tail_slope"]) == _bits(tw.tail_trend_slope(profile))
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 1000])
+    def test_short_and_deep_profiles(self, depth):
+        t = tw.zline(depth)
+        for phi in (tw.identity_map(t), tw.zline_fold(t), tw.zline_double(t)):
+            op = WeightedCompOp(VertexFunction(t, 1.0 / (1.0 + t.depth)), phi)
+            q = operator_quantities(op)
+            profile = tw.lip_ess_norm_profile(op)
+            assert q["lip_ess_tail"] == [list(p) for p in profile]
+            assert _bits(q["lip_ess_tail_slope"]) == _bits(tw.tail_trend_slope(profile))
+
+
 class TestSevenEquivalences:
+    def test_matches_the_two_operator_reference(self):
+        rng = np.random.default_rng(18)
+        trees = [tw.zline(d) for d in range(4)] + [tw.homogeneous(2, d) for d in range(4)]
+        trees += [tw.homogeneous(3, d) for d in range(3)]
+        trees += [tw.random_tree(d, seed=s) for d in range(4) for s in range(3)]
+        cases = [phi for t in trees for phi in _seven_maps(t, rng)]
+        cases += [tw.zline_double(tw.zline(d)) for d in range(1, 41)]
+        for phi in cases:
+            got = canonical_json(tw.seven_equivalences(phi).to_json())
+            assert got == canonical_json(ref_seven_equivalences(phi).to_json())
+
     def test_constant_map_all_hold(self):
         cert = tw.seven_equivalences(tw.constant_map(tw.zline(8), 0))
         assert cert.verdict == HOLDS

@@ -7,8 +7,10 @@ import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,9 @@ from hypothesis import given, settings, strategies as st
 import treewco as tw
 from treewco import SpecError, cli
 from treewco.cli import main
-from treewco.io import SCHEMA_VERSION, canonical_json, fixture_report, golden_dir
+from treewco.io import SCHEMA_VERSION, _float_text, canonical_json, fixture_report, golden_dir
+
+from conftest import analyze_payload
 
 
 def write(tmp_path: Path, name: str, payload: dict) -> str:
@@ -112,6 +116,94 @@ def reference_json(obj) -> str:
     return json.dumps(_canonize_reference(obj), sort_keys=True, indent=2) + "\n"
 
 
+# -- the one-pass writer before the float text dropped its round trip: the
+# byte reference for the present one -----------------------------------------
+
+
+def _ref_float_text(x: float, memo: dict) -> str:
+    text = memo.get(x)
+    if text is None:
+        text = repr(float(f"{x:.12g}")) if math.isfinite(x) else f'"{x!r}"'
+        if x:  # 0.0 and -0.0 are equal keys with different texts
+            memo[x] = text
+    return text
+
+
+def _ref_is_pair(p) -> bool:
+    return type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is float
+
+
+def _ref_write(obj, level: int, out: list, memo: dict) -> None:
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(int.__repr__(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        out.append(_ref_float_text(float(obj), memo))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        items = {str(k): v for k, v in obj.items()}
+        inner = "\n" + "  " * (level + 1)
+        sep = "{"
+        for key in sorted(items):
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _ref_write(items[key], level + 1, out, memo)
+            sep = ","
+        out.append("\n" + "  " * level + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = "\n" + "  " * (level + 1)
+        outer = "\n" + "  " * level
+        if all(map(_ref_is_pair, obj)):
+            leaf = inner + "  "
+            rows = [f"[{leaf}{n},{leaf}{_ref_float_text(v, memo)}{inner}]" for n, v in obj]
+            out.append("[" + inner + ("," + inner).join(rows) + outer + "]")
+            return
+        sep = "["
+        for item in obj:
+            out.append(sep + inner)
+            _ref_write(item, level + 1, out, memo)
+            sep = ","
+        out.append(outer + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def reference_canonical_json(obj) -> str:
+    out: list = []
+    _ref_write(obj, 0, out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _deep_operators():
+    """zline(1000) under fold, doubling and identity, with the unit weight,
+    1 / (1 + |v|), a depth cap, and weights from 1e-310 to 1e17 with exact
+    zeros; the fold map with the half-depth window."""
+    t = tw.zline(1000)
+    n = np.abs(np.asarray(t.labels, dtype=float))
+    rng = np.random.default_rng(18)
+    wide = 10.0 ** rng.uniform(-310, 17, t.n_vertices) * rng.choice([-1.0, 1.0], t.n_vertices)
+    wide[rng.random(t.n_vertices) < 0.2] = 0.0
+    weights = {"unit": np.ones(t.n_vertices), "inv": 1.0 / (1.0 + n),
+               "cap": np.minimum(n, 37.0), "wide": wide}
+    maps = {"fold": (tw.zline_fold(t), 500), "double": (tw.zline_double(t), None),
+            "id": (tw.identity_map(t), None)}
+    for wname, w in weights.items():
+        for mname, (phi, window) in maps.items():
+            yield f"{wname}_{mname}", tw.WeightedCompOp(tw.VertexFunction(t, w), phi), window
+
+
 _floats = st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1 / 3, 1e-17, 2.0**60]))
 _ints = st.integers(-(2**70), 2**70)
 _scalars = st.one_of(
@@ -152,11 +244,54 @@ _payloads = st.recursive(
 )
 
 
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# subnormals, signed zeros, values that round up to a power of ten, the
+# edges of the exponent range where .12g and repr differ, and integers
+_FLOAT_EDGES = [
+    5e-324, -5e-324, 2.2250738585072014e-308, 0.0, -0.0, 9.9999999999995e-05, 1e-4, 1e-5,
+    999999999999.5, 99999999999.95, 1e11, 1e12, 1e15 + 1.0, 9999999999999998.0, 1e16,
+    1.0, -3.0, 2.0**53, 1.7976931348623157e308,
+]
+
+
 class TestCanonicalJson:
     @given(_payloads)
     @settings(max_examples=100, deadline=None)
     def test_bytes_match_reference_serializer(self, payload):
         assert canonical_json(payload) == reference_json(payload)
+
+    @given(_payloads)
+    @settings(max_examples=200, deadline=None)
+    def test_bytes_match_the_round_trip_writer(self, payload):
+        assert canonical_json(payload) == reference_canonical_json(payload)
+
+    @given(st.one_of(st.integers(0, 2**64 - 1).map(_double), st.sampled_from(_FLOAT_EDGES)))
+    @settings(max_examples=2000, deadline=None)
+    def test_float_text_is_the_round_trip_text(self, x):
+        want = repr(float(f"{x:.12g}")) if math.isfinite(x) else f'"{x!r}"'
+        assert _float_text(x, {}) == want
+        memo: dict = {}
+        assert [_float_text(y, memo) for y in (x, -x, x)] == [want, _ref_float_text(-x, {}), want]
+
+    @pytest.mark.parametrize("x", _FLOAT_EDGES)
+    def test_float_text_at_the_edges(self, x):
+        assert _float_text(x, {}) == repr(float(f"{x:.12g}"))
+
+    def test_signed_zeros_keep_their_sign_in_profiles(self):
+        rows = [[0, 0.0], [1, -0.0], [2, 0.0], [3, -0.0]]
+        text = canonical_json({"p": rows, "q": [-0.0, 0.0]})
+        assert text == reference_canonical_json({"p": rows, "q": [-0.0, 0.0]})
+        assert text.count("-0.0") == 3
+
+    @pytest.mark.parametrize(
+        "op, window", [pytest.param(op, window, id=name) for name, op, window in _deep_operators()]
+    )
+    def test_deep_reports_match_the_round_trip_writer(self, op, window):
+        payload = analyze_payload(op, window)
+        assert canonical_json(payload) == reference_canonical_json(payload)
 
     @pytest.mark.parametrize(
         "payload",
@@ -254,6 +389,25 @@ class TestCli:
             res = payload[space]["oracle"]
             assert res["method"] == "AttainedWitness" and res["search_size"] == 1
             assert "maximizer" not in res["witness"]
+
+    @pytest.mark.parametrize("n_vertices", [16, 17])
+    def test_oracle_lipschitz_norm_searched_up_to_the_cap(self, tmp_path, capsys, n_vertices):
+        # a path: depth n - 1, so the witness f = min(|x|, d) is not the
+        # constant; 16 vertices fit the extreme-point search, 17 do not
+        tree = {"family": "explicit", "root": 0,
+                "edges": [[v, v + 1] for v in range(n_vertices - 1)]}
+        rc = main(["oracle", "--tree", write(tmp_path, "tree.json", tree), "--seed", "5"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        lip = payload["lip"]
+        assert lip["agree"] and lip["within_bounds"]
+        if n_vertices <= tw.oracle.MAX_EXHAUSTIVE_VERTICES_MAX:
+            assert lip["oracle"]["method"] == "ExtremePoints"
+            assert lip["oracle"]["search_size"] == 2 + 2 ** (n_vertices - 1)
+            assert lip["oracle"]["witness"]["maximizer_lip_norm"] == 1.0
+        else:
+            assert lip["oracle"]["method"] == "AttainedWitness"
+            assert lip["oracle"]["search_size"] == 1
 
     def test_cli_modes_do_not_import_numpy_ma(self, specs):
         # numpy.ma costs a fresh process about 11 ms and 1.1 MB; numpy's

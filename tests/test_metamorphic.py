@@ -18,25 +18,12 @@ from treewco import SelfMap, VertexFunction, WeightedCompOp
 from treewco.cli import main
 from treewco.operators import window_preimage_sup
 
-from conftest import shuffled_edges
+from conftest import analyze_payload, shuffled_edges
 
 
 def certificates(op, window=None) -> list:
     certs = tw.classify_operator(op, None, window)
     return certs["linf"] + certs["lip"]
-
-
-def analyze_payload(op, window=None) -> dict:
-    """The payload ``treewco analyze`` prints for ``op`` (default schedule
-    and trend configuration)."""
-    payload = {
-        "schema": 1,
-        "certificates": [c.to_json() for c in certificates(op, window)],
-        "quantities": tw.operator_quantities(op, window),
-    }
-    if bool(np.all(op.psi.values == 1.0)):
-        payload["seven_equivalences"] = tw.seven_equivalences(op.phi).to_json()
-    return payload
 
 
 def weight(draw, tree, rng) -> np.ndarray:

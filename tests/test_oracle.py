@@ -257,16 +257,14 @@ def reference_j_oracle_linf_bracket(op: WeightedCompOp, within_depth=None) -> Or
     lower = tw.j_linf(op, within_depth)
     if not op.phi.coverage[:n_window].all():
         uncovered = int(np.argmin(op.phi.coverage[:n_window]))
-        f = np.zeros(t.n_vertices)
-        f[uncovered] = 1.0
         return OracleResult(
             quantity="JLinfUpper",
             value=0.0,
             method="ExhaustiveSigns",
             search_size=1,
             witness={
-                "minimizer": {int(v): float(f[v]) for v in range(t.n_vertices)},
                 "uncovered_vertex": uncovered,
+                "rule": f"f = 1 at vertex {uncovered}, 0 elsewhere",
             },
             extra={"formula_lower": lower, "gap": 0.0 - lower},
         )
@@ -723,6 +721,21 @@ class TestJOracle:
         res = tw.j_oracle_linf_bracket(op)
         assert res.value == 0.0
         assert "uncovered_vertex" in res.witness
+
+    def test_uncovered_witness_stays_small_at_any_size(self):
+        # 118,097 vertices: the witness names the vertex and the rule, not
+        # the indicator's value at every vertex
+        t = tw.homogeneous(3, 10)
+        rng = np.random.default_rng(0)
+        op = WeightedCompOp(tw.random_function(t, rng), tw.random_map(t, rng))
+        res = tw.j_oracle_linf_bracket(op)
+        assert len(canonical_json(res.to_json()).encode()) < 1024
+        u = res.witness["uncovered_vertex"]
+        assert res.witness == {"uncovered_vertex": u, "rule": f"f = 1 at vertex {u}, 0 elsewhere"}
+        # the rule's f composes to 0
+        f = np.zeros(t.n_vertices)
+        f[u] = 1.0
+        assert res.value == float(np.abs(op.psi.values * f[op.phi.image]).max()) == 0.0
 
     @pytest.mark.parametrize("window", [-2, -1, 3, 4])
     def test_window_outside_truncation_refused(self, window):

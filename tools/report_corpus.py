@@ -1,0 +1,257 @@
+"""Byte-diff the analyze-path reports of this checkout against a git ref.
+
+    python tools/report_corpus.py --against HEAD~1 [--seeds 0,1,2,3]
+
+Both sides write the same seeded corpus of report texts, and the tool
+prints, per entry point, how many texts differ and the first differing
+field of each, counted per field.  The ref is checked out with
+``git worktree add`` into a temporary directory (``TMPDIR`` picks where)
+and removed afterwards; this checkout's side runs ``src/`` as it is on
+disk, uncommitted edits included.  Nothing is downloaded.  The exit code
+is 0 when every text is byte-equal and 1 otherwise.
+
+The corpus, per seed:
+
+- trees: ``zline`` at depths 1, 2, 3, 8, one in 9..99 and 1000;
+  ``homogeneous`` q=2 and q=3 and two ``random_tree``s up to a few hundred
+  vertices;
+- maps: fold, doubling, identity and a constant map on the line; a random
+  map and a random bijection on the other trees;
+- weights: unit, ``1 / (1 + |v|)``, and signed magnitudes ``10**u`` with
+  ``u`` uniform in [-310, 17] and a fifth of them exact zeros;
+- windows ``None`` and ``N // 2``, zero tolerances 1e-6 and 1e-3.
+
+Entry points: ``analyze`` (``canonical_json`` of ``classify_operator``,
+``operator_quantities`` and, under unit weight, ``seven_equivalences``,
+as ``treewco analyze`` assembles them), ``fixture_report`` (each bundled
+fixture at depths 2-12 and its own), and the ``cli.analyze`` and
+``cli.norms`` outputs on spec files of the same operators.
+
+``--dump FILE`` writes this interpreter's corpus texts to FILE, one JSON
+line per text; ``--against`` runs it once per side.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_WINDOWS_AND_TOLS = [(None, 1e-6), (None, 1e-3), ("half", 1e-6), ("half", 1e-3)]
+
+
+# -- the corpus (runs against whichever treewco is importable) ---------------------
+
+
+def _weights(tw, np, t, rng) -> dict:
+    depth = t.depth.astype(float)
+    wide = 10.0 ** rng.uniform(-310, 17, t.n_vertices) * rng.choice([-1.0, 1.0], t.n_vertices)
+    wide[rng.random(t.n_vertices) < 0.2] = 0.0
+    return {"unit": np.ones(t.n_vertices), "inv": 1.0 / (1.0 + depth), "wide": wide}
+
+
+def _operators(tw, np, seed: int):
+    """(name, operator, phi spec) over the corpus trees, maps and weights."""
+    rng = np.random.default_rng(seed)
+    trees = [(f"z{d}", tw.zline(d)) for d in (1, 2, 3, 8, int(rng.integers(9, 100)), 1000)]
+    trees += [(f"h2_{d}", tw.homogeneous(2, d)) for d in (1, 3, int(rng.integers(4, 8)))]
+    trees += [(f"h3_{d}", tw.homogeneous(3, d)) for d in (1, int(rng.integers(2, 5)))]
+    for _ in range(2):
+        depth, tseed = int(rng.integers(1, 6)), int(rng.integers(0, 1000))
+        trees.append((f"r{depth}_{tseed}", tw.random_tree(depth, seed=tseed)))
+    for tname, t in trees:
+        if t.family == "zline":
+            target = int(rng.integers(t.n_vertices))
+            maps = [
+                ("fold", tw.zline_fold(t), {"kind": "builtin", "name": "zfold"}),
+                ("double", tw.zline_double(t), {"kind": "builtin", "name": "double"}),
+                ("id", tw.identity_map(t), {"kind": "builtin", "name": "identity"}),
+                ("const", tw.constant_map(t, target),
+                 {"kind": "builtin", "name": "constant", "params": {"target": target}}),
+            ]
+        else:
+            maps = [(name, phi, {"kind": "table", "map": {str(v): int(i) for v, i in
+                                                          enumerate(phi.image.tolist())}})
+                    for name, phi in (("rand", tw.random_map(t, rng)),
+                                      ("perm", tw.random_permutation_map(t, rng)))]
+        for mname, phi, phi_spec in maps:
+            for wname, w in _weights(tw, np, t, rng).items():
+                op = tw.WeightedCompOp(tw.VertexFunction(t, w), phi)
+                yield f"{tname}/{mname}/{wname}", op, phi_spec
+
+
+def _guarded(fn) -> str:
+    """``fn()``, or the exception's type and message when it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # noqa: BLE001 - a raising entry point is an output too
+        return f"error: {type(exc).__name__}: {exc}"
+
+
+def _analyze_text(tw, np, op, window, tol) -> str:
+    certs = tw.classify_operator(op, None, window, tol)
+    payload = {
+        "schema": 1,
+        "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
+        "quantities": tw.operator_quantities(op, window),
+    }
+    if bool(np.all(op.psi.values == 1.0)):
+        payload["seven_equivalences"] = tw.seven_equivalences(op.phi).to_json()
+    return tw.canonical_json(payload)
+
+
+def _cli_text(argv: list) -> str:
+    from treewco.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return out.getvalue() if rc == 0 else f"exit {rc}\n{err.getvalue()}"
+
+
+def corpus(seed: int, workdir: Path):
+    """(entry point, entry, text) for every text of one seed."""
+    import numpy as np
+    import treewco as tw
+
+    for name, op, phi_spec in _operators(tw, np, seed):
+        n = op.tree.depth_limit
+        for window, tol in _WINDOWS_AND_TOLS:
+            w = n // 2 if window else None
+            yield "analyze", f"{name}/w{w}/t{tol:g}", _guarded(
+                lambda: _analyze_text(tw, np, op, w, tol))
+        files = {
+            "tree": tw.tree_to_spec(op.tree),
+            "psi": {"kind": "table",
+                    "values": {str(v): x for v, x in enumerate(op.psi.values.tolist())}},
+            "phi": phi_spec,
+        }
+        args = []
+        for key, spec in files.items():
+            path = workdir / f"{key}.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            args += [f"--{key}", str(path)]
+        yield "cli.analyze", f"{name}/w{n // 2}/t0.001", _guarded(
+            lambda: _cli_text(["analyze", *args, "--window", str(n // 2), "--tol", "1e-3"]))
+        yield "cli.norms", name, _guarded(lambda: _cli_text(["norms", *args]))
+    for fx in tw.bundled_fixtures():
+        for depth in [None, *range(2, 13)]:
+            yield "fixture_report", f"{fx.name}/{depth}", _guarded(
+                lambda: tw.canonical_json(tw.fixture_report(fx, depth)))
+
+
+def dump(path: Path, seeds: list) -> None:
+    with tempfile.TemporaryDirectory() as tmp, open(path, "w", encoding="utf-8") as fh:
+        for seed in seeds:
+            for point, entry, text in corpus(seed, Path(tmp)):
+                fh.write(json.dumps({"seed": seed, "point": point, "entry": entry,
+                                     "text": text}) + "\n")
+
+
+# -- the comparison -------------------------------------------------------------------
+
+
+def first_difference(a, b, path: str = "$"):
+    """The path of the first field where two parsed reports differ, in
+    sorted-key order; None when they are equal."""
+    if type(a) is not type(b):
+        return path
+    if isinstance(a, dict):
+        for key in sorted(set(a) | set(b)):
+            if key not in a or key not in b:
+                return f"{path}.{key}"
+            found = first_difference(a[key], b[key], f"{path}.{key}")
+            if found:
+                return found
+        return None
+    if isinstance(a, list):
+        for i, (x, y) in enumerate(zip(a, b)):
+            found = first_difference(x, y, f"{path}[{i}]")
+            if found:
+                return found
+        return None if len(a) == len(b) else f"{path}[{min(len(a), len(b))}]"
+    return None if a == b else path
+
+
+def _parse(text: str):
+    """A report with each number kept as its text, so that two texts of
+    one float differ."""
+    return json.loads(text, parse_float=lambda s: ("float", s), parse_int=lambda s: ("int", s))
+
+
+def _field(ours: str, theirs: str) -> str:
+    try:
+        path = first_difference(_parse(theirs), _parse(ours))
+    except json.JSONDecodeError:
+        return "<text>"
+    # equal fields in different text: indentation or key order
+    return re.sub(r"\[\d+\]", "[*]", path) if path else "<layout>"
+
+
+def _run_side(src: Path, seeds: list, out: Path) -> None:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--dump", str(out),
+           "--seeds", ",".join(map(str, seeds))]
+    subprocess.run(cmd, env=env, check=True)
+
+
+def compare(ref: str, seeds: list) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tree = tmp / "ref"
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach", "--quiet",
+                        str(tree), ref], check=True)
+        try:
+            _run_side(tree / "src", seeds, tmp / "theirs.jsonl")
+        finally:
+            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
+                           check=True)
+        _run_side(ROOT / "src", seeds, tmp / "ours.jsonl")
+        texts, differ, fields = Counter(), Counter(), Counter()
+        first_entry: dict = {}
+        with open(tmp / "theirs.jsonl", encoding="utf-8") as fa, \
+                open(tmp / "ours.jsonl", encoding="utf-8") as fb:
+            for line_a, line_b in zip(fa, fb, strict=True):
+                a, b = json.loads(line_a), json.loads(line_b)
+                if (a["seed"], a["point"], a["entry"]) != (b["seed"], b["point"], b["entry"]):
+                    raise SystemExit("the two sides wrote different corpora")
+                texts[a["point"]] += 1
+                if a["text"] != b["text"]:
+                    differ[a["point"]] += 1
+                    key = (a["point"], _field(b["text"], a["text"]))
+                    fields[key] += 1
+                    first_entry.setdefault(key, f"seed {a['seed']} {a['entry']}")
+    print(f"{ref} -> this checkout, seeds {','.join(map(str, seeds))}")
+    for point in sorted(texts):
+        print(f"  {point:15s} {texts[point]:6d} texts, {differ[point]:6d} differ")
+    for (point, field), count in sorted(fields.items()):
+        print(f"    {point} {field}: {count} (first: {first_entry[point, field]})")
+    print(f"differing fields: {len(fields)}")
+    return 1 if fields else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    side = parser.add_mutually_exclusive_group(required=True)
+    side.add_argument("--against", help="git ref to compare with")
+    side.add_argument("--dump", help="write this interpreter's corpus texts to this file")
+    parser.add_argument("--seeds", default="0", help="comma-separated corpus seeds")
+    args = parser.parse_args(argv)
+    seeds = [int(s) for s in args.seeds.split(",")]
+    if args.dump:
+        dump(Path(args.dump), seeds)
+        return 0
+    return compare(args.against, seeds)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
