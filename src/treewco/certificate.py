@@ -19,6 +19,15 @@ TREND_CONSISTENT = "TrendConsistent"
 TREND_INCONSISTENT = "TrendInconsistent"
 
 
+class _Rows(list):
+    """Per-depth profile rows, each a list ``[n, value]`` of a Python
+    ``int`` and a Python ``float``.  ``canonical_json`` writes a list of
+    exactly this type without checking its rows, so only code that builds
+    the rows from such values makes one."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True)
 class Certificate:
     statement: str
@@ -42,6 +51,6 @@ class Certificate:
             "verdict": self.verdict,
             "criterion": self.criterion,
             "witnesses": self.witnesses,
-            "depth_profile": [[int(n), float(v)] for n, v in self.depth_profile],
+            "depth_profile": _Rows([[int(n), float(v)] for n, v in self.depth_profile]),
             "window_depth": self.window_depth,
         }

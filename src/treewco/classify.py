@@ -27,6 +27,7 @@ from .certificate import (
     TREND_CONSISTENT,
     TREND_INCONSISTENT,
     Certificate,
+    _Rows,
 )
 from .functions import VertexFunction
 from .operators import (
@@ -212,7 +213,7 @@ def _classify(
     if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
-            "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
+            "finite_range_max_depth": int(op.phi._range_max[-1]),
             "reason": "map range stabilized strictly inside the window",
         }
     else:
@@ -311,8 +312,8 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
     three data (a vanishing tail sup, the reach within the window, range
     stability) and checks they agree whenever the window decides them."""
     t = phi.tree
-    prof = phi.range_profile()
-    max_reach = prof[-1][1]
+    reach = phi._range_max
+    max_reach = int(reach[-1])
     inside = t.depth_limit - STABILITY_MARGIN
 
     small_reach = max_reach <= inside
@@ -346,8 +347,8 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
             "bounded functions, compact on the Lipschitz space, and finite "
             "range of the map"
         ),
-        witnesses={"items": items, "max_reach": int(max_reach)},
-        depth_profile=prof,
+        witnesses={"items": items, "max_reach": max_reach},
+        depth_profile=_Rows(map(list, enumerate(reach.astype(np.float64).tolist()))),
     )
 
 
@@ -384,7 +385,7 @@ def _squared_weight(op: WeightedCompOp, window: int | None) -> dict:
     _, compact, *_ = classify_lip(sq, window_depth=window)
     return {
         "squared_weight": {
-            "lip_ess_tail": [[n, v] for n, v in lip_ess_norm_profile(sq)],
+            "lip_ess_tail": _Rows(map(list, lip_ess_norm_profile(sq))),
             "compact_certificate": compact.to_json(),
         }
     }

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .certificate import _Rows
 from .classify import (
     _check_schedule,
     bundled_fixtures,
@@ -141,7 +142,7 @@ def _cmd_norms(args) -> int:
             "lip_norm": rep.lip_norm,
             "value_at_root": rep.value_at_root,
             "d_sup": rep.d_sup,
-            "tail_profile": [[n, v] for n, v in rep.tail_profile],
+            "tail_profile": _Rows(map(list, rep.tail_profile)),
         },
         "quantities": operator_quantities(op, _window(args, op.tree.depth_limit)),
     }

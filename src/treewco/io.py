@@ -31,6 +31,19 @@ since 0.0 and -0.0 are equal memo keys.
 ``tests/test_io_cli.py::TestCanonicalJson::test_float_text_is_the_round_trip_text``
 checks this on raw 64-bit patterns and the edge values.
 
+Per-depth profiles take a row path.  Their producers (``_tail`` for both
+essential-norm tails, ``Certificate.to_json``'s ``depth_profile``,
+``seven_equivalences``, the squared weight's tail and the ``norms`` tail
+profile) build them as ``certificate._Rows``, a ``list`` whose rows are a
+Python ``int`` and a Python ``float``, and only a list of exactly that type
+takes the path, so no row is checked.  When the depths run 0, 1, 2, ...,
+the text is one join of value texts and row heads, the text between one
+value and the next, which depends only on the indent level and the depth
+and comes from ``_HEADS``; other depths get one f-string per row.  Either
+way the bytes are the generic list path's, since the int prints as
+``int.__repr__`` and the float by the rule above on both paths; a plain
+list of the same rows takes the generic path.
+
 Spec loading errors carry a JSON-pointer-style location so the CLI can
 print line-precise messages.
 """
@@ -43,10 +56,12 @@ import numbers
 import os
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
+from .certificate import _Rows
 from .classify import Fixture, classify_operator
 from .functions import (
     VertexFunction,
@@ -71,6 +86,7 @@ from .operators import (
     zline_fold,
 )
 from .trees import (
+    MAX_VERTICES,
     RootedTree,
     TreeBudgetError,
     explicit_tree,
@@ -125,8 +141,44 @@ def _float_text(x: float, memo: dict) -> str:
     return text
 
 
-def _is_pair(p) -> bool:
-    return type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is float
+# _HEADS[level][n] is the text before row n's value in a profile whose
+# depths run 0, 1, 2, ...: row 0's opens the list, the others close the row
+# before.  A pure function of (level, n), so it holds no report data; it is
+# rebuilt to the longest such profile written, never past MAX_VERTICES rows.
+_HEADS: dict = {}
+_depth_of = itemgetter(0)
+
+
+def _row_heads(level: int, k: int) -> list:
+    heads = _HEADS.get(level, ())
+    if len(heads) < k:
+        inner = "\n" + "  " * (level + 1)
+        leaf = inner + "  "
+        sep = f"{inner}],{inner}[{leaf}"
+        heads = [f"[{inner}[{leaf}0,{leaf}"] + [f"{sep}{n},{leaf}" for n in range(1, k)]
+        # replaced whole, never extended: a concurrent writer reads a full table
+        _HEADS[level] = heads
+    return heads
+
+
+def _write_rows(rows: _Rows, level: int, out: list, memo: dict) -> None:
+    """A non-empty ``_Rows`` in the generic list path's text: the rows are
+    known to be ``[int, float]``, so none is checked, and a profile whose
+    depths run 0, 1, ... is one join of table heads and value texts."""
+    get = memo.get  # a memo hit costs no call of _float_text
+    texts = [get(v) or _float_text(v, memo) for _, v in rows]
+    k = len(texts)
+    inner = "\n" + "  " * (level + 1)
+    outer = "\n" + "  " * level
+    if k <= MAX_VERTICES and list(map(_depth_of, rows)) == list(range(k)):
+        parts = [""] * (2 * k)
+        parts[0::2] = _row_heads(level, k)[:k]
+        parts[1::2] = texts
+        out += ("".join(parts), inner + "]" + outer + "]")
+        return
+    leaf = inner + "  "
+    lines = [f"[{leaf}{row[0]},{leaf}{text}{inner}]" for row, text in zip(rows, texts)]
+    out.append("[" + inner + ("," + inner).join(lines) + outer + "]")
 
 
 def _write(obj, level: int, out: list, memo: dict) -> None:
@@ -158,17 +210,11 @@ def _write(obj, level: int, out: list, memo: dict) -> None:
         if not obj:
             out.append("[]")
             return
+        if type(obj) is _Rows:
+            _write_rows(obj, level, out, memo)
+            return
         inner = "\n" + "  " * (level + 1)
         outer = "\n" + "  " * level
-        if all(map(_is_pair, obj)):
-            # per-depth profiles: thousands of [depth, value] rows
-            leaf = inner + "  "
-            get = memo.get  # a memo hit costs no call of _float_text
-            rows = [
-                f"[{leaf}{n},{leaf}{get(v) or _float_text(v, memo)}{inner}]" for n, v in obj
-            ]
-            out.append("[" + inner + ("," + inner).join(rows) + outer + "]")
-            return
         sep = "["
         for item in obj:
             out.append(sep + inner)
@@ -386,6 +432,11 @@ def _read_json(path) -> dict:
         raise SpecError(str(path), f"cannot read: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise SpecError(str(path), f"invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SpecError(str(path), f"not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError as exc:
+        # the decoder recurses once per open bracket
+        raise SpecError(str(path), "invalid JSON: nested too deeply to decode") from exc
 
 
 def tree_to_spec(tree: RootedTree) -> dict:
@@ -414,12 +465,12 @@ def golden_dir() -> Path:
     return Path(resources.files("treewco") / "golden")
 
 
-def _tail(column: np.ndarray) -> tuple[list, float]:
+def _tail(column: np.ndarray) -> tuple[_Rows, float]:
     """The ``[n, value]`` rows of one ``tail_sups`` column and their
     least-squares slope: what ``linf_ess_norm_profile`` or
     ``lip_ess_norm_profile`` and ``tail_trend_slope`` give, bit for bit,
     since ``np.polyfit`` sees the same values."""
-    rows = list(map(list, enumerate(column.tolist())))
+    rows = _Rows(map(list, enumerate(column.tolist())))
     if column.size < 2:
         return rows, 0.0
     return rows, float(np.polyfit(np.arange(column.size, dtype=np.float64), column, 1)[0])

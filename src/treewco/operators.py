@@ -143,25 +143,29 @@ class SelfMap:
     def surjective_on_truncation(self) -> bool:
         return bool((self.coverage >= 1).all())
 
-    def range_profile(self) -> tuple:
-        """(d, max |phi(v)| over domain vertices with depth <= d) per depth."""
+    @cached_property
+    def _range_max(self) -> np.ndarray:
+        """max |phi(v)| over domain vertices with depth <= d, per depth d."""
         per_depth = depth_max(
             self.tree.depth[: self.domain_size], self.image_depth, self.domain_depth + 1
         )
-        return tuple(enumerate(np.maximum.accumulate(per_depth).tolist()))
+        m = np.maximum.accumulate(per_depth)
+        m.setflags(write=False)
+        return m
+
+    def range_profile(self) -> tuple:
+        """(d, max |phi(v)| over domain vertices with depth <= d) per depth."""
+        return tuple(enumerate(self._range_max.tolist()))
 
     def finite_range_stable(self) -> bool:
         """Range maximum flat over the last ``STABILITY_MARGIN`` depths and
         at least that many short of the window edge: the honest
         finite-data proxy for a finite-range map."""
-        prof = self.range_profile()
-        margin = STABILITY_MARGIN
-        if len(prof) <= margin:
-            return prof[-1][1] <= self.tree.depth_limit - margin
-        return (
-            prof[-1][1] == prof[-1 - margin][1]
-            and prof[-1][1] <= self.tree.depth_limit - margin
-        )
+        m = self._range_max
+        last = int(m[-1])
+        if last > self.tree.depth_limit - STABILITY_MARGIN:
+            return False
+        return m.size <= STABILITY_MARGIN or last == int(m[-1 - STABILITY_MARGIN])
 
     def as_table(self) -> dict:
         return {int(v): int(self.image[v]) for v in range(self.domain_size)}

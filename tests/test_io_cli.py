@@ -19,7 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import SpecError, cli
+from treewco import io as treewco_io
 from treewco.cli import main
+from treewco.certificate import _Rows
 from treewco.io import SCHEMA_VERSION, _float_text, canonical_json, fixture_report, golden_dir
 
 from conftest import analyze_payload
@@ -218,8 +220,8 @@ _scalars = st.one_of(
     st.integers(0, 255).map(np.uint8),
 )
 _depth = st.integers(0, 50)
-# [int, float] rows take the profile fast path; the other shapes are near
-# misses that must fall back to the generic path
+# profile-like rows and near misses in plain lists, which take the generic
+# path; the reference writer takes its row path on the [int, float] ones
 _row_shapes = [
     st.tuples(_depth, _floats).map(list),
     st.tuples(_depth, _floats.map(np.float64)).map(list),
@@ -242,6 +244,38 @@ _payloads = st.recursive(
     ),
     max_leaves=20,
 )
+
+
+_row_values = st.one_of(
+    _floats,
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e16, 9.9999999999995e-05]),
+)
+
+
+@st.composite
+def _profiles(draw) -> list:
+    """Plain ``[int, float]`` rows whose depths run 0, 1, ... (the table
+    path), or from 1, or from 0 with a gap, or along a schedule."""
+    values = draw(st.lists(_row_values, min_size=1, max_size=40))
+    k = len(values)
+    shape = draw(st.sampled_from(["contiguous", "from_one", "gap", "schedule"]))
+    if shape == "contiguous":
+        depths = list(range(k))
+    elif shape == "from_one":
+        depths = list(range(1, k + 1))
+    elif shape == "gap":  # skips depth j
+        j = draw(st.integers(min(1, k - 1), k - 1))
+        depths = [n + (n >= j) for n in range(k)]
+    else:
+        depths = [2**i for i in range(k)]
+    return [[d, v] for d, v in zip(depths, values)]
+
+
+def _nest(obj, level: int):
+    """``obj`` at indent level ``level``, under alternating objects and lists."""
+    for i in range(level):
+        obj = {"p": obj} if i % 2 else [obj]
+    return obj
 
 
 def _double(bits: int) -> float:
@@ -285,6 +319,40 @@ class TestCanonicalJson:
         text = canonical_json({"p": rows, "q": [-0.0, 0.0]})
         assert text == reference_canonical_json({"p": rows, "q": [-0.0, 0.0]})
         assert text.count("-0.0") == 3
+
+    @given(_profiles(), st.integers(0, 5))
+    @settings(max_examples=300, deadline=None)
+    def test_typed_rows_match_the_plain_list_and_the_round_trip_writer(self, rows, level):
+        text = canonical_json(_nest(_Rows(rows), level))
+        assert text == canonical_json(_nest(rows, level))
+        assert text == reference_canonical_json(_nest(rows, level))
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_a_profile_past_the_row_table_grows_it(self, level):
+        k = len(treewco_io._HEADS.get(level, ())) + 3
+        rows = [[n, n / 7] for n in range(k)]
+        assert canonical_json(_nest(_Rows(rows), level)) == reference_canonical_json(_nest(rows, level))
+        assert len(treewco_io._HEADS[level]) == k
+
+    def test_profile_producers_hand_the_writer_typed_rows(self, specs, monkeypatch):
+        t = tw.zline(8)
+        op = tw.WeightedCompOp(tw.VertexFunction(t, 1.0 / (1.0 + t.depth)), tw.zline_fold(t))
+        quantities = tw.operator_quantities(op, 4)
+        assert type(quantities["linf_ess_tail"]) is _Rows
+        assert type(quantities["lip_ess_tail"]) is _Rows
+        certs = tw.classify_operator(op, None, 4)
+        for cert in certs["linf"] + certs["lip"]:
+            assert type(cert.to_json()["depth_profile"]) is _Rows, cert.statement
+        seven = tw.seven_equivalences(op.phi)
+        assert type(seven.depth_profile) is _Rows
+        assert type(seven.to_json()["depth_profile"]) is _Rows
+        report = fixture_report(tw.fixture_by_name("bounded-not-compact"))
+        assert type(report["squared_weight"]["lip_ess_tail"]) is _Rows
+        payloads = []
+        monkeypatch.setattr(cli, "canonical_json", lambda p: payloads.append(p) or "")
+        args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
+        assert main(["norms", *args]) == 0
+        assert type(payloads[-1]["psi_norms"]["tail_profile"]) is _Rows
 
     @pytest.mark.parametrize(
         "op, window", [pytest.param(op, window, id=name) for name, op, window in _deep_operators()]
@@ -756,6 +824,29 @@ class TestMalformedSpecs:
         assert proc.returncode == 1
         assert "tree.depth" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("mode", ["analyze", "export"])
+    @pytest.mark.parametrize("content, message", [
+        (b"[" * 100_000, "invalid JSON: nested too deeply to decode"),
+        (b'{"family": "zline", "depth": 2, "x": "\xff"}',
+         "not UTF-8 text: invalid start byte at byte 38"),
+    ], ids=["nested", "not_utf8"])
+    def test_undecodable_spec_file_exits_one_naming_it(self, specs, tmp_path, mode, content, message):
+        # the nesting once ended in a RecursionError traceback, the bytes
+        # in an error that did not name the file
+        bad = tmp_path / "bad_tree.json"
+        bad.write_bytes(content)
+        args = ["--tree", str(bad)]
+        if mode == "analyze":
+            args += ["--psi", specs["psi"], "--phi", specs["phi"]]
+        env = dict(os.environ, PYTHONPATH=str(Path(tw.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "treewco.cli", mode, *args],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 1
+        assert proc.stderr == f"spec error: {bad}: {message}\n"
 
 
 # Spec fuzzing: every integer a spec can carry stays small (depth <= 6,

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import SelfMap, VertexFunction, WeightedCompOp
-from treewco.operators import MapSpecError
+from treewco.operators import STABILITY_MARGIN, MapSpecError
 
 from conftest import label_fn, random_operator, shuffled_edges, small_tree_corpus
 
@@ -445,6 +445,13 @@ def ref_range_profile(phi):
     return tuple(out)
 
 
+def ref_finite_range_stable(phi) -> bool:
+    prof = ref_range_profile(phi)
+    last, margin = prof[-1][1], STABILITY_MARGIN
+    flat = len(prof) <= margin or last == prof[-1 - margin][1]
+    return flat and last <= phi.tree.depth_limit - margin
+
+
 def ref_tail(op, n, lip):
     sel = op.phi.image_depth > n
     a = op.abs_psi_on_domain[sel]
@@ -586,6 +593,7 @@ class TestArrayCoreMatchesLoops:
         assert phi.injective_on_domain == all(len(p) <= 1 for p in pre)
         assert phi.surjective_on_truncation == all(len(p) >= 1 for p in pre)
         assert phi.range_profile() == ref_range_profile(phi)
+        assert phi.finite_range_stable() is ref_finite_range_stable(phi)
         N = t.depth_limit
         assert tw.linf_ess_norm_profile(op) == tuple((n, ref_tail(op, n, False)) for n in range(N))
         assert tw.lip_ess_norm_profile(op) == tuple((n, ref_tail(op, n, True)) for n in range(N))

@@ -1,4 +1,4 @@
-"""Byte-diff the analyze-path reports of this checkout against a git ref.
+"""Byte-diff the reports of this checkout against a git ref.
 
     python tools/report_corpus.py --against HEAD~1 [--seeds 0,1,2,3]
 
@@ -14,18 +14,28 @@ The corpus, per seed:
 
 - trees: ``zline`` at depths 1, 2, 3, 8, one in 9..99 and 1000;
   ``homogeneous`` q=2 and q=3 and two ``random_tree``s up to a few hundred
-  vertices;
+  vertices; ``homogeneous(2, 2)``, and a depth-2 random tree rebuilt by
+  ``explicit_tree`` from shuffled edges under mixed int and str labels;
 - maps: fold, doubling, identity and a constant map on the line; a random
   map and a random bijection on the other trees;
 - weights: unit, ``1 / (1 + |v|)``, and signed magnitudes ``10**u`` with
   ``u`` uniform in [-310, 17] and a fifth of them exact zeros;
-- windows ``None`` and ``N // 2``, zero tolerances 1e-6 and 1e-3.
+- windows ``None`` and ``N // 2``, zero tolerances 1e-6 and 1e-3;
+- one operator at the north-star depth: fold on ``zline(10**4)`` with
+  weight ``1 / (1 + |v|)``.
 
 Entry points: ``analyze`` (``canonical_json`` of ``classify_operator``,
 ``operator_quantities`` and, under unit weight, ``seven_equivalences``,
 as ``treewco analyze`` assembles them), ``fixture_report`` (each bundled
-fixture at depths 2-12 and its own), and the ``cli.analyze`` and
-``cli.norms`` outputs on spec files of the same operators.
+fixture at depths 2-12 and its own), the oracles' ``to_json`` (both
+methods of ``norm_oracle_linf`` and ``norm_oracle_lip``,
+``j_oracle_linf_bracket`` on both windows, ``surjectivity_infeasibility``
+on a random target and on a reachable one, and ``point_eval_lip_norm`` at
+a deepest vertex of each tree; a search past its size cap records its
+error), and the ``cli.analyze``, ``cli.norms``, ``cli.oracle`` (with the
+spec files, and with the tree alone) and ``cli.export`` (with and without
+the map) outputs on spec files of the same operators, and ``cli.examples``
+(its stdout and the reports it writes).
 
 ``--dump FILE`` writes this interpreter's corpus texts to FILE, one JSON
 line per text; ``--against`` runs it once per side.
@@ -59,6 +69,15 @@ def _weights(tw, np, t, rng) -> dict:
     return {"unit": np.ones(t.n_vertices), "inv": 1.0 / (1.0 + depth), "wide": wide}
 
 
+def _explicit(tw, rng):
+    """A depth-2 random tree rebuilt from its shuffled edges, with odd
+    labels as ints and even ones as strs."""
+    base = tw.random_tree(2, seed=int(rng.integers(0, 1000)))
+    labels = [p if p % 2 else f"v{p}" for p in rng.permutation(len(base)).tolist()]
+    edges = [[labels[p], labels[v]] for v, p in enumerate(base.parent.tolist()) if v]
+    return tw.explicit_tree([edges[i] for i in rng.permutation(len(edges))], labels[0])
+
+
 def _operators(tw, np, seed: int):
     """(name, operator, phi spec) over the corpus trees, maps and weights."""
     rng = np.random.default_rng(seed)
@@ -68,6 +87,9 @@ def _operators(tw, np, seed: int):
     for _ in range(2):
         depth, tseed = int(rng.integers(1, 6)), int(rng.integers(0, 1000))
         trees.append((f"r{depth}_{tseed}", tw.random_tree(depth, seed=tseed)))
+    trees.append(("h2_2", tw.homogeneous(2, 2)))
+    x = _explicit(tw, rng)
+    trees.append((f"x{len(x)}", x))
     for tname, t in trees:
         if t.family == "zline":
             target = int(rng.integers(t.n_vertices))
@@ -87,6 +109,9 @@ def _operators(tw, np, seed: int):
             for wname, w in _weights(tw, np, t, rng).items():
                 op = tw.WeightedCompOp(tw.VertexFunction(t, w), phi)
                 yield f"{tname}/{mname}/{wname}", op, phi_spec
+    t = tw.zline(10_000)
+    op = tw.WeightedCompOp(tw.VertexFunction(t, 1.0 / (1.0 + t.depth)), tw.zline_fold(t))
+    yield "z10000/fold/inv", op, {"kind": "builtin", "name": "zfold"}
 
 
 def _guarded(fn) -> str:
@@ -109,6 +134,27 @@ def _analyze_text(tw, np, op, window, tol) -> str:
     return tw.canonical_json(payload)
 
 
+def _oracle_texts(tw, np, op, rng):
+    """(entry point, entry, text) of each oracle on one operator."""
+    n = op.tree.depth_limit
+    calls = {
+        "oracle.linf": [(m, lambda m=m: tw.norm_oracle_linf(op, m)) for m in ("exhaustive", "ascent")],
+        "oracle.lip": [(m, lambda m=m: tw.norm_oracle_lip(op, m)) for m in ("exhaustive", "witness")],
+        "oracle.j_bracket": [(f"w{w}", lambda w=w: tw.j_oracle_linf_bracket(op, w))
+                             for w in (None, n // 2)],
+    }
+    cod = op.codomain_tree
+    # a random target, and the image of the constant 1/2, which a unit-ball
+    # preimage reaches
+    half = tw.VertexFunction(op.tree, np.full(op.tree.n_vertices, 0.5))
+    targets = {"random": tw.random_function(cod, rng), "reachable": tw.apply_op(op, half)}
+    calls["oracle.surj"] = [(g, lambda g=g: tw.surjectivity_infeasibility(op, targets[g]))
+                            for g in targets]
+    for point, entries in calls.items():
+        for entry, fn in entries:
+            yield point, entry, _guarded(lambda: tw.canonical_json(fn().to_json()))
+
+
 def _cli_text(argv: list) -> str:
     from treewco.cli import main
 
@@ -123,12 +169,18 @@ def corpus(seed: int, workdir: Path):
     import numpy as np
     import treewco as tw
 
+    # the oracle targets draw from their own stream, so the operators are
+    # the same with or without them
+    oracle_rng = np.random.default_rng([seed, 1])
+    trees_seen = set()
     for name, op, phi_spec in _operators(tw, np, seed):
         n = op.tree.depth_limit
         for window, tol in _WINDOWS_AND_TOLS:
             w = n // 2 if window else None
             yield "analyze", f"{name}/w{w}/t{tol:g}", _guarded(
                 lambda: _analyze_text(tw, np, op, w, tol))
+        for point, entry, text in _oracle_texts(tw, np, op, oracle_rng):
+            yield point, f"{name}/{entry}", text
         files = {
             "tree": tw.tree_to_spec(op.tree),
             "psi": {"kind": "table",
@@ -140,13 +192,30 @@ def corpus(seed: int, workdir: Path):
             path = workdir / f"{key}.json"
             path.write_text(json.dumps(spec), encoding="utf-8")
             args += [f"--{key}", str(path)]
+        tree_args, phi_args = args[:2], args[4:]
         yield "cli.analyze", f"{name}/w{n // 2}/t0.001", _guarded(
             lambda: _cli_text(["analyze", *args, "--window", str(n // 2), "--tol", "1e-3"]))
         yield "cli.norms", name, _guarded(lambda: _cli_text(["norms", *args]))
+        yield "cli.oracle", name, _guarded(lambda: _cli_text(["oracle", *args]))
+        yield "cli.export", name, _guarded(lambda: _cli_text(["export", *tree_args, *phi_args]))
+        tname = name.split("/")[0]
+        if tname in trees_seen:
+            continue
+        trees_seen.add(tname)
+        deepest = op.tree.n_vertices - 1
+        yield "oracle.point_eval", tname, _guarded(
+            lambda: tw.canonical_json(tw.point_eval_lip_norm(op.tree, deepest).to_json()))
+        yield "cli.oracle", f"{tname}/seed{seed}", _guarded(
+            lambda: _cli_text(["oracle", *tree_args, "--seed", str(seed)]))
+        yield "cli.export", tname, _guarded(lambda: _cli_text(["export", *tree_args]))
     for fx in tw.bundled_fixtures():
         for depth in [None, *range(2, 13)]:
             yield "fixture_report", f"{fx.name}/{depth}", _guarded(
                 lambda: tw.canonical_json(tw.fixture_report(fx, depth)))
+    out = workdir / "examples"
+    yield "cli.examples", "stdout", _guarded(lambda: _cli_text(["examples", "--out", str(out)]))
+    for report in sorted(out.glob("*.json")):
+        yield "cli.examples", report.name, report.read_text(encoding="utf-8")
 
 
 def dump(path: Path, seeds: list) -> None:
