@@ -16,6 +16,7 @@ one settable threshold.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -34,12 +35,10 @@ from .operators import (
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
-    depth_max,
     identity_map,
     isometry_check_linf,
     isometry_check_lip,
     j_linf,
-    j_lip_bracket,
     linf_op_norm,
     lip_bounds,
     lip_ess_norm_profile,
@@ -85,11 +84,11 @@ def _check_schedule(schedule, depth_limit: int) -> tuple:
         raise ValueError(
             f"classification needs a tree of depth >= 1, got depth {depth_limit}"
         )
-    sched = tuple(int(d) for d in schedule)
-    if not sched or any(not 1 <= d <= depth_limit for d in sched):
+    sched = tuple(map(int, schedule))
+    if not sched or min(sched) < 1 or max(sched) > depth_limit:
         raise ValueError(f"schedule must be within 1..{depth_limit}")
     # the trend proxies read the last entries as the deepest ones
-    if any(a >= b for a, b in zip(sched, sched[1:])):
+    if any(map(operator.ge, sched, sched[1:])):
         raise ValueError(f"schedule depths must be strictly increasing, got {list(sched)}")
     return sched
 
@@ -122,22 +121,12 @@ class _Space:
     norm_witnesses: Callable  # op -> dict
     isometry: Callable  # (op, window) -> Certificate
     isometry_min_depth: int
-    modulus: Callable  # (op, window) -> (lower end of the modulus, witnesses)
+    modulus: Callable  # j_linf -> (lower end of the modulus, witnesses)
 
 
 def _lip_norm_witnesses(op: WeightedCompOp) -> dict:
     lo, up = lip_bounds(op)  # the lower end is the exact norm
     return {"lower_bound": lo, "upper_bound": up, "exact_norm": lo}
-
-
-def _linf_modulus(op: WeightedCompOp, window_depth: int | None) -> tuple:
-    j = j_linf(op, window_depth)
-    return j, {"injectivity_modulus": j}
-
-
-def _lip_modulus(op: WeightedCompOp, window_depth: int | None) -> tuple:
-    lo, up = j_lip_bracket(op, window_depth)
-    return lo, {"bracket": [lo, up]}
 
 
 _LINF = _Space(
@@ -155,7 +144,7 @@ _LINF = _Space(
     norm_witnesses=lambda op: {"sup_psi": float(linf_op_norm(op))},
     isometry=isometry_check_linf,
     isometry_min_depth=1,
-    modulus=_linf_modulus,
+    modulus=lambda j: (j, {"injectivity_modulus": j}),
 )
 
 _LIP = _Space(
@@ -173,29 +162,41 @@ _LIP = _Space(
     norm_witnesses=_lip_norm_witnesses,
     isometry=isometry_check_lip,
     isometry_min_depth=2,  # the witness is a vertex deeper than 1
-    modulus=_lip_modulus,
+    modulus=lambda j: (j / 3.0, {"bracket": [j / 3.0, j]}),  # j_lip_bracket's (M/3, M)
 )
+
+
+def _operator_pass(op: WeightedCompOp, schedule, window_depth: int | None) -> tuple:
+    """What both spaces read: the checked schedule, the last domain id of
+    each schedule depth, the tail sups at the schedule depths, ``j_linf``
+    and the bounded-below witness."""
+    t = op.tree
+    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    depths = np.array(sched)
+    # breadth-first ids make the domain depth-sorted; a depth past the
+    # domain reads its last id
+    ends = np.minimum(t.layer_offsets[depths + 1], op.phi.domain_size) - 1
+    tails = op.tail_sups[depths - 1]
+    return sched, ends, tails, j_linf(op, window_depth), _bounded_below_witness(op, window_depth)
 
 
 def _classify(
     space: _Space,
     op: WeightedCompOp,
-    schedule,
+    shared: tuple,
     window_depth: int | None,
     zero_tol: float,
 ) -> list[Certificate]:
     """Bounded, Compact, Isometry (on a deep enough tree) and BoundedBelow
-    certificates for one function space."""
+    certificates for one function space, from ``_operator_pass``."""
     t = op.tree
-    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    sched, ends, tails, j, below = shared
     bounded_text, compact_text, below_text = space.criteria
     certs: list[Certificate] = []
 
     # sup of the reach over the domain vertices of depth <= d
-    per_depth = depth_max(t.depth[: op.phi.domain_size], space.reach(op), t.depth_limit + 1)
-    prefix = np.maximum.accumulate(per_depth)
-    bounded_profile = tuple((d, float(prefix[d])) for d in sched)
-    bounded_vals = [v for _, v in bounded_profile]
+    bounded_vals = np.maximum.accumulate(space.reach(op))[ends].tolist()
+    bounded_profile = tuple(zip(sched, bounded_vals))
     certs.append(
         Certificate(
             statement=f"{space.prefix}.Bounded",
@@ -207,9 +208,8 @@ def _classify(
         )
     )
 
-    tails = op.tail_sups[:, space.tail_column]
-    tail_profile = tuple((d, float(tails[d - 1])) for d in sched)
-    tail_vals = [v for _, v in tail_profile]
+    tail_vals = tails[:, space.tail_column].tolist()
+    tail_profile = tuple(zip(sched, tail_vals))
     if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
@@ -233,8 +233,8 @@ def _classify(
     if t.depth_limit >= space.isometry_min_depth:
         certs.append(space.isometry(op, window_depth))
 
-    low, witnesses = space.modulus(op, window_depth)
-    witnesses.update(_bounded_below_witness(op, window_depth))
+    low, witnesses = space.modulus(j)
+    witnesses.update(below)
     certs.append(
         Certificate(
             statement=f"{space.prefix}.BoundedBelow",
@@ -252,10 +252,10 @@ def _bounded_below_witness(op: WeightedCompOp, window_depth: int | None) -> dict
     """The vertex deciding the inf-sup: the first uncovered one, or the one
     with the smallest preimage sup of |psi|."""
     sup = window_preimage_sup(op, window_depth)
-    uncovered = np.flatnonzero(np.isneginf(sup))
-    if uncovered.size:
-        return {"vertex": int(uncovered[0]), "reason": "no preimage in the window"}
-    best_w = int(np.argmin(sup))
+    # an uncovered vertex holds -inf, the least value: argmin finds the first
+    best_w = int(sup.argmin())
+    if sup[best_w] == -np.inf:
+        return {"vertex": best_w, "reason": "no preimage in the window"}
     return {"vertex": best_w, "preimage_sup": float(sup[best_w])}
 
 
@@ -266,7 +266,7 @@ def classify_linf(
     zero_tol: float = 1e-6,
 ) -> list[Certificate]:
     """Certificates for the operator acting on the bounded functions."""
-    return _classify(_LINF, op, schedule, window_depth, zero_tol)
+    return _classify(_LINF, op, _operator_pass(op, schedule, window_depth), window_depth, zero_tol)
 
 
 def classify_lip(
@@ -277,7 +277,7 @@ def classify_lip(
 ) -> list[Certificate]:
     """Certificates for the operator from the Lipschitz space to the
     bounded functions."""
-    return _classify(_LIP, op, schedule, window_depth, zero_tol)
+    return _classify(_LIP, op, _operator_pass(op, schedule, window_depth), window_depth, zero_tol)
 
 
 def classify_operator(
@@ -286,9 +286,11 @@ def classify_operator(
     window_depth: int | None = None,
     zero_tol: float = 1e-6,
 ) -> dict:
-    """Both certificate sets plus automatic cross-implication checks."""
-    linf = classify_linf(op, schedule, window_depth, zero_tol)
-    lip = classify_lip(op, schedule, window_depth, zero_tol)
+    """Both certificate sets, from one operator pass, plus automatic
+    cross-implication checks."""
+    shared = _operator_pass(op, schedule, window_depth)
+    linf = _classify(_LINF, op, shared, window_depth, zero_tol)
+    lip = _classify(_LIP, op, shared, window_depth, zero_tol)
     by = {c.statement: c for c in linf + lip}
 
     # isometry implies bounded below on the same window

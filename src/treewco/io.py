@@ -16,6 +16,28 @@ All reports are byte-stable and carry no timestamps or absolute paths.
   ``TypeError``;
 - the text ends with one newline.
 
+The writer dispatches on the exact type.  The exact builtins are ``str``,
+``float``, ``int``, ``bool``, ``None``, ``dict``, ``list``, ``tuple`` and
+``_Rows`` (below), and a scalar item of a dict or list is written inline in
+that container's loop.  Any other value is first turned into the builtin
+it stands for and then written the same way: numpy integers and ``int``
+subclasses (an ``IntEnum``) by ``int()``, numpy floats and ``float``
+subclasses by ``float()``, ``str`` subclasses by ``str.__str__``, ``dict``
+subclasses (an ``OrderedDict``) by ``dict(obj.items())``, ``list`` and
+``tuple`` subclasses (a named tuple) by ``list()``; anything else raises
+``TypeError``.  These are the conversions the text always went through.
+
+A dict of at most ``_KEYS_PER_DICT`` (16) keys, all of exact type ``str``,
+reads its sorted keys, and the text before each value (separator, indent,
+encoded key and ``": "``), from the ``_KEYS`` table, keyed by the indent
+level and the key tuple.  The table holds key names and indentation, never
+a value, and stops growing at ``_KEYS_MAX`` (1,024) entries; threads that
+write at once may each add one more.  Every other dict (integer, bool or
+float keys, a ``str`` subclass key, more keys, or a full table) gets
+``str(k)`` and ``sorted`` on each call.  The table takes ``str`` keys only
+because ``True``, ``1`` and ``1.0`` are equal keys of one hash that print
+``"True"``, ``"1"`` and ``"1.0"``.
+
 The float text skips the round trip through ``float``: it is
 ``f"{x:.12g}"``, with ``".0"`` appended when it has neither ``"."`` nor
 ``"e"``, and ``repr(float(text))`` in its place when it has an ``"e"``.
@@ -76,7 +98,6 @@ from .operators import (
     constant_map,
     identity_map,
     j_linf,
-    j_lip_bracket,
     k_linf,
     k_lip_bracket,
     linf_op_norm,
@@ -181,48 +202,107 @@ def _write_rows(rows: _Rows, level: int, out: list, memo: dict) -> None:
     out.append("[" + inner + ("," + inner).join(lines) + outer + "]")
 
 
-def _write(obj, level: int, out: list, memo: dict) -> None:
+# _KEYS[(level, keys)] is the text before each value of a dict with these
+# keys at this level, in sorted key order, and a getter of its values in
+# that order (None when the insertion order is sorted); see the module
+# docstring for which dicts enter it
+_KEYS: dict = {}
+_KEYS_PER_DICT = 16
+_KEYS_MAX = 1024
+_STR_ONLY = frozenset((str,))
+
+
+def _key_heads(level: int, keys: list) -> list:
+    """The text before each value of a dict at ``level`` with these sorted
+    string keys."""
+    inner = "\n" + "  " * (level + 1)
+    return [f"{',' if i else '{'}{inner}{_encode_str(k)}: " for i, k in enumerate(keys)]
+
+
+def _key_entry(level: int, keys: tuple) -> tuple:
+    order = sorted(keys)
+    return _key_heads(level, order), None if tuple(order) == keys else itemgetter(*order)
+
+
+def _as_builtin(obj):
+    """The builtin value of a non-builtin ``obj``: numpy and subclassed
+    numbers become ``int`` or ``float``, subclassed strings, dicts, lists
+    and tuples their builtin; anything else is refused."""
     if isinstance(obj, str):
-        out.append(_encode_str(obj))
-    elif obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(int.__repr__(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(_float_text(float(obj), memo))
-    elif isinstance(obj, dict):
+        return str.__str__(obj)
+    if isinstance(obj, (int, np.integer)):
+        return int(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj)
+    if isinstance(obj, dict):
+        return dict(obj.items())
+    if isinstance(obj, (list, tuple)):
+        return list(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+_SCALARS = frozenset((str, float, int, bool, type(None)))
+
+
+def _write(obj, level: int, out: list, memo: dict) -> None:
+    """``obj`` at indent ``level``.  A dict or list writes each item after
+    its head, a scalar item inline; a value of no exact builtin type is
+    written as the builtin it stands for."""
+    kind = type(obj)
+    if kind is dict:
         if not obj:
             out.append("{}")
             return
-        items = {str(k): v for k, v in obj.items()}
-        inner = "\n" + "  " * (level + 1)
-        sep = "{"
-        for key in sorted(items):
-            out.append(f"{sep}{inner}{_encode_str(key)}: ")
-            _write(items[key], level + 1, out, memo)
-            sep = ","
-        out.append("\n" + "  " * level + "}")
-    elif isinstance(obj, (list, tuple)):
+        keys = tuple(obj)
+        entry = None
+        if len(keys) <= _KEYS_PER_DICT and _STR_ONLY.issuperset(map(type, keys)):
+            entry = _KEYS.get((level, keys))
+            if entry is None and len(_KEYS) < _KEYS_MAX:
+                entry = _KEYS[level, keys] = _key_entry(level, keys)
+        if entry is None:
+            items = {str(k): v for k, v in obj.items()}
+            order = sorted(items)
+            heads, values = _key_heads(level, order), [items[k] for k in order]
+        else:
+            heads, getter = entry
+            values = obj.values() if getter is None else getter(obj)
+        close = "\n" + "  " * level + "}"
+    elif kind is list or kind is tuple:
         if not obj:
             out.append("[]")
             return
-        if type(obj) is _Rows:
-            _write_rows(obj, level, out, memo)
-            return
         inner = "\n" + "  " * (level + 1)
-        outer = "\n" + "  " * level
-        sep = "["
-        for item in obj:
-            out.append(sep + inner)
-            _write(item, level + 1, out, memo)
-            sep = ","
-        out.append(outer + "]")
+        heads = ["," + inner] * len(obj)
+        heads[0] = "[" + inner
+        values, close = obj, "\n" + "  " * level + "]"
+    elif kind is _Rows:
+        if obj:
+            _write_rows(obj, level, out, memo)
+        else:
+            out.append("[]")
+        return
+    elif kind in _SCALARS:  # a text that is one scalar
+        heads, values, close = ("",), (obj,), ""
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        _write(_as_builtin(obj), level, out, memo)
+        return
+    get = memo.get  # a memo hit costs no call of _float_text
+    for head, value in zip(heads, values):
+        kind = type(value)
+        if kind is str:
+            out.append(head + _encode_str(value))
+        elif kind is float:
+            out.append(head + (get(value) or _float_text(value, memo)))
+        elif kind is int:
+            out.append(head + int.__repr__(value))
+        elif value is None:
+            out.append(head + "null")
+        elif kind is bool:
+            out.append(head + ("true" if value else "false"))
+        else:
+            out.append(head)
+            _write(value, level + 1, out, memo)
+    out.append(close)
 
 
 def canonical_json(obj) -> str:
@@ -478,7 +558,7 @@ def _tail(column: np.ndarray) -> tuple[_Rows, float]:
 
 def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> dict:
     exact, up = lip_bounds(op)  # the lower end is the exact norm
-    jlo, jup = j_lip_bracket(op, window_depth)
+    j = j_linf(op, window_depth)  # j_lip_bracket is (j / 3, j)
     klo, kup = k_lip_bracket(op)
     linf_tail, linf_slope = _tail(op.tail_sups[:, 0])
     lip_tail, lip_slope = _tail(op.tail_sups[:, 1])
@@ -491,9 +571,9 @@ def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> 
         "lip_exact_norm": exact,
         "lip_ess_tail": lip_tail,
         "lip_ess_tail_slope": lip_slope,
-        "j_linf": j_linf(op, window_depth),
+        "j_linf": j,
         "k_linf": k_linf(op),
-        "j_lip_bracket": [jlo, jup],
+        "j_lip_bracket": [j / 3.0, j],
         "k_lip_bracket": [klo, kup],
         "map_injective": op.phi.injective_on_domain,
         "map_surjective_on_truncation": op.phi.surjective_on_truncation,

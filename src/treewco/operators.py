@@ -437,19 +437,20 @@ def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> 
         "and sup of |psi| over each preimage equals 1"
     )
     sup = window_preimage_sup(op, within_depth)
-    uncovered = np.isneginf(sup)
+    uncovered = sup == -np.inf
     bad = uncovered | (np.abs(sup - 1.0) > ISOMETRY_TOL)
+    w = int(bad.argmax())  # the first bad vertex, if any
+    failed = bool(bad[w])
     # running inf of the preimage sups in id order, an uncovered vertex
-    # counting 0, read at the last window vertex of each depth
-    running = np.minimum.accumulate(np.where(uncovered, 0.0, sup))
-    depths = t.depth[: sup.size]
-    # the first of each run: the layers past the tree's deepest vertex are
-    # empty and repeat the last offset
-    offsets = t.layer_offsets[1 : window + 2]
-    ends = offsets[np.concatenate(([True], offsets[1:] != offsets[:-1]))] - 1
+    # (-inf, below every sup) counting 0, read at the last window vertex of
+    # each depth
+    running = np.minimum.accumulate(np.maximum(sup, 0.0))
+    # an empty layer has no deeper vertex, so the window's layers are
+    # non-empty down to the depth of its last vertex and empty past it
+    deepest = int(t.depth[sup.size - 1])
+    ends = t.layer_offsets[1 : deepest + 2] - 1
     witnesses = {"window_depth": window}
-    if bad.any():
-        w = int(np.argmax(bad))
+    if failed:
         reason = (
             "vertex has no preimage in the window"
             if uncovered[w]
@@ -458,10 +459,10 @@ def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> 
         witnesses.update({"vertex": w, "reason": reason})
     return Certificate(
         statement="Linf.Isometry",
-        verdict=FAILS if bad.any() else HOLDS,
+        verdict=FAILS if failed else HOLDS,
         criterion=criterion,
         witnesses=witnesses,
-        depth_profile=tuple(zip(depths[ends].tolist(), running[ends].tolist())),
+        depth_profile=tuple(zip(range(deepest + 1), running[ends].tolist())),
         window_depth=window,
     )
 
@@ -478,8 +479,10 @@ def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> C
         "functions: an uncovered vertex kills a unit indicator, and a "
         "covered vertex deeper than 1 forces operator norm above 1"
     )
-    uncovered = np.flatnonzero(np.isneginf(window_preimage_sup(op, within_depth)))
-    w = int(uncovered[0]) if uncovered.size else int(t.layer(2)[0])
+    sup = window_preimage_sup(op, within_depth)
+    w = int(sup.argmin())  # the first uncovered vertex, if any
+    if sup[w] != -np.inf:
+        w = int(t.layer(2)[0])
     s = float(op.preimage_sup[w])
     witnesses: dict = {"window_depth": window, "vertex": w}
     if s == -np.inf:

@@ -27,6 +27,8 @@ from treewco.io import (
 )
 from treewco.operators import STABILITY_MARGIN
 
+from conftest import shuffled_edges
+
 
 def verdicts(certs):
     return {c.statement: c.verdict for c in certs}
@@ -430,6 +432,55 @@ class TestOneClassifier:
         for fx in tw.bundled_fixtures():
             got = canonical_json(fixture_report(fx, depth))
             assert got == canonical_json(ref_fixture_report(fx, depth, **(config or {}))), fx.name
+
+
+def _one_pass_operators():
+    """Random maps and bijections on zline, homogeneous, random and explicit
+    trees; doubling (stored on the core of depth N/2) and fold on the line."""
+    rng = np.random.default_rng(20)
+    line, base = tw.zline(9), tw.random_tree(4, seed=3)
+    explicit = tw.explicit_tree(*shuffled_edges(base, rng), base.depth_limit)
+    trees = {"zline": line, "h2": tw.homogeneous(2, 4), "h3": tw.homogeneous(3, 3),
+             "random": base, "explicit": explicit}
+    maps = [(f"{name}_{kind}", t, make(t, rng)) for name, t in trees.items()
+            for kind, make in (("map", tw.random_map), ("perm", tw.random_permutation_map))]
+    maps += [("zline_double", line, tw.zline_double(line)), ("zline_fold", line, tw.zline_fold(line))]
+    for name, t, phi in maps:
+        op = WeightedCompOp(tw.random_function(t, rng, 2.0), phi)
+        for window in (None, t.depth_limit // 2):
+            yield pytest.param(op, window, id=f"{name}-{window}")
+
+
+class TestOnePass:
+    @pytest.mark.parametrize("op, window", _one_pass_operators())
+    def test_layer_end_prefix_sup_is_the_per_depth_reference(self, op, window):
+        sched = tuple(range(1, op.tree.depth_limit + 1))  # past the core too
+        certs = tw.classify_operator(op, sched, window)
+        by = {c.statement: c for c in certs["linf"] + certs["lip"]}
+        assert by["Linf.Bounded"].depth_profile == _prefix_sup_profile(op, op.abs_psi_on_domain, sched)
+        assert by["Lip.Bounded"].depth_profile == _prefix_sup_profile(op, op.reach, sched)
+
+    @given(_classify_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_each_space_is_its_half_of_classify_operator(self, case):
+        op, schedule, window, zero_tol = case
+        both = tw.classify_operator(op, schedule, window, zero_tol)
+        for classify, half in ((tw.classify_linf, "linf"), (tw.classify_lip, "lip")):
+            got = [dataclasses.astuple(c) for c in classify(op, schedule, window, zero_tol)]
+            assert got == [dataclasses.astuple(c) for c in both[half]]
+
+    @pytest.mark.parametrize(
+        "depth, schedule",
+        [(8, (8, 4, 2, 1)), (8, (1, 2, 2, 4)), (8, (0, 2)), (8, (1, 9)), (8, [3.0, 2]), (0, None)],
+    )
+    def test_a_bad_schedule_is_refused_alike_by_all_three(self, depth, schedule):
+        op = tw.composition_op(tw.identity_map(tw.zline(depth)))
+        messages = set()
+        for classify in (tw.classify_linf, tw.classify_lip, tw.classify_operator):
+            with pytest.raises(ValueError) as info:
+                classify(op, schedule)
+            messages.add(str(info.value))
+        assert len(messages) == 1
 
 
 def ref_seven_equivalences(phi) -> Certificate:

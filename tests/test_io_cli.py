@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import enum
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import OrderedDict, namedtuple
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -235,15 +237,55 @@ _rows = st.one_of(
     *(st.lists(shape, min_size=1, max_size=6) for shape in _row_shapes),
     st.lists(st.one_of(_row_shapes), max_size=6),
 )
+# keys of every type that prints through str(): equal keys of different
+# types (True, 1, 1.0; 1 and "1" after str) print differently
+_keys = st.one_of(
+    st.text(max_size=6), st.integers(-3, 12), st.booleans(), st.floats(allow_nan=False)
+)
 _payloads = st.recursive(
     st.one_of(_scalars, _rows),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
-        st.dictionaries(st.one_of(st.text(max_size=6), st.integers(-3, 12)), children, max_size=5),
+        st.dictionaries(_keys, children, max_size=5),
+        st.tuples(children, children).map(lambda vs: {1: vs[0], "1": vs[1]}),
+        children.map(lambda v: [{True: v}, {1: v}, {1.0: v}]),
     ),
     max_leaves=20,
 )
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Color(str, enum.Enum):
+    RED = "red"
+
+
+class _Tagged(str):
+    """A string whose ``str()`` is not its text."""
+
+    def __str__(self):
+        return "tag:" + str.__str__(self)
+
+
+_Pair = namedtuple("_Pair", "n value")
+
+# values of no exact builtin type, each beside a builtin one of the same
+# shape, so that a table entry made by one could serve the other
+_OTHER_TYPES = {
+    "int_enum": {"level": _Level.HIGH, "levels": [_Level.LOW, 3, np.int64(4)]},
+    "ordered_dict": [OrderedDict([("b", 1.5), ("a", OrderedDict([("y", None), ("x", True)]))]),
+                     {"b": 1.5, "a": {"y": None, "x": True}}],
+    "str_subclass": [_Tagged('q"uote'), {"b": 1, "a": 2}, {_Tagged("b"): 1, "a": 2},
+                     {"red": "red"}, {_Color.RED: _Color.RED}],
+    "wide_str_dict": {f"k{i:02d}": i / 7 for i in range(40)},
+    "empty_rows": {"p": _Rows(), "q": [_Rows(), (), {}], "r": _Rows([[0, 0.5]])},
+    "namedtuple": [_Pair(1, 0.25), (1, 0.25)],
+    "float_types": [np.float32(0.1), np.float64(-0.0), 1e-17],
+}
 
 
 _row_values = st.one_of(
@@ -371,6 +413,34 @@ class TestCanonicalJson:
             reference_json(payload)
         with pytest.raises(TypeError):
             canonical_json(payload)
+
+    @pytest.mark.parametrize("payload", list(_OTHER_TYPES.values()), ids=list(_OTHER_TYPES))
+    def test_other_types_print_as_their_builtin(self, payload):
+        assert canonical_json(payload) == reference_canonical_json(payload)
+        assert canonical_json(payload) == reference_json(payload)
+
+    def test_equal_keys_of_different_types_print_apart(self):
+        payload = [{"True": "s"}, {True: "b"}, {1: "i"}, {1.0: "f"}, {1: "int", "1": "str"}]
+        text = canonical_json(payload)
+        assert text == reference_canonical_json(payload)
+        for item in ('"True": "s"', '"True": "b"', '"1": "i"', '"1.0": "f"', '"1": "str"'):
+            assert item in text
+
+    def test_the_key_table_holds_str_keys_up_to_its_bound(self, monkeypatch):
+        monkeypatch.setattr(treewco_io, "_KEYS", {})
+        others = [{True: 1}, {1: 2}, {1.0: 3}, {1: "int", "1": "str"}, {_Tagged("a"): 4},
+                  {f"k{i:02d}": i for i in range(treewco_io._KEYS_PER_DICT + 1)}]
+        assert canonical_json(others) == reference_canonical_json(others)
+        assert treewco_io._KEYS == {}
+        bound = treewco_io._KEYS_MAX
+        many = [{f"k{i}": i, "shared": 0.5} for i in range(bound + 50)]
+        assert canonical_json(many) == reference_canonical_json(many)
+        assert len(treewco_io._KEYS) == bound
+        for level, keys in treewco_io._KEYS:
+            assert level == 1 and all(type(k) is str for k in keys)
+        # a full table leaves new key sets to the per-call path
+        assert canonical_json({"new": 1, "keys": 2}) == reference_canonical_json({"new": 1, "keys": 2})
+        assert len(treewco_io._KEYS) == bound
 
     def test_float_formatting(self):
         text = canonical_json({"x": 1 / 3})

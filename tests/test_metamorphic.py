@@ -3,7 +3,9 @@ under a tree automorphism, an exact rescaling of the weight, and a round
 trip of the tree through its spec; the operator checked against its
 factorization into multiplication after composition; and the sup norms
 checked to grow with the truncation depth.  None of them needs an oracle,
-so the trees can be larger than the exhaustive searches allow.
+so the trees can be larger than the exhaustive searches allow.  The
+Lipschitz norm is also checked against the window depth times the
+injectivity modulus.
 """
 
 from __future__ import annotations
@@ -266,3 +268,44 @@ def test_sup_norms_never_decrease_with_the_depth(map_of, top, seed, tied):
         norms.append((tw.linf_op_norm(op), tw.lip_exact_norm(op)))
     for (linf, lip), (linf2, lip2) in zip(norms, norms[1:]):
         assert linf <= linf2 and lip <= lip2
+
+
+# -- condition number --------------------------------------------------------------------
+
+
+def shallow_map(tree, rng) -> SelfMap:
+    """A random map onto the vertices of depth <= d, for a random d < N:
+    every window deeper than d is uncovered."""
+    d = int(rng.integers(0, tree.depth_limit))
+    return SelfMap(tree, rng.integers(0, tree.layer_offsets[d + 1], len(tree)), tree.depth_limit)
+
+
+@st.composite
+def covering_operators(draw):
+    """Bijections, random maps and random maps onto a shallower window, on
+    zline, h(2, .), h(3, .) and random trees."""
+    family = draw(st.sampled_from(["zline", "h2", "h3", "random"]))
+    if family == "zline":
+        tree = tw.zline(draw(st.integers(1, 12)))
+    elif family == "h2":
+        tree = tw.homogeneous(2, draw(st.integers(1, 5)))
+    elif family == "h3":
+        tree = tw.homogeneous(3, draw(st.integers(1, 4)))
+    else:
+        tree = tw.random_tree(draw(st.integers(1, 6)), seed=draw(st.integers(0, 10**6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    maps = draw(st.sampled_from([tw.random_permutation_map, tw.random_map, shallow_map]))
+    return WeightedCompOp(VertexFunction(tree, weight(draw, tree, rng)), maps(tree, rng))
+
+
+@given(covering_operators())
+@settings(max_examples=200, deadline=None)
+def test_the_lipschitz_norm_is_at_least_the_window_depth_times_the_modulus(op):
+    # with j = j_linf(op, W) > 0, a vertex at depth W (every tree builder
+    # gives each depth a vertex) has a preimage v with |psi(v)| >= j, so
+    # sup |psi| max(1, |phi|) >= |psi(v)| W >= W j
+    norm = tw.lip_exact_norm(op)
+    for w in range(1, op.tree.depth_limit + 1):
+        j = tw.j_linf(op, w)
+        if j > 0:
+            assert norm >= w * j * (1 - 1e-12), (w, j, norm)
