@@ -408,9 +408,16 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
             _int(spec, "depth", pointer, minimum=0) if spec.get("depth") is not None else None
         )
         try:
-            return explicit_tree(edges, root, depth)
+            tree = explicit_tree(edges, root)
         except (ValueError, TypeError) as exc:
             raise SpecError(f"{pointer}.edges", str(exc)) from exc
+        if depth is not None and depth != tree.depth_limit:
+            raise SpecError(
+                f"{pointer}.depth",
+                f"declared depth {depth} differs from the deepest vertex's depth "
+                f"{tree.depth_limit}",
+            )
+        return tree
     raise SpecError(f"{pointer}.family", f"unknown family {family!r}")
 
 

@@ -135,11 +135,11 @@ class SelfMap:
         d.setflags(write=False)
         return d
 
-    @property
+    @cached_property
     def injective_on_domain(self) -> bool:
         return bool((self.coverage <= 1).all())
 
-    @property
+    @cached_property
     def surjective_on_truncation(self) -> bool:
         return bool((self.coverage >= 1).all())
 
@@ -152,10 +152,6 @@ class SelfMap:
         m = np.maximum.accumulate(per_depth)
         m.setflags(write=False)
         return m
-
-    def range_profile(self) -> tuple:
-        """(d, max |phi(v)| over domain vertices with depth <= d) per depth."""
-        return tuple(enumerate(self._range_max.tolist()))
 
     def finite_range_stable(self) -> bool:
         """Range maximum flat over the last ``STABILITY_MARGIN`` depths and

@@ -24,8 +24,8 @@ The surjectivity check is exact, not merely sound: it computes the least
 Lipschitz norm of a preimage by McShane extension through the forced
 values, with root value 0 unless forced, since moving it off 0 costs its
 modulus and gains at most as much at depth >= 1.  Its largest pair
-quotient needs only the adjacent forced pairs, with no forced vertex
-between them.
+quotient is taken over the adjacent forced pairs only, with no forced
+vertex between them: no other pair can exceed them.
 """
 
 from __future__ import annotations
@@ -61,17 +61,13 @@ _SIGNS = np.asarray([-1.0, 1.0])
 # |psi| and |g| at most this count as zero in the surjectivity check, and
 # a preimage norm at most 1 + this counts as 1
 _SURJ_TOL = 1e-9
-# the pairs per block of the surjectivity quotient scan (bounds its memory
-# on large inputs)
-_PAIR_BLOCK = 1 << 16
-# at most this many forced pairs are scanned outright; above it only the
-# endpoints of the near-maximal adjacent pairs are.  The measured crossover
-# of the two is about 1,000 pairs on zline bijections and 1,400-2,000 on
-# homogeneous ones
-_SCAN_PAIRS = 1_500
-# adjacent pairs within this relative margin of the largest quotient may
-# tie with it in the full scan after rounding
-_TIE_REL = 1e-9
+# the surjectivity check scores its shared-top pairs in blocks of whole
+# rows of at most this many pairs, or of one longer row (a row holds fewer
+# pairs than there are forced vertices): this bounds its memory on large
+# inputs.  The few dozen passes of a block's pair distances ran about a
+# third faster on blocks of 2**15 than of 2**16 pairs on the leaves of
+# homogeneous(2, 12)
+_PAIR_BLOCK = 1 << 15
 
 
 class OracleSizeError(ValueError):
@@ -463,11 +459,11 @@ def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleR
     otherwise.
 
     L* is the largest quotient of an adjacent pair, one with no forced
-    vertex strictly inside its path (``_max_quotient``); up to
-    ``_SCAN_PAIRS`` pairs are scanned outright.  The reported pair is the
-    first maximal one in (u, u') order over all pairs, and ``search_size``
-    counts the k(k-1)/2 pairs decided, not the ones scored.  The target
-    must live on a tree shaped like the operator's codomain view.
+    vertex strictly inside its path (``_max_quotient``).  The reported
+    pair is the first maximal adjacent pair in (smaller id, larger id)
+    order, and ``search_size`` counts the k(k-1)/2 pairs decided, not the
+    ones scored.  The target must live on a tree shaped like the
+    operator's codomain view.
     """
     t = op.tree
     cod = op.codomain_tree
@@ -530,27 +526,23 @@ def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleR
 
 
 def _max_quotient(t: RootedTree, keys: np.ndarray, forced: np.ndarray):
-    """The largest quotient |F(u) - F(u')| / d(u, u') over the pairs of the
-    forced vertices ``keys`` (sorted ids) with values ``forced``, as
-    ``_quotient_scan`` reports it on all of them.
+    """``(quotient, pair, distance)`` of the largest quotient
+    |F(u) - F(u')| / d(u, u') over the adjacent pairs of the forced
+    vertices ``keys`` (sorted ids) with values ``forced``, ``(0.0, None,
+    0)`` when no quotient is positive.
 
-    Only adjacent pairs, with no forced vertex strictly inside their path,
-    can be needed: a forced w inside splits d(u, u') = d(u, w) + d(w, u')
-    and |F(u) - F(u')| <= |F(u) - F(w)| + |F(w) - F(u')|, so the mediant
-    bounds q(u, u') by max(q(u, w), q(w, u')), with equality only when
-    both parts attain it.  Adjacent pairs join a forced vertex to its
-    nearest forced proper ancestor, or two forced vertices with the same
-    top: the highest vertex of the root path below that ancestor (the root
-    when there is none).  The first maximal pair of the full scan chains
-    through adjacent pairs at the maximum, so scanning the endpoints of
-    the adjacent pairs within a rounding margin of it reports the same
-    pair, quotient and distance.
+    Adjacent pairs, with no forced vertex strictly inside their path, set
+    the largest quotient over all pairs: a forced w inside splits
+    d(u, u') = d(u, w) + d(w, u') and
+    |F(u) - F(u')| <= |F(u) - F(w)| + |F(w) - F(u')|, so the mediant
+    bounds q(u, u') by max(q(u, w), q(w, u')).  They join a forced vertex
+    to its nearest forced proper ancestor, at their depth difference, or
+    two forced vertices with the same top: the highest vertex of the root
+    path below that ancestor (the root when there is none).  The reported
+    pair is the first maximal one in (smaller id, larger id) order, and a
+    NaN quotient (inf - inf) never wins.
     """
     k = keys.size
-    # forced values that are not finite, or whose spread overflows, leave
-    # no rounding margin for the chain argument
-    if k * (k - 1) // 2 <= _SCAN_PAIRS or not np.isfinite(forced.max() - forced.min()):
-        return _quotient_scan(t, keys, forced)
     is_forced = np.zeros(t.n_vertices, dtype=bool)
     is_forced[keys] = True
     # one step toward the root that stops below a forced vertex and at the
@@ -564,52 +556,42 @@ def _max_quotient(t: RootedTree, keys: np.ndarray, forced: np.ndarray):
     # such ancestor
     below = np.flatnonzero(top != 0)
     above = np.searchsorted(keys, t.safe_parent[top[below]])
+    u, w = keys[above], keys[below]
+    dist = t.depth[w] - t.depth[u]
+    best = _first_max((0.0, 0, 0, 0), np.abs(forced[below] - forced[above]) / dist, dist, u, w)
     # every pair of a top group: position r of the grouped order pairs with
-    # the later positions of its group
-    grouped = np.argsort(top)
-    tops = top[grouped]
-    later = np.searchsorted(tops, tops, side="right") - np.arange(k) - 1
-    n_same = int(later.sum())
-    # many forced vertices can share a top (leaves below a free root):
-    # past the budget they are not built, and the blocked scan of every key
-    # runs in bounded memory
-    if below.size + n_same > MAX_PATTERNS:
-        return _quotient_scan(t, keys, forced)
-    r = np.repeat(np.arange(k), later)
-    s = r + 1 + np.arange(n_same) - np.repeat(np.cumsum(later) - later, later)
-    a = np.concatenate([above, grouped[r]])
-    b = np.concatenate([below, grouped[s]])
-    dist = np.empty(a.size, dtype=np.int64)
-    dist[: below.size] = t.depth[keys[below]] - t.depth[keys[above]]
-    for c0 in range(below.size, a.size, _PAIR_BLOCK):
-        i, j = a[c0 : c0 + _PAIR_BLOCK], b[c0 : c0 + _PAIR_BLOCK]
-        dist[c0 : c0 + i.size] = t.distances(keys[i], keys[j])
-    q = np.abs(forced[b] - forced[a]) / dist
-    # with every quotient 0 nothing ties, and the scan of no keys reports that
-    near = (q > 0.0) & (q >= q.max() * (1.0 - _TIE_REL))
-    keep = np.zeros(k, dtype=bool)
-    keep[a[near]] = keep[b[near]] = True
-    return _quotient_scan(t, keys[keep], forced[keep])
+    # the later positions of its group, and pair p of all rows, in row r,
+    # joins r with r + 1 + p - starts[r].  The sort is stable, so ids rise
+    # within a group.  Blocks of whole rows bound the memory
+    grouped = np.argsort(top, kind="stable")
+    gkeys, gforced, tops = keys[grouped], forced[grouped], top[grouped]
+    later = np.searchsorted(tops, tops, side="right") - np.arange(1, k + 1)
+    ends = np.cumsum(later)
+    starts = ends - later
+    shift = np.arange(1, k + 1) - starts
+    r0 = 0
+    while r0 < k and starts[r0] < ends[-1]:
+        r1 = max(r0 + 1, int(np.searchsorted(ends, starts[r0] + _PAIR_BLOCK, side="right")))
+        row = slice(r0, r1)
+        s = np.arange(starts[r0], ends[r1 - 1])
+        s += np.repeat(shift[row], later[row])
+        u, w = np.repeat(gkeys[row], later[row]), gkeys[s]
+        dist = t.distances(u, w)
+        q = np.abs(gforced[s] - np.repeat(gforced[row], later[row])) / dist
+        best = _first_max(best, q, dist, u, w)
+        r0 = r1
+    q, u, w, d = best
+    return q, ([u, w] if q > 0.0 else None), d
 
 
-def _quotient_scan(t: RootedTree, keys: np.ndarray, forced: np.ndarray):
-    """``(quotient, pair, distance)`` of the first maximal pair i < j of
-    ``keys`` in the order of a nested i, j loop, ``(0.0, None, 0)`` when
-    no quotient is positive.  The pairs are scanned in row blocks of about
-    ``_PAIR_BLOCK``: the first maximum in a block, a strictly larger one
-    across blocks."""
-    k = keys.size
-    cols = np.arange(k)
-    rows = max(1, _PAIR_BLOCK // max(k, 1))
-    best_q, best_pair, best_dist = 0.0, None, 0
-    for r0 in range(0, k - 1, rows):
-        i, j = np.nonzero(cols[None, :] > cols[r0 : min(r0 + rows, k - 1), None])
-        i += r0
-        dist = t.distances(keys[i], keys[j])
-        q = np.abs(forced[j] - forced[i]) / dist
-        # a NaN quotient (inf - inf) never wins, as under a scalar `>`
-        b = int(np.argmax(np.fmax(q, 0.0)))
-        if q[b] > best_q:
-            best_q, best_dist = float(q[b]), int(dist[b])
-            best_pair = [int(keys[i[b]]), int(keys[j[b]])]
-    return best_q, best_pair, best_dist
+def _first_max(best: tuple, q: np.ndarray, dist: np.ndarray, u: np.ndarray, w: np.ndarray):
+    """``best``, a ``(quotient, u, w, distance)`` with ids u < w, or the
+    first maximal quotient ``q`` of the pairs ``u < w`` in (u, w) order
+    when it is larger, or equal and earlier.  A NaN quotient never wins."""
+    m = float(np.fmax.reduce(q, initial=0.0))
+    if m == 0.0 or m < best[0]:
+        return best
+    hit = np.flatnonzero(q == m)
+    h = hit[np.lexsort((w[hit], u[hit]))[0]]
+    cand = (m, int(u[h]), int(w[h]), int(dist[h]))
+    return cand if m > best[0] or cand[1:3] < best[1:3] else best

@@ -370,15 +370,14 @@ def random_tree(
     )
 
 
-def explicit_tree(
-    edges: Iterable[Sequence], root, depth_limit: int | None = None
-) -> RootedTree:
+def explicit_tree(edges: Iterable[Sequence], root) -> RootedTree:
     """Build from an undirected edge list plus a root.
 
     Ids are breadth-first, each vertex's children in label order (integers
-    first).  Rejects disconnected or cyclic input, and any interior vertex
-    without children (a terminal vertex strictly inside the truncation),
-    naming the first one in id order.
+    first), and the depth limit is the deepest vertex's depth.  Rejects
+    disconnected or cyclic input, and any interior vertex without children
+    (a terminal vertex strictly inside the truncation), naming the first
+    one in id order.
     """
     adj: dict = {}
     for e in edges:
@@ -404,12 +403,7 @@ def explicit_tree(
         raise TreeStructureError("edge list is disconnected from the root")
     if sum(len(s) for s in adj.values()) // 2 != len(adj) - 1:
         raise TreeStructureError("edge list contains a cycle")
-    max_depth = depths[-1]
-    limit = max_depth if depth_limit is None else depth_limit
-    if limit < max_depth:
-        raise TreeStructureError(
-            f"declared depth {limit} below deepest vertex ({max_depth})"
-        )
+    limit = depths[-1]
     parent, depth = np.asarray(parent_ids, dtype=np.int64), np.asarray(depths, dtype=np.int64)
     childless = (depth < limit) & (np.bincount(parent[1:], minlength=parent.size) == 0)
     if childless.any():

@@ -73,7 +73,7 @@ def ref_classify_linf(op, schedule=None, window_depth=None, zero_tol=1e-6):
     if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
-            "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
+            "finite_range_max_depth": int(op.phi._range_max[-1]),
             "reason": "map range stabilized strictly inside the window",
         }
     else:
@@ -146,7 +146,7 @@ def ref_classify_lip(op, schedule=None, window_depth=None, zero_tol=1e-6):
     if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
-            "finite_range_max_depth": int(op.phi.range_profile()[-1][1]),
+            "finite_range_max_depth": int(op.phi._range_max[-1]),
             "reason": "map range stabilized strictly inside the window",
         }
     else:
@@ -439,7 +439,7 @@ def _one_pass_operators():
     trees; doubling (stored on the core of depth N/2) and fold on the line."""
     rng = np.random.default_rng(20)
     line, base = tw.zline(9), tw.random_tree(4, seed=3)
-    explicit = tw.explicit_tree(*shuffled_edges(base, rng), base.depth_limit)
+    explicit = tw.explicit_tree(*shuffled_edges(base, rng))
     trees = {"zline": line, "h2": tw.homogeneous(2, 4), "h3": tw.homogeneous(3, 3),
              "random": base, "explicit": explicit}
     maps = [(f"{name}_{kind}", t, make(t, rng)) for name, t in trees.items()
@@ -488,7 +488,7 @@ def ref_seven_equivalences(phi) -> Certificate:
     composition operator of ``phi``."""
     t = phi.tree
     op = tw.composition_op(phi)
-    prof = phi.range_profile()
+    prof = tuple(enumerate(phi._range_max.tolist()))
     max_reach = prof[-1][1]
     inside = t.depth_limit - STABILITY_MARGIN
     small_reach = max_reach <= inside

@@ -829,6 +829,20 @@ class TestMalformedSpecs:
         assert main([mode, *args, *extra]) == 1
         assert capsys.readouterr().err.startswith(f"spec error: {message}")
 
+    @pytest.mark.parametrize("depth", [0, 2])
+    def test_explicit_depth_other_than_the_deepest_exits_one(
+        self, specs, tmp_path, capsys, depth
+    ):
+        # the edges reach depth 1, and a tree's depth limit is its deepest
+        # vertex's depth: a declared depth above or below it is refused
+        spec = {"family": "explicit", "edges": [[0, 1], [0, 2]], "root": 0, "depth": depth}
+        rc, err = self.analyze_err(specs, tmp_path, capsys, "tree", spec)
+        assert rc == 1
+        assert err == (
+            f"spec error: tree.depth: declared depth {depth} differs from the "
+            "deepest vertex's depth 1\n"
+        )
+
     def test_decreasing_depths_refused_not_reordered(self, tmp_path, capsys):
         # weight depth(v) on zline(8) is unbounded; a decreasing schedule
         # once read its shallowest entries as the deepest and called it bounded

@@ -100,7 +100,7 @@ def test_relabeling_by_an_automorphism_changes_no_report_entry(case):
     t = op.tree
     # the same tree through explicit_tree, vertex v labeled sigma(v)
     edges = [[int(sigma[t.parent[v]]), int(sigma[v])] for v in range(1, len(t))]
-    t2 = tw.explicit_tree(edges, int(sigma[0]), t.depth_limit)
+    t2 = tw.explicit_tree(edges, int(sigma[0]))
     perm = np.asarray([t2.vertex_of(int(sigma[v])) for v in range(len(t))])
     assert not np.array_equal(perm, np.arange(len(t)))
     psi2, img2 = np.empty(len(t)), np.empty(len(t), dtype=np.int64)
@@ -140,7 +140,7 @@ def operators(draw, max_depth=6):
                               min_children=lo, max_children=draw(st.integers(lo, 3)))
         if family == "explicit":
             rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-            tree = tw.explicit_tree(*shuffled_edges(tree, rng), tree.depth_limit)
+            tree = tw.explicit_tree(*shuffled_edges(tree, rng))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     op = WeightedCompOp(VertexFunction(tree, weight(draw, tree, rng)), self_map(draw, tree, rng))
     return op, window_for(draw, tree)

@@ -86,7 +86,7 @@ class TestSelfMap:
     def test_range_profile_monotone(self):
         t = tw.zline(6)
         rng = np.random.default_rng(4)
-        prof = [v for _, v in tw.random_map(t, rng).range_profile()]
+        prof = tw.random_map(t, rng)._range_max.tolist()
         assert all(a <= b for a, b in zip(prof, prof[1:]))
 
 
@@ -434,21 +434,22 @@ def ref_preimages(phi):
     return pre
 
 
-def ref_range_profile(phi):
+def ref_range_max(phi) -> list:
+    """max |phi(v)| over domain vertices with depth <= d, per depth d."""
     dom_depth = phi.tree.depth[: phi.domain_size]
     out, running = [], 0
     for d in range(phi.domain_depth + 1):
         sel = phi.image_depth[dom_depth == d]
         if sel.size:
             running = max(running, int(sel.max()))
-        out.append((d, running))
-    return tuple(out)
+        out.append(running)
+    return out
 
 
 def ref_finite_range_stable(phi) -> bool:
-    prof = ref_range_profile(phi)
-    last, margin = prof[-1][1], STABILITY_MARGIN
-    flat = len(prof) <= margin or last == prof[-1 - margin][1]
+    prof = ref_range_max(phi)
+    last, margin = prof[-1], STABILITY_MARGIN
+    flat = len(prof) <= margin or last == prof[-1 - margin]
     return flat and last <= phi.tree.depth_limit - margin
 
 
@@ -592,7 +593,9 @@ class TestArrayCoreMatchesLoops:
         assert phi.coverage.tolist() == [len(p) for p in pre]
         assert phi.injective_on_domain == all(len(p) <= 1 for p in pre)
         assert phi.surjective_on_truncation == all(len(p) >= 1 for p in pre)
-        assert phi.range_profile() == ref_range_profile(phi)
+        # both flags are computed once and kept on the map
+        assert {"injective_on_domain", "surjective_on_truncation"} <= vars(phi).keys()
+        assert phi._range_max.tolist() == ref_range_max(phi)
         assert phi.finite_range_stable() is ref_finite_range_stable(phi)
         N = t.depth_limit
         assert tw.linf_ess_norm_profile(op) == tuple((n, ref_tail(op, n, False)) for n in range(N))

@@ -20,9 +20,22 @@ from conftest import label_fn, random_operator, reference_distance, small_tree_c
 # -- reference implementations: the scalar loops the array passes replaced --
 
 
+def reference_inner_path(tree, v, w) -> set:
+    """The vertices strictly inside the path between v and w, by walking
+    the deeper end up until the two meet."""
+    ends, inner = {v, w}, set()
+    while v != w:
+        if tree.depth[v] < tree.depth[w]:
+            v, w = w, v
+        v = int(tree.parent[v])
+        inner.add(v)
+    return inner - ends
+
+
 def reference_surjectivity_infeasibility(op, g) -> OracleResult:
     """surjectivity_infeasibility as a loop over the domain, a nested loop
-    over pairs with the scalar ``reference_distance``, and McShane's norm
+    over the adjacent pairs, those with no forced vertex strictly inside
+    their path, with the scalar ``reference_distance``, and McShane's norm
     |c| + max(L*, max_u |c - F(u)| / d(root, u)), with c = F(root) when the
     root is forced and c = 0 otherwise."""
     t = op.tree
@@ -50,6 +63,8 @@ def reference_surjectivity_infeasibility(op, g) -> OracleResult:
     best_q, best_pair = 0.0, None
     for i, u in enumerate(keys):
         for u2 in keys[i + 1 :]:
+            if not forced.keys().isdisjoint(reference_inner_path(t, u, u2)):
+                continue
             q = abs(forced[u2] - forced[u]) / reference_distance(t, u, u2)
             if q > best_q:
                 best_q, best_pair = q, (u, u2)
@@ -79,6 +94,15 @@ def reference_surjectivity_infeasibility(op, g) -> OracleResult:
     return OracleResult(
         "SurjInfeasibility", best_q, "IncrementBound", searched, witness, extra
     )
+
+
+def reference_pair_quotients(tree, forced: dict) -> list:
+    """|F(u) - F(u')| / d(u, u') over every pair of forced vertices."""
+    keys = sorted(forced)
+    return [
+        abs(forced[b] - forced[a]) / reference_distance(tree, a, b)
+        for i, a in enumerate(keys) for b in keys[i + 1 :]
+    ]
 
 
 def kink_preimage_lip_norm(tree, forced: dict) -> float:
@@ -362,11 +386,6 @@ def oracle_cases(draw):
         if rng.random() < 0.5:
             g[(np.abs(psi[:m]) <= 1e-9) & (rng.random(m) < 0.3)] = 1.0
     return op, VertexFunction(op.codomain_tree, g)
-
-
-# _SCAN_PAIRS at 0 sends every surjectivity check down the adjacent-pair
-# path, and at 2**62 every one through the all-pairs scan
-SCAN_PAIRS = [0, 1 << 62]
 
 
 # a chunk caps the patterns per block: a block holds L**j patterns, j the
@@ -901,26 +920,32 @@ class TestArrayOraclesMatchLoops:
     for byte."""
 
     @settings(max_examples=150, deadline=None)
-    @given(
-        case=oracle_cases(),
-        block=st.sampled_from([1, 2, 5, 13, 1 << 16]),
-        scan_pairs=st.sampled_from(SCAN_PAIRS),
-    )
-    def test_surjectivity_matches_reference(self, case, block, scan_pairs):
+    @given(case=oracle_cases(), block=st.sampled_from([1, 2, 5, 13, 1 << 16]))
+    def test_surjectivity_matches_reference(self, case, block):
         op, g = case
-        # small blocks put block boundaries between tied pairs; the drawn
-        # trees have too few pairs to reach the adjacent-pair path unpatched
-        with mock.patch.multiple(oracle_mod, _PAIR_BLOCK=block, _SCAN_PAIRS=scan_pairs):
+        # small blocks put block boundaries between tied pairs
+        with mock.patch.object(oracle_mod, "_PAIR_BLOCK", block):
             res = tw.surjectivity_infeasibility(op, g)
         ref = reference_surjectivity_infeasibility(op, g)
         assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
 
+    @settings(max_examples=150, deadline=None)
+    @given(case=oracle_cases())
+    def test_value_is_the_all_pairs_maximum(self, case):
+        # the forced values are finite: the adjacent pairs meet the largest
+        # quotient over all pairs up to rounding
+        op, g = case
+        res = tw.surjectivity_infeasibility(op, g)
+        assume("forced_values" in res.witness)
+        q = reference_pair_quotients(op.tree, res.witness["forced_values"])
+        assert abs(res.value - max(q, default=0.0)) <= 1e-12 * res.value
+
     @pytest.mark.parametrize("forced", ["every", "even"])
     def test_near_collinear_targets_match_reference(self, forced):
         # F = label * (1/3) in floating point: the quotients of many pairs
-        # agree up to rounding, so a tie set of exact maxima would miss the
-        # pair the full scan picks
-        for n in range(5, 61):
+        # agree up to rounding, so the first maximal adjacent pair is a
+        # matter of the last bits
+        for n in [*range(5, 61), 10**4]:
             t = tw.zline(n)
             labels = label_fn(t)
             psi = np.ones(len(t))
@@ -928,47 +953,74 @@ class TestArrayOraclesMatchLoops:
                 psi[labels % 2 == 1] = 0.0
             op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
             g = VertexFunction(t, np.where(psi > 0, (1.0 / 3.0) * labels, 0.0))
-            ref = canonical_json(reference_surjectivity_infeasibility(op, g).to_json())
-            for scan_pairs in SCAN_PAIRS:
-                with mock.patch.object(oracle_mod, "_SCAN_PAIRS", scan_pairs):
-                    res = tw.surjectivity_infeasibility(op, g)
-                assert canonical_json(res.to_json()) == ref, (n, scan_pairs)
+            res = tw.surjectivity_infeasibility(op, g)
+            u, w = res.witness["pair"]
+            F = res.witness["forced_values"]
+            assert abs(F[w] - F[u]) / reference_distance(t, u, w) == res.value, n
+            assert res.witness["pair_distance"] == reference_distance(t, u, w)
+            if n <= 60:
+                ref = reference_surjectivity_infeasibility(op, g)
+                assert canonical_json(res.to_json()) == canonical_json(ref.to_json()), n
 
     def test_overflowing_spread_matches_reference(self):
-        # only the pair of labels 1 and -2 overflows to an infinite
-        # quotient; the largest edge quotients all touch label 1, so a tie
-        # set taken from the edges would leave label -2 out
+        # the pair of labels 1 and -2 would overflow to an infinite
+        # quotient, but the forced root and -1 lie between them: the largest
+        # adjacent quotient is the finite edge quotient of label 1
         t = tw.zline(30)
         op = tw.composition_op(tw.identity_map(t))
         g = np.zeros(len(t))
         g[t.vertex_of(1)], g[t.vertex_of(-2)] = 1.7e308, -1.0e308
         g = VertexFunction(t, g)
-        ref = canonical_json(reference_surjectivity_infeasibility(op, g).to_json())
-        for scan_pairs in SCAN_PAIRS:
-            # the overflow is the point: numpy's warning about it is not
-            with np.errstate(over="ignore"), mock.patch.object(
-                oracle_mod, "_SCAN_PAIRS", scan_pairs
-            ):
-                res = tw.surjectivity_infeasibility(op, g)
-            assert canonical_json(res.to_json()) == ref
+        res = tw.surjectivity_infeasibility(op, g)
+        assert res.value == 1.7e308
+        assert res.extra["verdict"] == "infeasible"
+        ref = reference_surjectivity_infeasibility(op, g)
+        assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
 
-    @pytest.mark.parametrize("max_patterns", [oracle_mod.MAX_PATTERNS, 100])
-    def test_shared_top_matches_reference(self, max_patterns):
+    @pytest.mark.parametrize(
+        "labels, value, pair",
+        [
+            # every quotient is inf - inf: none is positive, and the forced
+            # root's value decides
+            ({0: np.inf, 1: np.inf, -1: np.inf}, 0.0, None),
+            # the edge 0-1 comes first and is NaN; 0-(-1) is the first inf
+            ({0: np.inf, 1: np.inf, -1: 2.0}, np.inf, [0, -1]),
+            # a free root: -1 and 1 share it as their top, and 1 with 2 is NaN
+            ({1: -np.inf, 2: -np.inf, -1: 0.5}, np.inf, [1, -1]),
+        ],
+    )
+    def test_nan_quotients_never_win(self, labels, value, pair):
+        # g = +-1e308 over psi = 1e-8 forces +-inf
+        t = tw.zline(2)
+        psi, g = np.zeros(len(t)), np.zeros(len(t))
+        for lab, x in labels.items():
+            v = t.vertex_of(lab)
+            psi[v], g[v] = (1e-8, np.copysign(1e308, x)) if np.isinf(x) else (1.0, x)
+        op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
+        g = VertexFunction(t, g)
+        # the overflow and inf - inf are the point: numpy's warnings are not
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = tw.surjectivity_infeasibility(op, g)
+        assert res.value == value
+        assert res.witness.get("pair") == (pair and [t.vertex_of(lab) for lab in pair])
+        assert res.extra["verdict"] == "infeasible"
+        ref = reference_surjectivity_infeasibility(op, g)
+        assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    def test_shared_top_matches_reference(self, block):
         # only the 64 leaves of h(2, 5) are forced, and the root is free: all
-        # share the root as their top, 2,016 pairs of one group; past a
-        # budget of 100 candidates the scan runs on every key instead
+        # share the root as their top, 2,016 pairs of one group in rows of
+        # 63 down to 1 pairs.  Blocks of 1 and 7 pairs hold one row, or a
+        # few short ones, and a block of 2**16 holds all rows
         t = tw.homogeneous(2, 5)
         rng = np.random.default_rng(5)
         leaves = t.depth == t.depth_limit
         psi = np.where(leaves, rng.uniform(0.5, 2.0, len(t)), 0.0)
         op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
         g = VertexFunction(t, np.where(leaves, rng.uniform(-3.0, 3.0, len(t)), 0.0))
-        scan = oracle_mod._quotient_scan
-        with mock.patch.multiple(oracle_mod, _SCAN_PAIRS=0, MAX_PATTERNS=max_patterns):
-            with mock.patch.object(oracle_mod, "_quotient_scan", wraps=scan) as spy:
-                res = tw.surjectivity_infeasibility(op, g)
-        scanned = spy.call_args.args[1].size
-        assert scanned == (leaves.sum() if max_patterns == 100 else 2)
+        with mock.patch.object(oracle_mod, "_PAIR_BLOCK", block):
+            res = tw.surjectivity_infeasibility(op, g)
         ref = reference_surjectivity_infeasibility(op, g)
         assert canonical_json(res.to_json()) == canonical_json(ref.to_json())
 
@@ -1076,11 +1128,7 @@ class TestArrayOraclesMatchLoops:
                 seen.add("vanishing")
                 return
             forced = ref.witness["forced_values"]
-            keys = sorted(forced)
-            q = [
-                abs(forced[b] - forced[a]) / reference_distance(op.tree, a, b)
-                for i, a in enumerate(keys) for b in keys[i + 1 :]
-            ]
+            q = reference_pair_quotients(op.tree, forced)
             if ref.value > 0 and q.count(ref.value) > 1:
                 seen.add("tie")
             if ref.value <= 1.0 < ref.witness["preimage_lip_norm"]:
@@ -1092,7 +1140,8 @@ class TestArrayOraclesMatchLoops:
         }
 
     def test_larger_trees_match_reference(self):
-        # 7,260 pairs in blocks of four rows, and 190 vertices
+        # 7,260 pairs under a bijection, whose adjacent pairs are the 120
+        # edges; then a Lipschitz witness on 127 vertices
         t = tw.zline(60)
         rng = np.random.default_rng(11)
         op = WeightedCompOp(tw.random_function(t, rng, 2.0), tw.random_permutation_map(t, rng))

@@ -82,9 +82,9 @@ class TestExplicit:
             tw.explicit_tree([[0, 1], [1, 2], [2, 0]], root=0)
 
     def test_interior_terminal_rejected(self):
-        # depth-1 vertex without children under a declared depth of 3
+        # depth-1 vertex without children, with the deepest vertex at depth 3
         with pytest.raises(TreeStructureError):
-            tw.explicit_tree([[0, 1], [0, 2], [2, 3], [3, 4]], root=0, depth_limit=3)
+            tw.explicit_tree([[0, 1], [0, 2], [2, 3], [3, 4]], root=0)
 
     def test_valid_build(self):
         t = tw.explicit_tree([[0, 1], [0, 2], [1, 3], [2, 4]], root=0)
@@ -92,7 +92,7 @@ class TestExplicit:
         assert t.depth_limit == 2
 
 
-def reference_explicit_tree(edges, root, depth_limit=None):
+def reference_explicit_tree(edges, root):
     """explicit_tree as two walks: orient the edges by a breadth-first walk
     in set order, then number the oriented tree by a second walk with the
     children sorted by label."""
@@ -123,10 +123,7 @@ def reference_explicit_tree(edges, root, depth_limit=None):
         raise TreeStructureError("edge list is disconnected from the root")
     if n_edges != len(adj) - 1:
         raise TreeStructureError("edge list contains a cycle")
-    max_depth = max(depth.values())
-    limit = max_depth if depth_limit is None else depth_limit
-    if limit < max_depth:
-        raise TreeStructureError(f"declared depth {limit} below deepest vertex ({max_depth})")
+    limit = max(depth.values())
     for lab, d in depth.items():
         if d < limit and not children[lab]:
             raise TreeStructureError(f"interior terminal vertex {lab!r} at depth {d} (< {limit})")
@@ -141,10 +138,10 @@ def reference_explicit_tree(edges, root, depth_limit=None):
     return parent_ids, depths, tuple(order), limit
 
 
-def explicit_outcome(build, edges, root, depth_limit):
+def explicit_outcome(build, edges, root):
     """(parent, depth, labels, depth limit) as lists, or the error type."""
     try:
-        t = build(edges, root, depth_limit)
+        t = build(edges, root)
     except TreeStructureError as exc:
         return type(exc).__name__
     if isinstance(t, tw.RootedTree):
@@ -161,9 +158,8 @@ class TestOneWalk:
         defect=st.sampled_from(
             ["none", "none", "duplicate", "cycle", "component", "loop", "triple", "root"]
         ),
-        declared=st.sampled_from([None, -1, 0, 1, 10**12]),
     )
-    def test_matches_two_walks(self, kind, depth, seed, defect, declared):
+    def test_matches_two_walks(self, kind, depth, seed, defect):
         rng = np.random.default_rng(seed)
         if kind == "random":
             base = tw.random_tree(depth, seed, 1, 3)
@@ -188,12 +184,8 @@ class TestOneWalk:
             edges.append([pick, "t", "u"])
         elif defect == "root":
             root = "nowhere"
-        # a declared depth relative to the deepest vertex, or absolute
-        limit = None if declared is None else (
-            declared if declared == 10**12 else base.depth_limit + declared
-        )
-        ref = explicit_outcome(reference_explicit_tree, edges, root, limit)
-        assert explicit_outcome(tw.explicit_tree, edges, root, limit) == ref
+        ref = explicit_outcome(reference_explicit_tree, edges, root)
+        assert explicit_outcome(tw.explicit_tree, edges, root) == ref
 
     def test_interior_terminal_named_by_id_order(self):
         # b, c and d are all interior terminal vertices; b has the first id

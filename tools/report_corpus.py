@@ -30,7 +30,8 @@ as ``treewco analyze`` assembles them), ``fixture_report`` (each bundled
 fixture at depths 2-12 and its own), the oracles' ``to_json`` (both
 methods of ``norm_oracle_linf`` and ``norm_oracle_lip``,
 ``j_oracle_linf_bracket`` on both windows, ``surjectivity_infeasibility``
-on a random target and on a reachable one, and ``point_eval_lip_norm`` at
+on a random target, a reachable one and the image of ``|x| / 3``, whose
+quotients tie along root paths, and ``point_eval_lip_norm`` at
 a deepest vertex of each tree; a search past its size cap records its
 error), and the ``cli.analyze``, ``cli.norms``, ``cli.oracle`` (with the
 spec files, and with the tree alone) and ``cli.export`` (with and without
@@ -144,10 +145,13 @@ def _oracle_texts(tw, np, op, rng):
                              for w in (None, n // 2)],
     }
     cod = op.codomain_tree
-    # a random target, and the image of the constant 1/2, which a unit-ball
-    # preimage reaches
+    # a random target; the image of the constant 1/2, which a unit-ball
+    # preimage reaches; and the image of |x| / 3, whose pair quotients tie
+    # along root paths up to rounding, so the first maximal pair is pinned
     half = tw.VertexFunction(op.tree, np.full(op.tree.n_vertices, 0.5))
-    targets = {"random": tw.random_function(cod, rng), "reachable": tw.apply_op(op, half)}
+    linear = tw.VertexFunction(op.tree, op.tree.depth / 3.0)
+    targets = {"random": tw.random_function(cod, rng), "reachable": tw.apply_op(op, half),
+               "tied": tw.apply_op(op, linear)}
     calls["oracle.surj"] = [(g, lambda g=g: tw.surjectivity_infeasibility(op, targets[g]))
                             for g in targets]
     for point, entries in calls.items():
