@@ -33,14 +33,15 @@ def main():
           round(tw.tail_trend_slope(tail_sq), 4))
 
     banner("CERTIFICATES")
-    for cert in tw.classify_lip(op):
+    for cert in tw.classify_operator(op)["lip"]:
         print(f"{cert.statement:<18} {cert.verdict}")
     print("-- squared weight --")
-    for cert in tw.classify_lip(sq):
+    sq_certs = tw.classify_operator(sq)["lip"]
+    for cert in sq_certs:
         print(f"{cert.statement:<18} {cert.verdict}")
 
     banner("A CERTIFICATE IN FULL (JSON)")
-    compact = next(c for c in tw.classify_lip(sq) if c.statement == "Lip.Compact")
+    compact = next(c for c in sq_certs if c.statement == "Lip.Compact")
     print(canonical_json(compact.to_json()))
 
     banner("SEVEN-WAY EQUIVALENCE FOR UNIT WEIGHT")

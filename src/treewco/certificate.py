@@ -30,6 +30,9 @@ class _Rows(list):
 
 @dataclass(frozen=True)
 class Certificate:
+    """``depth_profile`` holds ``(int depth, float value)`` rows, written as
+    held; the package's own certificates hold them as a ``_Rows``."""
+
     statement: str
     verdict: str
     criterion: str
@@ -51,6 +54,6 @@ class Certificate:
             "verdict": self.verdict,
             "criterion": self.criterion,
             "witnesses": self.witnesses,
-            "depth_profile": _Rows([[int(n), float(v)] for n, v in self.depth_profile]),
+            "depth_profile": self.depth_profile,
             "window_depth": self.window_depth,
         }

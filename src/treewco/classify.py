@@ -51,8 +51,6 @@ from .trees import zline
 
 __all__ = [
     "default_schedule",
-    "classify_linf",
-    "classify_lip",
     "classify_operator",
     "seven_equivalences",
     "Fixture",
@@ -166,20 +164,6 @@ _LIP = _Space(
 )
 
 
-def _operator_pass(op: WeightedCompOp, schedule, window_depth: int | None) -> tuple:
-    """What both spaces read: the checked schedule, the last domain id of
-    each schedule depth, the tail sups at the schedule depths, ``j_linf``
-    and the bounded-below witness."""
-    t = op.tree
-    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
-    depths = np.array(sched)
-    # breadth-first ids make the domain depth-sorted; a depth past the
-    # domain reads its last id
-    ends = np.minimum(t.layer_offsets[depths + 1], op.phi.domain_size) - 1
-    tails = op.tail_sups[depths - 1]
-    return sched, ends, tails, j_linf(op, window_depth), _bounded_below_witness(op, window_depth)
-
-
 def _classify(
     space: _Space,
     op: WeightedCompOp,
@@ -188,7 +172,8 @@ def _classify(
     zero_tol: float,
 ) -> list[Certificate]:
     """Bounded, Compact, Isometry (on a deep enough tree) and BoundedBelow
-    certificates for one function space, from ``_operator_pass``."""
+    certificates for one function space, from the pass of
+    ``classify_operator`` that both spaces read."""
     t = op.tree
     sched, ends, tails, j, below = shared
     bounded_text, compact_text, below_text = space.criteria
@@ -196,7 +181,7 @@ def _classify(
 
     # sup of the reach over the domain vertices of depth <= d
     bounded_vals = np.maximum.accumulate(space.reach(op))[ends].tolist()
-    bounded_profile = tuple(zip(sched, bounded_vals))
+    bounded_profile = _Rows(map(list, zip(sched, bounded_vals)))
     certs.append(
         Certificate(
             statement=f"{space.prefix}.Bounded",
@@ -209,7 +194,7 @@ def _classify(
     )
 
     tail_vals = tails[:, space.tail_column].tolist()
-    tail_profile = tuple(zip(sched, tail_vals))
+    tail_profile = _Rows(map(list, zip(sched, tail_vals)))
     if op.phi.finite_range_stable():
         verdict = HOLDS
         witnesses = {
@@ -241,7 +226,7 @@ def _classify(
             verdict=HOLDS if low > 0 else FAILS,
             criterion=below_text,
             witnesses=witnesses,
-            depth_profile=(),
+            depth_profile=_Rows(),
             window_depth=window_depth if window_depth is not None else t.depth_limit,
         )
     )
@@ -259,36 +244,23 @@ def _bounded_below_witness(op: WeightedCompOp, window_depth: int | None) -> dict
     return {"vertex": best_w, "preimage_sup": float(sup[best_w])}
 
 
-def classify_linf(
-    op: WeightedCompOp,
-    schedule=None,
-    window_depth: int | None = None,
-    zero_tol: float = 1e-6,
-) -> list[Certificate]:
-    """Certificates for the operator acting on the bounded functions."""
-    return _classify(_LINF, op, _operator_pass(op, schedule, window_depth), window_depth, zero_tol)
-
-
-def classify_lip(
-    op: WeightedCompOp,
-    schedule=None,
-    window_depth: int | None = None,
-    zero_tol: float = 1e-6,
-) -> list[Certificate]:
-    """Certificates for the operator from the Lipschitz space to the
-    bounded functions."""
-    return _classify(_LIP, op, _operator_pass(op, schedule, window_depth), window_depth, zero_tol)
-
-
 def classify_operator(
     op: WeightedCompOp,
     schedule=None,
     window_depth: int | None = None,
     zero_tol: float = 1e-6,
 ) -> dict:
-    """Both certificate sets, from one operator pass, plus automatic
-    cross-implication checks."""
-    shared = _operator_pass(op, schedule, window_depth)
+    """``{"linf": [...], "lip": [...]}``: the certificates for the operator
+    on the bounded functions and from the Lipschitz space, from one
+    operator pass, plus automatic cross-implication checks."""
+    t = op.tree
+    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    depths = np.array(sched)
+    # breadth-first ids make the domain depth-sorted; a depth past the
+    # domain reads its last id
+    ends = np.minimum(t.layer_offsets[depths + 1], op.phi.domain_size) - 1
+    shared = (sched, ends, op.tail_sups[depths - 1], j_linf(op, window_depth),
+              _bounded_below_witness(op, window_depth))
     linf = _classify(_LINF, op, shared, window_depth, zero_tol)
     lip = _classify(_LIP, op, shared, window_depth, zero_tol)
     by = {c.statement: c for c in linf + lip}
@@ -384,7 +356,7 @@ class Fixture:
 def _squared_weight(op: WeightedCompOp, window: int | None) -> dict:
     """The Lipschitz tail and compactness certificate of the squared weight."""
     sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-    _, compact, *_ = classify_lip(sq, window_depth=window)
+    _, compact, *_ = classify_operator(sq, window_depth=window)["lip"]
     return {
         "squared_weight": {
             "lip_ess_tail": _Rows(map(list, lip_ess_norm_profile(sq))),

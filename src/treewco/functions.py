@@ -54,7 +54,7 @@ class VertexFunction:
 
     @property
     def sup_norm(self) -> float:
-        return float(np.abs(self.values).max()) if self.values.size else 0.0
+        return float(np.abs(self.values).max())
 
     @property
     def lip_norm(self) -> float:

@@ -54,8 +54,8 @@ since 0.0 and -0.0 are equal memo keys.
 checks this on raw 64-bit patterns and the edge values.
 
 Per-depth profiles take a row path.  Their producers (``_tail`` for both
-essential-norm tails, ``Certificate.to_json``'s ``depth_profile``,
-``seven_equivalences``, the squared weight's tail and the ``norms`` tail
+essential-norm tails, every certificate the package builds, from the
+moment it is built, the squared weight's tail and the ``norms`` tail
 profile) build them as ``certificate._Rows``, a ``list`` whose rows are a
 Python ``int`` and a Python ``float``, and only a list of exactly that type
 takes the path, so no row is checked.  When the depths run 0, 1, 2, ...,

@@ -39,7 +39,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .certificate import FAILS, HOLDS, Certificate
+from .certificate import FAILS, HOLDS, Certificate, _Rows
 from .functions import VertexFunction
 from .trees import RootedTree, zline_ids
 
@@ -326,8 +326,7 @@ def apply_op(op: WeightedCompOp, f: VertexFunction) -> VertexFunction:
 
 def linf_op_norm(op: WeightedCompOp) -> float:
     """Operator norm on the bounded functions: sup |psi| over the domain."""
-    a = op.abs_psi_on_domain
-    return float(a.max()) if a.size else 0.0
+    return float(op.abs_psi_on_domain.max())
 
 
 def linf_ess_norm_profile(op: WeightedCompOp) -> tuple:
@@ -342,7 +341,7 @@ def lip_bounds(op: WeightedCompOp) -> tuple[float, float]:
     """Sandwich for the Lipschitz-to-bounded operator norm:
     max(sup|psi|, sup|psi|*|phi|) <= norm <= sup |psi|*(1+|phi|).  The
     lower end is ``lip_exact_norm``, the same maximum."""
-    return (lip_exact_norm(op), float(op.reach.max(initial=0.0)))
+    return (lip_exact_norm(op), float(op.reach.max()))
 
 
 def lip_exact_norm(op: WeightedCompOp) -> float:
@@ -350,11 +349,8 @@ def lip_exact_norm(op: WeightedCompOp) -> float:
     point-evaluation norm max(1, |w|) on the Lipschitz unit ball.  The
     oracle module validates that point-evaluation identity independently.
     """
-    a = op.abs_psi_on_domain
-    if not a.size:
-        return 0.0
     d = np.maximum(1, op.phi.image_depth)
-    return float((a * d).max())
+    return float((op.abs_psi_on_domain * d).max())
 
 
 def lip_ess_norm_profile(op: WeightedCompOp) -> tuple:
@@ -397,8 +393,7 @@ def k_linf(op: WeightedCompOp) -> float:
     injective, 0 otherwise (a zero of psi forces 0 through the infimum)."""
     if not op.phi.injective_on_domain:
         return 0.0
-    a = op.abs_psi_on_domain
-    return float(a.min()) if a.size else 0.0
+    return float(op.abs_psi_on_domain.min())
 
 
 def j_lip_bracket(
@@ -414,10 +409,10 @@ def k_lip_bracket(op: WeightedCompOp) -> tuple[float, float]:
     """Bracket for the Lipschitz-to-bounded surjectivity modulus:
     (inf|psi|/3, inf |psi|*(1+|phi|)) when phi is injective and psi has no
     zero; (0, 0) otherwise."""
-    a = op.abs_psi_on_domain
-    if not op.phi.injective_on_domain or not a.size or float(a.min()) == 0.0:
+    low = float(op.abs_psi_on_domain.min())
+    if not op.phi.injective_on_domain or low == 0.0:
         return (0.0, 0.0)
-    return (float(a.min()) / 3.0, float(op.reach.min()))
+    return (low / 3.0, float(op.reach.min()))
 
 
 # -- isometry certificates ------------------------------------------------------
@@ -458,7 +453,7 @@ def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> 
         verdict=FAILS if failed else HOLDS,
         criterion=criterion,
         witnesses=witnesses,
-        depth_profile=tuple(zip(range(deepest + 1), running[ends].tolist())),
+        depth_profile=_Rows(map(list, enumerate(running[ends].tolist()))),
         window_depth=window,
     )
 
@@ -496,4 +491,4 @@ def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> C
                 "lower_bound": bound,
             }
         )
-    return Certificate("Lip.NoIsometry", HOLDS, criterion, witnesses, (), window)
+    return Certificate("Lip.NoIsometry", HOLDS, criterion, witnesses, _Rows(), window)

@@ -101,7 +101,7 @@ class OracleResult:
 def _lip_norm_raw(tree: RootedTree, values: np.ndarray) -> float:
     inc = np.abs(values - values[tree.safe_parent])
     inc[0] = 0.0
-    return float(abs(values[0]) + (inc.max() if inc.size else 0.0))
+    return float(abs(values[0]) + inc.max())
 
 
 def _attained(
@@ -491,9 +491,12 @@ def surjectivity_infeasibility(op: WeightedCompOp, g: VertexFunction) -> OracleR
     keys = op.phi.image[~vanish]
     order = np.argsort(keys)
     keys = keys[order]
-    forced = (g.values[~vanish] / psi[~vanish])[order]
     k = keys.size
-    best_q, best_pair, best_dist = _max_quotient(t, keys, forced)
+    # a forced value past the float range is inf, and inf - inf a NaN
+    # quotient, which never wins: the report says so, not a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        forced = (g.values[~vanish] / psi[~vanish])[order]
+        best_q, best_pair, best_dist = _max_quotient(t, keys, forced)
     searched = k * (k - 1) // 2
 
     if k and keys[0] == 0:  # a forced root is keys[0], and c = F(root)

@@ -221,7 +221,7 @@ def ref_fixture_report(fx, depth, zero_tol=1e-6):
     }
     if fx.name == "bounded-not-compact":
         sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-        sq_certs = tw.classify_lip(sq, None, window, zero_tol)
+        sq_certs = tw.classify_operator(sq, None, window, zero_tol)["lip"]
         report["squared_weight"] = {
             "lip_ess_tail": [[n, v] for n, v in tw.lip_ess_norm_profile(sq)],
             "compact_certificate": next(
@@ -304,7 +304,7 @@ class TestClassifyLinf:
         fx = tw.fixture_by_name("z-isometry")
         for depth in (4, 6, 8):
             op = fx.build(depth)
-            v = verdicts(tw.classify_linf(op, window_depth=depth // 2))
+            v = verdicts(tw.classify_operator(op, window_depth=depth // 2)["linf"])
             assert v["Linf.Isometry"] == HOLDS
             assert v["Linf.BoundedBelow"] == HOLDS
 
@@ -312,20 +312,20 @@ class TestClassifyLinf:
         t = tw.zline(16)
         psi = (0.5) ** t.depth.astype(float)
         op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
-        v = verdicts(tw.classify_linf(op))
+        v = verdicts(tw.classify_operator(op)["linf"])
         assert v["Linf.Compact"] == TREND_CONSISTENT
 
     def test_finite_range_compact_holds(self):
         t = tw.zline(8)
         op = tw.composition_op(tw.constant_map(t, 0))
-        v = verdicts(tw.classify_linf(op))
+        v = verdicts(tw.classify_operator(op)["linf"])
         assert v["Linf.Compact"] == HOLDS
 
     def test_growing_weight_unbounded_trend(self):
         t = tw.zline(16)
         psi = t.depth.astype(float) + 1.0
         op = WeightedCompOp(VertexFunction(t, psi), tw.identity_map(t))
-        v = verdicts(tw.classify_linf(op))
+        v = verdicts(tw.classify_operator(op)["linf"])
         assert v["Linf.Bounded"] == TREND_INCONSISTENT
 
 
@@ -333,7 +333,7 @@ class TestClassifyLip:
     def test_reciprocal_weight_example(self):
         fx = tw.fixture_by_name("bounded-not-compact")
         op = fx.build(16)
-        v = verdicts(tw.classify_lip(op))
+        v = verdicts(tw.classify_operator(op)["lip"])
         assert v["Lip.Bounded"] == TREND_CONSISTENT
         assert v["Lip.Compact"] == TREND_INCONSISTENT
 
@@ -341,7 +341,7 @@ class TestClassifyLip:
         fx = tw.fixture_by_name("bounded-not-compact")
         op = fx.build(16)
         sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-        assert verdicts(tw.classify_lip(sq))["Lip.Compact"] == TREND_CONSISTENT
+        assert verdicts(tw.classify_operator(sq)["lip"])["Lip.Compact"] == TREND_CONSISTENT
 
     def test_every_operator_fails_isometry(self):
         rng = np.random.default_rng(0)
@@ -350,14 +350,15 @@ class TestClassifyLip:
             op = WeightedCompOp(
                 tw.random_function(t, rng, 2.0), tw.random_map(t, rng)
             )
-            v = verdicts(tw.classify_lip(op))
+            v = verdicts(tw.classify_operator(op)["lip"])
             assert v["Lip.NoIsometry"] == HOLDS
 
     def test_profiles_monotone(self):
         rng = np.random.default_rng(1)
         t = tw.zline(8)
         op = WeightedCompOp(tw.random_function(t, rng, 2.0), tw.random_map(t, rng))
-        for cert in tw.classify_linf(op) + tw.classify_lip(op):
+        certs = tw.classify_operator(op)
+        for cert in certs["linf"] + certs["lip"]:
             vals = [v for _, v in cert.depth_profile]
             if cert.statement in ("Linf.Bounded", "Lip.Bounded"):
                 assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))
@@ -386,18 +387,18 @@ class TestCrossChecks:
     def test_non_increasing_schedule_refused(self):
         t = tw.zline(8)
         op = WeightedCompOp(VertexFunction(t, t.depth.astype(float)), tw.identity_map(t))
-        for classify in (tw.classify_linf, tw.classify_lip):
+        certs = tw.classify_operator(op)
+        for half in ("linf", "lip"):
             # an unbounded weight: the default schedule sees the growth
-            assert classify(op)[0].verdict == TREND_INCONSISTENT
-            for bad in ((8, 4, 2, 1), (1, 2, 2, 4)):
-                with pytest.raises(ValueError, match="strictly increasing"):
-                    classify(op, bad)
+            assert certs[half][0].verdict == TREND_INCONSISTENT
+        for bad in ((8, 4, 2, 1), (1, 2, 2, 4)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                tw.classify_operator(op, bad)
 
     def test_depth_zero_refused_by_depth_limit(self):
         op = tw.composition_op(tw.identity_map(tw.zline(0)))
-        for classify in (tw.classify_linf, tw.classify_lip):
-            with pytest.raises(ValueError, match=r"depth >= 1, got depth 0"):
-                classify(op)
+        with pytest.raises(ValueError, match=r"depth >= 1, got depth 0"):
+            tw.classify_operator(op)
 
 
 class TestOneClassifier:
@@ -405,15 +406,16 @@ class TestOneClassifier:
     @settings(max_examples=300, deadline=None)
     def test_matches_reference_bytes(self, case):
         op, schedule, window, zero_tol = case
-        for new, ref in ((tw.classify_linf, ref_classify_linf), (tw.classify_lip, ref_classify_lip)):
-            got = canonical_json([c.to_json() for c in new(op, schedule, window, zero_tol)])
+        both = tw.classify_operator(op, schedule, window, zero_tol)
+        for half, ref in (("linf", ref_classify_linf), ("lip", ref_classify_lip)):
+            got = canonical_json([c.to_json() for c in both[half]])
             want = canonical_json([c.to_json() for c in ref(op, schedule, window, zero_tol)])
             assert got == want
 
     def test_depth_one_has_no_lipschitz_isometry_certificate(self):
         for t in (tw.zline(1), tw.homogeneous(2, 1)):
             op = tw.composition_op(tw.identity_map(t))
-            statements = [c.statement for c in tw.classify_lip(op)]
+            statements = [c.statement for c in tw.classify_operator(op)["lip"]]
             assert statements == ["Lip.Bounded", "Lip.Compact", "Lip.BoundedBelow"]
 
     def test_reach_is_the_weighted_reach(self):
@@ -457,30 +459,30 @@ class TestOnePass:
         sched = tuple(range(1, op.tree.depth_limit + 1))  # past the core too
         certs = tw.classify_operator(op, sched, window)
         by = {c.statement: c for c in certs["linf"] + certs["lip"]}
-        assert by["Linf.Bounded"].depth_profile == _prefix_sup_profile(op, op.abs_psi_on_domain, sched)
-        assert by["Lip.Bounded"].depth_profile == _prefix_sup_profile(op, op.reach, sched)
-
-    @given(_classify_cases())
-    @settings(max_examples=200, deadline=None)
-    def test_each_space_is_its_half_of_classify_operator(self, case):
-        op, schedule, window, zero_tol = case
-        both = tw.classify_operator(op, schedule, window, zero_tol)
-        for classify, half in ((tw.classify_linf, "linf"), (tw.classify_lip, "lip")):
-            got = [dataclasses.astuple(c) for c in classify(op, schedule, window, zero_tol)]
-            assert got == [dataclasses.astuple(c) for c in both[half]]
+        for statement, quantity in (("Linf.Bounded", op.abs_psi_on_domain), ("Lip.Bounded", op.reach)):
+            want = [list(row) for row in _prefix_sup_profile(op, quantity, sched)]
+            assert by[statement].depth_profile == want
 
     @pytest.mark.parametrize(
-        "depth, schedule",
-        [(8, (8, 4, 2, 1)), (8, (1, 2, 2, 4)), (8, (0, 2)), (8, (1, 9)), (8, [3.0, 2]), (0, None)],
+        "depth, schedule, message",
+        [
+            pytest.param(8, (8, 4, 2, 1), "schedule depths must be strictly increasing, "
+                         "got [8, 4, 2, 1]", id="8-schedule0"),
+            pytest.param(8, (1, 2, 2, 4), "schedule depths must be strictly increasing, "
+                         "got [1, 2, 2, 4]", id="8-schedule1"),
+            pytest.param(8, (0, 2), "schedule must be within 1..8", id="8-schedule2"),
+            pytest.param(8, (1, 9), "schedule must be within 1..8", id="8-schedule3"),
+            pytest.param(8, [3.0, 2], "schedule depths must be strictly increasing, "
+                         "got [3, 2]", id="8-schedule4"),
+            pytest.param(0, None, "classification needs a tree of depth >= 1, got depth 0",
+                         id="0-None"),
+        ],
     )
-    def test_a_bad_schedule_is_refused_alike_by_all_three(self, depth, schedule):
+    def test_a_bad_schedule_is_refused_alike_by_all_three(self, depth, schedule, message):
         op = tw.composition_op(tw.identity_map(tw.zline(depth)))
-        messages = set()
-        for classify in (tw.classify_linf, tw.classify_lip, tw.classify_operator):
-            with pytest.raises(ValueError) as info:
-                classify(op, schedule)
-            messages.add(str(info.value))
-        assert len(messages) == 1
+        with pytest.raises(ValueError) as info:
+            tw.classify_operator(op, schedule)
+        assert str(info.value) == message
 
 
 def ref_seven_equivalences(phi) -> Certificate:
@@ -513,7 +515,7 @@ def ref_seven_equivalences(phi) -> Certificate:
     cert = tw.seven_equivalences(phi)
     return dataclasses.replace(
         cert, verdict=verdict, witnesses={"items": items, "max_reach": int(max_reach)},
-        depth_profile=prof,
+        depth_profile=tuple((n, float(r)) for n, r in prof),
     )
 
 

@@ -385,9 +385,11 @@ class TestCanonicalJson:
         certs = tw.classify_operator(op, None, 4)
         for cert in certs["linf"] + certs["lip"]:
             assert type(cert.to_json()["depth_profile"]) is _Rows, cert.statement
+            assert cert.to_json()["depth_profile"] is cert.depth_profile, cert.statement
         seven = tw.seven_equivalences(op.phi)
         assert type(seven.depth_profile) is _Rows
         assert type(seven.to_json()["depth_profile"]) is _Rows
+        assert seven.to_json()["depth_profile"] is seven.depth_profile
         report = fixture_report(tw.fixture_by_name("bounded-not-compact"))
         assert type(report["squared_weight"]["lip_ess_tail"]) is _Rows
         payloads = []

@@ -404,6 +404,27 @@ class TestSpecialization:
 # -- array core against per-vertex reference loops ------------------------------
 
 
+class TestOneVertexTree:
+    # a depth-0 tree is its root alone, and a map's domain always holds the
+    # root, so every norm and modulus reads the one weight value
+    @pytest.mark.parametrize("c", [0.0, 2.5, -0.5])
+    @pytest.mark.parametrize("make_map", [tw.identity_map, lambda t: tw.constant_map(t, 0)],
+                             ids=["identity", "constant"])
+    @pytest.mark.parametrize("tree", [tw.zline(0), tw.homogeneous(2, 0), tw.random_tree(0, seed=3)],
+                             ids=["zline", "h2", "random"])
+    def test_every_norm_reads_the_root_weight(self, tree, make_map, c):
+        op = op_on(tree, np.full(1, c), make_map(tree))
+        a = abs(c)
+        assert tw.linf_op_norm(op) == a
+        assert tw.lip_bounds(op) == (a, a)
+        assert tw.lip_exact_norm(op) == a
+        assert tw.k_linf(op) == a
+        assert tw.k_lip_bracket(op) == ((a / 3.0, a) if a else (0.0, 0.0))
+        assert op.psi.sup_norm == a
+        res = tw.norm_oracle_lip(op, "exhaustive")
+        assert (res.value, res.search_size, res.witness["maximizer_lip_norm"]) == (a, 3, 1.0)
+
+
 def ref_children(tree):
     kids = [[] for _ in range(len(tree))]
     for v in range(1, len(tree)):
@@ -603,15 +624,17 @@ class TestArrayCoreMatchesLoops:
         a = op.abs_psi_on_domain
         sched = tuple(range(1, N + 1))
         # the Bounded profiles: prefix sups of |psi| and of the weighted reach
-        for classify, quantity in ((tw.classify_linf, a), (tw.classify_lip, op.reach)):
-            assert classify(op, sched)[0].depth_profile == ref_prefix_sup(op, quantity, sched)
+        certs = tw.classify_operator(op, sched)
+        for half, quantity in (("linf", a), ("lip", op.reach)):
+            want = [list(row) for row in ref_prefix_sup(op, quantity, sched)]
+            assert certs[half][0].depth_profile == want
         assert np.array_equal(op.reach, a * (1.0 + phi.image_depth))
         for within in [None] + list(range(N + 1)):
             assert tw.j_linf(op, within) == ref_j_linf(op, pre, within)
             cert = tw.isometry_check_linf(op, within)
-            assert (cert.verdict, cert.witnesses, cert.depth_profile) == ref_isometry_linf(
-                op, pre, within
-            )
+            verdict, witnesses, profile = ref_isometry_linf(op, pre, within)
+            assert (cert.verdict, cert.witnesses) == (verdict, witnesses)
+            assert cert.depth_profile == [list(row) for row in profile]
             assert _bounded_below_witness(op, within) == ref_bounded_below_witness(op, pre, within)
             if N >= 2:
                 w, reason = ref_isometry_lip_witness(op, pre, within)

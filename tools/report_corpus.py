@@ -4,7 +4,13 @@
 
 Both sides write the same seeded corpus of report texts, and the tool
 prints, per entry point, how many texts differ and the first differing
-field of each, counted per field.  The ref is checked out with
+field of each, counted per field.  It then prints a table of verdict
+transitions read from the differing texts: one row per (name, old
+verdict, new verdict) with old != new, its count and its first corpus
+entry, over every certificate statement (``seven_equivalences``
+included) and every oracle ``extra.verdict``, named by its quantity; an
+oracle that raises on one side has the verdict ``error`` there.  With no
+verdict change the table has no rows.  The ref is checked out with
 ``git worktree add`` into a temporary directory (``TMPDIR`` picks where)
 and removed afterwards; this checkout's side runs ``src/`` as it is on
 disk, uncommitted edits included.  Nothing is downloaded.  The exit code
@@ -277,6 +283,76 @@ def _run_side(src: Path, seeds: list, out: Path) -> None:
     subprocess.run(cmd, env=env, check=True)
 
 
+def _verdicts(text: str) -> dict:
+    """``{path: (name, verdict)}`` of one report text: each certificate
+    statement (``seven_equivalences`` included) and each oracle's
+    ``extra.verdict``, named by its quantity.  A raising entry point's text
+    is the unnamed verdict ``error`` at ``$``, where an oracle report keeps
+    its own; any other text that is not JSON (a CLI exit) has none."""
+    if text.startswith("error: "):
+        return {"$": (None, "error")}
+    try:
+        report = json.loads(text)
+    except json.JSONDecodeError:
+        return {}
+    found: dict = {}
+
+    def walk(node, path: str) -> None:
+        if isinstance(node, dict):
+            if isinstance(node.get("statement"), str) and "verdict" in node:
+                found[path] = (node["statement"], node["verdict"])
+            extra = node.get("extra")
+            if isinstance(extra, dict) and "verdict" in extra:
+                found[path] = (str(node.get("quantity")), extra["verdict"])
+            for key, value in node.items():
+                walk(value, f"{path}.{key}")
+        elif isinstance(node, list):
+            for i, value in enumerate(node):
+                walk(value, f"{path}[{i}]")
+
+    walk(report, "$")
+    return found
+
+
+def diff_dumps(theirs: Path, ours: Path) -> int:
+    """Print, per entry point, how many texts of two ``--dump`` files differ
+    and the first differing field of each, then one row per class of
+    verdict transition (name, old verdict, new verdict) with its count and
+    first entry; 1 when a text differs, else 0."""
+    texts, differ, fields, moves = Counter(), Counter(), Counter(), Counter()
+    first_entry: dict = {}
+    first_move: dict = {}
+    with open(theirs, encoding="utf-8") as fa, open(ours, encoding="utf-8") as fb:
+        for line_a, line_b in zip(fa, fb, strict=True):
+            a, b = json.loads(line_a), json.loads(line_b)
+            if (a["seed"], a["point"], a["entry"]) != (b["seed"], b["point"], b["entry"]):
+                raise SystemExit("the two sides wrote different corpora")
+            texts[a["point"]] += 1
+            if a["text"] == b["text"]:
+                continue
+            differ[a["point"]] += 1
+            key = (a["point"], _field(b["text"], a["text"]))
+            fields[key] += 1
+            first_entry.setdefault(key, f"seed {a['seed']} {a['entry']}")
+            new = _verdicts(b["text"])
+            for path, (name, old) in _verdicts(a["text"]).items():
+                other, verdict = new.get(path, (name, old))
+                if verdict != old and (name == other or None in (name, other)):
+                    move = (name or other, old, verdict)
+                    moves[move] += 1
+                    first_move.setdefault(move, f"seed {a['seed']} {a['point']} {a['entry']}")
+    for point in sorted(texts):
+        print(f"  {point:15s} {texts[point]:6d} texts, {differ[point]:6d} differ")
+    for (point, field), count in sorted(fields.items()):
+        print(f"    {point} {field}: {count} (first: {first_entry[point, field]})")
+    print(f"differing fields: {len(fields)}")
+    print(f"verdict transitions: {len(moves)}")
+    for move, count in sorted(moves.items()):
+        name, old, new = move
+        print(f"    {name} {old} -> {new}: {count} (first: {first_move[move]})")
+    return 1 if fields else 0
+
+
 def compare(ref: str, seeds: list) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -289,27 +365,8 @@ def compare(ref: str, seeds: list) -> int:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(tree)],
                            check=True)
         _run_side(ROOT / "src", seeds, tmp / "ours.jsonl")
-        texts, differ, fields = Counter(), Counter(), Counter()
-        first_entry: dict = {}
-        with open(tmp / "theirs.jsonl", encoding="utf-8") as fa, \
-                open(tmp / "ours.jsonl", encoding="utf-8") as fb:
-            for line_a, line_b in zip(fa, fb, strict=True):
-                a, b = json.loads(line_a), json.loads(line_b)
-                if (a["seed"], a["point"], a["entry"]) != (b["seed"], b["point"], b["entry"]):
-                    raise SystemExit("the two sides wrote different corpora")
-                texts[a["point"]] += 1
-                if a["text"] != b["text"]:
-                    differ[a["point"]] += 1
-                    key = (a["point"], _field(b["text"], a["text"]))
-                    fields[key] += 1
-                    first_entry.setdefault(key, f"seed {a['seed']} {a['entry']}")
-    print(f"{ref} -> this checkout, seeds {','.join(map(str, seeds))}")
-    for point in sorted(texts):
-        print(f"  {point:15s} {texts[point]:6d} texts, {differ[point]:6d} differ")
-    for (point, field), count in sorted(fields.items()):
-        print(f"    {point} {field}: {count} (first: {first_entry[point, field]})")
-    print(f"differing fields: {len(fields)}")
-    return 1 if fields else 0
+        print(f"{ref} -> this checkout, seeds {','.join(map(str, seeds))}")
+        return diff_dumps(tmp / "theirs.jsonl", tmp / "ours.jsonl")
 
 
 def main(argv=None) -> int:
