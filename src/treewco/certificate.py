@@ -21,9 +21,11 @@ TREND_INCONSISTENT = "TrendInconsistent"
 
 class _Rows(list):
     """Per-depth profile rows, each a list ``[n, value]`` of a Python
-    ``int`` and a Python ``float``.  ``canonical_json`` writes a list of
-    exactly this type without checking its rows, so only code that builds
-    the rows from such values makes one."""
+    ``int`` and a Python ``float``, with depths ``n`` that rise strictly
+    from 0 or more.  ``canonical_json`` writes a list of exactly this type
+    without checking its rows, so only code that builds the rows from such
+    values makes one: from ``enumerate`` or a schedule that passed
+    ``classify._check_schedule``."""
 
     __slots__ = ()
 

@@ -16,6 +16,7 @@ one settable threshold.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -76,13 +77,17 @@ def default_schedule(depth_limit: int) -> tuple:
 
 
 def _check_schedule(schedule, depth_limit: int) -> tuple:
-    """``schedule`` as a tuple of ints: non-empty, within 1..N and strictly
-    increasing; a ValueError otherwise."""
+    """``schedule`` as a tuple of ints: integers (not booleans), non-empty,
+    within 1..N and strictly increasing; a ValueError otherwise."""
     if depth_limit < 1:
         raise ValueError(
             f"classification needs a tree of depth >= 1, got depth {depth_limit}"
         )
-    sched = tuple(map(int, schedule))
+    sched = tuple(schedule)
+    for d in sched:
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+            raise ValueError(f"schedule depths must be integers, got {d!r}")
+    sched = tuple(map(int, sched))
     if not sched or min(sched) < 1 or max(sched) > depth_limit:
         raise ValueError(f"schedule must be within 1..{depth_limit}")
     # the trend proxies read the last entries as the deepest ones
@@ -254,7 +259,9 @@ def classify_operator(
     on the bounded functions and from the Lipschitz space, from one
     operator pass, plus automatic cross-implication checks."""
     t = op.tree
-    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    if schedule is None:
+        schedule = default_schedule(t.depth_limit)
+    sched = _check_schedule(schedule, t.depth_limit)
     depths = np.array(sched)
     # breadth-first ids make the domain depth-sorted; a depth past the
     # domain reads its last id
@@ -345,7 +352,7 @@ class Fixture:
     extra: Callable | None = None  # (op, window) -> dict
 
     def build(self, depth: int | None = None) -> WeightedCompOp:
-        t = zline(depth or self.depth)
+        t = zline(self.depth if depth is None else depth)
         return WeightedCompOp(VertexFunction(t, self.weight(np.asarray(t.labels))), self.map(t))
 
     def window_for(self, depth: int) -> int | None:

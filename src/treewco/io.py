@@ -8,24 +8,17 @@ All reports are byte-stable and carry no timestamps or absolute paths.
 - a finite float prints as ``repr(float(f"{x:.12g}"))`` (12 significant
   digits), a non-finite one as the string ``"inf"``, ``"-inf"`` or
   ``"nan"``;
-- Python and numpy integers print as integers; ``true``, ``false`` and
-  ``null`` as in JSON;
+- integers print as integers; ``true``, ``false`` and ``null`` as in JSON;
 - strings are escaped to ASCII (``json.encoder.encode_basestring_ascii``);
 - empty containers print as ``[]`` and ``{}``, tuples as lists;
-- any other type (``np.bool_``, ``ndarray``, arbitrary objects) raises
-  ``TypeError``;
 - the text ends with one newline.
 
-The writer dispatches on the exact type.  The exact builtins are ``str``,
-``float``, ``int``, ``bool``, ``None``, ``dict``, ``list``, ``tuple`` and
-``_Rows`` (below), and a scalar item of a dict or list is written inline in
-that container's loop.  Any other value is first turned into the builtin
-it stands for and then written the same way: numpy integers and ``int``
-subclasses (an ``IntEnum``) by ``int()``, numpy floats and ``float``
-subclasses by ``float()``, ``str`` subclasses by ``str.__str__``, ``dict``
-subclasses (an ``OrderedDict``) by ``dict(obj.items())``, ``list`` and
-``tuple`` subclasses (a named tuple) by ``list()``; anything else raises
-``TypeError``.  These are the conversions the text always went through.
+The writer dispatches on the exact type, and takes only the builtins that
+reports are made of: ``str``, ``float``, ``int``, ``bool``, ``None``,
+``dict``, ``list``, ``tuple`` and ``_Rows`` (below).  A scalar item of a
+dict or list is written inline in that container's loop.  Any other value
+raises ``TypeError``, subclasses and numpy scalars included (an
+``IntEnum``, an ``OrderedDict``, a named tuple, ``np.int64``, ``np.bool_``).
 
 A dict of at most ``_KEYS_PER_DICT`` (16) keys, all of exact type ``str``,
 reads its sorted keys, and the text before each value (separator, indent,
@@ -56,15 +49,17 @@ checks this on raw 64-bit patterns and the edge values.
 Per-depth profiles take a row path.  Their producers (``_tail`` for both
 essential-norm tails, every certificate the package builds, from the
 moment it is built, the squared weight's tail and the ``norms`` tail
-profile) build them as ``certificate._Rows``, a ``list`` whose rows are a
-Python ``int`` and a Python ``float``, and only a list of exactly that type
-takes the path, so no row is checked.  When the depths run 0, 1, 2, ...,
-the text is one join of value texts and row heads, the text between one
-value and the next, which depends only on the indent level and the depth
-and comes from ``_HEADS``; other depths get one f-string per row.  Either
-way the bytes are the generic list path's, since the int prints as
-``int.__repr__`` and the float by the rule above on both paths; a plain
-list of the same rows takes the generic path.
+profile) build them as ``certificate._Rows``: a ``list`` whose rows are a
+Python ``int`` and a Python ``float``, with depths that rise strictly from
+0 or more.  Only a list of exactly that type takes the path, so no row is
+checked.  Its text is one join of value texts and row heads, the text
+between one value and the next, which depends only on the indent level and
+the depth.  When the last depth is ``k - 1`` for ``k`` rows, the depths
+run 0, 1, ..., k - 1 and the heads come from the ``_HEADS`` table; other
+depths get their heads from the same function on each call.  The bytes are
+the generic list path's, since the int prints as ``int.__repr__`` and the
+float by the rule above on both paths; a plain list of the same rows takes
+the generic path.
 
 Spec loading errors carry a JSON-pointer-style location so the CLI can
 print line-precise messages.
@@ -75,7 +70,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
@@ -107,7 +101,6 @@ from .operators import (
     zline_fold,
 )
 from .trees import (
-    MAX_VERTICES,
     RootedTree,
     TreeBudgetError,
     explicit_tree,
@@ -165,41 +158,37 @@ def _float_text(x: float, memo: dict) -> str:
 # _HEADS[level][n] is the text before row n's value in a profile whose
 # depths run 0, 1, 2, ...: row 0's opens the list, the others close the row
 # before.  A pure function of (level, n), so it holds no report data; it is
-# rebuilt to the longest such profile written, never past MAX_VERTICES rows.
+# rebuilt to the longest such profile written, which a tree's depths bound.
 _HEADS: dict = {}
-_depth_of = itemgetter(0)
 
 
-def _row_heads(level: int, k: int) -> list:
-    heads = _HEADS.get(level, ())
-    if len(heads) < k:
-        inner = "\n" + "  " * (level + 1)
-        leaf = inner + "  "
-        sep = f"{inner}],{inner}[{leaf}"
-        heads = [f"[{inner}[{leaf}0,{leaf}"] + [f"{sep}{n},{leaf}" for n in range(1, k)]
-        # replaced whole, never extended: a concurrent writer reads a full table
-        _HEADS[level] = heads
+def _row_heads(level: int, depths) -> list:
+    """The text before each row's value in a profile with these depths."""
+    inner = "\n" + "  " * (level + 1)
+    leaf = inner + "  "
+    heads = [f"{inner}],{inner}[{leaf}{n},{leaf}" for n in depths]
+    heads[0] = f"[{inner}[{leaf}{depths[0]},{leaf}"
     return heads
 
 
 def _write_rows(rows: _Rows, level: int, out: list, memo: dict) -> None:
-    """A non-empty ``_Rows`` in the generic list path's text: the rows are
-    known to be ``[int, float]``, so none is checked, and a profile whose
-    depths run 0, 1, ... is one join of table heads and value texts."""
+    """A non-empty ``_Rows`` in the generic list path's text: one join of
+    row heads and value texts, with no row checked."""
     get = memo.get  # a memo hit costs no call of _float_text
     texts = [get(v) or _float_text(v, memo) for _, v in rows]
     k = len(texts)
-    inner = "\n" + "  " * (level + 1)
-    outer = "\n" + "  " * level
-    if k <= MAX_VERTICES and list(map(_depth_of, rows)) == list(range(k)):
-        parts = [""] * (2 * k)
-        parts[0::2] = _row_heads(level, k)[:k]
-        parts[1::2] = texts
-        out += ("".join(parts), inner + "]" + outer + "]")
-        return
-    leaf = inner + "  "
-    lines = [f"[{leaf}{row[0]},{leaf}{text}{inner}]" for row, text in zip(rows, texts)]
-    out.append("[" + inner + ("," + inner).join(lines) + outer + "]")
+    # depths rise strictly from 0 or more, so this says they run 0, ..., k - 1
+    if rows[-1][0] == k - 1:
+        heads = _HEADS.get(level, ())
+        if len(heads) < k:
+            # replaced whole, never extended: a concurrent writer reads a full table
+            heads = _HEADS[level] = _row_heads(level, range(k))
+    else:
+        heads = _row_heads(level, [n for n, _ in rows])
+    parts = [""] * (2 * k)
+    parts[0::2] = heads[:k]
+    parts[1::2] = texts
+    out += ("".join(parts), "\n" + "  " * (level + 1) + "]\n" + "  " * level + "]")
 
 
 # _KEYS[(level, keys)] is the text before each value of a dict with these
@@ -224,30 +213,13 @@ def _key_entry(level: int, keys: tuple) -> tuple:
     return _key_heads(level, order), None if tuple(order) == keys else itemgetter(*order)
 
 
-def _as_builtin(obj):
-    """The builtin value of a non-builtin ``obj``: numpy and subclassed
-    numbers become ``int`` or ``float``, subclassed strings, dicts, lists
-    and tuples their builtin; anything else is refused."""
-    if isinstance(obj, str):
-        return str.__str__(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, dict):
-        return dict(obj.items())
-    if isinstance(obj, (list, tuple)):
-        return list(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 _SCALARS = frozenset((str, float, int, bool, type(None)))
 
 
 def _write(obj, level: int, out: list, memo: dict) -> None:
     """``obj`` at indent ``level``.  A dict or list writes each item after
-    its head, a scalar item inline; a value of no exact builtin type is
-    written as the builtin it stands for."""
+    its head, a scalar item inline; a value of no listed exact type raises
+    ``TypeError``."""
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -284,8 +256,7 @@ def _write(obj, level: int, out: list, memo: dict) -> None:
     elif kind in _SCALARS:  # a text that is one scalar
         heads, values, close = ("",), (obj,), ""
     else:
-        _write(_as_builtin(obj), level, out, memo)
-        return
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     get = memo.get  # a memo hit costs no call of _float_text
     for head, value in zip(heads, values):
         kind = type(value)
@@ -546,9 +517,6 @@ def tree_to_spec(tree: RootedTree) -> dict:
 
 
 def golden_dir() -> Path:
-    env = os.environ.get("TREEWCO_GOLDEN_DIR")
-    if env:
-        return Path(env)
     return Path(resources.files("treewco") / "golden")
 
 
@@ -590,7 +558,8 @@ def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> 
 
 def fixture_report(fx: Fixture, depth: int | None = None) -> dict:
     """Full deterministic report for one bundled fixture."""
-    depth = depth or fx.depth
+    if depth is None:
+        depth = fx.depth
     op = fx.build(depth)
     window = fx.window_for(depth)
     certs = classify_operator(op, window_depth=window)

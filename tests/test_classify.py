@@ -395,6 +395,14 @@ class TestCrossChecks:
             with pytest.raises(ValueError, match="strictly increasing"):
                 tw.classify_operator(op, bad)
 
+    def test_numpy_integer_schedule_is_read_as_ints(self):
+        op = tw.composition_op(tw.identity_map(tw.zline(8)))
+        want = tw.classify_operator(op, [1, 2, 8])
+        got = tw.classify_operator(op, np.array([1, 2, 8]))
+        for half in ("linf", "lip"):
+            assert [c.to_json() for c in got[half]] == [c.to_json() for c in want[half]]
+        assert [type(n) for n, _ in got["lip"][0].depth_profile] == [int] * 3
+
     def test_depth_zero_refused_by_depth_limit(self):
         op = tw.composition_op(tw.identity_map(tw.zline(0)))
         with pytest.raises(ValueError, match=r"depth >= 1, got depth 0"):
@@ -472,8 +480,13 @@ class TestOnePass:
                          "got [1, 2, 2, 4]", id="8-schedule1"),
             pytest.param(8, (0, 2), "schedule must be within 1..8", id="8-schedule2"),
             pytest.param(8, (1, 9), "schedule must be within 1..8", id="8-schedule3"),
-            pytest.param(8, [3.0, 2], "schedule depths must be strictly increasing, "
-                         "got [3, 2]", id="8-schedule4"),
+            pytest.param(8, [3.0, 2], "schedule depths must be integers, got 3.0",
+                         id="8-schedule4"),
+            pytest.param(8, [1.9, 3.2, 8], "schedule depths must be integers, got 1.9",
+                         id="8-fractional"),
+            pytest.param(8, (1, True), "schedule depths must be integers, got True",
+                         id="8-boolean"),
+            pytest.param(8, [], "schedule must be within 1..8", id="8-empty"),
             pytest.param(0, None, "classification needs a tree of depth >= 1, got depth 0",
                          id="0-None"),
         ],
@@ -622,6 +635,13 @@ class TestFixturesAndGolden:
         for fx in tw.bundled_fixtures():
             frozen = (gold / f"{fx.name}.json").read_text(encoding="utf-8")
             assert canonical_json(fixture_report(fx)) == frozen, fx.name
+
+    def test_depth_zero_is_not_the_default_depth(self):
+        for fx in tw.bundled_fixtures():
+            assert fx.build(0).tree.depth_limit == 0
+            assert fx.build().tree.depth_limit == fx.depth
+            with pytest.raises(ValueError, match=r"depth >= 1, got depth 0"):
+                fixture_report(fx, 0)
 
     def test_doubling_report_carries_discrepancy_note(self):
         report = fixture_report(tw.fixture_by_name("not-surjective-2n"))

@@ -28,11 +28,18 @@ The corpus, per seed:
   ``u`` uniform in [-310, 17] and a fifth of them exact zeros;
 - windows ``None`` and ``N // 2``, zero tolerances 1e-6 and 1e-3;
 - one operator at the north-star depth: fold on ``zline(10**4)`` with
-  weight ``1 / (1 + |v|)``.
+  weight ``1 / (1 + |v|)``;
+- the builtin grid: every builtin weight (``F_N``, ``g``, ``chi``,
+  ``eta``) under every builtin map (``identity``, ``constant``, ``zfold``,
+  ``double``), loaded from spec dicts by ``load_function_spec`` and
+  ``load_map_spec`` on ``zline`` at depths 64, 65, 1024 and 1025, with
+  parameters drawn per seed, so that a verdict flip shows where the
+  infinite operator is known in closed form.
 
 Entry points: ``analyze`` (``canonical_json`` of ``classify_operator``,
 ``operator_quantities`` and, under unit weight, ``seven_equivalences``,
-as ``treewco analyze`` assembles them), ``fixture_report`` (each bundled
+as ``treewco analyze`` assembles them; the builtin grid with no window
+and tolerance 1e-6), ``fixture_report`` (each bundled
 fixture at depths 2-12 and its own), the oracles' ``to_json`` (both
 methods of ``norm_oracle_linf`` and ``norm_oracle_lip``,
 ``j_oracle_linf_bracket`` on both windows, ``surjectivity_infeasibility``
@@ -119,6 +126,24 @@ def _operators(tw, np, seed: int):
     t = tw.zline(10_000)
     op = tw.WeightedCompOp(tw.VertexFunction(t, 1.0 / (1.0 + t.depth)), tw.zline_fold(t))
     yield "z10000/fold/inv", op, {"kind": "builtin", "name": "zfold"}
+
+
+def _builtin_grid(tw, np, seed: int):
+    """(name, operator) of each builtin weight and map on the grid's lines;
+    the parameters draw from their own stream, valid at every grid depth."""
+    rng = np.random.default_rng([seed, 2])
+    cap, n = int(rng.integers(1, 9)), int(rng.integers(4, 65))
+    chi, eta, target = rng.integers(0, 9, size=3).tolist()  # ids of depth <= 4
+    weights = {"F_N": {"cap": cap}, "g": {"n": n, "r": float(rng.uniform(0.05, 0.95))},
+               "chi": {"vertex": chi}, "eta": {"vertex": eta}}
+    maps = {"identity": {}, "constant": {"target": target}, "zfold": {}, "double": {}}
+    for depth in (64, 65, 1024, 1025):
+        t = tw.zline(depth)
+        for wname, wparams in weights.items():
+            psi = tw.load_function_spec({"kind": "builtin", "name": wname, "params": wparams}, t)
+            for mname, mparams in maps.items():
+                phi = tw.load_map_spec({"kind": "builtin", "name": mname, "params": mparams}, t)
+                yield f"grid/z{depth}/{wname}/{mname}", tw.WeightedCompOp(psi, phi)
 
 
 def _guarded(fn) -> str:
@@ -218,6 +243,8 @@ def corpus(seed: int, workdir: Path):
         yield "cli.oracle", f"{tname}/seed{seed}", _guarded(
             lambda: _cli_text(["oracle", *tree_args, "--seed", str(seed)]))
         yield "cli.export", tname, _guarded(lambda: _cli_text(["export", *tree_args]))
+    for name, op in _builtin_grid(tw, np, seed):
+        yield "analyze", name, _guarded(lambda: _analyze_text(tw, np, op, None, 1e-6))
     for fx in tw.bundled_fixtures():
         for depth in [None, *range(2, 13)]:
             yield "fixture_report", f"{fx.name}/{depth}", _guarded(
