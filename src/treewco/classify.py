@@ -39,7 +39,6 @@ from .operators import (
     identity_map,
     isometry_check_linf,
     isometry_check_lip,
-    j_linf,
     linf_op_norm,
     lip_bounds,
     lip_ess_norm_profile,
@@ -112,29 +111,9 @@ def _stays_bounded(values, zero_tol: float) -> bool:
     return tail[-1] <= _GROWTH_FACTOR * max(tail[0], zero_tol)
 
 
-@dataclass(frozen=True)
-class _Space:
-    """What the rule set reads per function space; ``_classify`` holds the
-    rules once."""
-
-    prefix: str
-    criteria: tuple  # texts of Bounded, Compact and BoundedBelow
-    reach: Callable  # op -> the quantity whose sup decides boundedness
-    tail_column: int  # the column of ``op.tail_sups`` holding the tail
-    norm_witnesses: Callable  # op -> dict
-    isometry: Callable  # (op, window) -> Certificate
-    isometry_min_depth: int
-    modulus: Callable  # j_linf -> (lower end of the modulus, witnesses)
-
-
-def _lip_norm_witnesses(op: WeightedCompOp) -> dict:
-    lo, up = lip_bounds(op)  # the lower end is the exact norm
-    return {"lower_bound": lo, "upper_bound": up, "exact_norm": lo}
-
-
-_LINF = _Space(
-    prefix="Linf",
-    criteria=(
+# the criterion texts of Bounded, Compact and BoundedBelow per space
+_CRITERIA = {
+    "Linf": (
         "bounded on the bounded functions iff the weight is bounded; the operator "
         "norm equals sup |psi|",
         "compact on the bounded functions iff the map has finite range or |psi(v)| "
@@ -142,17 +121,7 @@ _LINF = _Space(
         "bounded below on the bounded functions iff the map covers every vertex and the "
         "smallest preimage sup of |psi| is positive",
     ),
-    reach=lambda op: op.abs_psi_on_domain,
-    tail_column=0,
-    norm_witnesses=lambda op: {"sup_psi": float(linf_op_norm(op))},
-    isometry=isometry_check_linf,
-    isometry_min_depth=1,
-    modulus=lambda j: (j, {"injectivity_modulus": j}),
-)
-
-_LIP = _Space(
-    prefix="Lip",
-    criteria=(
+    "Lip": (
         "bounded from the Lipschitz space iff sup |psi(v)|(1+|phi(v)|) is finite; the norm "
         "lies between max(sup|psi|, sup|psi||phi|) and sup |psi|(1+|phi|)",
         "compact from the Lipschitz space iff |psi(v)||phi(v)| tends to 0 whenever |phi(v)| "
@@ -160,93 +129,7 @@ _LIP = _Space(
         "bounded below from the Lipschitz space iff the map covers every vertex and M = "
         "inf-sup of |psi| over preimages is positive; the modulus lies in [M/3, M]",
     ),
-    reach=lambda op: op.reach,
-    tail_column=1,
-    norm_witnesses=_lip_norm_witnesses,
-    isometry=isometry_check_lip,
-    isometry_min_depth=2,  # the witness is a vertex deeper than 1
-    modulus=lambda j: (j / 3.0, {"bracket": [j / 3.0, j]}),  # j_lip_bracket's (M/3, M)
-)
-
-
-def _classify(
-    space: _Space,
-    op: WeightedCompOp,
-    shared: tuple,
-    window_depth: int | None,
-    zero_tol: float,
-) -> list[Certificate]:
-    """Bounded, Compact, Isometry (on a deep enough tree) and BoundedBelow
-    certificates for one function space, from the pass of
-    ``classify_operator`` that both spaces read."""
-    t = op.tree
-    sched, ends, tails, j, below = shared
-    bounded_text, compact_text, below_text = space.criteria
-    certs: list[Certificate] = []
-
-    # sup of the reach over the domain vertices of depth <= d
-    bounded_vals = np.maximum.accumulate(space.reach(op))[ends].tolist()
-    bounded_profile = _Rows(map(list, zip(sched, bounded_vals)))
-    certs.append(
-        Certificate(
-            statement=f"{space.prefix}.Bounded",
-            verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, zero_tol) else TREND_INCONSISTENT,
-            criterion=bounded_text,
-            witnesses=space.norm_witnesses(op),
-            depth_profile=bounded_profile,
-            window_depth=window_depth,
-        )
-    )
-
-    tail_vals = tails[:, space.tail_column].tolist()
-    tail_profile = _Rows(map(list, zip(sched, tail_vals)))
-    if op.phi.finite_range_stable():
-        verdict = HOLDS
-        witnesses = {
-            "finite_range_max_depth": int(op.phi._range_max[-1]),
-            "reason": "map range stabilized strictly inside the window",
-        }
-    else:
-        verdict = TREND_CONSISTENT if _decays(tail_vals, zero_tol) else TREND_INCONSISTENT
-        witnesses = {"final_tail": tail_vals[-1]}
-    certs.append(
-        Certificate(
-            statement=f"{space.prefix}.Compact",
-            verdict=verdict,
-            criterion=compact_text,
-            witnesses=witnesses,
-            depth_profile=tail_profile,
-            window_depth=window_depth,
-        )
-    )
-
-    if t.depth_limit >= space.isometry_min_depth:
-        certs.append(space.isometry(op, window_depth))
-
-    low, witnesses = space.modulus(j)
-    witnesses.update(below)
-    certs.append(
-        Certificate(
-            statement=f"{space.prefix}.BoundedBelow",
-            verdict=HOLDS if low > 0 else FAILS,
-            criterion=below_text,
-            witnesses=witnesses,
-            depth_profile=_Rows(),
-            window_depth=window_depth if window_depth is not None else t.depth_limit,
-        )
-    )
-    return certs
-
-
-def _bounded_below_witness(op: WeightedCompOp, window_depth: int | None) -> dict:
-    """The vertex deciding the inf-sup: the first uncovered one, or the one
-    with the smallest preimage sup of |psi|."""
-    sup = window_preimage_sup(op, window_depth)
-    # an uncovered vertex holds -inf, the least value: argmin finds the first
-    best_w = int(sup.argmin())
-    if sup[best_w] == -np.inf:
-        return {"vertex": best_w, "reason": "no preimage in the window"}
-    return {"vertex": best_w, "preimage_sup": float(sup[best_w])}
+}
 
 
 def classify_operator(
@@ -255,9 +138,11 @@ def classify_operator(
     window_depth: int | None = None,
     zero_tol: float = 1e-6,
 ) -> dict:
-    """``{"linf": [...], "lip": [...]}``: the certificates for the operator
-    on the bounded functions and from the Lipschitz space, from one
-    operator pass, plus automatic cross-implication checks."""
+    """``{"linf": [...], "lip": [...]}``: the Bounded, Compact, Isometry
+    (the Lipschitz one on a tree of depth >= 2) and BoundedBelow
+    certificates for the operator on the bounded functions and from the
+    Lipschitz space, written by one loop over the data that differs
+    between the two spaces."""
     t = op.tree
     if schedule is None:
         schedule = default_schedule(t.depth_limit)
@@ -266,32 +151,79 @@ def classify_operator(
     # breadth-first ids make the domain depth-sorted; a depth past the
     # domain reads its last id
     ends = np.minimum(t.layer_offsets[depths + 1], op.phi.domain_size) - 1
-    shared = (sched, ends, op.tail_sups[depths - 1], j_linf(op, window_depth),
-              _bounded_below_witness(op, window_depth))
-    linf = _classify(_LINF, op, shared, window_depth, zero_tol)
-    lip = _classify(_LIP, op, shared, window_depth, zero_tol)
-    by = {c.statement: c for c in linf + lip}
-
-    # isometry implies bounded below on the same window
-    if by["Linf.Isometry"].verdict == HOLDS and by["Linf.BoundedBelow"].verdict != HOLDS:
-        raise RuntimeError("isometry certificate without bounded-below certificate")
-    # a bounded weight together with a bounded weighted-reach profile must
-    # yield the Lipschitz boundedness verdict
-    reach_vals = [v for _, v in by["Lip.Bounded"].depth_profile]
-    if (
-        by["Linf.Bounded"].verdict == TREND_CONSISTENT
-        and _stays_bounded(reach_vals, zero_tol)
-        and by["Lip.Bounded"].verdict != TREND_CONSISTENT
-    ):
-        raise RuntimeError("bounded weight and reach profile without a bounded verdict")
-    return {"linf": linf, "lip": lip}
+    linf_tails, lip_tails = op.tail_sups[depths - 1].T.tolist()
+    stable = op.phi.finite_range_stable()
+    # the vertex deciding the inf-sup of j_linf: an uncovered vertex holds
+    # -inf, the least value, so argmin finds the first one
+    sup = window_preimage_sup(op, window_depth)
+    w = int(sup.argmin())
+    j = max(float(sup[w]), 0.0)
+    if sup[w] == -np.inf:
+        below = {"vertex": w, "reason": "no preimage in the window"}
+    else:
+        below = {"vertex": w, "preimage_sup": float(sup[w])}
+    lo, up = lip_bounds(op)  # the lower end is the exact norm
+    # per space: the reach whose prefix sup decides Bounded, the tail,
+    # the norm witnesses, the isometry certificates (the Lipschitz witness
+    # is a vertex deeper than 1) and the modulus with its witnesses (the
+    # Lipschitz one is j_lip_bracket's (M/3, M))
+    spaces = (
+        ("Linf", op.abs_psi_on_domain, linf_tails, {"sup_psi": linf_op_norm(op)},
+         (isometry_check_linf(op, window_depth),), j, {"injectivity_modulus": j}),
+        ("Lip", op.reach, lip_tails, {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
+         (isometry_check_lip(op, window_depth),) if t.depth_limit >= 2 else (),
+         j / 3.0, {"bracket": [j / 3.0, j]}),
+    )
+    out = {}
+    for prefix, reach, tail_vals, norms, isometry, modulus, modulus_witnesses in spaces:
+        bounded_text, compact_text, below_text = _CRITERIA[prefix]
+        # sup of the reach over the domain vertices of depth <= d
+        bounded_vals = np.maximum.accumulate(reach)[ends].tolist()
+        if stable:
+            verdict = HOLDS
+            witnesses = {
+                "finite_range_max_depth": int(op.phi._range_max[-1]),
+                "reason": "map range stabilized strictly inside the window",
+            }
+        else:
+            verdict = TREND_CONSISTENT if _decays(tail_vals, zero_tol) else TREND_INCONSISTENT
+            witnesses = {"final_tail": tail_vals[-1]}
+        out[prefix.lower()] = [
+            Certificate(
+                statement=f"{prefix}.Bounded",
+                verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, zero_tol) else TREND_INCONSISTENT,
+                criterion=bounded_text,
+                witnesses=norms,
+                depth_profile=_Rows(map(list, zip(sched, bounded_vals))),
+                window_depth=window_depth,
+            ),
+            Certificate(
+                statement=f"{prefix}.Compact",
+                verdict=verdict,
+                criterion=compact_text,
+                witnesses=witnesses,
+                depth_profile=_Rows(map(list, zip(sched, tail_vals))),
+                window_depth=window_depth,
+            ),
+            *isometry,
+            Certificate(
+                statement=f"{prefix}.BoundedBelow",
+                verdict=HOLDS if modulus > 0 else FAILS,
+                criterion=below_text,
+                witnesses={**modulus_witnesses, **below},
+                depth_profile=_Rows(),
+                window_depth=window_depth if window_depth is not None else t.depth_limit,
+            ),
+        ]
+    return out
 
 
 def seven_equivalences(phi: SelfMap) -> Certificate:
     """For unit weight, the bounded/compact statements across both spaces
     all reduce to the map having finite range; evaluates the items from
     three data (a vanishing tail sup, the reach within the window, range
-    stability) and checks they agree whenever the window decides them."""
+    stability): Holds or Fails when they agree, TrendInconsistent when the
+    window leaves them apart.  A stabilized range makes all three true."""
     t = phi.tree
     reach = phi._range_max
     max_reach = int(reach[-1])
@@ -312,11 +244,8 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
         "lip_to_lip_compact": small_reach,
         "finite_range": stable,
     }
-    agree = len(set(items.values())) == 1
-    if stable and not agree:
-        raise RuntimeError("seven-way equivalence broken on a stabilized map")
-    if agree:
-        verdict = HOLDS if items["finite_range"] else FAILS
+    if len(set(items.values())) == 1:
+        verdict = HOLDS if stable else FAILS
     else:
         verdict = TREND_INCONSISTENT
     return Certificate(

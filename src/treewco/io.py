@@ -256,7 +256,10 @@ def _write(obj, level: int, out: list, memo: dict) -> None:
     elif kind in _SCALARS:  # a text that is one scalar
         heads, values, close = ("",), (obj,), ""
     else:
-        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+        name = kind.__qualname__
+        if kind.__module__ != "builtins":  # numpy 2 names np.bool_ "bool"
+            name = f"{kind.__module__}.{name}"
+        raise TypeError(f"Object of type {name} is not JSON serializable")
     get = memo.get  # a memo hit costs no call of _float_text
     for head, value in zip(heads, values):
         kind = type(value)

@@ -245,18 +245,20 @@ class WeightedCompOp:
 
     psi: VertexFunction
     phi: SelfMap
-    codomain_tree: RootedTree = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.psi.tree is not self.phi.tree:
             raise ValueError("weight and map live on different trees")
-        object.__setattr__(
-            self, "codomain_tree", self.tree.truncate(self.phi.domain_depth)
-        )
 
     @property
     def tree(self) -> RootedTree:
         return self.psi.tree
+
+    @cached_property
+    def codomain_tree(self) -> RootedTree:
+        """The truncation to the map's domain depth, on which the
+        operator's images live."""
+        return self.tree.truncate(self.phi.domain_depth)
 
     @cached_property
     def abs_psi_on_domain(self) -> np.ndarray:

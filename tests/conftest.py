@@ -107,3 +107,38 @@ def shuffled_edges(tree, rng):
     edges = [[labels[int(tree.parent[v])], labels[v]] for v in range(1, len(tree))]
     edges = [e[::-1] if rng.random() < 0.5 else e for e in edges]
     return [edges[i] for i in rng.permutation(len(edges))], labels[0]
+
+
+# -- per-vertex loop references for the preimage reductions ---------------------
+
+
+def ref_preimages(phi):
+    pre = [[] for _ in range(len(phi.tree))]
+    for v in range(phi.domain_size):
+        pre[int(phi.image[v])].append(v)
+    return pre
+
+
+def ref_sup(op, pre, w):
+    """Sup of |psi| over the preimage of w, None when w is uncovered."""
+    if not pre[w]:
+        return None
+    return float(np.abs(op.psi.values[pre[w]]).max())
+
+
+def ref_window(op, within):
+    limit = op.tree.depth_limit if within is None else within
+    return range(tw.SelfMap.domain_size_for(op.tree, limit))
+
+
+def ref_bounded_below_witness(op, pre, within):
+    """The vertex deciding the inf-sup over the window: the first uncovered
+    one, else the first with the smallest preimage sup of |psi|."""
+    best_w, best = None, np.inf
+    for w in ref_window(op, within):
+        s = ref_sup(op, pre, w)
+        if s is None:
+            return {"vertex": w, "reason": "no preimage in the window"}
+        if s < best:
+            best_w, best = w, s
+    return {"vertex": best_w, "preimage_sup": best}

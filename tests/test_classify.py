@@ -11,7 +11,6 @@ import treewco as tw
 from treewco import FAILS, HOLDS, TREND_CONSISTENT, TREND_INCONSISTENT
 from treewco import Certificate, VertexFunction, WeightedCompOp
 from treewco.classify import (
-    _bounded_below_witness,
     _check_schedule,
     _decays,
     _stays_bounded,
@@ -27,7 +26,7 @@ from treewco.io import (
 )
 from treewco.operators import STABILITY_MARGIN
 
-from conftest import shuffled_edges
+from conftest import ref_bounded_below_witness, ref_preimages, shuffled_edges
 
 
 def verdicts(certs):
@@ -47,7 +46,9 @@ def _prefix_sup_profile(op, quantity, schedule):
 
 def ref_classify_linf(op, schedule=None, window_depth=None, zero_tol=1e-6):
     t = op.tree
-    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    if schedule is None:
+        schedule = default_schedule(t.depth_limit)
+    sched = _check_schedule(schedule, t.depth_limit)
     certs = []
 
     a_psi = np.abs(op.psi.values[: op.phi.domain_size])
@@ -98,7 +99,7 @@ def ref_classify_linf(op, schedule=None, window_depth=None, zero_tol=1e-6):
 
     j = tw.j_linf(op, window_depth)
     witnesses = {"injectivity_modulus": j}
-    witnesses.update(_bounded_below_witness(op, window_depth))
+    witnesses.update(ref_bounded_below_witness(op, ref_preimages(op.phi), window_depth))
     certs.append(
         Certificate(
             statement="Linf.BoundedBelow",
@@ -117,7 +118,9 @@ def ref_classify_linf(op, schedule=None, window_depth=None, zero_tol=1e-6):
 
 def ref_classify_lip(op, schedule=None, window_depth=None, zero_tol=1e-6):
     t = op.tree
-    sched = _check_schedule(schedule or default_schedule(t.depth_limit), t.depth_limit)
+    if schedule is None:
+        schedule = default_schedule(t.depth_limit)
+    sched = _check_schedule(schedule, t.depth_limit)
     certs = []
 
     a_psi = np.abs(op.psi.values[: op.phi.domain_size])
@@ -172,7 +175,7 @@ def ref_classify_lip(op, schedule=None, window_depth=None, zero_tol=1e-6):
 
     lo_j, up_j = tw.j_lip_bracket(op, window_depth)
     witnesses = {"bracket": [lo_j, up_j]}
-    witnesses.update(_bounded_below_witness(op, window_depth))
+    witnesses.update(ref_bounded_below_witness(op, ref_preimages(op.phi), window_depth))
     certs.append(
         Certificate(
             statement="Lip.BoundedBelow",
@@ -299,6 +302,39 @@ def _classify_cases(draw):
     return op, schedule, window, draw(st.sampled_from(_ZERO_TOLS))
 
 
+@st.composite
+def _implication_cases(draw):
+    """0/1 or +-1 weights under fold, identity, permutation and constant maps
+    on trees of at most 40 vertices, or the z-isometry fixture, whose
+    Linf.Isometry holds inside its half-depth window."""
+    family = draw(st.sampled_from(["fixture", "zline", "h2", "h3", "random"]))
+    if family == "fixture":
+        return tw.fixture_by_name("z-isometry").build(draw(st.integers(2, 16)))
+    if family == "zline":
+        t = tw.zline(draw(st.integers(1, 19)))
+    elif family == "h2":
+        t = tw.homogeneous(2, draw(st.integers(1, 3)))
+    elif family == "h3":
+        t = tw.homogeneous(3, draw(st.integers(1, 2)))
+    else:
+        t = tw.random_tree(draw(st.integers(1, 4)), seed=draw(st.integers(0, 50)),
+                           min_children=1, max_children=2)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    maps = ["identity", "permutation", "constant"] + (["fold"] if family == "zline" else [])
+    kind = draw(st.sampled_from(maps))
+    if kind == "identity":
+        phi = tw.identity_map(t)
+    elif kind == "permutation":
+        phi = tw.random_permutation_map(t, rng)
+    elif kind == "constant":
+        # a target of uniform depth: often shallow enough for a stable range
+        phi = tw.constant_map(t, int(rng.choice(t.layer(draw(st.integers(0, t.depth_limit))))))
+    else:
+        phi = tw.zline_fold(t)
+    palette = np.asarray(draw(st.sampled_from([(0.0, 1.0), (1.0, -1.0)])))
+    return WeightedCompOp(VertexFunction(t, rng.choice(palette, size=t.n_vertices)), phi)
+
+
 class TestClassifyLinf:
     def test_fold_fixture(self):
         fx = tw.fixture_by_name("z-isometry")
@@ -372,6 +408,19 @@ class TestCrossChecks:
         out = tw.classify_operator(op, window_depth=4)
         v = verdicts(out["linf"])
         assert v["Linf.Isometry"] == HOLDS and v["Linf.BoundedBelow"] == HOLDS
+
+    @given(_implication_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_implications_hold_in_every_window(self, op):
+        for window in [None] + list(range(op.tree.depth_limit + 1)):
+            v = verdicts(sum(tw.classify_operator(op, None, window).values(), []))
+            # a Linf isometry of the window is bounded below on it in both spaces
+            if v["Linf.Isometry"] == HOLDS:
+                assert v["Linf.BoundedBelow"] == HOLDS and v["Lip.BoundedBelow"] == HOLDS
+        # a stabilized range makes every item of the seven-way equivalence true
+        if op.phi.finite_range_stable():
+            seven = tw.seven_equivalences(op.phi)
+            assert all(seven.witnesses["items"].values()) and seven.verdict == HOLDS
 
     def test_classify_operator_runs_on_random(self):
         rng = np.random.default_rng(2)

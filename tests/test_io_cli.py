@@ -267,6 +267,7 @@ _Pair = namedtuple("_Pair", "n value")
 # scalars, which no report is made of
 _OTHER_TYPES = {
     "int_enum": _Level.HIGH,
+    "np_bool": np.bool_(True),
     "np_int64": np.int64(4),
     "np_float32": np.float32(0.1),
     "ordered_dict": OrderedDict([("b", 1.5), ("a", None)]),
@@ -418,9 +419,11 @@ class TestCanonicalJson:
 
     @pytest.mark.parametrize("value", list(_OTHER_TYPES.values()), ids=list(_OTHER_TYPES))
     def test_other_types_raise(self, value):
-        # alone, as a dict value, and as a list item beside builtins
+        # alone, as a dict value, and as a list item beside builtins; none is
+        # a builtin, so the message names the type with its module
+        name = f"{type(value).__module__}.{type(value).__qualname__}"
         for payload in (value, {"a": value}, [1, "b", value]):
-            with pytest.raises(TypeError, match=f"^Object of type {type(value).__name__} "):
+            with pytest.raises(TypeError, match=f"^Object of type {re.escape(name)} "):
                 canonical_json(payload)
 
     @pytest.mark.parametrize("payload", list(_AS_BUILTIN.values()), ids=list(_AS_BUILTIN))

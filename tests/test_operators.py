@@ -8,7 +8,16 @@ import treewco as tw
 from treewco import SelfMap, VertexFunction, WeightedCompOp
 from treewco.operators import STABILITY_MARGIN, MapSpecError
 
-from conftest import label_fn, random_operator, shuffled_edges, small_tree_corpus
+from conftest import (
+    label_fn,
+    random_operator,
+    ref_bounded_below_witness,
+    ref_preimages,
+    ref_sup,
+    ref_window,
+    shuffled_edges,
+    small_tree_corpus,
+)
 
 
 def ones_op(phi):
@@ -448,13 +457,6 @@ def ref_sector(kids, v):
     return sorted(out)
 
 
-def ref_preimages(phi):
-    pre = [[] for _ in range(len(phi.tree))]
-    for v in range(phi.domain_size):
-        pre[int(phi.image[v])].append(v)
-    return pre
-
-
 def ref_range_max(phi) -> list:
     """max |phi(v)| over domain vertices with depth <= d, per depth d."""
     dom_depth = phi.tree.depth[: phi.domain_size]
@@ -489,18 +491,6 @@ def ref_prefix_sup(op, quantity, schedule):
         sel = quantity[dom_depth <= d]
         out.append((d, float(sel.max()) if sel.size else 0.0))
     return tuple(out)
-
-
-def ref_sup(op, pre, w):
-    """Sup of |psi| over the preimage of w, None when w is uncovered."""
-    if not pre[w]:
-        return None
-    return float(np.abs(op.psi.values[pre[w]]).max())
-
-
-def ref_window(op, within):
-    limit = op.tree.depth_limit if within is None else within
-    return range(tw.SelfMap.domain_size_for(op.tree, limit))
 
 
 def ref_j_linf(op, pre, within):
@@ -550,17 +540,6 @@ def ref_isometry_lip_witness(op, pre, within, tol=1e-9):
     return w, f"= {op.tree.depth_of(w) * s:.12g} exceeds 1"
 
 
-def ref_bounded_below_witness(op, pre, within):
-    best_w, best = None, np.inf
-    for w in ref_window(op, within):
-        s = ref_sup(op, pre, w)
-        if s is None:
-            return {"vertex": w, "reason": "no preimage in the window"}
-        if s < best:
-            best_w, best = w, s
-    return {"vertex": best_w, "preimage_sup": best}
-
-
 @st.composite
 def small_operators(draw):
     family = draw(st.sampled_from(["random", "zline", "homogeneous", "explicit"]))
@@ -602,8 +581,6 @@ class TestArrayCoreMatchesLoops:
     @given(small_operators())
     @settings(max_examples=80, deadline=None)
     def test_every_reduction_matches_reference(self, op):
-        from treewco.classify import _bounded_below_witness
-
         t, phi = op.tree, op.phi
         kids = ref_children(t)
         assert [t.children_of(v).tolist() for v in range(len(t))] == kids
@@ -635,7 +612,11 @@ class TestArrayCoreMatchesLoops:
             verdict, witnesses, profile = ref_isometry_linf(op, pre, within)
             assert (cert.verdict, cert.witnesses) == (verdict, witnesses)
             assert cert.depth_profile == [list(row) for row in profile]
-            assert _bounded_below_witness(op, within) == ref_bounded_below_witness(op, pre, within)
+            j, below = ref_j_linf(op, pre, within), ref_bounded_below_witness(op, pre, within)
+            linf_below, lip_below = (half[-1] for half in tw.classify_operator(op, sched, within).values())
+            assert linf_below.statement == "Linf.BoundedBelow" and lip_below.statement == "Lip.BoundedBelow"
+            assert linf_below.witnesses == {"injectivity_modulus": j, **below}
+            assert lip_below.witnesses == {"bracket": [j / 3.0, j], **below}
             if N >= 2:
                 w, reason = ref_isometry_lip_witness(op, pre, within)
                 lip = tw.isometry_check_lip(op, within)
