@@ -1,4 +1,4 @@
-"""Certificates for boundedness, compactness, isometry, and bounded-below.
+"""Every certificate: boundedness, compactness, isometry, and bounded-below.
 
 Verdict discipline: a statement the finite window genuinely decides
 (isometry inside a stated window, coverage by the stored map) gets
@@ -11,15 +11,14 @@ A tail decays when its last schedule value is below ``zero_tol`` or two
 schedule points earlier it was at least ``_DECAY_FACTOR`` times as large;
 a profile stays bounded when its last value is at most ``_GROWTH_FACTOR``
 times the larger of the one before and ``zero_tol``.  ``zero_tol`` is the
-one settable threshold.
+one settable threshold; the isometry checks count a preimage sup within
+the fixed ``ISOMETRY_TOL`` of 1 as 1.
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,36 +30,27 @@ from .certificate import (
     Certificate,
     _Rows,
 )
-from .functions import VertexFunction
 from .operators import (
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
-    identity_map,
-    isometry_check_linf,
-    isometry_check_lip,
     linf_op_norm,
     lip_bounds,
-    lip_ess_norm_profile,
     window_preimage_sup,
-    zline_double,
-    zline_fold,
 )
-from .oracle import surjectivity_infeasibility
-from .trees import zline
 
 __all__ = [
     "default_schedule",
     "classify_operator",
     "seven_equivalences",
-    "Fixture",
-    "bundled_fixtures",
-    "fixture_by_name",
+    "isometry_check_linf",
+    "isometry_check_lip",
 ]
 
 
 _DECAY_FACTOR = 1.5
 _GROWTH_FACTOR = 1.05
+ISOMETRY_TOL = 1e-9
 
 
 def default_schedule(depth_limit: int) -> tuple:
@@ -153,9 +143,10 @@ def classify_operator(
     ends = np.minimum(t.layer_offsets[depths + 1], op.phi.domain_size) - 1
     linf_tails, lip_tails = op.tail_sups[depths - 1].T.tolist()
     stable = op.phi.finite_range_stable()
-    # the vertex deciding the inf-sup of j_linf: an uncovered vertex holds
-    # -inf, the least value, so argmin finds the first one
-    sup = window_preimage_sup(op, window_depth)
+    # the vertex deciding the inf-sup of j_linf and, when uncovered, the
+    # Lip.NoIsometry witness: an uncovered vertex holds -inf, the least
+    # value, so argmin finds the first one
+    window, sup = _window(op, window_depth)
     w = int(sup.argmin())
     j = max(float(sup[w]), 0.0)
     if sup[w] == -np.inf:
@@ -169,9 +160,9 @@ def classify_operator(
     # Lipschitz one is j_lip_bracket's (M/3, M))
     spaces = (
         ("Linf", op.abs_psi_on_domain, linf_tails, {"sup_psi": linf_op_norm(op)},
-         (isometry_check_linf(op, window_depth),), j, {"injectivity_modulus": j}),
+         (_isometry_linf(op, window, sup),), j, {"injectivity_modulus": j}),
         ("Lip", op.reach, lip_tails, {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
-         (isometry_check_lip(op, window_depth),) if t.depth_limit >= 2 else (),
+         (_no_isometry_lip(op, window, sup, w),) if t.depth_limit >= 2 else (),
          j / 3.0, {"bracket": [j / 3.0, j]}),
     )
     out = {}
@@ -212,7 +203,7 @@ def classify_operator(
                 criterion=below_text,
                 witnesses={**modulus_witnesses, **below},
                 depth_profile=_Rows(),
-                window_depth=window_depth if window_depth is not None else t.depth_limit,
+                window_depth=window,
             ),
         ]
     return out
@@ -262,125 +253,89 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
     )
 
 
-# -- bundled fixtures -------------------------------------------------------------
+# -- isometry certificates ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fixture:
-    """A named, fully reproducible operator on ``zline(depth)`` with expected
-    verdicts; ``extra`` adds the report sections only this fixture has."""
-
-    name: str
-    depth: int
-    window_depth: int | None
-    description: str
-    weight: Callable  # integer labels -> weight values
-    map: Callable  # tree -> SelfMap
-    expected: dict
-    notes: tuple = ()
-    extra: Callable | None = None  # (op, window) -> dict
-
-    def build(self, depth: int | None = None) -> WeightedCompOp:
-        t = zline(self.depth if depth is None else depth)
-        return WeightedCompOp(VertexFunction(t, self.weight(np.asarray(t.labels))), self.map(t))
-
-    def window_for(self, depth: int) -> int | None:
-        """``window_depth`` scaled from the fixture's own depth to ``depth``."""
-        return None if self.window_depth is None else self.window_depth * depth // self.depth
+def _window(op: WeightedCompOp, within_depth: int | None) -> tuple:
+    """The window depth (N by default) and ``window_preimage_sup`` on it."""
+    window = op.tree.depth_limit if within_depth is None else within_depth
+    return window, window_preimage_sup(op, window)
 
 
-def _squared_weight(op: WeightedCompOp, window: int | None) -> dict:
-    """The Lipschitz tail and compactness certificate of the squared weight."""
-    sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
-    _, compact, *_ = classify_operator(sq, window_depth=window)["lip"]
-    return {
-        "squared_weight": {
-            "lip_ess_tail": _Rows(map(list, lip_ess_norm_profile(sq))),
-            "compact_certificate": compact.to_json(),
-        }
-    }
+def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
+    """Isometry on the bounded functions: every window vertex must be
+    covered and have preimage sup of |psi| equal to 1."""
+    return _isometry_linf(op, *_window(op, within_depth))
 
 
-def _alternating_target(op: WeightedCompOp, window: int | None) -> dict:
-    """The alternating target no preimage reaches, and the weighted-reach
-    infimum that stays positive all the same."""
-    cod = op.codomain_tree
-    target = np.where(np.asarray(cod.labels) % 2 == 0, 1.0, -1.0)
-    res = surjectivity_infeasibility(op, VertexFunction(cod, target))
-    return {
-        "infeasibility": res.to_json(),
-        "weighted_reach_infimum": {
-            "value": float(op.reach.min()),
-            "vertex_label": int(op.tree.labels[np.argmin(op.reach)]),
-            "reference_value": 2.0,
-            "discrepancy": (
-                "computed value 1 at n = 0 differs from the reference value 2; "
-                "the reference infimum ignores the root term"
-            ),
-        },
-    }
+def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
+    """No operator from the Lipschitz space to the bounded functions is an
+    isometry; always returns Holds with an explicit witness."""
+    if op.tree.depth_limit < 2:
+        raise IndexError("need a vertex deeper than 1 to exhibit the witness")
+    window, sup = _window(op, within_depth)
+    return _no_isometry_lip(op, window, sup, int(sup.argmin()))
 
 
-def bundled_fixtures() -> list[Fixture]:
-    return [
-        Fixture(
-            name="z-isometry",
-            depth=8,
-            window_depth=4,
-            description=(
-                "folding map on the integer line with a 0/1 weight killing "
-                "odd negatives: an isometry on the bounded functions"
-            ),
-            weight=lambda n: np.where((n < 0) & (n % 2 != 0), 0.0, 1.0),
-            map=zline_fold,
-            expected={
-                "Linf.Isometry": HOLDS,
-                "Linf.BoundedBelow": HOLDS,
-                "Lip.NoIsometry": HOLDS,
-            },
-        ),
-        Fixture(
-            name="bounded-not-compact",
-            depth=16,
-            window_depth=None,
-            description=(
-                "identity map with weight 1/(1+|v|): bounded from the "
-                "Lipschitz space with tail climbing toward 1, so never "
-                "compact; the squared weight is compact"
-            ),
-            weight=lambda n: 1.0 / (1.0 + np.abs(n)),
-            map=identity_map,
-            expected={
-                "Lip.Bounded": TREND_CONSISTENT,
-                "Lip.Compact": TREND_INCONSISTENT,
-            },
-            extra=_squared_weight,
-        ),
-        Fixture(
-            name="not-surjective-2n",
-            depth=8,
-            window_depth=4,
-            description=(
-                "doubling map with weight 1/n (1 at the root): the weighted "
-                "reach inf |psi|(1+|phi|) stays positive yet the operator is "
-                "not onto, witnessed by an alternating target"
-            ),
-            weight=lambda n: np.where(n == 0, 1.0, 1.0 / np.where(n == 0, 1, n)),
-            map=zline_double,
-            expected={"Lip.BoundedBelow": FAILS},
-            notes=(
-                "computed inf |psi(n)|(1+|phi(n)|) is 1, attained at n = 0; "
-                "a reference value of 2 is sometimes quoted for this example "
-                "(the infimum over n != 0 only); the surjectivity failure is "
-                "unaffected by the discrepancy",
-            ),
-            extra=_alternating_target,
-        ),
-    ]
+def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certificate:
+    """``Linf.Isometry`` from the window's preimage sups ``sup``."""
+    t = op.tree
+    criterion = (
+        "isometry on the bounded functions iff the map covers every vertex "
+        "and sup of |psi| over each preimage equals 1"
+    )
+    uncovered = sup == -np.inf
+    bad = uncovered | (np.abs(sup - 1.0) > ISOMETRY_TOL)
+    w = int(bad.argmax())  # the first bad vertex, if any
+    failed = bool(bad[w])
+    # running inf of the preimage sups in id order, an uncovered vertex
+    # (-inf, below every sup) counting 0, read at the last window vertex of
+    # each depth
+    running = np.minimum.accumulate(np.maximum(sup, 0.0))
+    # an empty layer has no deeper vertex, so the window's layers are
+    # non-empty down to the depth of its last vertex and empty past it
+    deepest = int(t.depth[sup.size - 1])
+    ends = t.layer_offsets[1 : deepest + 2] - 1
+    witnesses = {"window_depth": window}
+    if failed:
+        reason = (
+            "vertex has no preimage in the window"
+            if uncovered[w]
+            else f"preimage sup of |psi| is {float(sup[w]):.12g}, not 1"
+        )
+        witnesses.update({"vertex": w, "reason": reason})
+    return Certificate(
+        statement="Linf.Isometry",
+        verdict=FAILS if failed else HOLDS,
+        criterion=criterion,
+        witnesses=witnesses,
+        depth_profile=_Rows(map(list, enumerate(running[ends].tolist()))),
+        window_depth=window,
+    )
 
 
-def fixture_by_name(name: str) -> Fixture:
-    fixtures = {fx.name: fx for fx in bundled_fixtures()}
-    if name not in fixtures:
-        raise KeyError(f"unknown fixture {name!r}")
-    return fixtures[name]
+def _no_isometry_lip(op: WeightedCompOp, window: int, sup: np.ndarray, w: int) -> Certificate:
+    """``Lip.NoIsometry`` on a tree of depth >= 2, witnessed by ``w``, the
+    first minimum of ``sup``, if uncovered, else the first vertex of depth 2."""
+    t = op.tree
+    criterion = (
+        "never an isometry from the Lipschitz space to the bounded "
+        "functions: an uncovered vertex kills a unit indicator, and a "
+        "covered vertex deeper than 1 forces operator norm above 1"
+    )
+    if sup[w] != -np.inf:
+        w = int(t.layer(2)[0])
+    s = float(op.preimage_sup[w])
+    witnesses: dict = {"window_depth": window, "vertex": w}
+    if s == -np.inf:
+        witnesses["reason"] = "no preimage: the unit indicator at this vertex maps to 0"
+    elif abs(s - 1.0) > ISOMETRY_TOL:
+        witnesses["reason"] = f"image of the unit indicator has sup norm {s:.12g}, not 1"
+    else:
+        bound = t.depth_of(w) * s
+        witnesses["reason"] = (
+            "an isometry would have norm 1, but the lower bound "
+            f"|w| * preimage sup = {bound:.12g} exceeds 1"
+        )
+        witnesses["lower_bound"] = bound
+    return Certificate("Lip.NoIsometry", HOLDS, criterion, witnesses, _Rows(), window)

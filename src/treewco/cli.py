@@ -21,7 +21,6 @@ import numpy as np
 from .certificate import _Rows
 from .classify import (
     _check_schedule,
-    bundled_fixtures,
     classify_operator,
     seven_equivalences,
 )
@@ -29,6 +28,7 @@ from .functions import norms, random_function
 from .io import (
     SCHEMA_VERSION,
     SpecError,
+    bundled_fixtures,
     canonical_json,
     fixture_report,
     golden_dir,

@@ -1,4 +1,4 @@
-"""JSON schemas, canonical serialization, and fixture reports.
+"""JSON schemas, canonical serialization, the bundled fixtures and their reports.
 
 All reports are byte-stable and carry no timestamps or absolute paths.
 ``canonical_json`` writes them in one pass, in this format:
@@ -70,6 +70,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
+from collections.abc import Callable
+from dataclasses import dataclass
 from importlib import resources
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import itemgetter
@@ -77,8 +79,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificate import _Rows
-from .classify import Fixture, classify_operator
+from .certificate import FAILS, HOLDS, TREND_CONSISTENT, TREND_INCONSISTENT, _Rows
+from .classify import classify_operator
 from .functions import (
     VertexFunction,
     depth_cap,
@@ -96,10 +98,12 @@ from .operators import (
     k_lip_bracket,
     linf_op_norm,
     lip_bounds,
+    lip_ess_norm_profile,
     map_from_table,
     zline_double,
     zline_fold,
 )
+from .oracle import surjectivity_infeasibility
 from .trees import (
     RootedTree,
     TreeBudgetError,
@@ -118,6 +122,9 @@ __all__ = [
     "load_specs",
     "tree_to_spec",
     "golden_dir",
+    "Fixture",
+    "bundled_fixtures",
+    "fixture_by_name",
     "fixture_report",
     "operator_quantities",
 ]
@@ -320,15 +327,22 @@ def _finite(value) -> float | None:
 
 
 def _int(
-    d: dict, key: str, pointer: str, default: int | None = None, minimum: int | None = None
+    d: dict,
+    key: str,
+    pointer: str,
+    default: int | None = None,
+    minimum: int | None = None,
+    maximum: int | None = None,
 ) -> int:
-    """An integer field (JSON booleans and floats rejected), at least
-    ``minimum`` when one is given."""
+    """An integer field (JSON booleans and floats rejected), within
+    ``minimum`` and ``maximum`` when they are given."""
     value = d.get(key, default) if default is not None else _require(d, key, pointer)
     if not _is_int(value):
         raise SpecError(f"{pointer}.{key}", f"expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise SpecError(f"{pointer}.{key}", f"must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise SpecError(f"{pointer}.{key}", f"must be <= {maximum}, got {value}")
     return int(value)
 
 
@@ -368,8 +382,10 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
         if family == "random":
             depth = _int(spec, "depth", pointer, minimum=0)
             seed = _int(spec, "seed", pointer, minimum=0)
-            lo = _int(spec, "min_children", pointer, 1, minimum=1)
-            hi = _int(spec, "max_children", pointer, 3, minimum=lo)
+            # the generator draws child counts as int64
+            top = int(np.iinfo(np.int64).max)
+            lo = _int(spec, "min_children", pointer, 1, minimum=1, maximum=top)
+            hi = _int(spec, "max_children", pointer, 3, minimum=lo, maximum=top)
             return random_tree(depth, seed, lo, hi)
     except TreeBudgetError as exc:
         raise SpecError(f"{pointer}.depth", str(exc)) from exc
@@ -516,11 +532,132 @@ def tree_to_spec(tree: RootedTree) -> dict:
     return spec
 
 
-# -- fixture reports ---------------------------------------------------------------
+# -- bundled fixtures and their reports ------------------------------------------
 
 
 def golden_dir() -> Path:
     return Path(resources.files("treewco") / "golden")
+
+
+@dataclass(frozen=True)
+class Fixture:
+    """A named, fully reproducible operator on ``zline(depth)`` with expected
+    verdicts; ``extra`` adds the report sections only this fixture has."""
+
+    name: str
+    depth: int
+    window_depth: int | None
+    description: str
+    weight: Callable  # integer labels -> weight values
+    map: Callable  # tree -> SelfMap
+    expected: dict
+    notes: tuple = ()
+    extra: Callable | None = None  # (op, window) -> dict
+
+    def build(self, depth: int | None = None) -> WeightedCompOp:
+        t = zline(self.depth if depth is None else depth)
+        return WeightedCompOp(VertexFunction(t, self.weight(np.asarray(t.labels))), self.map(t))
+
+    def window_for(self, depth: int) -> int | None:
+        """``window_depth`` scaled from the fixture's own depth to ``depth``."""
+        return None if self.window_depth is None else self.window_depth * depth // self.depth
+
+
+def _squared_weight(op: WeightedCompOp, window: int | None) -> dict:
+    """The Lipschitz tail and compactness certificate of the squared weight."""
+    sq = WeightedCompOp(VertexFunction(op.tree, op.psi.values**2), op.phi)
+    _, compact, *_ = classify_operator(sq, window_depth=window)["lip"]
+    return {
+        "squared_weight": {
+            "lip_ess_tail": _Rows(map(list, lip_ess_norm_profile(sq))),
+            "compact_certificate": compact.to_json(),
+        }
+    }
+
+
+def _alternating_target(op: WeightedCompOp, window: int | None) -> dict:
+    """The alternating target no preimage reaches, and the weighted-reach
+    infimum that stays positive all the same."""
+    cod = op.codomain_tree
+    target = np.where(np.asarray(cod.labels) % 2 == 0, 1.0, -1.0)
+    res = surjectivity_infeasibility(op, VertexFunction(cod, target))
+    return {
+        "infeasibility": res.to_json(),
+        "weighted_reach_infimum": {
+            "value": float(op.reach.min()),
+            "vertex_label": int(op.tree.labels[np.argmin(op.reach)]),
+            "reference_value": 2.0,
+            "discrepancy": (
+                "computed value 1 at n = 0 differs from the reference value 2; "
+                "the reference infimum ignores the root term"
+            ),
+        },
+    }
+
+
+def bundled_fixtures() -> list[Fixture]:
+    return [
+        Fixture(
+            name="z-isometry",
+            depth=8,
+            window_depth=4,
+            description=(
+                "folding map on the integer line with a 0/1 weight killing "
+                "odd negatives: an isometry on the bounded functions"
+            ),
+            weight=lambda n: np.where((n < 0) & (n % 2 != 0), 0.0, 1.0),
+            map=zline_fold,
+            expected={
+                "Linf.Isometry": HOLDS,
+                "Linf.BoundedBelow": HOLDS,
+                "Lip.NoIsometry": HOLDS,
+            },
+        ),
+        Fixture(
+            name="bounded-not-compact",
+            depth=16,
+            window_depth=None,
+            description=(
+                "identity map with weight 1/(1+|v|): bounded from the "
+                "Lipschitz space with tail climbing toward 1, so never "
+                "compact; the squared weight is compact"
+            ),
+            weight=lambda n: 1.0 / (1.0 + np.abs(n)),
+            map=identity_map,
+            expected={
+                "Lip.Bounded": TREND_CONSISTENT,
+                "Lip.Compact": TREND_INCONSISTENT,
+            },
+            extra=_squared_weight,
+        ),
+        Fixture(
+            name="not-surjective-2n",
+            depth=8,
+            window_depth=4,
+            description=(
+                "doubling map with weight 1/n (1 at the root): the weighted "
+                "reach inf |psi|(1+|phi|) stays positive yet the operator is "
+                "not onto, witnessed by an alternating target"
+            ),
+            weight=lambda n: np.where(n == 0, 1.0, 1.0 / np.where(n == 0, 1, n)),
+            map=zline_double,
+            expected={"Lip.BoundedBelow": FAILS},
+            notes=(
+                "computed inf |psi(n)|(1+|phi(n)|) is 1, attained at n = 0; "
+                "a reference value of 2 is sometimes quoted for this example "
+                "(the infimum over n != 0 only); the surjectivity failure is "
+                "unaffected by the discrepancy",
+            ),
+            extra=_alternating_target,
+        ),
+    ]
+
+
+def fixture_by_name(name: str) -> Fixture:
+    fixtures = {fx.name: fx for fx in bundled_fixtures()}
+    if name not in fixtures:
+        raise KeyError(f"unknown fixture {name!r}")
+    return fixtures[name]
 
 
 def _tail(column: np.ndarray) -> tuple[_Rows, float]:

@@ -10,18 +10,17 @@ core equal to the whole truncation and behave exactly like classic
 self-maps.
 
 Every closed-form quantity proved for these operators is computed here
-over the stored domain: operator norms, essential-norm tail profiles,
-injectivity/surjectivity moduli and their brackets, and isometry
-certificates.  Checks that quantify over target vertices (surjectivity,
-isometry, the injectivity modulus) accept a ``within_depth`` window; by
+over the stored domain: operator norms, essential-norm tail profiles, and
+injectivity/surjectivity moduli and their brackets; ``classify`` builds
+the certificates from them.  The injectivity modulus and the preimage sups
+it reads (``window_preimage_sup``) accept a ``within_depth`` window; by
 default they quantify over the whole truncation, while fixtures built from
 infinite families evaluate them on the half-depth window where the window
 faithfully sees all preimages.
 
-Two thresholds are fixed: ``STABILITY_MARGIN``, the depths by which a
-map's range must stop short of the window edge to count as finite
-(``SelfMap.finite_range_stable``), and ``ISOMETRY_TOL``, within which the
-isometry checks count a preimage sup as 1.
+One threshold is fixed: ``STABILITY_MARGIN``, the depths by which a map's
+range must stop short of the window edge to count as finite
+(``SelfMap.finite_range_stable``).
 
 Data layout: a map keeps its image array and the ``coverage`` count of
 preimages per vertex.  An operator lazily caches two arrays that every
@@ -39,7 +38,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .certificate import FAILS, HOLDS, Certificate, _Rows
 from .functions import VertexFunction
 from .trees import RootedTree, zline_ids
 
@@ -66,13 +64,10 @@ __all__ = [
     "k_linf",
     "j_lip_bracket",
     "k_lip_bracket",
-    "isometry_check_linf",
-    "isometry_check_lip",
     "tail_trend_slope",
 ]
 
 STABILITY_MARGIN = 3
-ISOMETRY_TOL = 1e-9
 
 
 class MapSpecError(ValueError):
@@ -415,82 +410,3 @@ def k_lip_bracket(op: WeightedCompOp) -> tuple[float, float]:
     if not op.phi.injective_on_domain or low == 0.0:
         return (0.0, 0.0)
     return (low / 3.0, float(op.reach.min()))
-
-
-# -- isometry certificates ------------------------------------------------------
-
-
-def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
-    """Isometry on the bounded functions: every window vertex must be
-    covered and have preimage sup of |psi| equal to 1."""
-    t = op.tree
-    window = t.depth_limit if within_depth is None else within_depth
-    criterion = (
-        "isometry on the bounded functions iff the map covers every vertex "
-        "and sup of |psi| over each preimage equals 1"
-    )
-    sup = window_preimage_sup(op, within_depth)
-    uncovered = sup == -np.inf
-    bad = uncovered | (np.abs(sup - 1.0) > ISOMETRY_TOL)
-    w = int(bad.argmax())  # the first bad vertex, if any
-    failed = bool(bad[w])
-    # running inf of the preimage sups in id order, an uncovered vertex
-    # (-inf, below every sup) counting 0, read at the last window vertex of
-    # each depth
-    running = np.minimum.accumulate(np.maximum(sup, 0.0))
-    # an empty layer has no deeper vertex, so the window's layers are
-    # non-empty down to the depth of its last vertex and empty past it
-    deepest = int(t.depth[sup.size - 1])
-    ends = t.layer_offsets[1 : deepest + 2] - 1
-    witnesses = {"window_depth": window}
-    if failed:
-        reason = (
-            "vertex has no preimage in the window"
-            if uncovered[w]
-            else f"preimage sup of |psi| is {float(sup[w]):.12g}, not 1"
-        )
-        witnesses.update({"vertex": w, "reason": reason})
-    return Certificate(
-        statement="Linf.Isometry",
-        verdict=FAILS if failed else HOLDS,
-        criterion=criterion,
-        witnesses=witnesses,
-        depth_profile=_Rows(map(list, enumerate(running[ends].tolist()))),
-        window_depth=window,
-    )
-
-
-def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
-    """No operator from the Lipschitz space to the bounded functions is an
-    isometry; always returns Holds with an explicit witness."""
-    t = op.tree
-    window = t.depth_limit if within_depth is None else within_depth
-    if t.depth_limit < 2:
-        raise IndexError("need a vertex deeper than 1 to exhibit the witness")
-    criterion = (
-        "never an isometry from the Lipschitz space to the bounded "
-        "functions: an uncovered vertex kills a unit indicator, and a "
-        "covered vertex deeper than 1 forces operator norm above 1"
-    )
-    sup = window_preimage_sup(op, within_depth)
-    w = int(sup.argmin())  # the first uncovered vertex, if any
-    if sup[w] != -np.inf:
-        w = int(t.layer(2)[0])
-    s = float(op.preimage_sup[w])
-    witnesses: dict = {"window_depth": window, "vertex": w}
-    if s == -np.inf:
-        witnesses["reason"] = "no preimage: the unit indicator at this vertex maps to 0"
-    elif abs(s - 1.0) > ISOMETRY_TOL:
-        witnesses["reason"] = f"image of the unit indicator has sup norm {s:.12g}, not 1"
-    else:
-        bound = t.depth_of(w) * s
-        witnesses.update(
-            {
-                "reason": (
-                    "an isometry would have norm 1, but the lower bound "
-                    f"|w| * preimage sup = {bound:.12g} exceeds 1"
-                ),
-                "lower_bound": bound,
-            }
-        )
-    return Certificate("Lip.NoIsometry", HOLDS, criterion, witnesses, _Rows(), window)

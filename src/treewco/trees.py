@@ -371,7 +371,8 @@ def random_tree(
 
 
 def explicit_tree(edges: Iterable[Sequence], root) -> RootedTree:
-    """Build from an undirected edge list plus a root.
+    """Build from an undirected edge list, each edge a 2-item list or tuple,
+    plus a root.
 
     Ids are breadth-first, each vertex's children in label order (integers
     first), and the depth limit is the deepest vertex's depth.  Rejects
@@ -381,7 +382,7 @@ def explicit_tree(edges: Iterable[Sequence], root) -> RootedTree:
     """
     adj: dict = {}
     for e in edges:
-        if len(e) != 2 or e[0] == e[1]:
+        if not isinstance(e, (list, tuple)) or len(e) != 2 or e[0] == e[1]:
             raise TreeStructureError(f"bad edge {e!r}")
         u, v = e
         adj.setdefault(u, set()).add(v)

@@ -520,6 +520,33 @@ class TestOnePass:
             want = [list(row) for row in _prefix_sup_profile(op, quantity, sched)]
             assert by[statement].depth_profile == want
 
+    @pytest.mark.parametrize("op, window", _one_pass_operators())
+    def test_one_window_read_per_classification(self, op, window, monkeypatch):
+        def text(certs):
+            return canonical_json([c.to_json() for c in certs["linf"] + certs["lip"]])
+
+        want = text(tw.classify_operator(op, None, window))
+        # every window read, in whichever module it is looked up, and every
+        # argmin of a slice that a read returns
+        reads, argmins = [], []
+
+        class Counted(np.ndarray):
+            def argmin(self, *args, **kwargs):
+                argmins.append(self.size)
+                return super().argmin(*args, **kwargs)
+
+        read = tw.operators.window_preimage_sup
+
+        def counted(op, within_depth=None):
+            reads.append(within_depth)
+            return read(op, within_depth).view(Counted)
+
+        for module in (tw.operators, tw.classify):
+            monkeypatch.setattr(module, "window_preimage_sup", counted)
+        got = text(tw.classify_operator(op, None, window))
+        assert (len(reads), len(argmins)) == (1, 1)
+        assert got == want
+
     @pytest.mark.parametrize(
         "depth, schedule, message",
         [

@@ -778,6 +778,19 @@ BAD_LOOKUPS = [
 ]
 
 
+# tree builder inputs that once passed or failed with no field named: a
+# 2-letter string made an edge, an object edge raised a KeyError, and a
+# child count past int64 stopped the generator's draw
+BAD_BUILDER_INPUTS = [
+    ("tree", {"family": "explicit", "edges": ["ab"], "root": "a"}, "tree.edges"),
+    ("tree", {"family": "explicit", "edges": [{"x": 1, "y": 2}], "root": 1}, "tree.edges"),
+    ("tree", {"family": "random", "depth": 2, "seed": 0, "max_children": 10**20},
+     "tree.max_children"),
+    ("tree", {"family": "random", "depth": 2, "seed": 0, "min_children": 2**63,
+              "max_children": 2**63}, "tree.min_children"),
+]
+
+
 # the tree builders' own ranges, checked at load time, and their vertex
 # budget
 BAD_RANGES = [
@@ -826,7 +839,8 @@ class TestMalformedSpecs:
         assert pointer in err
 
     @pytest.mark.parametrize(
-        "which,spec,pointer", BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES + BAD_LOOKUPS
+        "which,spec,pointer",
+        BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES + BAD_LOOKUPS + BAD_BUILDER_INPUTS,
     )
     def test_bad_section_or_entry_exits_one_with_pointer(
         self, specs, tmp_path, capsys, which, spec, pointer

@@ -49,3 +49,30 @@ def test_package_names_are_the_union_of_the_lists():
     }
     assert exported == declared
     assert tw.__version__
+
+
+def package_imports(module) -> set:
+    """The package modules that a module's ``from .x import`` lines name."""
+    return {
+        node.module
+        for node in ast.walk(ast.parse(inspect.getsource(module)))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+    }
+
+
+def test_each_module_imports_only_what_its_layer_needs():
+    # closed forms read trees and functions; certificates read closed forms;
+    # the oracles check closed forms, never the certificates or the reports
+    assert package_imports(tw.operators) == {"functions", "trees"}
+    assert package_imports(tw.classify) == {"certificate", "operators"}
+    assert not package_imports(tw.oracle) & {"classify", "io"}
+
+
+def test_only_classify_builds_certificates():
+    builders = set()
+    for m in pkgutil.iter_modules(tw.__path__):
+        module = importlib.import_module(f"treewco.{m.name}")
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Certificate":
+                builders.add(m.name)
+    assert builders == {"classify"}

@@ -39,7 +39,9 @@ The corpus, per seed:
 Entry points: ``analyze`` (``canonical_json`` of ``classify_operator``,
 ``operator_quantities`` and, under unit weight, ``seven_equivalences``,
 as ``treewco analyze`` assembles them; the builtin grid with no window
-and tolerance 1e-6), ``fixture_report`` (each bundled
+and tolerance 1e-6), ``isometry.linf`` and ``isometry.lip`` (the public
+``isometry_check_linf`` and ``isometry_check_lip`` on both windows, a
+refused call recording its error), ``fixture_report`` (each bundled
 fixture at depths 2-12 and its own), the oracles' ``to_json`` (both
 methods of ``norm_oracle_linf`` and ``norm_oracle_lip``,
 ``j_oracle_linf_bracket`` on both windows, ``surjectivity_infeasibility``
@@ -214,6 +216,11 @@ def corpus(seed: int, workdir: Path):
             w = n // 2 if window else None
             yield "analyze", f"{name}/w{w}/t{tol:g}", _guarded(
                 lambda: _analyze_text(tw, np, op, w, tol))
+        for w in (None, n // 2):
+            for point, check in (("isometry.linf", tw.isometry_check_linf),
+                                 ("isometry.lip", tw.isometry_check_lip)):
+                yield point, f"{name}/w{w}", _guarded(
+                    lambda: tw.canonical_json(check(op, w).to_json()))
         for point, entry, text in _oracle_texts(tw, np, op, oracle_rng):
             yield point, f"{name}/{entry}", text
         files = {
