@@ -13,6 +13,12 @@ a profile stays bounded when its last value is at most ``_GROWTH_FACTOR``
 times the larger of the one before and ``zero_tol``.  ``zero_tol`` is the
 one settable threshold; the isometry checks count a preimage sup within
 the fixed ``ISOMETRY_TOL`` of 1 as 1.
+
+Every profile is a read of rows the operator caches once (see
+``operators``): Bounded reads ``head_sups`` at the schedule depths, Compact
+reads ``tail_sups``, and ``Linf.Isometry`` reads ``preimage_inf`` down to
+the window.  A classification scans only the window's preimage sups, for
+the first vertex that decides the bounded-below and isometry witnesses.
 """
 
 from __future__ import annotations
@@ -138,9 +144,8 @@ def classify_operator(
         schedule = default_schedule(t.depth_limit)
     sched = _check_schedule(schedule, t.depth_limit)
     depths = np.array(sched)
-    # breadth-first ids make the domain depth-sorted; a depth past the
-    # domain reads its last id
-    ends = np.minimum(t.layer_offsets[depths + 1], op.phi.domain_size) - 1
+    # a depth past the domain reads the domain's last row
+    linf_heads, lip_heads = op.head_sups[np.minimum(depths, op.phi.domain_depth)].T.tolist()
     linf_tails, lip_tails = op.tail_sups[depths - 1].T.tolist()
     stable = op.phi.finite_range_stable()
     # the vertex deciding the inf-sup of j_linf and, when uncovered, the
@@ -154,22 +159,20 @@ def classify_operator(
     else:
         below = {"vertex": w, "preimage_sup": float(sup[w])}
     lo, up = lip_bounds(op)  # the lower end is the exact norm
-    # per space: the reach whose prefix sup decides Bounded, the tail,
+    # per space: the sups over depth <= d that decide Bounded, the tail,
     # the norm witnesses, the isometry certificates (the Lipschitz witness
     # is a vertex deeper than 1) and the modulus with its witnesses (the
     # Lipschitz one is j_lip_bracket's (M/3, M))
     spaces = (
-        ("Linf", op.abs_psi_on_domain, linf_tails, {"sup_psi": linf_op_norm(op)},
+        ("Linf", linf_heads, linf_tails, {"sup_psi": linf_op_norm(op)},
          (_isometry_linf(op, window, sup),), j, {"injectivity_modulus": j}),
-        ("Lip", op.reach, lip_tails, {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
+        ("Lip", lip_heads, lip_tails, {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
          (_no_isometry_lip(op, window, sup, w),) if t.depth_limit >= 2 else (),
          j / 3.0, {"bracket": [j / 3.0, j]}),
     )
     out = {}
-    for prefix, reach, tail_vals, norms, isometry, modulus, modulus_witnesses in spaces:
+    for prefix, bounded_vals, tail_vals, norms, isometry, modulus, modulus_witnesses in spaces:
         bounded_text, compact_text, below_text = _CRITERIA[prefix]
-        # sup of the reach over the domain vertices of depth <= d
-        bounded_vals = np.maximum.accumulate(reach)[ends].tolist()
         if stable:
             verdict = HOLDS
             witnesses = {
@@ -284,23 +287,18 @@ def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certific
         "isometry on the bounded functions iff the map covers every vertex "
         "and sup of |psi| over each preimage equals 1"
     )
-    uncovered = sup == -np.inf
-    bad = uncovered | (np.abs(sup - 1.0) > ISOMETRY_TOL)
+    # an uncovered vertex's -inf is off 1 too
+    bad = np.abs(sup - 1.0) > ISOMETRY_TOL
     w = int(bad.argmax())  # the first bad vertex, if any
     failed = bool(bad[w])
-    # running inf of the preimage sups in id order, an uncovered vertex
-    # (-inf, below every sup) counting 0, read at the last window vertex of
-    # each depth
-    running = np.minimum.accumulate(np.maximum(sup, 0.0))
     # an empty layer has no deeper vertex, so the window's layers are
     # non-empty down to the depth of its last vertex and empty past it
     deepest = int(t.depth[sup.size - 1])
-    ends = t.layer_offsets[1 : deepest + 2] - 1
     witnesses = {"window_depth": window}
     if failed:
         reason = (
             "vertex has no preimage in the window"
-            if uncovered[w]
+            if sup[w] == -np.inf
             else f"preimage sup of |psi| is {float(sup[w]):.12g}, not 1"
         )
         witnesses.update({"vertex": w, "reason": reason})
@@ -309,7 +307,7 @@ def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certific
         verdict=FAILS if failed else HOLDS,
         criterion=criterion,
         witnesses=witnesses,
-        depth_profile=_Rows(map(list, enumerate(running[ends].tolist()))),
+        depth_profile=_Rows(map(list, enumerate(op.preimage_inf[: deepest + 1].tolist()))),
         window_depth=window,
     )
 

@@ -91,6 +91,8 @@ from .functions import (
 from .operators import (
     SelfMap,
     WeightedCompOp,
+    _slope,
+    _slope_design,
     constant_map,
     identity_map,
     j_linf,
@@ -660,23 +662,29 @@ def fixture_by_name(name: str) -> Fixture:
     return fixtures[name]
 
 
-def _tail(column: np.ndarray) -> tuple[_Rows, float]:
+def _tail(column: np.ndarray, design: tuple | None) -> tuple[_Rows, float]:
     """The ``[n, value]`` rows of one ``tail_sups`` column and their
-    least-squares slope: what ``linf_ess_norm_profile`` or
-    ``lip_ess_norm_profile`` and ``tail_trend_slope`` give, bit for bit,
-    since ``np.polyfit`` sees the same values."""
+    least-squares slope on ``design``, ``_slope_design`` of the depths
+    (None for fewer than two rows, whose slope is 0): what
+    ``linf_ess_norm_profile`` or ``lip_ess_norm_profile`` and
+    ``tail_trend_slope`` give, bit for bit.  The slope is numpy
+    ``polyfit``'s, from one ``lstsq`` per column on polyfit's own scaled
+    matrix, built once for both columns.  A single two-column ``polyfit``
+    would be shorter, but it solves both columns in one LAPACK call, whose
+    slopes differ from the one-column ones in the last bits, and the
+    reports keep roundoff slopes such as ``1.34583129721e-16``."""
     rows = _Rows(map(list, enumerate(column.tolist())))
-    if column.size < 2:
-        return rows, 0.0
-    return rows, float(np.polyfit(np.arange(column.size, dtype=np.float64), column, 1)[0])
+    return rows, 0.0 if design is None else _slope(design, column)
 
 
 def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> dict:
     exact, up = lip_bounds(op)  # the lower end is the exact norm
     j = j_linf(op, window_depth)  # j_lip_bracket is (j / 3, j)
     klo, kup = k_lip_bracket(op)
-    linf_tail, linf_slope = _tail(op.tail_sups[:, 0])
-    lip_tail, lip_slope = _tail(op.tail_sups[:, 1])
+    tails = op.tail_sups
+    design = _slope_design(np.arange(len(tails))) if len(tails) >= 2 else None
+    linf_tail, linf_slope = _tail(tails[:, 0], design)
+    lip_tail, lip_slope = _tail(tails[:, 1], design)
     return {
         "linf_op_norm": linf_op_norm(op),
         "linf_ess_tail": linf_tail,

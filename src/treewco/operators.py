@@ -12,8 +12,8 @@ self-maps.
 Every closed-form quantity proved for these operators is computed here
 over the stored domain: operator norms, essential-norm tail profiles, and
 injectivity/surjectivity moduli and their brackets; ``classify`` builds
-the certificates from them.  The injectivity modulus and the preimage sups
-it reads (``window_preimage_sup``) accept a ``within_depth`` window; by
+the certificates from them.  The injectivity modulus and the window's
+preimage sups (``window_preimage_sup``) accept a ``within_depth`` window; by
 default they quantify over the whole truncation, while fixtures built from
 infinite families evaluate them on the half-depth window where the window
 faithfully sees all preimages.
@@ -23,11 +23,17 @@ range must stop short of the window edge to count as finite
 (``SelfMap.finite_range_stable``).
 
 Data layout: a map keeps its image array and the ``coverage`` count of
-preimages per vertex.  An operator lazily caches two arrays that every
-closed form reads: ``preimage_sup``, the sup of |psi| over each
-vertex's preimage (one ``np.maximum.at`` over the image, ``-inf`` where
-there is no preimage), and ``tail_sups``, both essential-norm tail
-profiles from one per-depth maximum and a suffix maximum.
+preimages per vertex.  An operator lazily caches the arrays that every
+closed form reads, each computed once per operator:
+``preimage_sup``, the sup of |psi| over each vertex's preimage (one
+``np.maximum.at`` over the image, ``-inf`` where there is no preimage);
+``tail_sups``, both essential-norm tail profiles from one maximum per
+image depth and a suffix maximum; and two per-depth running reductions
+over id layers (``depth_running``: one ``reduceat`` over the layer
+offsets, then an ``accumulate`` over depths).  ``head_sups`` holds the
+sups of |psi| and of the reach over depth <= d, whose last row gives
+both norms' sups; ``preimage_inf`` holds the inf of ``preimage_sup`` over
+depth <= d, which is ``j_linf`` on the window of depth d.
 """
 
 from __future__ import annotations
@@ -141,10 +147,9 @@ class SelfMap:
     @cached_property
     def _range_max(self) -> np.ndarray:
         """max |phi(v)| over domain vertices with depth <= d, per depth d."""
-        per_depth = depth_max(
-            self.tree.depth[: self.domain_size], self.image_depth, self.domain_depth + 1
+        m = depth_running(
+            np.maximum, self.image_depth, self.tree.layer_offsets[: self.domain_depth + 1]
         )
-        m = np.maximum.accumulate(per_depth)
         m.setflags(write=False)
         return m
 
@@ -270,6 +275,24 @@ class WeightedCompOp:
         return r
 
     @cached_property
+    def psi_inf(self) -> float:
+        """inf |psi| over the domain: both surjectivity moduli read it."""
+        return float(self.abs_psi_on_domain.min())
+
+    @cached_property
+    def head_sups(self) -> np.ndarray:
+        """Row d holds (sup |psi|, sup of the reach) over the domain vertices
+        with depth <= d, for 0 <= d <= the domain depth: the Bounded
+        profiles of both spaces, and in the last row both norms' sups."""
+        starts = self.tree.layer_offsets[: self.phi.domain_depth + 1]
+        h = np.column_stack([
+            depth_running(np.maximum, self.abs_psi_on_domain, starts),
+            depth_running(np.maximum, self.reach, starts),
+        ])
+        h.setflags(write=False)
+        return h
+
+    @cached_property
     def preimage_sup(self) -> np.ndarray:
         """Sup of |psi| over the preimage of each vertex; ``-inf`` marks a
         vertex with no preimage, apart from a covered one with sup 0."""
@@ -290,6 +313,31 @@ class WeightedCompOp:
         tails = suffix[1:]
         tails.setflags(write=False)
         return tails
+
+    @cached_property
+    def preimage_inf(self) -> np.ndarray:
+        """Row d is the inf of ``preimage_sup`` over the vertices with depth
+        <= d, clamped at 0 (an uncovered vertex counts 0), for 0 <= d <= N:
+        ``j_linf`` on the window of depth d."""
+        inf = np.maximum(
+            depth_running(np.minimum, self.preimage_sup, self.tree.layer_offsets[:-1]), 0.0
+        )
+        inf.setflags(write=False)
+        return inf
+
+
+def depth_running(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Row d is ``ufunc`` reduced over the entries of ``values`` with depth
+    <= d, one row per layer start in ``starts``; ``values`` is indexed by
+    breadth-first id and covers exactly those layers, so depth d's entries
+    begin at ``starts[d]``.  A depth past the last entry repeats the row
+    before it."""
+    # reduceat refuses a start at the end of ``values`` and runs its last
+    # segment to that end, so it reads only the layers that hold entries:
+    # those come first, since a vertex's parent lies one layer up
+    k = int(np.searchsorted(starts, values.size))
+    run = ufunc.accumulate(ufunc.reduceat(values, starts[:k]))
+    return run if k == starts.size else run[np.minimum(np.arange(starts.size), k - 1)]
 
 
 def depth_max(depth: np.ndarray, values: np.ndarray, n_depths: int) -> np.ndarray:
@@ -323,7 +371,7 @@ def apply_op(op: WeightedCompOp, f: VertexFunction) -> VertexFunction:
 
 def linf_op_norm(op: WeightedCompOp) -> float:
     """Operator norm on the bounded functions: sup |psi| over the domain."""
-    return float(op.abs_psi_on_domain.max())
+    return float(op.head_sups[-1, 0])
 
 
 def linf_ess_norm_profile(op: WeightedCompOp) -> tuple:
@@ -338,7 +386,7 @@ def lip_bounds(op: WeightedCompOp) -> tuple[float, float]:
     """Sandwich for the Lipschitz-to-bounded operator norm:
     max(sup|psi|, sup|psi|*|phi|) <= norm <= sup |psi|*(1+|phi|).  The
     lower end is ``lip_exact_norm``, the same maximum."""
-    return (lip_exact_norm(op), float(op.reach.max()))
+    return (lip_exact_norm(op), float(op.head_sups[-1, 1]))
 
 
 def lip_exact_norm(op: WeightedCompOp) -> float:
@@ -346,8 +394,13 @@ def lip_exact_norm(op: WeightedCompOp) -> float:
     point-evaluation norm max(1, |w|) on the Lipschitz unit ball.  The
     oracle module validates that point-evaluation identity independently.
     """
-    d = np.maximum(1, op.phi.image_depth)
-    return float((op.abs_psi_on_domain * d).max())
+    sup = op.head_sups[-1, 0]
+    if op.tree.depth_limit == 0:
+        return float(sup)
+    # tail row 0 is sup |psi||phi| over |phi| >= 1, where max(1, |phi|) is
+    # |phi|; the vertices with |phi| = 0 add |psi|, and sup |psi| is at most
+    # the exchange's maximum, so this is the same maximum of the same products
+    return float(max(sup, op.tail_sups[0, 1]))
 
 
 def lip_ess_norm_profile(op: WeightedCompOp) -> tuple:
@@ -361,28 +414,49 @@ def tail_trend_slope(profile) -> float:
     vs = np.asarray([p[1] for p in profile], dtype=np.float64)
     if ns.size < 2:
         return 0.0
-    return float(np.polyfit(ns, vs, 1)[0])
+    return _slope(_slope_design(ns), vs)
+
+
+def _slope_design(x: np.ndarray) -> tuple:
+    """numpy ``polyfit``'s degree-1 design matrix on the abscissae ``x``
+    (at least two): ``vander(x, 2)`` over its column norms, with those
+    norms."""
+    lhs = np.vander(x + 0.0, 2)
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    return lhs / scale, scale
+
+
+def _slope(design: tuple, y: np.ndarray) -> float:
+    """The slope ``polyfit(x, y, 1)`` gives, bit for bit, from
+    ``_slope_design(x)``: polyfit's own ``lstsq`` call and ``rcond``."""
+    lhs, scale = design
+    c = np.linalg.lstsq(lhs, y, rcond=y.size * np.finfo(np.float64).eps)[0]
+    return float(c[0] / scale[0])
 
 
 # -- minimum moduli ------------------------------------------------------------
+
+
+def _window_depth(tree: RootedTree, within_depth: int | None) -> int:
+    """The window depth, N by default; an IndexError outside [0, N]."""
+    limit = tree.depth_limit if within_depth is None else within_depth
+    if not 0 <= limit <= tree.depth_limit:
+        raise IndexError(f"window depth {limit} outside [0, {tree.depth_limit}]")
+    return limit
 
 
 def window_preimage_sup(op: WeightedCompOp, within_depth: int | None = None) -> np.ndarray:
     """``op.preimage_sup`` on the target vertices of depth <= the window
     (the whole truncation by default)."""
     t = op.tree
-    limit = t.depth_limit if within_depth is None else within_depth
-    if not 0 <= limit <= t.depth_limit:
-        raise IndexError(f"window depth {limit} outside [0, {t.depth_limit}]")
-    return op.preimage_sup[: SelfMap.domain_size_for(t, limit)]
+    return op.preimage_sup[: SelfMap.domain_size_for(t, _window_depth(t, within_depth))]
 
 
 def j_linf(op: WeightedCompOp, within_depth: int | None = None) -> float:
     """Injectivity modulus on the bounded functions: 0 unless every target
     vertex (in the window) has a preimage, else the smallest preimage sup
-    of |psi|."""
-    # an uncovered vertex carries -inf, which the clamp turns into 0
-    return max(float(window_preimage_sup(op, within_depth).min()), 0.0)
+    of |psi|, read from ``preimage_inf``."""
+    return float(op.preimage_inf[_window_depth(op.tree, within_depth)])
 
 
 def k_linf(op: WeightedCompOp) -> float:
@@ -390,7 +464,7 @@ def k_linf(op: WeightedCompOp) -> float:
     injective, 0 otherwise (a zero of psi forces 0 through the infimum)."""
     if not op.phi.injective_on_domain:
         return 0.0
-    return float(op.abs_psi_on_domain.min())
+    return op.psi_inf
 
 
 def j_lip_bracket(
@@ -406,7 +480,7 @@ def k_lip_bracket(op: WeightedCompOp) -> tuple[float, float]:
     """Bracket for the Lipschitz-to-bounded surjectivity modulus:
     (inf|psi|/3, inf |psi|*(1+|phi|)) when phi is injective and psi has no
     zero; (0, 0) otherwise."""
-    low = float(op.abs_psi_on_domain.min())
+    low = op.psi_inf
     if not op.phi.injective_on_domain or low == 0.0:
         return (0.0, 0.0)
     return (low / 3.0, float(op.reach.min()))

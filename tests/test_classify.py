@@ -18,13 +18,14 @@ from treewco.classify import (
 )
 from treewco.io import (
     SCHEMA_VERSION,
+    _tail,
     canonical_json,
     fixture_report,
     golden_dir,
     operator_quantities,
     tree_to_spec,
 )
-from treewco.operators import STABILITY_MARGIN
+from treewco.operators import STABILITY_MARGIN, _slope_design
 
 from conftest import ref_bounded_below_witness, ref_preimages, shuffled_edges
 
@@ -634,6 +635,24 @@ class TestTailsFromColumns:
             assert [(type(n), type(v)) for n, v in rows] == [(int, float)] * len(profile)
             assert [(n, _bits(v)) for n, v in rows] == [(n, _bits(v)) for n, v in profile]
             assert _bits(q[f"{key}_ess_tail_slope"]) == _bits(tw.tail_trend_slope(profile))
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7, 10, 100, 1000, 10_000])
+    def test_slopes_are_polyfits_bit_for_bit(self, k):
+        rng = np.random.default_rng(k)
+        n = np.arange(k, dtype=np.float64)
+        columns = {
+            "random": rng.random(k),
+            "suffix max": np.maximum.accumulate(rng.random(k)[::-1])[::-1],
+            "constant": np.full(k, 0.3),
+            "reciprocal": 1.0 / (n + 2.0),
+        }
+        # strided columns of one array, as tail_sups hands them over
+        tails = np.column_stack(list(columns.values()))
+        design = _slope_design(np.arange(k))
+        for i, kind in enumerate(columns):
+            want = _bits(np.polyfit(n, tails[:, i], 1)[0])
+            assert _bits(_tail(tails[:, i], design)[1]) == want, kind
+            assert _bits(tw.tail_trend_slope(list(enumerate(tails[:, i].tolist())))) == want, kind
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 1000])
     def test_short_and_deep_profiles(self, depth):

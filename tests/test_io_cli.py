@@ -1070,3 +1070,79 @@ class TestSpecFuzz:
     @settings(max_examples=150, deadline=None)
     def test_malformed_spec_exits_zero_or_one(self, tmp_path_factory, mode, tree, psi, phi):
         assert self.run_cli(tmp_path_factory, mode, tree, psi, phi) in (0, 1)
+
+
+# Valid (tree, psi, phi) spec triples of at most ten vertices, one per tree
+# family; each weight and map kind appears.
+_VALID_SPECS = [
+    ({"family": "zline", "depth": 4},
+     {"kind": "builtin", "name": "g", "params": {"n": 4, "r": 0.5}},
+     {"kind": "builtin", "name": "zfold"}),
+    ({"family": "homogeneous", "q": 2, "depth": 1},
+     {"kind": "table", "values": {"0": 1.0, "1": -0.5, "2": 0.0, "3": 2}},
+     {"kind": "table", "map": {"0": 0, "1": 2, "2": 1, "3": 3}}),
+    ({"family": "random", "depth": 2, "seed": 1, "min_children": 1, "max_children": 2},
+     {"kind": "builtin", "name": "chi", "params": {"vertex": 1}},
+     {"kind": "builtin", "name": "identity"}),
+    ({"family": "explicit", "edges": [[0, 1], [1, 2], [0, 3], [3, 4]], "root": 0, "depth": 2},
+     {"kind": "builtin", "name": "eta", "params": {"vertex": 2}},
+     {"kind": "builtin", "name": "constant", "params": {"target": 1}}),
+    ({"family": "zline", "depth": 3},
+     {"kind": "builtin", "name": "F_N", "params": {"cap": 2}},
+     {"kind": "builtin", "name": "double"}),
+]
+
+
+def _field_paths(spec, path=()):
+    """The key path of every field of a spec, nested ones included."""
+    for key, value in spec.items():
+        yield path + (key,)
+        if isinstance(value, dict):
+            yield from _field_paths(value, path + (key,))
+
+
+@st.composite
+def _one_field_changed(draw):
+    """A valid spec triple with one field of one spec dropped or set to
+    arbitrary JSON."""
+    triple = json.loads(json.dumps(draw(st.sampled_from(_VALID_SPECS))))
+    which = draw(st.integers(0, 2))
+    path = draw(st.sampled_from(list(_field_paths(triple[which]))))
+    parent = triple[which]
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_json)
+    return triple
+
+
+class TestSpecLoaderProperty:
+    @staticmethod
+    def run_cli(tmp_path_factory, mode, triple) -> tuple:
+        d = tmp_path_factory.mktemp("spec")
+        argv = [mode]
+        for name, spec in zip(("tree", "psi", "phi"), triple):
+            argv += [f"--{name}", write(d, f"{name}.json", spec)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+        return rc, err.getvalue()
+
+    @pytest.mark.parametrize("mode", ["analyze", "norms", "oracle"])
+    def test_the_valid_specs_exit_zero(self, tmp_path_factory, mode):
+        for triple in _VALID_SPECS:
+            assert self.run_cli(tmp_path_factory, mode, triple) == (0, "")
+
+    @given(st.sampled_from(["analyze", "norms", "oracle"]), _one_field_changed())
+    @settings(max_examples=150, deadline=None)
+    def test_one_changed_field_exits_zero_or_names_its_pointer(
+        self, tmp_path_factory, mode, triple
+    ):
+        rc, err = self.run_cli(tmp_path_factory, mode, triple)
+        if rc == 0:
+            assert err == ""
+        else:
+            # a pointer into one of the three specs, never a bare "error:"
+            assert rc == 1 and re.match(r"spec error: (tree|psi|phi)[.:]", err), err

@@ -621,3 +621,75 @@ class TestArrayCoreMatchesLoops:
                 w, reason = ref_isometry_lip_witness(op, pre, within)
                 lip = tw.isometry_check_lip(op, within)
                 assert lip.witnesses["vertex"] == w and reason in lip.witnesses["reason"]
+
+
+def ref_running(tree, values, depth, fold) -> list:
+    """Row d folds ``values`` (indexed by vertex id) over the vertices of
+    depth <= d, for 0 <= d <= ``depth``, one vertex at a time."""
+    rows = []
+    for d in range(depth + 1):
+        acc = None
+        for v, x in enumerate(values):
+            if tree.depth_of(v) <= d:
+                acc = x if acc is None else fold(acc, x)
+        rows.append(acc)
+    return rows
+
+
+def check_per_depth_rows(op):
+    """``head_sups``, ``preimage_inf`` and ``_range_max``, and the norms and
+    modulus read from them, against per-vertex loops."""
+    t, phi = op.tree, op.phi
+    image_depth = [t.depth_of(int(phi.image[v])) for v in range(phi.domain_size)]
+    a = [abs(float(x)) for x in op.psi.values[: phi.domain_size]]
+    reach = [x * (1.0 + d) for x, d in zip(a, image_depth)]
+    heads = zip(ref_running(t, a, phi.domain_depth, max),
+                ref_running(t, reach, phi.domain_depth, max))
+    assert op.head_sups.tolist() == [list(row) for row in heads]
+    pre = ref_preimages(phi)
+    # an uncovered vertex counts 0, as in the clamped infimum
+    sups = [ref_sup(op, pre, w) or 0.0 for w in range(len(t))]
+    assert op.preimage_inf.tolist() == ref_running(t, sups, t.depth_limit, min)
+    assert phi._range_max.tolist() == ref_running(t, image_depth, phi.domain_depth, max)
+    assert tw.linf_op_norm(op) == max(a)
+    assert tw.lip_bounds(op)[1] == max(reach)
+    assert tw.lip_exact_norm(op) == max(x * max(1, d) for x, d in zip(a, image_depth))
+    for within in range(t.depth_limit + 1):
+        assert tw.j_linf(op, within) == ref_j_linf(op, pre, within)
+
+
+class TestPerDepthRows:
+    @given(small_operators())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_per_vertex_loops(self, op):
+        check_per_depth_rows(op)
+
+    @pytest.mark.parametrize("depth", [1, 2, 6, 7])
+    def test_doubling_core_with_zero_weights(self, depth):
+        t = tw.zline(depth)
+        psi = np.where(label_fn(t) % 3 == 0, 0.0, 1.0 / (1.0 + t.depth))
+        for phi in (tw.zline_double(t), tw.zline_fold(t), tw.constant_map(t, 1)):
+            check_per_depth_rows(op_on(t, psi, phi))
+
+    @pytest.mark.parametrize("limit", [2, 3, 5])
+    def test_depths_past_the_deepest_vertex_repeat_its_row(self, limit):
+        base = tw.homogeneous(2, 2)
+        t = tw.RootedTree(base.parent.copy(), base.depth.copy(), limit, "explicit", base.labels)
+        rng = np.random.default_rng(limit)
+        psi = rng.choice([0.0, 0.5, 1.0, 2.0], size=len(t))
+        maps = [tw.identity_map(t), tw.random_map(t, rng), tw.random_permutation_map(t, rng)]
+        maps += [SelfMap(t, rng.integers(0, len(t), size=SelfMap.domain_size_for(t, d)), d)
+                 for d in range(limit + 1)]
+        for phi in maps:
+            check_per_depth_rows(op_on(t, psi, phi))
+
+    def test_rows_are_computed_once_per_operator(self):
+        t = tw.homogeneous(2, 3)
+        op = random_operator(t, np.random.default_rng(3), surjective=True)
+        tw.classify_operator(op)
+        tw.operator_quantities(op)
+        assert {"head_sups", "preimage_inf", "tail_sups", "psi_inf"} <= vars(op).keys()
+        assert {"_range_max"} <= vars(op.phi).keys()
+        for rows in (op.head_sups, op.preimage_inf, op.phi._range_max):
+            with pytest.raises(ValueError):
+                rows[0] = 5

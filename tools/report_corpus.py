@@ -27,6 +27,10 @@ The corpus, per seed:
 - weights: unit, ``1 / (1 + |v|)``, and signed magnitudes ``10**u`` with
   ``u`` uniform in [-310, 17] and a fifth of them exact zeros;
 - windows ``None`` and ``N // 2``, zero tolerances 1e-6 and 1e-3;
+- besides the default depth schedule, three explicit ones (no window,
+  tolerance 1e-6): the single depth ``(1,)``, the sparse ``(1, (N + 2) // 3,
+  N)``, and ``(c, c + 1, N)`` around the map's domain depth c, which
+  reaches past a doubling map's core; each keeps its depths in 1..N, once;
 - one operator at the north-star depth: fold on ``zline(10**4)`` with
   weight ``1 / (1 + |v|)``;
 - the builtin grid: every builtin weight (``F_N``, ``g``, ``chi``,
@@ -156,8 +160,17 @@ def _guarded(fn) -> str:
         return f"error: {type(exc).__name__}: {exc}"
 
 
-def _analyze_text(tw, np, op, window, tol) -> str:
-    certs = tw.classify_operator(op, None, window, tol)
+def _schedules(op) -> list:
+    """The explicit depth schedules of one operator: a single depth, a
+    sparse one, and one around the map's domain depth."""
+    n, core = op.tree.depth_limit, op.phi.domain_depth
+    found = [(1,), (1, (n + 2) // 3, n), (core, core + 1, n)]
+    found = [tuple(sorted({d for d in s if 1 <= d <= n})) for s in found]
+    return list(dict.fromkeys(s for s in found if s))
+
+
+def _analyze_text(tw, np, op, window, tol, schedule=None) -> str:
+    certs = tw.classify_operator(op, schedule, window, tol)
     payload = {
         "schema": 1,
         "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
@@ -216,6 +229,9 @@ def corpus(seed: int, workdir: Path):
             w = n // 2 if window else None
             yield "analyze", f"{name}/w{w}/t{tol:g}", _guarded(
                 lambda: _analyze_text(tw, np, op, w, tol))
+        for sched in _schedules(op):
+            yield "analyze", f"{name}/s{'-'.join(map(str, sched))}", _guarded(
+                lambda: _analyze_text(tw, np, op, None, 1e-6, sched))
         for w in (None, n // 2):
             for point, check in (("isometry.linf", tw.isometry_check_linf),
                                  ("isometry.lip", tw.isometry_check_lip)):
