@@ -40,6 +40,7 @@ from .operators import (
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
+    _window_depth,
     linf_op_norm,
     lip_bounds,
     window_preimage_sup,
@@ -152,6 +153,8 @@ def classify_operator(
     # Lip.NoIsometry witness: an uncovered vertex holds -inf, the least
     # value, so argmin finds the first one
     window, sup = _window(op, window_depth)
+    # the trend certificates print the window as given: null by default
+    shown = None if window_depth is None else window
     w = int(sup.argmin())
     j = max(float(sup[w]), 0.0)
     if sup[w] == -np.inf:
@@ -189,7 +192,7 @@ def classify_operator(
                 criterion=bounded_text,
                 witnesses=norms,
                 depth_profile=_Rows(map(list, zip(sched, bounded_vals))),
-                window_depth=window_depth,
+                window_depth=shown,
             ),
             Certificate(
                 statement=f"{prefix}.Compact",
@@ -197,7 +200,7 @@ def classify_operator(
                 criterion=compact_text,
                 witnesses=witnesses,
                 depth_profile=_Rows(map(list, zip(sched, tail_vals))),
-                window_depth=window_depth,
+                window_depth=shown,
             ),
             *isometry,
             Certificate(
@@ -260,8 +263,8 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
 
 
 def _window(op: WeightedCompOp, within_depth: int | None) -> tuple:
-    """The window depth (N by default) and ``window_preimage_sup`` on it."""
-    window = op.tree.depth_limit if within_depth is None else within_depth
+    """The window depth as an int (N by default) and ``window_preimage_sup`` on it."""
+    window = _window_depth(op.tree, within_depth)
     return window, window_preimage_sup(op, window)
 
 
@@ -282,7 +285,6 @@ def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> C
 
 def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certificate:
     """``Linf.Isometry`` from the window's preimage sups ``sup``."""
-    t = op.tree
     criterion = (
         "isometry on the bounded functions iff the map covers every vertex "
         "and sup of |psi| over each preimage equals 1"
@@ -291,9 +293,6 @@ def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certific
     bad = np.abs(sup - 1.0) > ISOMETRY_TOL
     w = int(bad.argmax())  # the first bad vertex, if any
     failed = bool(bad[w])
-    # an empty layer has no deeper vertex, so the window's layers are
-    # non-empty down to the depth of its last vertex and empty past it
-    deepest = int(t.depth[sup.size - 1])
     witnesses = {"window_depth": window}
     if failed:
         reason = (
@@ -307,7 +306,7 @@ def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certific
         verdict=FAILS if failed else HOLDS,
         criterion=criterion,
         witnesses=witnesses,
-        depth_profile=_Rows(map(list, enumerate(op.preimage_inf[: deepest + 1].tolist()))),
+        depth_profile=_Rows(map(list, enumerate(op.preimage_inf[: window + 1].tolist()))),
         window_depth=window,
     )
 

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VertexFunction:
     """A real value per vertex; immutable, total on the truncation."""
 
@@ -88,10 +88,9 @@ def derivative(f: VertexFunction) -> VertexFunction:
 def norms(f: VertexFunction) -> NormReport:
     t = f.tree
     df = np.abs(derivative(f).values)
-    n = t.depth_limit
-    # suffix max of |Df| in id order (0 past the last id), read where each
-    # depth layer starts: the max over depths >= that layer's
-    suffix = np.append(np.maximum.accumulate(df[::-1])[::-1], 0.0)
+    # suffix max of |Df| in id order, read where each depth layer starts:
+    # the max over depths >= that layer's
+    suffix = np.maximum.accumulate(df[::-1])[::-1]
     d_sup = float(suffix[0])
     root_val = float(f.values[0])
     return NormReport(
@@ -99,7 +98,7 @@ def norms(f: VertexFunction) -> NormReport:
         lip_norm=abs(root_val) + d_sup,
         value_at_root=root_val,
         d_sup=d_sup,
-        tail_profile=tuple(enumerate(suffix[t.layer_offsets[1 : n + 1]].tolist())),
+        tail_profile=tuple(enumerate(suffix[t.layer_offsets[1:-1]].tolist())),
     )
 
 

@@ -91,6 +91,7 @@ from .functions import (
 from .operators import (
     SelfMap,
     WeightedCompOp,
+    _integer,
     _slope,
     _slope_design,
     constant_map,
@@ -706,8 +707,7 @@ def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> 
 
 def fixture_report(fx: Fixture, depth: int | None = None) -> dict:
     """Full deterministic report for one bundled fixture."""
-    if depth is None:
-        depth = fx.depth
+    depth = fx.depth if depth is None else _integer(depth, "fixture depth")
     op = fx.build(depth)
     window = fx.window_for(depth)
     certs = classify_operator(op, window_depth=window)

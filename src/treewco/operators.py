@@ -80,7 +80,7 @@ class MapSpecError(ValueError):
     """Raised when a map table is partial, out of range, or ill-typed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelfMap:
     """A vertex-to-vertex map with its preimage index.
 
@@ -235,7 +235,7 @@ def random_permutation_map(tree: RootedTree, rng: np.random.Generator) -> SelfMa
     return SelfMap(tree, rng.permutation(tree.n_vertices), tree.depth_limit, "random-perm")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightedCompOp:
     """The pair (psi, phi) acting by f -> psi * (f o phi).
 
@@ -330,14 +330,8 @@ def depth_running(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np
     """Row d is ``ufunc`` reduced over the entries of ``values`` with depth
     <= d, one row per layer start in ``starts``; ``values`` is indexed by
     breadth-first id and covers exactly those layers, so depth d's entries
-    begin at ``starts[d]``.  A depth past the last entry repeats the row
-    before it."""
-    # reduceat refuses a start at the end of ``values`` and runs its last
-    # segment to that end, so it reads only the layers that hold entries:
-    # those come first, since a vertex's parent lies one layer up
-    k = int(np.searchsorted(starts, values.size))
-    run = ufunc.accumulate(ufunc.reduceat(values, starts[:k]))
-    return run if k == starts.size else run[np.minimum(np.arange(starts.size), k - 1)]
+    begin at ``starts[d]``, and every layer holds one."""
+    return ufunc.accumulate(ufunc.reduceat(values, starts))
 
 
 def depth_max(depth: np.ndarray, values: np.ndarray, n_depths: int) -> np.ndarray:
@@ -437,9 +431,20 @@ def _slope(design: tuple, y: np.ndarray) -> float:
 # -- minimum moduli ------------------------------------------------------------
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a ValueError naming it unless it is an integer
+    (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _window_depth(tree: RootedTree, within_depth: int | None) -> int:
-    """The window depth, N by default; an IndexError outside [0, N]."""
-    limit = tree.depth_limit if within_depth is None else within_depth
+    """The window depth as an int, N by default; a ValueError for a
+    non-integer, an IndexError outside [0, N]."""
+    if within_depth is None:
+        return tree.depth_limit
+    limit = _integer(within_depth, "window depth")
     if not 0 <= limit <= tree.depth_limit:
         raise IndexError(f"window depth {limit} outside [0, {tree.depth_limit}]")
     return limit

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .functions import VertexFunction
-from .operators import SelfMap, WeightedCompOp, j_linf
+from .operators import SelfMap, WeightedCompOp, _window_depth, j_linf
 from .trees import RootedTree
 
 __all__ = [
@@ -385,8 +385,8 @@ def j_oracle_linf_bracket(op: WeightedCompOp, within_depth: int | None = None) -
     the window, matching the windowed closed form.
     """
     t = op.tree
-    limit = t.depth_limit if within_depth is None else within_depth
-    lower = j_linf(op, within_depth)  # refuses a window outside the truncation
+    limit = _window_depth(t, within_depth)
+    lower = j_linf(op, limit)
     n_window = SelfMap.domain_size_for(t, limit)
     if not op.phi.coverage[:n_window].all():
         # the indicator of a vertex no image reaches composes to 0

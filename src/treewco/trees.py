@@ -2,10 +2,11 @@
 
 A tree is stored with canonical dense vertex ids assigned in breadth-first
 order, so ids are sorted by depth and every truncation to a smaller depth is
-an id prefix.  Vertices at the truncation depth are "frontier" vertices:
-they are allowed to be childless because their children simply lie beyond
-the window, while an interior childless vertex is rejected (the modeled
-infinite trees have no terminal vertex).
+an id prefix.  The truncation depth N is the deepest vertex's depth, so
+every layer 0..N holds a vertex.  Vertices at depth N are "frontier"
+vertices: they are allowed to be childless because their children simply
+lie beyond the window, while an interior childless vertex is rejected (the
+modeled infinite trees have no terminal vertex).
 
 Structure lives in flat arrays: ``parent`` and ``depth`` per vertex.  The
 breadth-first layout is the only index: the children of a vertex, a depth
@@ -50,7 +51,7 @@ class TreeBudgetError(ValueError):
         super().__init__(f"depth {depth} gives more than MAX_VERTICES = {MAX_VERTICES} vertices")
 
 
-def _check_breadth_first(parent: np.ndarray, depth: np.ndarray, depth_limit: int) -> None:
+def _check_breadth_first(parent: np.ndarray, depth: np.ndarray) -> None:
     """Refuse arrays whose ids are not breadth-first: every id range would be wrong."""
 
     def refuse(reason: str):
@@ -67,42 +68,50 @@ def _check_breadth_first(parent: np.ndarray, depth: np.ndarray, depth_limit: int
         refuse("parent ids decrease")
     if (depth[1:] != depth[p] + 1).any():
         refuse("a depth is not one more than the parent's")
-    if depth.max() > depth_limit:
-        refuse(f"a vertex lies deeper than the depth limit {depth_limit}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RootedTree:
-    """Immutable truncated rooted tree.
+    """Immutable truncated rooted tree, equal only to itself.
 
-    parent[v] is the vertex one step toward the root (-1 at the root),
-    depth[v] the edge distance to the root, and ``depth_limit`` the
-    truncation depth N.  ``labels`` carries the display label of each
-    vertex (integers on the line family, original names for explicit
-    input, the id itself otherwise).  ``safe_parent`` is ``parent`` with
-    the root pointing at itself, for vectorized increments.  Ids must be
-    breadth-first, so the children of v are the ids ``child_offsets[v]``
-    up to ``child_offsets[v + 1]`` and depth d those from ``layer_offsets[d]``.
+    parent[v] is the vertex one step toward the root (-1 at the root), and
+    depth[v] the edge distance to the root.  ``depth_limit``, the
+    truncation depth N, is derived: the deepest vertex's depth.
+    ``labels`` is a tuple of the display label of each vertex (integers on
+    the line family, original names for explicit input, the id itself
+    otherwise).  ``safe_parent`` is ``parent`` with the root pointing at
+    itself, for vectorized increments.  Ids must be breadth-first, so the
+    children of v are the ids ``child_offsets[v]`` up to
+    ``child_offsets[v + 1]`` and depth d those from ``layer_offsets[d]``.
     """
 
     parent: np.ndarray
     depth: np.ndarray
-    depth_limit: int
     family: str
     labels: tuple
     meta: dict = field(default_factory=dict)
+    depth_limit: int = field(init=False)
     safe_parent: np.ndarray = field(init=False, repr=False)
     child_offsets: np.ndarray = field(init=False, repr=False)
     layer_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         parent, depth = self.parent, self.depth
-        _check_breadth_first(parent, depth, self.depth_limit)
+        _check_breadth_first(parent, depth)
+        labels = self.labels
+        if not isinstance(labels, tuple) or len(labels) != parent.size:
+            got = len(labels) if isinstance(labels, tuple) else f"a {type(labels).__name__}"
+            raise TreeStructureError(
+                f"labels must be a tuple of one label per vertex ({parent.size}), got {got}"
+            )
+        # breadth-first depths do not decrease, so the last is the deepest
+        limit = int(depth[-1])
+        object.__setattr__(self, "depth_limit", limit)
         derived = dict(
             safe_parent=np.where(parent < 0, 0, parent),
             # parents are sorted: the ids whose parent is below v come first
             child_offsets=1 + np.searchsorted(parent[1:], np.arange(parent.size + 1)),
-            layer_offsets=np.searchsorted(depth, np.arange(self.depth_limit + 2)),
+            layer_offsets=np.searchsorted(depth, np.arange(limit + 2)),
         )
         for name, arr in [("parent", parent), ("depth", depth), *derived.items()]:
             arr.setflags(write=False)
@@ -213,7 +222,6 @@ class RootedTree:
         return RootedTree(
             parent=self.parent[:m].copy(),
             depth=self.depth[:m].copy(),
-            depth_limit=depth,
             family=self.family,
             labels=self.labels[:m],
             meta=dict(self.meta),
@@ -283,7 +291,6 @@ def zline(depth: int) -> RootedTree:
     return RootedTree(
         parent=parent_ids,
         depth=depths,
-        depth_limit=depth,
         family="zline",
         labels=tuple(labels.tolist()),
     )
@@ -322,7 +329,6 @@ def homogeneous(q: int, depth: int) -> RootedTree:
     return RootedTree(
         parent=parent_ids,
         depth=np.repeat(np.arange(depth + 1, dtype=np.int64), sizes),
-        depth_limit=depth,
         family="homogeneous",
         labels=tuple(range(n)),
         meta={"q": q},
@@ -363,7 +369,6 @@ def random_tree(
     return RootedTree(
         parent=np.concatenate(parent_ids),
         depth=np.repeat(np.arange(depth + 1, dtype=np.int64), sizes),
-        depth_limit=depth,
         family="random",
         labels=tuple(range(n)),
         meta={"seed": seed, "min_children": min_children, "max_children": max_children},
@@ -412,4 +417,4 @@ def explicit_tree(edges: Iterable[Sequence], root) -> RootedTree:
         raise TreeStructureError(
             f"interior terminal vertex {order[v]!r} at depth {depths[v]} (< {limit})"
         )
-    return RootedTree(parent, depth, limit, "explicit", tuple(order))
+    return RootedTree(parent, depth, "explicit", tuple(order))

@@ -761,3 +761,61 @@ class TestFixturesAndGolden:
     def test_unknown_fixture_rejected(self):
         with pytest.raises(KeyError):
             tw.fixture_by_name("nope")
+
+
+class TestWindowsAreIntegers:
+    """Every entry point that takes a window resolves it one way: a numpy
+    integer reads as the int, any other non-integer is refused by name."""
+
+    def texts(self, op, window):
+        certs = tw.classify_operator(op, window_depth=window)
+        return [
+            canonical_json([c.to_json() for c in certs["linf"] + certs["lip"]]),
+            canonical_json(tw.isometry_check_linf(op, window).to_json()),
+            canonical_json(tw.isometry_check_lip(op, window).to_json()),
+            canonical_json(operator_quantities(op, window)),
+        ]
+
+    @pytest.mark.parametrize("window", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_a_numpy_integer_writes_the_int_bytes(self, window):
+        op = tw.fixture_by_name("z-isometry").build(8)
+        assert self.texts(op, window) == self.texts(op, 3)
+        small = tw.composition_op(tw.zline_fold(tw.zline(3)))
+        assert (canonical_json(tw.j_oracle_linf_bracket(small, window).to_json())
+                == canonical_json(tw.j_oracle_linf_bracket(small, 3).to_json()))
+        for fx in tw.bundled_fixtures():
+            assert (canonical_json(fixture_report(fx, np.int64(8)))
+                    == canonical_json(fixture_report(fx, 8)))
+
+    def test_the_default_window_still_prints_null(self):
+        certs = tw.classify_operator(tw.fixture_by_name("z-isometry").build(8))
+        shown = {c.statement: c.window_depth for c in certs["linf"] + certs["lip"]}
+        assert shown["Linf.Bounded"] is shown["Lip.Compact"] is None
+        assert shown["Linf.Isometry"] == shown["Lip.BoundedBelow"] == 8
+
+    @pytest.mark.parametrize("window", [3.0, np.float64(3.0), True, "3"])
+    def test_a_non_integer_window_is_refused_by_name(self, window):
+        op = tw.composition_op(tw.zline_fold(tw.zline(3)))
+        message = f"window depth must be an integer, got {window!r}"
+        calls = [
+            lambda: tw.classify_operator(op, window_depth=window),
+            lambda: tw.isometry_check_linf(op, window),
+            lambda: tw.isometry_check_lip(op, window),
+            lambda: tw.j_linf(op, window),
+            lambda: tw.j_lip_bracket(op, window),
+            lambda: tw.j_oracle_linf_bracket(op, window),
+            lambda: operator_quantities(op, window),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        with pytest.raises(ValueError, match="fixture depth must be an integer, got"):
+            fixture_report(tw.fixture_by_name("z-isometry"), window)
+
+    @pytest.mark.parametrize("window", [-1, 4, np.int64(9)])
+    def test_a_window_outside_the_tree_keeps_its_index_error(self, window):
+        op = tw.composition_op(tw.zline_fold(tw.zline(3)))
+        for call in (tw.classify_operator, tw.isometry_check_linf, tw.j_oracle_linf_bracket):
+            with pytest.raises(IndexError, match=rf"^window depth {window} outside \[0, 3\]$"):
+                call(op, None, window) if call is tw.classify_operator else call(op, window)

@@ -671,18 +671,6 @@ class TestPerDepthRows:
         for phi in (tw.zline_double(t), tw.zline_fold(t), tw.constant_map(t, 1)):
             check_per_depth_rows(op_on(t, psi, phi))
 
-    @pytest.mark.parametrize("limit", [2, 3, 5])
-    def test_depths_past_the_deepest_vertex_repeat_its_row(self, limit):
-        base = tw.homogeneous(2, 2)
-        t = tw.RootedTree(base.parent.copy(), base.depth.copy(), limit, "explicit", base.labels)
-        rng = np.random.default_rng(limit)
-        psi = rng.choice([0.0, 0.5, 1.0, 2.0], size=len(t))
-        maps = [tw.identity_map(t), tw.random_map(t, rng), tw.random_permutation_map(t, rng)]
-        maps += [SelfMap(t, rng.integers(0, len(t), size=SelfMap.domain_size_for(t, d)), d)
-                 for d in range(limit + 1)]
-        for phi in maps:
-            check_per_depth_rows(op_on(t, psi, phi))
-
     def test_rows_are_computed_once_per_operator(self):
         t = tw.homogeneous(2, 3)
         op = random_operator(t, np.random.default_rng(3), surjective=True)

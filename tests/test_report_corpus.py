@@ -89,3 +89,18 @@ def test_an_oracle_error_is_the_verdict_error(corpus_tool, tmp_path, capsys):
         "verdict transitions: 1",
         "    SurjInfeasibility error -> infeasible: 1 (first: seed 0 oracle.surj z3/const/unit/random)",
     ]
+
+
+def test_tree_texts_read_the_tree_layer_alone(corpus_tool):
+    import treewco as tw
+
+    texts = dict(corpus_tool._tree_texts(tw, tw.homogeneous(2, 4)))
+    assert list(texts) == ["d4", "d0", "d1", "d2"]
+    assert json.loads(texts["d2"]) == {
+        "spec": {"schema": 1, "family": "homogeneous", "depth": 2, "q": 2},
+        "n_vertices": 10, "depth_limit": 2, "layer_sizes": [1, 3, 6],
+    }
+    # a line deeper than the cap writes its layer sizes as length and sum
+    deep = dict(corpus_tool._tree_texts(tw, tw.zline(corpus_tool._MAX_LAYERS)))
+    assert json.loads(deep["d1001"])["layer_sizes"] == {"length": 1002, "sum": 2003}
+    assert json.loads(deep["d500"])["layer_sizes"] == [1] + [2] * 500

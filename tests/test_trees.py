@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -209,25 +210,47 @@ class TestOneWalk:
 
 class TestBreadthFirstLayout:
     @pytest.mark.parametrize(
-        "parent,depth,limit",
+        "parent,depth",
         [
-            ([], [], 0),  # no root
-            ([-1, 0], [0], 1),  # lengths differ
-            ([0, 0], [0, 1], 1),  # root has a parent
-            ([-1, 0], [1, 2], 2),  # root not at depth 0
-            ([-1, -1], [0, 1], 1),  # a second root
-            ([-1, 2, 0], [0, 2, 1], 2),  # a parent after its child
-            ([-1, 0, 0, 2, 1], [0, 1, 1, 2, 2], 2),  # a depth-first numbering
-            ([-1, 0, 0], [0, 1, 2], 2),  # depth not parent's plus one
-            ([-1, 0, 1], [0, 1, 2], 1),  # deeper than the limit
+            ([], []),  # no root
+            ([-1, 0], [0]),  # lengths differ
+            ([0, 0], [0, 1]),  # root has a parent
+            ([-1, 0], [1, 2]),  # root not at depth 0
+            ([-1, -1], [0, 1]),  # a second root
+            ([-1, 2, 0], [0, 2, 1]),  # a parent after its child
+            ([-1, 0, 0, 2, 1], [0, 1, 1, 2, 2]),  # a depth-first numbering
+            ([-1, 0, 0], [0, 1, 2]),  # depth not parent's plus one
         ],
     )
-    def test_refuses_arrays_that_are_not_breadth_first(self, parent, depth, limit):
+    def test_refuses_arrays_that_are_not_breadth_first(self, parent, depth):
         with pytest.raises(TreeStructureError, match="breadth-first"):
             tw.RootedTree(
                 np.asarray(parent, dtype=np.int64), np.asarray(depth, dtype=np.int64),
-                limit, "explicit", tuple(range(len(parent))),
+                "explicit", tuple(range(len(parent))),
             )
+
+    def test_the_depth_limit_is_the_deepest_vertex_depth(self):
+        parent, depth, labels = np.asarray([-1, 0, 0, 1]), np.asarray([0, 1, 1, 2]), tuple("rabc")
+        t = tw.RootedTree(parent, depth, "explicit", labels)
+        assert t.depth_limit == 2 and t.layer_offsets.tolist() == [0, 1, 3, 4]
+        with pytest.raises(TypeError):
+            tw.RootedTree(parent, depth, "explicit", labels, depth_limit=3)
+        # a call that still passes a depth limit shifts the labels to a str
+        with pytest.raises(TreeStructureError, match="got a str$"):
+            tw.RootedTree(parent, depth, 3, "explicit", labels)
+
+    @pytest.mark.parametrize(
+        "labels, got",
+        [
+            (("a",), "got 1"),
+            (("a", "b", "c", "d"), "got 4"),
+            (["a", "b", "c"], "got a list"),
+            (None, "got a NoneType"),
+        ],
+    )
+    def test_refuses_labels_that_are_not_one_per_vertex(self, labels, got):
+        with pytest.raises(TreeStructureError, match=re.escape(f"per vertex (3), {got}")):
+            tw.RootedTree(np.asarray([-1, 0, 0]), np.asarray([0, 1, 1]), "explicit", labels)
 
     def test_ranges_are_read_only(self, homog22):
         for arr in (homog22.child_offsets, homog22.layer_offsets, homog22.parent):
@@ -389,9 +412,37 @@ class TestViews:
         assert 'label="c\\\\d"' in dot
         assert 'label="7"' in dot and 'label="r"' in dot
 
+    def test_trees_and_operators_compare_by_identity(self):
+        # two 1-vertex trees once compared equal through their 1-element arrays
+        for make in (lambda: tw.zline(2), lambda: tw.zline(0), lambda: tw.homogeneous(2, 2)):
+            a, b = make(), make()
+            psi = tw.VertexFunction(a, np.ones(len(a)))
+            phi = tw.identity_map(a)
+            op = tw.WeightedCompOp(psi, phi)
+            assert a == a and a != b and a in [a] and b not in [a]
+            assert len({a, b, a}) == 2 and {a: 1}[a] == 1
+            for obj in (psi, phi, op):
+                assert obj == obj and obj in [obj] and hash(obj) == hash(obj)
+            assert op != tw.WeightedCompOp(psi, phi)
+            assert len({psi, phi, op, tw.WeightedCompOp(psi, phi)}) == 4
+
     def test_explicit_round_trip_id_for_id(self):
-        t = tw.explicit_tree([["a", "b"], ["a", "c"], ["b", "d"], ["c", "e"]], root="a")
-        spec = tw.tree_to_spec(t)
-        back = tw.load_tree_spec(spec)
-        assert list(back.parent) == list(t.parent)
-        assert back.labels == t.labels
+        # every family and every truncation of each: the limit is the
+        # deepest depth, no layer is empty, and the spec rebuilds the tree
+        trees = [
+            tw.explicit_tree([["a", "b"], ["a", "c"], ["b", "d"], ["c", "e"]], root="a"),
+            tw.explicit_tree([[0, "x"], [0, 2], ["x", 3], [2, "y"], [2, 5]], root=0),
+            *(tw.zline(d) for d in range(5)),
+            tw.homogeneous(2, 3),
+            tw.homogeneous(3, 2),
+            *(tw.random_tree(3, seed) for seed in range(3)),
+            tw.random_tree(3, seed=4, min_children=2, max_children=4),
+        ]
+        for full in trees:
+            for t in (full.truncate(d) for d in range(full.depth_limit + 1)):
+                assert t.depth_limit == t.depth[-1]
+                assert (np.diff(t.layer_offsets) > 0).all()
+                back = tw.load_tree_spec(tw.tree_to_spec(t))
+                assert back.parent.tolist() == t.parent.tolist()
+                assert back.depth.tolist() == t.depth.tolist()
+                assert back.labels == t.labels

@@ -52,10 +52,14 @@ methods of ``norm_oracle_linf`` and ``norm_oracle_lip``,
 on a random target, a reachable one and the image of ``|x| / 3``, whose
 quotients tie along root paths, and ``point_eval_lip_norm`` at
 a deepest vertex of each tree; a search past its size cap records its
-error), and the ``cli.analyze``, ``cli.norms``, ``cli.oracle`` (with the
-spec files, and with the tree alone) and ``cli.export`` (with and without
-the map) outputs on spec files of the same operators, and ``cli.examples``
-(its stdout and the reports it writes).
+error), ``tree`` (each distinct tree and its truncations to depths 0, 1
+and ``N // 2``: ``tree_to_spec`` with the vertex count, the depth limit
+and the layer sizes, a list of more than ``_MAX_LAYERS`` sizes written
+as its length and sum), and the ``cli.analyze``, ``cli.norms``,
+``cli.oracle`` (with the spec files, and with the tree alone) and
+``cli.export`` (with and without the map) outputs on spec files of the
+same operators, and ``cli.examples`` (its stdout and the reports it
+writes).
 
 ``--dump FILE`` writes this interpreter's corpus texts to FILE, one JSON
 line per text; ``--against`` runs it once per side.
@@ -77,6 +81,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 _WINDOWS_AND_TOLS = [(None, 1e-6), (None, 1e-3), ("half", 1e-6), ("half", 1e-3)]
+_MAX_LAYERS = 1001  # zline(1000) in full; zline(10**4) and its half as length and sum
 
 
 # -- the corpus (runs against whichever treewco is importable) ---------------------
@@ -205,6 +210,19 @@ def _oracle_texts(tw, np, op, rng):
             yield point, entry, _guarded(lambda: tw.canonical_json(fn().to_json()))
 
 
+def _tree_texts(tw, t):
+    """(entry, text) of the tree ``t`` and its truncations to depths 0, 1
+    and N // 2, read through the tree layer alone."""
+    n = t.depth_limit
+    for d in dict.fromkeys(d for d in (n, 0, 1, n // 2) if d <= n):
+        s = t.truncate(d)
+        sizes = (s.layer_offsets[1:] - s.layer_offsets[:-1]).tolist()
+        if len(sizes) > _MAX_LAYERS:
+            sizes = {"length": len(sizes), "sum": sum(sizes)}
+        yield f"d{d}", tw.canonical_json({"spec": tw.tree_to_spec(s), "n_vertices": s.n_vertices,
+                                          "depth_limit": s.depth_limit, "layer_sizes": sizes})
+
+
 def _cli_text(argv: list) -> str:
     from treewco.cli import main
 
@@ -260,6 +278,8 @@ def corpus(seed: int, workdir: Path):
         if tname in trees_seen:
             continue
         trees_seen.add(tname)
+        for entry, text in _tree_texts(tw, op.tree):
+            yield "tree", f"{tname}/{entry}", text
         deepest = op.tree.n_vertices - 1
         yield "oracle.point_eval", tname, _guarded(
             lambda: tw.canonical_json(tw.point_eval_lip_norm(op.tree, deepest).to_json()))
