@@ -34,6 +34,7 @@ from .certificate import (
     TREND_CONSISTENT,
     TREND_INCONSISTENT,
     Certificate,
+    _NO_ROWS,
     _Rows,
 )
 from .operators import (
@@ -145,9 +146,12 @@ def classify_operator(
         schedule = default_schedule(t.depth_limit)
     sched = _check_schedule(schedule, t.depth_limit)
     depths = np.array(sched)
-    # a depth past the domain reads the domain's last row
-    linf_heads, lip_heads = op.head_sups[np.minimum(depths, op.phi.domain_depth)].T.tolist()
-    linf_tails, lip_tails = op.tail_sups[depths - 1].T.tolist()
+    # one row per space, one column per schedule depth; a depth past the
+    # domain reads the domain's last row
+    heads = op.head_sups[np.minimum(depths, op.phi.domain_depth)].T
+    tails = op.tail_sups[depths - 1].T
+    # read-only, so the profiles hold their rows without a view of their own
+    heads.flags.writeable = tails.flags.writeable = False
     stable = op.phi.finite_range_stable()
     # the vertex deciding the inf-sup of j_linf and, when uncovered, the
     # Lip.NoIsometry witness: an uncovered vertex holds -inf, the least
@@ -162,19 +166,22 @@ def classify_operator(
     else:
         below = {"vertex": w, "preimage_sup": float(sup[w])}
     lo, up = lip_bounds(op)  # the lower end is the exact norm
-    # per space: the sups over depth <= d that decide Bounded, the tail,
-    # the norm witnesses, the isometry certificates (the Lipschitz witness
-    # is a vertex deeper than 1) and the modulus with its witnesses (the
-    # Lipschitz one is j_lip_bracket's (M/3, M))
+    # per space: the norm witnesses, the isometry certificates (the
+    # Lipschitz witness is a vertex deeper than 1) and the modulus with its
+    # witnesses (the Lipschitz one is j_lip_bracket's (M/3, M))
     spaces = (
-        ("Linf", linf_heads, linf_tails, {"sup_psi": linf_op_norm(op)},
-         (_isometry_linf(op, window, sup),), j, {"injectivity_modulus": j}),
-        ("Lip", lip_heads, lip_tails, {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
+        ("Linf", {"sup_psi": linf_op_norm(op)}, (_isometry_linf(op, window, sup),),
+         j, {"injectivity_modulus": j}),
+        ("Lip", {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
          (_no_isometry_lip(op, window, sup, w),) if t.depth_limit >= 2 else (),
          j / 3.0, {"bracket": [j / 3.0, j]}),
     )
+    # per space: the sups over depth <= d that decide Bounded and the tail,
+    # as the profiles' arrays and as the floats the verdicts read
+    profiles = zip(heads, tails, heads.tolist(), tails.tolist())
     out = {}
-    for prefix, bounded_vals, tail_vals, norms, isometry, modulus, modulus_witnesses in spaces:
+    for space, (bounded_row, tail_row, bounded_vals, tail_vals) in zip(spaces, profiles):
+        prefix, norms, isometry, modulus, modulus_witnesses = space
         bounded_text, compact_text, below_text = _CRITERIA[prefix]
         if stable:
             verdict = HOLDS
@@ -191,7 +198,7 @@ def classify_operator(
                 verdict=TREND_CONSISTENT if _stays_bounded(bounded_vals, zero_tol) else TREND_INCONSISTENT,
                 criterion=bounded_text,
                 witnesses=norms,
-                depth_profile=_Rows(map(list, zip(sched, bounded_vals))),
+                depth_profile=_Rows(sched, bounded_row),
                 window_depth=shown,
             ),
             Certificate(
@@ -199,7 +206,7 @@ def classify_operator(
                 verdict=verdict,
                 criterion=compact_text,
                 witnesses=witnesses,
-                depth_profile=_Rows(map(list, zip(sched, tail_vals))),
+                depth_profile=_Rows(sched, tail_row),
                 window_depth=shown,
             ),
             *isometry,
@@ -208,7 +215,7 @@ def classify_operator(
                 verdict=HOLDS if modulus > 0 else FAILS,
                 criterion=below_text,
                 witnesses={**modulus_witnesses, **below},
-                depth_profile=_Rows(),
+                depth_profile=_NO_ROWS,
                 window_depth=window,
             ),
         ]
@@ -255,7 +262,7 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
             "range of the map"
         ),
         witnesses={"items": items, "max_reach": max_reach},
-        depth_profile=_Rows(map(list, enumerate(reach.astype(np.float64).tolist()))),
+        depth_profile=_Rows(range(reach.size), reach.astype(np.float64)),
     )
 
 
@@ -306,7 +313,7 @@ def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certific
         verdict=FAILS if failed else HOLDS,
         criterion=criterion,
         witnesses=witnesses,
-        depth_profile=_Rows(map(list, enumerate(op.preimage_inf[: window + 1].tolist()))),
+        depth_profile=_Rows(range(window + 1), op.preimage_inf[: window + 1]),
         window_depth=window,
     )
 
@@ -335,4 +342,4 @@ def _no_isometry_lip(op: WeightedCompOp, window: int, sup: np.ndarray, w: int) -
             f"|w| * preimage sup = {bound:.12g} exceeds 1"
         )
         witnesses["lower_bound"] = bound
-    return Certificate("Lip.NoIsometry", HOLDS, criterion, witnesses, _Rows(), window)
+    return Certificate("Lip.NoIsometry", HOLDS, criterion, witnesses, _NO_ROWS, window)

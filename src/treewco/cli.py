@@ -142,7 +142,7 @@ def _cmd_norms(args) -> int:
             "lip_norm": rep.lip_norm,
             "value_at_root": rep.value_at_root,
             "d_sup": rep.d_sup,
-            "tail_profile": _Rows(map(list, rep.tail_profile)),
+            "tail_profile": _Rows(range(rep.tail_sups.size), rep.tail_sups),
         },
         "quantities": operator_quantities(op, _window(args, op.tree.depth_limit)),
     }

@@ -61,20 +61,26 @@ class VertexFunction:
         return norms(self).lip_norm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormReport:
     """Sup norm, Lipschitz norm, and the derivative tail profile.
 
-    tail_profile[n] = (n, sup of |Df| over vertices deeper than n), for
-    0 <= n < N.  It is non-increasing by construction; a small final value
-    is evidence (not proof) that f sits in the small-derivative subspace.
+    ``tail_sups[n]`` is the sup of |Df| over vertices deeper than n, for
+    0 <= n < N, in a read-only array; ``tail_profile`` gives it as
+    ``(n, value)`` pairs.  It is non-increasing by construction; a small
+    final value is evidence (not proof) that f sits in the
+    small-derivative subspace.
     """
 
     sup_norm: float
     lip_norm: float
     value_at_root: float
     d_sup: float
-    tail_profile: tuple
+    tail_sups: np.ndarray
+
+    @property
+    def tail_profile(self) -> tuple:
+        return tuple(enumerate(self.tail_sups.tolist()))
 
 
 def derivative(f: VertexFunction) -> VertexFunction:
@@ -93,12 +99,14 @@ def norms(f: VertexFunction) -> NormReport:
     suffix = np.maximum.accumulate(df[::-1])[::-1]
     d_sup = float(suffix[0])
     root_val = float(f.values[0])
+    tails = suffix[t.layer_offsets[1:-1]]
+    tails.setflags(write=False)
     return NormReport(
         sup_norm=f.sup_norm,
         lip_norm=abs(root_val) + d_sup,
         value_at_root=root_val,
         d_sup=d_sup,
-        tail_profile=tuple(enumerate(suffix[t.layer_offsets[1:-1]].tolist())),
+        tail_sups=tails,
     )
 
 

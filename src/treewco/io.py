@@ -49,17 +49,22 @@ checks this on raw 64-bit patterns and the edge values.
 Per-depth profiles take a row path.  Their producers (``_tail`` for both
 essential-norm tails, every certificate the package builds, from the
 moment it is built, the squared weight's tail and the ``norms`` tail
-profile) build them as ``certificate._Rows``: a ``list`` whose rows are a
-Python ``int`` and a Python ``float``, with depths that rise strictly from
-0 or more.  Only a list of exactly that type takes the path, so no row is
-checked.  Its text is one join of value texts and row heads, the text
-between one value and the next, which depends only on the indent level and
-the depth.  When the last depth is ``k - 1`` for ``k`` rows, the depths
-run 0, 1, ..., k - 1 and the heads come from the ``_HEADS`` table; other
-depths get their heads from the same function on each call.  The bytes are
-the generic list path's, since the int prints as ``int.__repr__`` and the
-float by the rule above on both paths; a plain list of the same rows takes
-the generic path.
+profile) hand the writer a ``certificate._Rows``: two read-only columns,
+the depths (a ``range``, or a schedule tuple of Python ``int`` that
+passed ``classify._check_schedule``), rising strictly from 0 or more, and
+a float64 array of values, normally a view of a row the operator caches.
+So no producer builds a list per row, and only an object of exactly that
+type takes the path, with no row checked.  The writer reads
+``values.tolist()`` through the float memo, writes a zero as its ``repr``
+in place (the memo never holds one), and joins the value texts with the
+row heads, the text between one value and the next, which depends only
+on the indent level and the depth.  When the last depth is ``k - 1`` for
+``k`` rows, the depths are ``range(k)`` and the heads come from the
+``_HEADS`` table; other depths get their heads from the same function on
+each call.  The bytes are the generic list path's for the list of rows
+that the ``_Rows`` equals, since the int prints as ``int.__repr__`` and
+the float by the rule above on both paths; a plain list of the same rows
+takes the generic path.
 
 Spec loading errors carry a JSON-pointer-style location so the CLI can
 print line-precise messages.
@@ -101,7 +106,6 @@ from .operators import (
     k_lip_bracket,
     linf_op_norm,
     lip_bounds,
-    lip_ess_norm_profile,
     map_from_table,
     zline_double,
     zline_fold,
@@ -183,18 +187,22 @@ def _row_heads(level: int, depths) -> list:
 
 def _write_rows(rows: _Rows, level: int, out: list, memo: dict) -> None:
     """A non-empty ``_Rows`` in the generic list path's text: one join of
-    row heads and value texts, with no row checked."""
+    row heads and value texts, read from its two columns with no row
+    checked."""
     get = memo.get  # a memo hit costs no call of _float_text
-    texts = [get(v) or _float_text(v, memo) for _, v in rows]
+    # a zero is never memoized (0.0 and -0.0 are equal keys), so its repr
+    # is its text, written here without a call of _float_text
+    texts = [get(v) or (_float_text(v, memo) if v else repr(v)) for v in rows.values.tolist()]
     k = len(texts)
+    depths = rows.depths
     # depths rise strictly from 0 or more, so this says they run 0, ..., k - 1
-    if rows[-1][0] == k - 1:
+    if depths[-1] == k - 1:
         heads = _HEADS.get(level, ())
         if len(heads) < k:
             # replaced whole, never extended: a concurrent writer reads a full table
             heads = _HEADS[level] = _row_heads(level, range(k))
     else:
-        heads = _row_heads(level, [n for n, _ in rows])
+        heads = _row_heads(level, depths)
     parts = [""] * (2 * k)
     parts[0::2] = heads[:k]
     parts[1::2] = texts
@@ -258,7 +266,7 @@ def _write(obj, level: int, out: list, memo: dict) -> None:
         heads[0] = "[" + inner
         values, close = obj, "\n" + "  " * level + "]"
     elif kind is _Rows:
-        if obj:
+        if obj.depths:
             _write_rows(obj, level, out, memo)
         else:
             out.append("[]")
@@ -572,7 +580,7 @@ def _squared_weight(op: WeightedCompOp, window: int | None) -> dict:
     _, compact, *_ = classify_operator(sq, window_depth=window)["lip"]
     return {
         "squared_weight": {
-            "lip_ess_tail": _Rows(map(list, lip_ess_norm_profile(sq))),
+            "lip_ess_tail": _Rows(range(sq.tree.depth_limit), sq.tail_sups[:, 1]),
             "compact_certificate": compact.to_json(),
         }
     }
@@ -664,9 +672,9 @@ def fixture_by_name(name: str) -> Fixture:
 
 
 def _tail(column: np.ndarray, design: tuple | None) -> tuple[_Rows, float]:
-    """The ``[n, value]`` rows of one ``tail_sups`` column and their
-    least-squares slope on ``design``, ``_slope_design`` of the depths
-    (None for fewer than two rows, whose slope is 0): what
+    """The rows of one ``tail_sups`` column, a ``_Rows`` over the column
+    itself, and their least-squares slope on ``design``, ``_slope_design``
+    of the depths (None for fewer than two rows, whose slope is 0): what
     ``linf_ess_norm_profile`` or ``lip_ess_norm_profile`` and
     ``tail_trend_slope`` give, bit for bit.  The slope is numpy
     ``polyfit``'s, from one ``lstsq`` per column on polyfit's own scaled
@@ -674,7 +682,7 @@ def _tail(column: np.ndarray, design: tuple | None) -> tuple[_Rows, float]:
     would be shorter, but it solves both columns in one LAPACK call, whose
     slopes differ from the one-column ones in the last bits, and the
     reports keep roundoff slopes such as ``1.34583129721e-16``."""
-    rows = _Rows(map(list, enumerate(column.tolist())))
+    rows = _Rows(range(column.size), column)
     return rows, 0.0 if design is None else _slope(design, column)
 
 

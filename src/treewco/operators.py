@@ -85,7 +85,8 @@ class SelfMap:
     """A vertex-to-vertex map with its preimage index.
 
     ``image[v]`` is defined for the domain prefix (all vertices of depth
-    <= ``domain_depth``; breadth-first ids make that prefix contiguous).
+    <= ``domain_depth``, an integer held as a Python ``int``; breadth-first
+    ids make that prefix contiguous).
     ``coverage[w]`` counts the preimages of w.
     """
 
@@ -97,17 +98,20 @@ class SelfMap:
 
     def __post_init__(self):
         t = self.tree
-        if not 0 <= self.domain_depth <= t.depth_limit:
-            raise MapSpecError(
-                f"domain depth {self.domain_depth} outside [0, {t.depth_limit}]"
-            )
+        try:
+            depth = _integer(self.domain_depth, "domain depth")
+        except ValueError as exc:
+            raise MapSpecError(str(exc)) from None
+        if not 0 <= depth <= t.depth_limit:
+            raise MapSpecError(f"domain depth {depth} outside [0, {t.depth_limit}]")
+        object.__setattr__(self, "domain_depth", depth)
         img = np.asarray(self.image)
         if img.dtype.kind not in "iu":
             raise MapSpecError(
                 f"image entries must be integers, got dtype {img.dtype}"
             )
         img = img.astype(np.int64, copy=False)
-        m = self.domain_size_for(t, self.domain_depth)
+        m = self.domain_size_for(t, depth)
         if img.shape != (m,):
             raise MapSpecError(f"expected {m} image entries, got {img.shape}")
         if img.size and (img.min() < 0 or img.max() >= t.n_vertices):

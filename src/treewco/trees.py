@@ -74,8 +74,9 @@ def _check_breadth_first(parent: np.ndarray, depth: np.ndarray) -> None:
 class RootedTree:
     """Immutable truncated rooted tree, equal only to itself.
 
-    parent[v] is the vertex one step toward the root (-1 at the root), and
-    depth[v] the edge distance to the root.  ``depth_limit``, the
+    ``parent`` and ``depth`` are integer numpy arrays: parent[v] is the
+    vertex one step toward the root (-1 at the root), and depth[v] the edge
+    distance to the root.  ``depth_limit``, the
     truncation depth N, is derived: the deepest vertex's depth.
     ``labels`` is a tuple of the display label of each vertex (integers on
     the line family, original names for explicit input, the id itself
@@ -97,6 +98,13 @@ class RootedTree:
 
     def __post_init__(self):
         parent, depth = self.parent, self.depth
+        for name, arr in (("parent", parent), ("depth", depth)):
+            if not isinstance(arr, np.ndarray) or arr.dtype.kind not in "iu":
+                got = (
+                    f"dtype {arr.dtype}" if isinstance(arr, np.ndarray)
+                    else f"a {type(arr).__name__}"
+                )
+                raise TreeStructureError(f"{name} must be an integer numpy array, got {got}")
         _check_breadth_first(parent, depth)
         labels = self.labels
         if not isinstance(labels, tuple) or len(labels) != parent.size:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import enum
 import io
 import json
 import math
 import os
+import pickle
 import re
 import shutil
 import struct
@@ -104,7 +106,7 @@ def _canonize_reference(obj):
     byte reference."""
     if isinstance(obj, dict):
         return {str(k): _canonize_reference(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, (list, tuple, _Rows)):  # a _Rows reads as its list of rows
         return [_canonize_reference(v) for v in obj]
     if isinstance(obj, (np.integer, int)) and not isinstance(obj, bool):
         return int(obj)
@@ -138,6 +140,8 @@ def _ref_is_pair(p) -> bool:
 
 
 def _ref_write(obj, level: int, out: list, memo: dict) -> None:
+    if type(obj) is _Rows:  # read as its list of rows
+        obj = list(obj)
     if isinstance(obj, str):
         out.append(encode_basestring_ascii(obj))
     elif obj is None:
@@ -279,7 +283,7 @@ _OTHER_TYPES = {
 # profile list, when empty, and a str-keyed dict past the key table's bound
 _AS_BUILTIN = {
     "wide_str_dict": {f"k{i:02d}": i / 7 for i in range(40)},
-    "empty_rows": {"p": _Rows(), "q": [_Rows(), (), {}], "r": _Rows([[0, 0.5]])},
+    "empty_rows": {"p": _Rows(), "q": [_Rows(), (), {}], "r": _Rows(range(1), np.array([0.5]))},
 }
 
 
@@ -290,22 +294,23 @@ _row_values = st.one_of(
 
 
 @st.composite
-def _profiles(draw) -> list:
-    """Plain ``[int, float]`` rows whose depths run 0, 1, ... (the table
-    path), or from 1, or from 0 with a gap, or along a schedule."""
+def _profiles(draw) -> tuple:
+    """The depths and values of a profile: depths that run 0, 1, ... (the
+    table path) or from 1, as a ``range``, or from 0 with a gap, or along a
+    schedule, as a tuple."""
     values = draw(st.lists(_row_values, min_size=1, max_size=40))
     k = len(values)
     shape = draw(st.sampled_from(["contiguous", "from_one", "gap", "schedule"]))
     if shape == "contiguous":
-        depths = list(range(k))
+        depths = range(k)
     elif shape == "from_one":
-        depths = list(range(1, k + 1))
+        depths = range(1, k + 1)
     elif shape == "gap":  # skips depth j
         j = draw(st.integers(min(1, k - 1), k - 1))
-        depths = [n + (n >= j) for n in range(k)]
+        depths = tuple(n + (n >= j) for n in range(k))
     else:
-        depths = [2**i for i in range(k)]
-    return [[d, v] for d, v in zip(depths, values)]
+        depths = tuple(2**i for i in range(k))
+    return depths, values
 
 
 def _nest(obj, level: int):
@@ -359,8 +364,10 @@ class TestCanonicalJson:
 
     @given(_profiles(), st.integers(0, 5))
     @settings(max_examples=300, deadline=None)
-    def test_typed_rows_match_the_plain_list_and_the_round_trip_writer(self, rows, level):
-        text = canonical_json(_nest(_Rows(rows), level))
+    def test_typed_rows_match_the_plain_list_and_the_round_trip_writer(self, profile, level):
+        depths, values = profile
+        rows = [[n, v] for n, v in zip(depths, values)]
+        text = canonical_json(_nest(_Rows(depths, np.array(values)), level))
         assert text == canonical_json(_nest(rows, level))
         assert text == reference_canonical_json(_nest(rows, level))
 
@@ -368,7 +375,8 @@ class TestCanonicalJson:
     def test_a_profile_past_the_row_table_grows_it(self, level):
         k = len(treewco_io._HEADS.get(level, ())) + 3
         rows = [[n, n / 7] for n in range(k)]
-        assert canonical_json(_nest(_Rows(rows), level)) == reference_canonical_json(_nest(rows, level))
+        typed = _Rows(range(k), np.arange(k) / 7)
+        assert canonical_json(_nest(typed, level)) == reference_canonical_json(_nest(rows, level))
         assert len(treewco_io._HEADS[level]) == k
 
     def test_profile_producers_hand_the_writer_typed_rows(self, specs, monkeypatch):
@@ -398,6 +406,61 @@ class TestCanonicalJson:
             depths = [n for n, _ in rows]
             assert all(map(int.__lt__, depths, depths[1:])), name
             assert not depths or depths[0] >= 0, name
+
+    def test_typed_rows_are_read_only_and_equal_their_list(self):
+        values = np.array([0.5, -0.0, math.inf])
+        rows = _Rows((1, 2, 4), values)
+        want = [[1, 0.5], [2, -0.0], [4, math.inf]]
+        assert rows == want and want == rows and list(rows) == want and not rows != want
+        assert rows != want[:2] and rows != [tuple(row) for row in want] and rows != tuple(want)
+        assert rows[1] == [2, -0.0] and rows[-1] == [4, math.inf]
+        assert [tuple(map(type, row)) for row in rows] == [(int, float)] * 3
+        assert rows == _Rows((1, 2, 4), values.copy()) and len(rows) == 3 and not _Rows()
+        assert copy.deepcopy(rows) == rows and pickle.loads(pickle.dumps(rows)) == rows
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(rows)
+        with pytest.raises(AttributeError, match="read-only"):
+            rows.values = np.zeros(3)
+        with pytest.raises(AttributeError, match="read-only"):
+            del rows.depths
+        with pytest.raises(TypeError):
+            rows[0] = [1, 1.0]
+        with pytest.raises(AttributeError):
+            rows.append([8, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            rows.values[0] = 1.0
+        assert values.flags.writeable and rows == want  # the caller's array stays its own
+
+    @pytest.mark.parametrize(
+        "depths, values",
+        [(range(2), np.zeros(3)), ([[0, 0.5]], np.zeros(0)), ((1,), np.zeros((1, 1)))],
+        ids=["short", "list_of_rows", "two_dimensional"],
+    )
+    def test_typed_rows_need_one_value_per_depth(self, depths, values):
+        with pytest.raises(ValueError, match="depths for values of shape"):
+            _Rows(depths, values)
+
+    def test_profiles_are_views_of_the_operator_rows(self, monkeypatch):
+        t = tw.zline(8)
+        op = tw.composition_op(tw.zline_fold(t))
+        payload = analyze_payload(op, 4)
+        q = payload["quantities"]
+        certs = {c["statement"]: c for c in payload["certificates"]}
+        assert np.shares_memory(q["linf_ess_tail"].values, op.tail_sups)
+        assert np.shares_memory(q["lip_ess_tail"].values, op.tail_sups)
+        assert np.shares_memory(certs["Linf.Isometry"]["depth_profile"].values, op.preimage_inf)
+        profiles = [q["linf_ess_tail"], q["lip_ess_tail"], payload["seven_equivalences"]["depth_profile"]]
+        profiles += [c["depth_profile"] for c in certs.values()]
+        assert {type(rows) for rows in profiles} == {_Rows}
+        text = reference_canonical_json(payload)
+
+        def no_rows(*args):
+            raise AssertionError("the writer built a row")
+
+        # the writer reads the two columns and builds no row
+        monkeypatch.setattr(_Rows, "__iter__", no_rows)
+        monkeypatch.setattr(_Rows, "__getitem__", no_rows)
+        assert canonical_json(payload) == text
 
     @pytest.mark.parametrize(
         "op, window", [pytest.param(op, window, id=name) for name, op, window in _deep_operators()]

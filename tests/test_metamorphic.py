@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import SelfMap, VertexFunction, WeightedCompOp
+from treewco.certificate import _Rows
 from treewco.cli import main
 from treewco.operators import window_preimage_sup
 
@@ -148,8 +149,11 @@ def operators(draw, max_depth=6):
 
 def assert_scaled(got, want, factor: float, where: str = "") -> None:
     """Every float of ``got`` is exactly ``factor`` times the one of
-    ``want``; everything else is equal."""
+    ``want``; everything else is equal.  A ``_Rows`` reads as its list of
+    rows."""
     assert type(got) is type(want), where
+    if type(want) is _Rows:
+        got, want = list(got), list(want)
     if isinstance(want, dict):
         assert got.keys() == want.keys(), where
         for key in want:

@@ -53,6 +53,25 @@ class TestSelfMap:
         with pytest.raises(MapSpecError, match="must be integers"):
             SelfMap(tw.zline(1), np.asarray(image), 1)
 
+    def test_a_numpy_integer_domain_depth_is_read_as_an_int(self):
+        t = tw.zline(4)
+        image = tw.identity_map(t).image[: SelfMap.domain_size_for(t, 2)]
+        phi, want = SelfMap(t, image, np.int64(2)), SelfMap(t, image, 2)
+        assert type(phi.domain_depth) is int and phi.domain_depth == 2
+        psi = VertexFunction(t, np.linspace(0.5, 1.5, len(t)))
+        got = tw.operator_quantities(WeightedCompOp(psi, phi))
+        assert tw.canonical_json(got) == tw.canonical_json(
+            tw.operator_quantities(WeightedCompOp(psi, want))
+        )
+        assert got["map_domain_depth"] == 2
+
+    @pytest.mark.parametrize("depth", [True, 2.0], ids=["bool", "float"])
+    def test_a_domain_depth_that_is_not_an_integer_is_refused(self, depth):
+        t = tw.zline(4)
+        image = np.arange(SelfMap.domain_size_for(t, int(depth)))
+        with pytest.raises(MapSpecError, match=f"domain depth must be an integer, got {depth!r}"):
+            SelfMap(t, image, depth)
+
     def test_table_accepts_numpy_integers(self, line4):
         phi = tw.map_from_table(line4, {v: np.int64(0) for v in range(len(line4))})
         assert not phi.image.any()

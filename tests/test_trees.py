@@ -240,6 +240,24 @@ class TestBreadthFirstLayout:
             tw.RootedTree(parent, depth, 3, "explicit", labels)
 
     @pytest.mark.parametrize(
+        "parent, depth, got",
+        [
+            ([-1, 0, 0], np.asarray([0, 1, 1]), "parent must be an integer numpy array, got a list"),
+            (np.asarray([-1, 0, 0]), (0, 1, 1), "depth must be an integer numpy array, got a tuple"),
+            (np.asarray([-1.0, 0.0, 0.0]), np.asarray([0, 1, 1]), "parent must be an integer "
+             "numpy array, got dtype float64"),
+            (np.asarray([-1, 0, 0]), np.asarray([0.0, 1.0, 1.0]), "depth must be an integer "
+             "numpy array, got dtype float64"),
+            (np.asarray([-1, 0, 0]), np.asarray([False, True, True]), "depth must be an integer "
+             "numpy array, got dtype bool"),
+        ],
+        ids=["list_parent", "tuple_depth", "float_parent", "float_depth", "bool_depth"],
+    )
+    def test_refuses_parent_and_depth_that_are_not_integer_arrays(self, parent, depth, got):
+        with pytest.raises(TreeStructureError, match=f"^{re.escape(got)}$"):
+            tw.RootedTree(parent, depth, "explicit", ("r", "a", "b"))
+
+    @pytest.mark.parametrize(
         "labels, got",
         [
             (("a",), "got 1"),
