@@ -30,7 +30,8 @@ class _Rows(Sequence):
     ``range`` or a tuple of Python ``int`` that rise strictly from 0 or
     more, and ``values``, a 1-D float64 array of one value per depth,
     normally a view of a row the operator caches.  Iterating or indexing
-    yields ``[n, value]`` lists of a Python ``int`` and a Python ``float``.
+    yields ``[n, value]`` lists of a Python ``int`` and a Python ``float``;
+    a slice is the ``_Rows`` over the sliced depths and values.
     A ``_Rows`` equals the list of its rows, is not hashable and cannot be
     changed: a writable ``values`` is held through a read-only view.
     ``canonical_json`` writes it from the two columns without checking a
@@ -62,7 +63,9 @@ class _Rows(Sequence):
     def __iter__(self):
         return map(list, zip(self.depths, self.values.tolist()))
 
-    def __getitem__(self, i: int) -> list:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Rows(self.depths[i], self.values[i])
         return [self.depths[i], self.values[i].item()]
 
     def __eq__(self, other):

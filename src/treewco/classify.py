@@ -23,7 +23,7 @@ the first vertex that decides the bounded-below and isometry witnesses.
 
 from __future__ import annotations
 
-import numbers
+import math
 import operator
 
 import numpy as np
@@ -41,6 +41,7 @@ from .operators import (
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
+    _integer,
     _window_depth,
     linf_op_norm,
     lip_bounds,
@@ -80,11 +81,7 @@ def _check_schedule(schedule, depth_limit: int) -> tuple:
         raise ValueError(
             f"classification needs a tree of depth >= 1, got depth {depth_limit}"
         )
-    sched = tuple(schedule)
-    for d in sched:
-        if isinstance(d, bool) or not isinstance(d, numbers.Integral):
-            raise ValueError(f"schedule depths must be integers, got {d!r}")
-    sched = tuple(map(int, sched))
+    sched = tuple(_integer(d, "schedule depth") for d in schedule)
     if not sched or min(sched) < 1 or max(sched) > depth_limit:
         raise ValueError(f"schedule must be within 1..{depth_limit}")
     # the trend proxies read the last entries as the deepest ones
@@ -140,7 +137,10 @@ def classify_operator(
     (the Lipschitz one on a tree of depth >= 2) and BoundedBelow
     certificates for the operator on the bounded functions and from the
     Lipschitz space, written by one loop over the data that differs
-    between the two spaces."""
+    between the two spaces.  A NaN, infinite or negative ``zero_tol`` is
+    refused with a ValueError."""
+    if not math.isfinite(zero_tol) or zero_tol < 0:
+        raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
     t = op.tree
     if schedule is None:
         schedule = default_schedule(t.depth_limit)

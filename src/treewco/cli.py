@@ -106,10 +106,11 @@ def _schedule(args, depth_limit: int):
         raise SpecError("args.depths", str(exc)) from exc
 
 
-def _window(args, depth_limit: int) -> int | None:
-    if args.window is not None and not 0 <= args.window <= depth_limit:
-        raise SpecError("args.window", f"window depth {args.window} outside [0, {depth_limit}]")
-    return args.window
+def _window(args, tree) -> int | None:
+    try:
+        return None if args.window is None else tree.check_depth(args.window, "window depth")
+    except IndexError as exc:
+        raise SpecError("args.window", str(exc)) from exc
 
 
 def _cmd_analyze(args) -> int:
@@ -119,7 +120,7 @@ def _cmd_analyze(args) -> int:
     if not math.isfinite(args.tol) or args.tol < 0:
         raise SpecError("args.tol", f"must be a finite number >= 0, got {args.tol}")
     sched = _schedule(args, op.tree.depth_limit)
-    window = _window(args, op.tree.depth_limit)
+    window = _window(args, op.tree)
     certs = classify_operator(op, sched, window, zero_tol=args.tol)
     payload = {
         "schema": SCHEMA_VERSION,
@@ -144,7 +145,7 @@ def _cmd_norms(args) -> int:
             "d_sup": rep.d_sup,
             "tail_profile": _Rows(range(rep.tail_sups.size), rep.tail_sups),
         },
-        "quantities": operator_quantities(op, _window(args, op.tree.depth_limit)),
+        "quantities": operator_quantities(op, _window(args, op.tree)),
     }
     _emit(canonical_json(payload), args.out)
     return 0

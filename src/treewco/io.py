@@ -96,7 +96,6 @@ from .functions import (
 from .operators import (
     SelfMap,
     WeightedCompOp,
-    _integer,
     _slope,
     _slope_design,
     constant_map,
@@ -114,6 +113,7 @@ from .oracle import surjectivity_infeasibility
 from .trees import (
     RootedTree,
     TreeBudgetError,
+    _integer,
     explicit_tree,
     homogeneous,
     random_tree,
@@ -322,10 +322,6 @@ def _require(d: dict, key: str, pointer: str):
     return d[key]
 
 
-def _is_int(value) -> bool:
-    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
-
-
 def _finite(value) -> float | None:
     """``value`` as a float, or None unless it is a finite non-bool number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -348,13 +344,15 @@ def _int(
     """An integer field (JSON booleans and floats rejected), within
     ``minimum`` and ``maximum`` when they are given."""
     value = d.get(key, default) if default is not None else _require(d, key, pointer)
-    if not _is_int(value):
-        raise SpecError(f"{pointer}.{key}", f"expected an integer, got {value!r}")
+    try:
+        value = _integer(value, key)
+    except ValueError:
+        raise SpecError(f"{pointer}.{key}", f"expected an integer, got {value!r}") from None
     if minimum is not None and value < minimum:
         raise SpecError(f"{pointer}.{key}", f"must be >= {minimum}, got {value}")
     if maximum is not None and value > maximum:
         raise SpecError(f"{pointer}.{key}", f"must be <= {maximum}, got {value}")
-    return int(value)
+    return value
 
 
 def _real(d: dict, key: str, pointer: str) -> float:
@@ -482,9 +480,12 @@ def load_map_spec(spec: dict, tree: RootedTree, pointer: str = "phi") -> SelfMap
     if kind == "table":
         images = {}
         for k, vid, v in _table(spec, "map", tree, pointer):
-            if not _is_int(v):
-                raise SpecError(f"{pointer}.map.{k}", f"expected an integer vertex id, got {v!r}")
-            images[vid] = v
+            try:
+                images[vid] = _integer(v, "image")
+            except ValueError:
+                raise SpecError(
+                    f"{pointer}.map.{k}", f"expected an integer vertex id, got {v!r}"
+                ) from None
         try:
             return map_from_table(tree, images)
         except ValueError as exc:

@@ -38,14 +38,13 @@ depth <= d, which is ``j_linf`` on the window of depth d.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .functions import VertexFunction
-from .trees import RootedTree, zline_ids
+from .trees import RootedTree, _integer, zline_ids
 
 __all__ = [
     "MapSpecError",
@@ -85,8 +84,9 @@ class SelfMap:
     """A vertex-to-vertex map with its preimage index.
 
     ``image[v]`` is defined for the domain prefix (all vertices of depth
-    <= ``domain_depth``, an integer held as a Python ``int``; breadth-first
-    ids make that prefix contiguous).
+    <= ``domain_depth``, held as the ``int`` that ``tree.check_depth`` gives,
+    its errors re-raised as MapSpecError; breadth-first ids make that prefix
+    contiguous).
     ``coverage[w]`` counts the preimages of w.
     """
 
@@ -99,11 +99,9 @@ class SelfMap:
     def __post_init__(self):
         t = self.tree
         try:
-            depth = _integer(self.domain_depth, "domain depth")
-        except ValueError as exc:
+            depth = t.check_depth(self.domain_depth, "domain depth")
+        except (ValueError, IndexError) as exc:
             raise MapSpecError(str(exc)) from None
-        if not 0 <= depth <= t.depth_limit:
-            raise MapSpecError(f"domain depth {depth} outside [0, {t.depth_limit}]")
         object.__setattr__(self, "domain_depth", depth)
         img = np.asarray(self.image)
         if img.dtype.kind not in "iu":
@@ -190,11 +188,13 @@ def map_from_table(tree: RootedTree, table: dict) -> SelfMap:
     are not integer vertex ids of the truncation, are rejected."""
     img = np.full(tree.n_vertices, -1, dtype=np.int64)
     for k, v in table.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
-            raise MapSpecError(f"image of vertex {k} must be an integer, got {v!r}")
+        try:
+            v = _integer(v, f"image of vertex {k}")
+        except ValueError as exc:
+            raise MapSpecError(str(exc)) from None
         if not 0 <= v < tree.n_vertices:
             raise MapSpecError(f"map sends vertex {k} outside the truncation (to {v})")
-        img[tree.check_vertex(int(k))] = v
+        img[tree.check_vertex(k)] = v
     missing = np.where(img < 0)[0]
     if missing.size:
         raise MapSpecError(
@@ -435,23 +435,13 @@ def _slope(design: tuple, y: np.ndarray) -> float:
 # -- minimum moduli ------------------------------------------------------------
 
 
-def _integer(value, what: str) -> int:
-    """``value`` as an int; a ValueError naming it unless it is an integer
-    (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _window_depth(tree: RootedTree, within_depth: int | None) -> int:
-    """The window depth as an int, N by default; a ValueError for a
-    non-integer, an IndexError outside [0, N]."""
+    """The window depth as an int, N by default, else as
+    ``tree.check_depth`` gives it: a ValueError for a non-integer, an
+    IndexError outside [0, N]."""
     if within_depth is None:
         return tree.depth_limit
-    limit = _integer(within_depth, "window depth")
-    if not 0 <= limit <= tree.depth_limit:
-        raise IndexError(f"window depth {limit} outside [0, {tree.depth_limit}]")
-    return limit
+    return tree.check_depth(within_depth, "window depth")
 
 
 def window_preimage_sup(op: WeightedCompOp, within_depth: int | None = None) -> np.ndarray:

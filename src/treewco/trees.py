@@ -12,10 +12,15 @@ Structure lives in flat arrays: ``parent`` and ``depth`` per vertex.  The
 breadth-first layout is the only index: the children of a vertex, a depth
 layer and every truncation are contiguous id ranges, read from two offset
 arrays, and a sector is one id range per layer below its top vertex.
+
+Every vertex id, depth and count a caller passes goes through ``_integer``
+(never a bool or a float: ``1.9`` is refused, not vertex 1), and an id or
+depth then through ``check_vertex`` or ``check_depth``.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -49,6 +54,14 @@ class TreeBudgetError(ValueError):
 
     def __init__(self, depth: int):
         super().__init__(f"depth {depth} gives more than MAX_VERTICES = {MAX_VERTICES} vertices")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int; a ValueError naming ``what`` unless it is
+    an integer (a bool is not).  A plain int skips the ABC check (~0.4 us)."""
+    if type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Integral):
+        return int(value)
+    raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _check_breadth_first(parent: np.ndarray, depth: np.ndarray) -> None:
@@ -139,10 +152,17 @@ class RootedTree:
         return self.parent.size
 
     def check_vertex(self, v: int) -> int:
-        v = int(v)
+        v = _integer(v, "vertex")
         if not 0 <= v < self.n_vertices:
             raise KeyError(f"vertex {v} not in tree with {self.n_vertices} vertices")
         return v
+
+    def check_depth(self, n: int, what: str = "depth") -> int:
+        """``n`` as an int in [0, N]; an IndexError outside, by ``what``."""
+        n = _integer(n, what)
+        if not 0 <= n <= self.depth_limit:
+            raise IndexError(f"{what} {n} outside [0, {self.depth_limit}]")
+        return n
 
     def children_of(self, v: int) -> np.ndarray:
         v = self.check_vertex(v)
@@ -155,14 +175,13 @@ class RootedTree:
 
     def layer(self, n: int) -> np.ndarray:
         """All vertices at depth n."""
-        if not 0 <= n <= self.depth_limit:
-            raise IndexError(f"depth {n} outside [0, {self.depth_limit}]")
+        n = self.check_depth(n)
         return np.arange(self.layer_offsets[n], self.layer_offsets[n + 1])
 
     def ancestor_at_depth(self, v: int, n: int) -> int:
         """The unique vertex on the root path of v at depth n."""
-        v = self.check_vertex(v)
-        if not 0 <= n <= self.depth_of(v):
+        v, n = self.check_vertex(v), _integer(n, "depth")
+        if not 0 <= n <= self.depth[v]:
             raise IndexError(f"depth {n} not on the root path of vertex {v}")
         return self.root_path(v)[n]
 
@@ -222,8 +241,7 @@ class RootedTree:
         Because ids are breadth-first, this is an id prefix and ids are
         preserved.
         """
-        if not 0 <= depth <= self.depth_limit:
-            raise IndexError(f"depth {depth} outside [0, {self.depth_limit}]")
+        depth = self.check_depth(depth)
         if depth == self.depth_limit:
             return self
         m = int(self.layer_offsets[depth + 1])
@@ -253,7 +271,7 @@ class RootedTree:
         lines = ["digraph tree {", "  node [style=filled];"]
         nmax = max(self.depth_limit, 1)
         for v in range(self.n_vertices):
-            shade = 100 - int(55 * self.depth_of(v) / nmax)
+            shade = 100 - int(55 * self.depth[v] / nmax)
             label = str(self.labels[v]).replace("\\", "\\\\").replace('"', '\\"')
             lines.append(
                 f'  v{v} [label="{label}" fillcolor="gray{shade}"];'
@@ -263,7 +281,7 @@ class RootedTree:
         if phi_image is not None:
             for v in sorted(phi_image):
                 lines.append(
-                    f"  v{int(v)} -> v{int(phi_image[v])} "
+                    f"  v{v} -> v{phi_image[v]} "
                     "[style=dashed color=blue constraint=false];"
                 )
         lines.append("}")
@@ -285,6 +303,7 @@ def zline(depth: int) -> RootedTree:
     n -> -2n for n < 0 (breadth-first order with the positive vertex first
     on each layer).
     """
+    depth = _integer(depth, "depth")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     if 2 * depth + 1 > MAX_VERTICES:
@@ -316,13 +335,13 @@ def homogeneous(q: int, depth: int) -> RootedTree:
     Convention: the root gets q+1 children and every other interior
     vertex q children, so all vertices (root included) have degree q+1.
     """
+    q, depth = _integer(q, "q"), _integer(depth, "depth")
     if q < 2:
         raise ValueError("q must be >= 2")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     # past the budget's bit length q**depth alone exceeds it, so the
     # closed-form count is only formed for depths where it is small
-    q = int(q)
     if depth >= MAX_VERTICES.bit_length() or (
         1 + (q + 1) * (q**depth - 1) // (q - 1) > MAX_VERTICES
     ):
@@ -353,11 +372,13 @@ def random_tree(
 
     Deterministic for a fixed (seed, bounds).
     """
+    depth, seed = _integer(depth, "depth"), _integer(seed, "seed")
+    lo, hi = _integer(min_children, "min_children"), _integer(max_children, "max_children")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if min_children < 1:
+    if lo < 1:
         raise ValueError("min_children must be >= 1 (no interior terminal)")
-    if max_children < min_children:
+    if hi < lo:
         raise ValueError("max_children must be >= min_children")
     rng = np.random.default_rng(seed)
     parent_ids = [np.asarray([-1], dtype=np.int64)]
@@ -366,7 +387,7 @@ def random_tree(
     for _ in range(depth):
         # one draw per parent, in id order: the seeded trees depend on it
         # (an array draw yields the same stream as one scalar draw each)
-        counts = rng.integers(min_children, max_children + 1, size=sizes[-1])
+        counts = rng.integers(lo, hi + 1, size=sizes[-1])
         layer = int(counts.sum())
         if start + sizes[-1] + layer > MAX_VERTICES:
             raise TreeBudgetError(depth)
@@ -379,7 +400,7 @@ def random_tree(
         depth=np.repeat(np.arange(depth + 1, dtype=np.int64), sizes),
         family="random",
         labels=tuple(range(n)),
-        meta={"seed": seed, "min_children": min_children, "max_children": max_children},
+        meta={"seed": seed, "min_children": lo, "max_children": hi},
     )
 
 

@@ -557,11 +557,11 @@ class TestOnePass:
                          "got [1, 2, 2, 4]", id="8-schedule1"),
             pytest.param(8, (0, 2), "schedule must be within 1..8", id="8-schedule2"),
             pytest.param(8, (1, 9), "schedule must be within 1..8", id="8-schedule3"),
-            pytest.param(8, [3.0, 2], "schedule depths must be integers, got 3.0",
+            pytest.param(8, [3.0, 2], "schedule depth must be an integer, got 3.0",
                          id="8-schedule4"),
-            pytest.param(8, [1.9, 3.2, 8], "schedule depths must be integers, got 1.9",
+            pytest.param(8, [1.9, 3.2, 8], "schedule depth must be an integer, got 1.9",
                          id="8-fractional"),
-            pytest.param(8, (1, True), "schedule depths must be integers, got True",
+            pytest.param(8, (1, True), "schedule depth must be an integer, got True",
                          id="8-boolean"),
             pytest.param(8, [], "schedule must be within 1..8", id="8-empty"),
             pytest.param(0, None, "classification needs a tree of depth >= 1, got depth 0",
@@ -573,6 +573,18 @@ class TestOnePass:
         with pytest.raises(ValueError) as info:
             tw.classify_operator(op, schedule)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("zero_tol", [float("nan"), -1.0, float("inf")])
+    def test_a_zero_tol_outside_the_cli_rule_is_refused(self, zero_tol):
+        # the CLI's --tol rule: a finite number >= 0; inf would turn both
+        # Compact verdicts of the fold into TrendConsistent
+        op = tw.composition_op(tw.zline_fold(tw.zline(8)))
+        compact = [c.verdict for c in tw.classify_operator(op, zero_tol=0.0)["linf"]
+                   if c.statement.endswith("Compact")]
+        assert compact == [TREND_INCONSISTENT]
+        with pytest.raises(ValueError) as info:
+            tw.classify_operator(op, zero_tol=zero_tol)
+        assert str(info.value) == f"zero_tol must be a finite number >= 0, got {zero_tol}"
 
 
 def ref_seven_equivalences(phi) -> Certificate:

@@ -431,6 +431,20 @@ class TestCanonicalJson:
             rows.values[0] = 1.0
         assert values.flags.writeable and rows == want  # the caller's array stays its own
 
+    def test_a_slice_of_typed_rows_is_typed_rows_equal_to_the_list_slice(self):
+        for depths in ((1, 2, 4), range(1, 4)):
+            values = np.array([0.5, -0.0, math.inf])
+            rows = _Rows(depths, values)
+            rows_list = list(rows)
+            for cut in (slice(-2, None), slice(None, 1), slice(None, None, -1), slice(3, 9)):
+                part = rows[cut]
+                assert isinstance(part, _Rows) and part == rows_list[cut]
+                assert type(part.depths) is type(depths)
+                assert np.shares_memory(part.values, values) or not len(part)
+        profile = tw.classify_operator(tw.composition_op(tw.zline_fold(tw.zline(8))))
+        rows = profile["linf"][0].depth_profile
+        assert rows[-2:] == list(rows)[-2:] == [[4, 1.0], [8, 1.0]]
+
     @pytest.mark.parametrize(
         "depths, values",
         [(range(2), np.zeros(3)), ([[0, 0.5]], np.zeros(0)), ((1,), np.zeros((1, 1)))],

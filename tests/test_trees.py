@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -348,6 +349,86 @@ class TestBuilderRanges:
     def test_out_of_range_rejected(self, build):
         with pytest.raises(ValueError):
             build()
+
+
+def _line3_index_entry_points():
+    """(argument name, call) for each entry point that takes a vertex id,
+    depth or count, on ``zline(3)``; each call is fine with the integer 2."""
+    t = tw.zline(3)
+    op = tw.composition_op(tw.identity_map(t))
+
+    def table(key=2, image=0):
+        rest = {v: 0 for v in range(len(t)) if v != key}
+        return tw.map_from_table(t, {**rest, key: image})
+
+    return {
+        "check_vertex": ("vertex", t.check_vertex),
+        "check_depth": ("depth", t.check_depth),
+        "layer": ("depth", t.layer),
+        "truncate": ("depth", t.truncate),
+        "ancestor_at_depth": ("depth", lambda x: t.ancestor_at_depth(6, x)),
+        "children_of": ("vertex", t.children_of),
+        "indicator": ("vertex", lambda x: tw.indicator(t, x)),
+        "constant_map": ("vertex", lambda x: tw.constant_map(t, x)),
+        "point_eval_lip_norm": ("vertex", lambda x: tw.point_eval_lip_norm(t, x)),
+        "zline": ("depth", tw.zline),
+        "homogeneous_q": ("q", lambda x: tw.homogeneous(x, 2)),
+        "homogeneous_depth": ("depth", lambda x: tw.homogeneous(2, x)),
+        "random_tree_depth": ("depth", lambda x: tw.random_tree(x, 0)),
+        "random_tree_seed": ("seed", lambda x: tw.random_tree(2, x)),
+        "random_tree_min_children": ("min_children", lambda x: tw.random_tree(2, 0, x)),
+        "random_tree_max_children": ("max_children", lambda x: tw.random_tree(2, 0, 1, x)),
+        "map_key": ("vertex", lambda x: table(key=x)),
+        "map_image": ("image of vertex 2", lambda x: table(image=x)),
+        "domain_depth": ("domain depth", lambda x: tw.SelfMap(t, np.zeros(5, np.int64), x)),
+        "window": ("window depth", lambda x: tw.classify_operator(op, None, x)),
+        "schedule": ("schedule depth", lambda x: tw.classify_operator(op, [x])),
+    }
+
+
+_INDEX_ENTRY_POINTS = _line3_index_entry_points()
+
+
+class TestIndexArguments:
+    """Every vertex id, depth and count goes through ``trees._integer``:
+    a float, a bool or a numpy float is refused by name, never truncated,
+    and a numpy integer is taken as a Python ``int``."""
+
+    @pytest.mark.parametrize("entry", _INDEX_ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "value", [1.5, 2.0, True, np.float64(1.0)], ids=["1.5", "2.0", "True", "np64_1.0"]
+    )
+    def test_a_non_integer_is_refused_by_name(self, entry, value):
+        name, call = _INDEX_ENTRY_POINTS[entry]
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+            call(value)
+
+    @pytest.mark.parametrize("entry", _INDEX_ENTRY_POINTS)
+    def test_a_numpy_integer_is_accepted(self, entry):
+        _, call = _INDEX_ENTRY_POINTS[entry]
+        assert call(np.int64(2)) is not None
+
+    def test_numpy_integers_are_held_as_python_ints(self):
+        t = tw.zline(3)
+        assert type(t.check_vertex(np.int64(2))) is int
+        assert type(t.check_depth(np.uint8(2))) is int
+        phi = tw.SelfMap(t, np.zeros(5, np.int64), np.int64(2))
+        assert type(phi.domain_depth) is int
+        meta = tw.homogeneous(np.int64(2), np.int64(2)).meta
+        assert [type(x) for x in meta.values()] == [int]
+        r = tw.random_tree(np.int64(2), np.int64(5))
+        assert r.meta == {"seed": 5, "min_children": 1, "max_children": 3}
+        assert {type(x) for x in r.meta.values()} == {int}
+        back = tw.load_tree_spec(json.loads(tw.canonical_json(tw.tree_to_spec(r))))
+        assert back.parent.tolist() == r.parent.tolist()
+        assert back.depth.tolist() == r.depth.tolist()
+
+    def test_check_depth_names_the_argument_and_the_range(self):
+        t = tw.zline(3)
+        assert t.check_depth(3) == 3 and t.check_depth(0) == 0
+        for n in (-1, 4):
+            with pytest.raises(IndexError, match=re.escape(f"window depth {n} outside [0, 3]")):
+                t.check_depth(n, "window depth")
 
 
 class TestVertexBudget:

@@ -177,7 +177,7 @@ def _schedules(op) -> list:
 def _analyze_text(tw, np, op, window, tol, schedule=None) -> str:
     certs = tw.classify_operator(op, schedule, window, tol)
     payload = {
-        "schema": 1,
+        "schema": tw.io.SCHEMA_VERSION,
         "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
         "quantities": tw.operator_quantities(op, window),
     }
