@@ -17,8 +17,8 @@ the fixed ``ISOMETRY_TOL`` of 1 as 1.
 Every profile is a read of rows the operator caches once (see
 ``operators``): Bounded reads ``head_sups`` at the schedule depths, Compact
 reads ``tail_sups``, and ``Linf.Isometry`` reads ``preimage_inf`` down to
-the window.  A classification scans only the window's preimage sups, for
-the first vertex that decides the bounded-below and isometry witnesses.
+the window.  The witnesses are row reads too (``preimage_argmin``,
+``first_off_one``), so a classification scans no vertex array.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .certificate import (
     _Rows,
 )
 from .operators import (
+    ISOMETRY_TOL,
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
@@ -45,7 +46,6 @@ from .operators import (
     _window_depth,
     linf_op_norm,
     lip_bounds,
-    window_preimage_sup,
 )
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
 
 _DECAY_FACTOR = 1.5
 _GROWTH_FACTOR = 1.05
-ISOMETRY_TOL = 1e-9
 
 
 def default_schedule(depth_limit: int) -> tuple:
@@ -153,27 +152,27 @@ def classify_operator(
     # read-only, so the profiles hold their rows without a view of their own
     heads.flags.writeable = tails.flags.writeable = False
     stable = op.phi.finite_range_stable()
-    # the vertex deciding the inf-sup of j_linf and, when uncovered, the
-    # Lip.NoIsometry witness: an uncovered vertex holds -inf, the least
-    # value, so argmin finds the first one
-    window, sup = _window(op, window_depth)
+    window = _window_depth(t, window_depth)
     # the trend certificates print the window as given: null by default
     shown = None if window_depth is None else window
-    w = int(sup.argmin())
-    j = max(float(sup[w]), 0.0)
-    if sup[w] == -np.inf:
+    # the vertex deciding the inf-sup of j_linf: an uncovered vertex holds
+    # -inf, the least value, so the first one is named
+    w = int(op.preimage_argmin[window])
+    s = float(op.preimage_sup[w])
+    j = max(s, 0.0)
+    if s == -np.inf:
         below = {"vertex": w, "reason": "no preimage in the window"}
     else:
-        below = {"vertex": w, "preimage_sup": float(sup[w])}
+        below = {"vertex": w, "preimage_sup": s}
     lo, up = lip_bounds(op)  # the lower end is the exact norm
     # per space: the norm witnesses, the isometry certificates (the
     # Lipschitz witness is a vertex deeper than 1) and the modulus with its
     # witnesses (the Lipschitz one is j_lip_bracket's (M/3, M))
     spaces = (
-        ("Linf", {"sup_psi": linf_op_norm(op)}, (_isometry_linf(op, window, sup),),
+        ("Linf", {"sup_psi": linf_op_norm(op)}, (_isometry_linf(op, window),),
          j, {"injectivity_modulus": j}),
         ("Lip", {"lower_bound": lo, "upper_bound": up, "exact_norm": lo},
-         (_no_isometry_lip(op, window, sup, w),) if t.depth_limit >= 2 else (),
+         (_no_isometry_lip(op, window),) if t.depth_limit >= 2 else (),
          j / 3.0, {"bracket": [j / 3.0, j]}),
     )
     # per space: the sups over depth <= d that decide Bounded and the tail,
@@ -269,16 +268,10 @@ def seven_equivalences(phi: SelfMap) -> Certificate:
 # -- isometry certificates ------------------------------------------------------
 
 
-def _window(op: WeightedCompOp, within_depth: int | None) -> tuple:
-    """The window depth as an int (N by default) and ``window_preimage_sup`` on it."""
-    window = _window_depth(op.tree, within_depth)
-    return window, window_preimage_sup(op, window)
-
-
 def isometry_check_linf(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
     """Isometry on the bounded functions: every window vertex must be
     covered and have preimage sup of |psi| equal to 1."""
-    return _isometry_linf(op, *_window(op, within_depth))
+    return _isometry_linf(op, _window_depth(op.tree, within_depth))
 
 
 def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> Certificate:
@@ -286,26 +279,24 @@ def isometry_check_lip(op: WeightedCompOp, within_depth: int | None = None) -> C
     isometry; always returns Holds with an explicit witness."""
     if op.tree.depth_limit < 2:
         raise IndexError("need a vertex deeper than 1 to exhibit the witness")
-    window, sup = _window(op, within_depth)
-    return _no_isometry_lip(op, window, sup, int(sup.argmin()))
+    return _no_isometry_lip(op, _window_depth(op.tree, within_depth))
 
 
-def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certificate:
-    """``Linf.Isometry`` from the window's preimage sups ``sup``."""
+def _isometry_linf(op: WeightedCompOp, window: int) -> Certificate:
+    """``Linf.Isometry`` on the window of depth ``window``."""
     criterion = (
         "isometry on the bounded functions iff the map covers every vertex "
         "and sup of |psi| over each preimage equals 1"
     )
-    # an uncovered vertex's -inf is off 1 too
-    bad = np.abs(sup - 1.0) > ISOMETRY_TOL
-    w = int(bad.argmax())  # the first bad vertex, if any
-    failed = bool(bad[w])
+    w = op.first_off_one
+    failed = bool(w < op.tree.layer_offsets[window + 1])
     witnesses = {"window_depth": window}
     if failed:
+        s = float(op.preimage_sup[w])
         reason = (
             "vertex has no preimage in the window"
-            if sup[w] == -np.inf
-            else f"preimage sup of |psi| is {float(sup[w]):.12g}, not 1"
+            if s == -np.inf
+            else f"preimage sup of |psi| is {s:.12g}, not 1"
         )
         witnesses.update({"vertex": w, "reason": reason})
     return Certificate(
@@ -318,17 +309,18 @@ def _isometry_linf(op: WeightedCompOp, window: int, sup: np.ndarray) -> Certific
     )
 
 
-def _no_isometry_lip(op: WeightedCompOp, window: int, sup: np.ndarray, w: int) -> Certificate:
-    """``Lip.NoIsometry`` on a tree of depth >= 2, witnessed by ``w``, the
-    first minimum of ``sup``, if uncovered, else the first vertex of depth 2."""
+def _no_isometry_lip(op: WeightedCompOp, window: int) -> Certificate:
+    """``Lip.NoIsometry`` on a tree of depth >= 2, witnessed by the window's
+    first uncovered vertex, if any, else the first vertex of depth 2."""
     t = op.tree
     criterion = (
         "never an isometry from the Lipschitz space to the bounded "
         "functions: an uncovered vertex kills a unit indicator, and a "
         "covered vertex deeper than 1 forces operator norm above 1"
     )
-    if sup[w] != -np.inf:
-        w = int(t.layer(2)[0])
+    w = int(op.preimage_argmin[window])
+    if op.preimage_sup[w] != -np.inf:
+        w = int(t.layer_offsets[2])
     s = float(op.preimage_sup[w])
     witnesses: dict = {"window_depth": window, "vertex": w}
     if s == -np.inf:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .trees import RootedTree
+from .trees import RootedTree, _integer
 
 __all__ = [
     "VertexFunction",
@@ -141,7 +141,9 @@ def sector_indicator(tree: RootedTree, v: int) -> VertexFunction:
 
 
 def depth_cap(tree: RootedTree, cap: int) -> VertexFunction:
-    """f(v) = min(depth(v), cap); unit Lipschitz norm for cap >= 1."""
+    """f(v) = min(depth(v), cap) for an integer cap; unit Lipschitz norm
+    for cap >= 1."""
+    cap = _integer(cap, "cap")
     if cap < 1:
         raise ValueError("cap must be >= 1")
     return VertexFunction(tree, np.minimum(tree.depth, cap).astype(np.float64))
@@ -152,8 +154,10 @@ def ramp_function(tree: RootedTree, n: int, r: float) -> VertexFunction:
 
     f(v) = 0 for depth < sqrt(n), n for depth >= n, and
     (n/(n-sqrt(n))) * (depth - sqrt(n))^(r+1) / (n-sqrt(n))^r between.
-    The depth comparison uses the exact real square root.
+    The depth comparison uses the exact real square root; n must be an
+    integer.
     """
+    n = _integer(n, "n")
     if n < 4:
         raise ValueError("n must be >= 4 so that sqrt(n) < n")
     if not 0.0 < r < 1.0:

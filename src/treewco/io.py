@@ -365,11 +365,14 @@ def _real(d: dict, key: str, pointer: str) -> float:
 
 def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
     """The ``(key, vertex id, entry)`` triples of a per-vertex table, which
-    names each vertex once (``"1"``, ``"01"`` and ``"1 "`` are all vertex 1)."""
+    names each vertex once (``"1"``, ``"01"`` and ``"1 "`` are all vertex 1,
+    while ``int`` would also read ``"1_0"`` and non-ASCII digits)."""
     table = _object(_require(spec, key, pointer), f"{pointer}.{key}")
     seen = set()
     for k, v in table.items():
         try:
+            if "_" in str(k) or not str(k).isascii():
+                raise ValueError(f"expected a vertex id in ASCII digits, got {k!r}")
             vid = tree.check_vertex(int(k))
         except (KeyError, ValueError) as exc:
             raise SpecError(f"{pointer}.{key}.{k}", str(exc)) from exc

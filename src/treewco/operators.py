@@ -12,15 +12,15 @@ self-maps.
 Every closed-form quantity proved for these operators is computed here
 over the stored domain: operator norms, essential-norm tail profiles, and
 injectivity/surjectivity moduli and their brackets; ``classify`` builds
-the certificates from them.  The injectivity modulus and the window's
-preimage sups (``window_preimage_sup``) accept a ``within_depth`` window; by
-default they quantify over the whole truncation, while fixtures built from
-infinite families evaluate them on the half-depth window where the window
-faithfully sees all preimages.
+the certificates from them.  The injectivity modulus accepts a
+``within_depth`` window; by default it quantifies over the whole
+truncation, while fixtures built from infinite families evaluate it on the
+half-depth window where the window faithfully sees all preimages.
 
-One threshold is fixed: ``STABILITY_MARGIN``, the depths by which a map's
+Two thresholds are fixed: ``STABILITY_MARGIN``, the depths by which a map's
 range must stop short of the window edge to count as finite
-(``SelfMap.finite_range_stable``).
+(``SelfMap.finite_range_stable``), and ``ISOMETRY_TOL``, within which a
+preimage sup counts as 1 (``first_off_one``).
 
 Data layout: a map keeps its image array and the ``coverage`` count of
 preimages per vertex.  An operator lazily caches the arrays that every
@@ -28,12 +28,14 @@ closed form reads, each computed once per operator:
 ``preimage_sup``, the sup of |psi| over each vertex's preimage (one
 ``np.maximum.at`` over the image, ``-inf`` where there is no preimage);
 ``tail_sups``, both essential-norm tail profiles from one maximum per
-image depth and a suffix maximum; and two per-depth running reductions
-over id layers (``depth_running``: one ``reduceat`` over the layer
-offsets, then an ``accumulate`` over depths).  ``head_sups`` holds the
-sups of |psi| and of the reach over depth <= d, whose last row gives
-both norms' sups; ``preimage_inf`` holds the inf of ``preimage_sup`` over
-depth <= d, which is ``j_linf`` on the window of depth d.
+image depth and a suffix maximum; and ``head_sups``, two per-depth running
+reductions over id layers (``depth_running``: one ``reduceat`` over the
+layer offsets, then an ``accumulate`` over depths): the sups of |psi| and
+of the reach over depth <= d, whose last row gives both norms' sups.
+A window is an id prefix, so a window question reads a row:
+``preimage_argmin`` (the first vertex of least ``preimage_sup`` over depth
+<= d), ``preimage_inf`` (its value clamped at 0: ``j_linf`` on the window
+of depth d) or ``first_off_one`` (the first sup that is not 1).
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ __all__ = [
 ]
 
 STABILITY_MARGIN = 3
+ISOMETRY_TOL = 1e-9
 
 
 class MapSpecError(ValueError):
@@ -319,15 +322,31 @@ class WeightedCompOp:
         return tails
 
     @cached_property
+    def preimage_argmin(self) -> np.ndarray:
+        """Row d is the first vertex of least ``preimage_sup`` with depth <= d,
+        for 0 <= d <= N: the running minimum first takes each value where it
+        is held, so an uncovered vertex's ``-inf`` wins, as with ``argmin``."""
+        neg = -np.minimum.accumulate(self.preimage_sup)
+        w = np.searchsorted(neg, neg[self.tree.layer_offsets[1:] - 1])
+        w.setflags(write=False)
+        return w
+
+    @cached_property
     def preimage_inf(self) -> np.ndarray:
         """Row d is the inf of ``preimage_sup`` over the vertices with depth
         <= d, clamped at 0 (an uncovered vertex counts 0), for 0 <= d <= N:
         ``j_linf`` on the window of depth d."""
-        inf = np.maximum(
-            depth_running(np.minimum, self.preimage_sup, self.tree.layer_offsets[:-1]), 0.0
-        )
+        inf = np.maximum(self.preimage_sup[self.preimage_argmin], 0.0)
         inf.setflags(write=False)
         return inf
+
+    @cached_property
+    def first_off_one(self) -> int:
+        """The first vertex whose preimage sup is off 1 by more than
+        ``ISOMETRY_TOL`` (an uncovered one's ``-inf`` is), else the vertex
+        count: ``Linf.Isometry`` holds on a window iff the window misses it."""
+        off = np.append(np.abs(self.preimage_sup - 1.0) > ISOMETRY_TOL, True)
+        return int(off.argmax())
 
 
 def depth_running(ufunc: np.ufunc, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -442,13 +461,6 @@ def _window_depth(tree: RootedTree, within_depth: int | None) -> int:
     if within_depth is None:
         return tree.depth_limit
     return tree.check_depth(within_depth, "window depth")
-
-
-def window_preimage_sup(op: WeightedCompOp, within_depth: int | None = None) -> np.ndarray:
-    """``op.preimage_sup`` on the target vertices of depth <= the window
-    (the whole truncation by default)."""
-    t = op.tree
-    return op.preimage_sup[: SelfMap.domain_size_for(t, _window_depth(t, within_depth))]
 
 
 def j_linf(op: WeightedCompOp, within_depth: int | None = None) -> float:

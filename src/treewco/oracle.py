@@ -292,10 +292,10 @@ def _extreme_point_search(
     and a point replaces the best only when strictly better.  Returns
     ``(value, maximizer, points scored)``.
     """
-    col = {int(e): j for j, e in enumerate(edges)}
+    col = {e: j for j, e in enumerate(edges.tolist())}
     # incidence[i, j] is 1 when edges[j] lies on the root path of targets[i]
     incidence = np.zeros((targets.size, edges.size))
-    for i, u in enumerate(targets):
+    for i, u in enumerate(targets.tolist()):
         for a in tree.root_path(u):
             if a in col:
                 incidence[i, col[a]] = 1.0
@@ -316,9 +316,9 @@ def _extreme_point_search(
         inc[edges] = _digits(index, _SIGNS, edges.size)
         # rebuild f layer by layer from its increments, with f(root) = 0
         f[0] = 0.0
-        for d in range(1, tree.depth_limit + 1):
-            layer = tree.layer(d)
-            f[layer] = f[tree.parent[layer]] + inc[layer]
+        ends = tree.layer_offsets.tolist()
+        for lo, hi in zip(ends[1:], ends[2:]):
+            f[lo:hi] = f[tree.parent[lo:hi]] + inc[lo:hi]
     return best, f, 2 + 2**edges.size
 
 

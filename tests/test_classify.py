@@ -523,30 +523,49 @@ class TestOnePass:
 
     @pytest.mark.parametrize("op, window", _one_pass_operators())
     def test_one_window_read_per_classification(self, op, window, monkeypatch):
-        def text(certs):
-            return canonical_json([c.to_json() for c in certs["linf"] + certs["lip"]])
+        """Every window question is a read of a row the operator caches, so
+        a warm classification (and both isometry checks) scans no vertex
+        array and writes the same bytes."""
 
-        want = text(tw.classify_operator(op, None, window))
-        # every window read, in whichever module it is looked up, and every
-        # argmin of a slice that a read returns
-        reads, argmins = [], []
+        def text():
+            certs = tw.classify_operator(op, None, window)
+            checks = [tw.isometry_check_linf(op, window)]
+            if op.tree.depth_limit >= 2:
+                checks.append(tw.isometry_check_lip(op, window))
+            return canonical_json([c.to_json() for c in certs["linf"] + certs["lip"] + checks])
+
+        want = text()
+        # every reduction (argmin, argmax or any ufunc method) over an array
+        # with one entry per vertex that the operator, its map or its weight
+        # holds once the first classification has cached its rows
+        scans = []
 
         class Counted(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                scans.append(f"{ufunc.__name__}.{method}")
+                inputs = [x.view(np.ndarray) if isinstance(x, Counted) else x for x in inputs]
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
             def argmin(self, *args, **kwargs):
-                argmins.append(self.size)
-                return super().argmin(*args, **kwargs)
+                scans.append("argmin")
+                return self.view(np.ndarray).argmin(*args, **kwargs)
 
-        read = tw.operators.window_preimage_sup
+            def argmax(self, *args, **kwargs):
+                scans.append("argmax")
+                return self.view(np.ndarray).argmax(*args, **kwargs)
 
-        def counted(op, within_depth=None):
-            reads.append(within_depth)
-            return read(op, within_depth).view(Counted)
-
-        for module in (tw.operators, tw.classify):
-            monkeypatch.setattr(module, "window_preimage_sup", counted)
-        got = text(tw.classify_operator(op, None, window))
-        assert (len(reads), len(argmins)) == (1, 1)
-        assert got == want
+        held = {op: ("preimage_sup", "abs_psi_on_domain", "reach"),
+                op.phi: ("image", "image_depth", "coverage"), op.psi: ("values",)}
+        for owner, names in held.items():
+            for name in names:
+                monkeypatch.setitem(vars(owner), name, vars(owner)[name].view(Counted))
+        # the counter sees an argmin and the isometry test's subtraction
+        sup = op.preimage_sup
+        sup.argmin(), np.abs(sup - 1.0)
+        assert scans == ["argmin", "subtract.__call__"]
+        scans.clear()
+        assert text() == want
+        assert scans == []
 
     @pytest.mark.parametrize(
         "depth, schedule, message",

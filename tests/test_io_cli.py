@@ -78,6 +78,25 @@ class TestLoaders:
         phi = tw.load_map_spec({"kind": "table", "map": {"0": 0, "1": 1, "2": 2}}, t)
         assert phi.image.tolist() == [0, 1, 2]
 
+    @pytest.mark.parametrize("key, lost", [("1_0", "10"), ("\u0663", "3")])
+    @pytest.mark.parametrize("which", ["psi", "phi"])
+    def test_a_table_key_is_a_vertex_id_in_ascii_digits(self, which, key, lost):
+        # int() reads "1_0" as 10 and U+0663 (ARABIC-INDIC DIGIT THREE) as 3
+        t = tw.zline(6)
+        table = {str(v): 0 for v in range(len(t)) if str(v) != lost}
+        table[key] = 0
+        load, field = ((tw.load_function_spec, "values") if which == "psi"
+                       else (tw.load_map_spec, "map"))
+        with pytest.raises(SpecError, match=rf"^{which}\.{field}\.{key}: .*{key!r}"):
+            load({"kind": "table", field: table}, t)
+
+    def test_a_table_key_may_be_padded(self):
+        t = tw.zline(1)
+        f = tw.load_function_spec({"kind": "table", "values": {"00": 1, " 1": 2, "2 ": 3}}, t)
+        assert f.values.tolist() == [1.0, 2.0, 3.0]
+        phi = tw.load_map_spec({"kind": "table", "map": {"0": 2, "01": 1, "\t2\n": 0}}, t)
+        assert phi.image.tolist() == [2, 1, 0]
+
     def test_partial_function_table_rejected(self):
         t = tw.zline(3)
         with pytest.raises(SpecError) as err:
@@ -855,6 +874,17 @@ BAD_LOOKUPS = [
 ]
 
 
+# table keys that int() reads but a vertex id is not written as: on the
+# zline(4) specs "0_8" and "\u0668" (ARABIC-INDIC DIGIT EIGHT) once loaded as
+# the missing vertex 8
+BAD_TABLE_KEYS = [
+    (which, {"kind": "table", field: {**{str(v): 0 for v in range(8)}, key: 0}},
+     f"{which}.{field}.{key}")
+    for which, field in (("psi", "values"), ("phi", "map"))
+    for key in ("0_8", "\u0668")
+]
+
+
 # tree builder inputs that once passed or failed with no field named: a
 # 2-letter string made an edge, an object edge raised a KeyError, and a
 # child count past int64 stopped the generator's draw
@@ -917,7 +947,8 @@ class TestMalformedSpecs:
 
     @pytest.mark.parametrize(
         "which,spec,pointer",
-        BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES + BAD_LOOKUPS + BAD_BUILDER_INPUTS,
+        BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES + BAD_LOOKUPS + BAD_BUILDER_INPUTS
+        + BAD_TABLE_KEYS,
     )
     def test_bad_section_or_entry_exits_one_with_pointer(
         self, specs, tmp_path, capsys, which, spec, pointer

@@ -19,7 +19,6 @@ import treewco as tw
 from treewco import SelfMap, VertexFunction, WeightedCompOp
 from treewco.certificate import _Rows
 from treewco.cli import main
-from treewco.operators import window_preimage_sup
 
 from conftest import analyze_payload, shuffled_edges
 
@@ -72,7 +71,7 @@ def sibling_swap(tree, a: int, b: int) -> np.ndarray:
 def tied_witnesses(op, cert) -> np.ndarray:
     """The vertices a certificate's ``vertex`` witness may name; it names
     the first in id order."""
-    sup = window_preimage_sup(op, cert.window_depth)
+    sup = op.preimage_sup[: op.tree.layer_offsets[cert.window_depth + 1]]
     if cert.statement == "Linf.Isometry":
         return np.flatnonzero(np.isneginf(sup) | (np.abs(sup - 1.0) > 1e-9))
     uncovered = np.flatnonzero(np.isneginf(sup))

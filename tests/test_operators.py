@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import treewco as tw
 from treewco import SelfMap, VertexFunction, WeightedCompOp
-from treewco.operators import STABILITY_MARGIN, MapSpecError
+from treewco.operators import ISOMETRY_TOL, STABILITY_MARGIN, MapSpecError
 
 from conftest import (
     label_fn,
@@ -656,8 +656,9 @@ def ref_running(tree, values, depth, fold) -> list:
 
 
 def check_per_depth_rows(op):
-    """``head_sups``, ``preimage_inf`` and ``_range_max``, and the norms and
-    modulus read from them, against per-vertex loops."""
+    """``head_sups``, ``preimage_argmin``, ``preimage_inf``,
+    ``first_off_one`` and ``_range_max``, and the norms and modulus read
+    from them, against per-vertex loops."""
     t, phi = op.tree, op.phi
     image_depth = [t.depth_of(int(phi.image[v])) for v in range(phi.domain_size)]
     a = [abs(float(x)) for x in op.psi.values[: phi.domain_size]]
@@ -669,6 +670,13 @@ def check_per_depth_rows(op):
     # an uncovered vertex counts 0, as in the clamped infimum
     sups = [ref_sup(op, pre, w) or 0.0 for w in range(len(t))]
     assert op.preimage_inf.tolist() == ref_running(t, sups, t.depth_limit, min)
+    # an uncovered vertex holds -inf: it is the least, and off 1
+    raw = [-np.inf if s is None else s for s in (ref_sup(op, pre, w) for w in range(len(t)))]
+    first_least = ref_running(t, list(enumerate(raw)), t.depth_limit,
+                              lambda best, x: x if x[1] < best[1] else best)
+    assert op.preimage_argmin.tolist() == [v for v, _ in first_least]
+    assert op.first_off_one == next(
+        (v for v, s in enumerate(raw) if abs(s - 1.0) > ISOMETRY_TOL), len(t))
     assert phi._range_max.tolist() == ref_running(t, image_depth, phi.domain_depth, max)
     assert tw.linf_op_norm(op) == max(a)
     assert tw.lip_bounds(op)[1] == max(reach)
@@ -695,8 +703,63 @@ class TestPerDepthRows:
         op = random_operator(t, np.random.default_rng(3), surjective=True)
         tw.classify_operator(op)
         tw.operator_quantities(op)
-        assert {"head_sups", "preimage_inf", "tail_sups", "psi_inf"} <= vars(op).keys()
+        cached = {"head_sups", "preimage_argmin", "preimage_inf", "first_off_one",
+                  "tail_sups", "psi_inf"}
+        assert cached <= vars(op).keys()
         assert {"_range_max"} <= vars(op.phi).keys()
-        for rows in (op.head_sups, op.preimage_inf, op.phi._range_max):
+        for rows in (op.head_sups, op.preimage_argmin, op.preimage_inf, op.phi._range_max):
             with pytest.raises(ValueError):
                 rows[0] = 5
+
+    @pytest.mark.parametrize(
+        "psi, moves, want",
+        [
+            # ties: the first least vertex of each window
+            ([2.0, 0.5, 0.5, 0.0, 1.0, 0.0, 0.0], {}, [0, 1, 3, 3]),
+            # a zero, and a covered zero before it: the first zero wins
+            ([0.0, 1.0, 0.0, 3.0, 0.0, 1.0, 1.0], {}, [0, 0, 0, 0]),
+            # vertex 4 uncovered (its preimage moves to 3): -inf below 0
+            ([2.0, 0.5, 0.5, 0.0, 1.0, 0.0, 0.0], {4: 3}, [0, 1, 4, 4]),
+            # the root and vertex 5 uncovered: the root wins every window
+            ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0], {0: 1, 5: 6}, [0, 0, 0, 0]),
+            # only vertex 6 uncovered, in the last layer
+            ([3.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0], {6: 5}, [0, 1, 3, 6]),
+        ],
+    )
+    def test_first_least_preimage_sup_per_window(self, psi, moves, want):
+        t = tw.zline(3)
+        op = op_on(t, psi, tw.map_from_table(t, {v: moves.get(v, v) for v in range(len(t))}))
+        assert op.preimage_argmin.tolist() == want
+        check_per_depth_rows(op)
+
+    @pytest.mark.parametrize(
+        "sup, off",
+        [
+            (1.0, False),
+            (1.0 + 5e-10, False),
+            (1.0 - 5e-10, False),
+            (np.nextafter(1.0 + ISOMETRY_TOL, 0.0), False),
+            # off by the exact test, although 1 + tol > 1 + tol is false
+            (1.0 + ISOMETRY_TOL, True),
+            (1.0 - ISOMETRY_TOL, False),
+            (np.nextafter(1.0 - ISOMETRY_TOL, 0.0), True),
+            (1.0 + 2e-9, True),
+            (0.0, True),
+            (None, True),  # uncovered
+        ],
+    )
+    def test_first_off_one_is_the_exact_tolerance_test(self, sup, off):
+        t = tw.homogeneous(2, 3)
+        v = 9
+        psi = np.ones(len(t))
+        table = {u: u for u in range(len(t))}
+        if sup is None:
+            table[v] = v + 1
+        else:
+            psi[v] = sup
+        op = op_on(t, psi, tw.map_from_table(t, table))
+        assert op.first_off_one == (v if off else len(t))
+        check_per_depth_rows(op)
+        for window in range(t.depth_limit + 1):
+            cert = tw.isometry_check_linf(op, window)
+            assert cert.verdict == (tw.FAILS if off and window >= t.depth_of(v) else tw.HOLDS)

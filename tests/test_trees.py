@@ -352,8 +352,9 @@ class TestBuilderRanges:
 
 
 def _line3_index_entry_points():
-    """(argument name, call) for each entry point that takes a vertex id,
-    depth or count, on ``zline(3)``; each call is fine with the integer 2."""
+    """(argument name, call[, accepted integer]) for each entry point that
+    takes a vertex id, depth or count, on ``zline(3)`` unless it needs a
+    deeper tree; each call is fine with its accepted integer, 2 by default."""
     t = tw.zline(3)
     op = tw.composition_op(tw.identity_map(t))
 
@@ -370,6 +371,8 @@ def _line3_index_entry_points():
         "children_of": ("vertex", t.children_of),
         "indicator": ("vertex", lambda x: tw.indicator(t, x)),
         "constant_map": ("vertex", lambda x: tw.constant_map(t, x)),
+        "depth_cap": ("cap", lambda x: tw.depth_cap(t, x)),
+        "ramp_function": ("n", lambda x: tw.ramp_function(tw.zline(8), x, 0.5), 4),
         "point_eval_lip_norm": ("vertex", lambda x: tw.point_eval_lip_norm(t, x)),
         "zline": ("depth", tw.zline),
         "homogeneous_q": ("q", lambda x: tw.homogeneous(x, 2)),
@@ -399,14 +402,14 @@ class TestIndexArguments:
         "value", [1.5, 2.0, True, np.float64(1.0)], ids=["1.5", "2.0", "True", "np64_1.0"]
     )
     def test_a_non_integer_is_refused_by_name(self, entry, value):
-        name, call = _INDEX_ENTRY_POINTS[entry]
+        name, call, *_ = _INDEX_ENTRY_POINTS[entry]
         with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
             call(value)
 
     @pytest.mark.parametrize("entry", _INDEX_ENTRY_POINTS)
     def test_a_numpy_integer_is_accepted(self, entry):
-        _, call = _INDEX_ENTRY_POINTS[entry]
-        assert call(np.int64(2)) is not None
+        _, call, *accepted = _INDEX_ENTRY_POINTS[entry]
+        assert call(np.int64(accepted[0] if accepted else 2)) is not None
 
     def test_numpy_integers_are_held_as_python_ints(self):
         t = tw.zline(3)

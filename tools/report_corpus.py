@@ -44,11 +44,12 @@ Entry points: ``analyze`` (``canonical_json`` of ``classify_operator``,
 ``operator_quantities`` and, under unit weight, ``seven_equivalences``,
 as ``treewco analyze`` assembles them; the builtin grid with no window
 and tolerance 1e-6), ``isometry.linf`` and ``isometry.lip`` (the public
-``isometry_check_linf`` and ``isometry_check_lip`` on both windows, a
-refused call recording its error), ``fixture_report`` (each bundled
-fixture at depths 2-12 and its own), the oracles' ``to_json`` (both
-methods of ``norm_oracle_linf`` and ``norm_oracle_lip``,
-``j_oracle_linf_bracket`` on both windows, ``surjectivity_infeasibility``
+``isometry_check_linf`` and ``isometry_check_lip`` on the windows
+``None``, 0, 1 and ``N // 2``, each once, so that the root-only and
+first-layer rows are read too; a refused call records its error),
+``fixture_report`` (each bundled fixture at depths 2-12 and its own), the
+oracles' ``to_json`` (both methods of ``norm_oracle_linf`` and
+``norm_oracle_lip``, ``j_oracle_linf_bracket`` on both windows, ``surjectivity_infeasibility``
 on a random target, a reachable one and the image of ``|x| / 3``, whose
 quotients tie along root paths, and ``point_eval_lip_norm`` at
 a deepest vertex of each tree; a search past its size cap records its
@@ -250,7 +251,7 @@ def corpus(seed: int, workdir: Path):
         for sched in _schedules(op):
             yield "analyze", f"{name}/s{'-'.join(map(str, sched))}", _guarded(
                 lambda: _analyze_text(tw, np, op, None, 1e-6, sched))
-        for w in (None, n // 2):
+        for w in dict.fromkeys((None, 0, 1, n // 2)):
             for point, check in (("isometry.linf", tw.isometry_check_linf),
                                  ("isometry.lip", tw.isometry_check_lip)):
                 yield point, f"{name}/w{w}", _guarded(
