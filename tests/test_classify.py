@@ -336,6 +336,23 @@ def _implication_cases(draw):
     return WeightedCompOp(VertexFunction(t, rng.choice(palette, size=t.n_vertices)), phi)
 
 
+class TestTrendRules:
+    """Which profile values each trend rule compares: a change of rule shows
+    here as a changed case."""
+
+    @pytest.mark.parametrize(
+        "values, want",
+        [([1, 100, 104], True), ([100, 1, 2], False)],
+        ids=["early_jump", "late_doubling"],
+    )
+    def test_stays_bounded_reads_the_last_two_values(self, values, want):
+        assert _stays_bounded(values, 1e-6) is want
+
+    def test_decays_reads_the_last_three_values(self):
+        # 1 -> 1.9 grows, but 3 >= 1.5 * 1.9
+        assert _decays([1, 3, 2, 1.9], 1e-6) is True
+
+
 class TestClassifyLinf:
     def test_fold_fixture(self):
         fx = tw.fixture_by_name("z-isometry")

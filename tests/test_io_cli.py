@@ -90,6 +90,19 @@ class TestLoaders:
         with pytest.raises(SpecError, match=rf"^{which}\.{field}\.{key}: .*{key!r}"):
             load({"kind": "table", field: table}, t)
 
+    @pytest.mark.parametrize("key", [1.9, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("which", ["psi", "phi"])
+    def test_a_table_key_that_is_not_a_string_is_a_vertex_id(self, which, key):
+        # only the Python API can pass such a key: JSON keys are strings
+        t = tw.zline(1)
+        load, field = ((tw.load_function_spec, "values") if which == "psi"
+                       else (tw.load_map_spec, "map"))
+        with pytest.raises(SpecError, match=rf"^{which}\.{field}\.{key}: vertex must be an "
+                                            rf"integer, got {key!r}$"):
+            load({"kind": "table", field: {0: 0, key: 1, 2: 2}}, t)
+        loaded = load({"kind": "table", field: {0: 0, np.int64(1): 1, 2: 2}}, t)
+        assert (loaded.values if which == "psi" else loaded.image).tolist() == [0, 1, 2]
+
     def test_a_table_key_may_be_padded(self):
         t = tw.zline(1)
         f = tw.load_function_spec({"kind": "table", "values": {"00": 1, " 1": 2, "2 ": 3}}, t)
@@ -312,12 +325,28 @@ _row_values = st.one_of(
 )
 
 
+# step values side by side in one staircase: both zeros, both infinities,
+# subnormals and a large power of two
+_step_values = st.one_of(
+    _row_values, st.sampled_from([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                                  2.2250738585072014e-308 / 3, 2.0**60]),
+)
+# up to a few hundred rows in up to 64 runs of one value, with a bound on
+# the run length per staircase: both sides of the writer's step path (128
+# rows, one step per 8 rows)
+_staircases = st.tuples(st.integers(1, 64), st.sampled_from([4, 8, 16, 60])).flatmap(
+    lambda shape: st.lists(st.tuples(_step_values, st.integers(1, shape[1])),
+                           min_size=shape[0], max_size=shape[0])
+).map(lambda steps: [v for v, run in steps for _ in range(run)])
+
+
 @st.composite
 def _profiles(draw) -> tuple:
     """The depths and values of a profile: depths that run 0, 1, ... (the
     table path) or from 1, as a ``range``, or from 0 with a gap, or along a
-    schedule, as a tuple."""
-    values = draw(st.lists(_row_values, min_size=1, max_size=40))
+    schedule, as a tuple; the values are up to 40 drawn one by one or a
+    staircase of runs of equal values."""
+    values = draw(st.one_of(st.lists(_row_values, min_size=1, max_size=40), _staircases))
     k = len(values)
     shape = draw(st.sampled_from(["contiguous", "from_one", "gap", "schedule"]))
     if shape == "contiguous":
@@ -397,6 +426,37 @@ class TestCanonicalJson:
         typed = _Rows(range(k), np.arange(k) / 7)
         assert canonical_json(_nest(typed, level)) == reference_canonical_json(_nest(rows, level))
         assert len(treewco_io._HEADS[level]) == k
+
+    @pytest.mark.parametrize("level", [0, 3])
+    @pytest.mark.parametrize("over", [0, 1], ids=["under_the_ratio", "at_the_ratio"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1], ids=["K-1", "K", "K+1"])
+    def test_a_long_profile_of_few_steps_is_written_per_step(self, extra, over, level, monkeypatch):
+        k = treewco_io._STEP_ROWS + extra
+        # the most steps for which _STEP_RATIO * steps < k, or one more
+        steps = (k - 1) // treewco_io._STEP_RATIO + over
+        pattern = [0.0, -0.0, math.inf, 5e-324, -math.inf, 2.0**60, 1 / 3]
+        values = np.array([pattern[i % len(pattern)] for i in range(steps)]).repeat(
+            np.diff(np.linspace(0, k, steps + 1).astype(int)))
+        assert values.size == k and np.count_nonzero(np.diff(values.view(np.int64))) == steps - 1
+        rows = [[n, v] for n, v in enumerate(values.tolist())]
+        want = reference_canonical_json(_nest(rows, level))
+        texted: list = []  # the sizes of the value arrays the writer reads as text
+
+        class Counted(np.ndarray):
+            def tolist(self):
+                texted.append(self.size)
+                return super().tolist()
+
+        typed = _Rows(range(k), values.view(Counted))
+
+        def no_rows(*args):
+            raise AssertionError("the writer built a row")
+
+        monkeypatch.setattr(_Rows, "__iter__", no_rows)
+        monkeypatch.setattr(_Rows, "__getitem__", no_rows)
+        assert canonical_json(_nest(typed, level)) == want
+        per_step = k >= treewco_io._STEP_ROWS and not over
+        assert texted == [steps if per_step else k]
 
     def test_profile_producers_hand_the_writer_typed_rows(self, specs, monkeypatch):
         t = tw.zline(8)

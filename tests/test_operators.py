@@ -72,6 +72,15 @@ class TestSelfMap:
         with pytest.raises(MapSpecError, match=f"domain depth must be an integer, got {depth!r}"):
             SelfMap(t, image, depth)
 
+    @pytest.mark.parametrize("image", ["n_vertices", -1])
+    def test_one_image_outside_among_valid_ones_is_named(self, image):
+        t = tw.zline(3)
+        images = tw.identity_map(t).image.copy()
+        images[4] = t.n_vertices if image == "n_vertices" else image
+        with pytest.raises(MapSpecError, match=rf"^map sends vertex 4 outside the "
+                                               rf"truncation \(to {images[4]}\)$"):
+            SelfMap(t, images, t.depth_limit)
+
     def test_table_accepts_numpy_integers(self, line4):
         phi = tw.map_from_table(line4, {v: np.int64(0) for v in range(len(line4))})
         assert not phi.image.any()

@@ -31,8 +31,11 @@ The corpus, per seed:
   tolerance 1e-6): the single depth ``(1,)``, the sparse ``(1, (N + 2) // 3,
   N)``, and ``(c, c + 1, N)`` around the map's domain depth c, which
   reaches past a doubling map's core; each keeps its depths in 1..N, once;
-- one operator at the north-star depth: fold on ``zline(10**4)`` with
-  weight ``1 / (1 + |v|)``;
+- two operators at the north-star depth, ``zline(10**4)``: fold with
+  weight ``1 / (1 + |v|)``, whose Lipschitz tail has a distinct value at
+  every depth, and identity with ``depth_cap(t, 3)``, whose 10,000-row
+  profiles are one step each, so the report writer's per-row and
+  per-step paths are both read at that depth;
 - the builtin grid: every builtin weight (``F_N``, ``g``, ``chi``,
   ``eta``) under every builtin map (``identity``, ``constant``, ``zfold``,
   ``double``), loaded from spec dicts by ``load_function_spec`` and
@@ -138,6 +141,8 @@ def _operators(tw, np, seed: int):
     t = tw.zline(10_000)
     op = tw.WeightedCompOp(tw.VertexFunction(t, 1.0 / (1.0 + t.depth)), tw.zline_fold(t))
     yield "z10000/fold/inv", op, {"kind": "builtin", "name": "zfold"}
+    op = tw.WeightedCompOp(tw.depth_cap(t, 3), tw.identity_map(t))
+    yield "z10000/id/cap3", op, {"kind": "builtin", "name": "identity"}
 
 
 def _builtin_grid(tw, np, seed: int):
