@@ -23,7 +23,6 @@ the window.  The witnesses are row reads too (``preimage_argmin``,
 
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
@@ -42,6 +41,7 @@ from .operators import (
     STABILITY_MARGIN,
     SelfMap,
     WeightedCompOp,
+    _finite,
     _integer,
     _window_depth,
     linf_op_norm,
@@ -136,9 +136,9 @@ def classify_operator(
     (the Lipschitz one on a tree of depth >= 2) and BoundedBelow
     certificates for the operator on the bounded functions and from the
     Lipschitz space, written by one loop over the data that differs
-    between the two spaces.  A NaN, infinite or negative ``zero_tol`` is
-    refused with a ValueError."""
-    if not math.isfinite(zero_tol) or zero_tol < 0:
+    between the two spaces.  A ``zero_tol`` other than a finite number >= 0
+    (a bool, NaN, a non-number) is refused with a ValueError."""
+    if _finite(zero_tol) is None or zero_tol < 0:
         raise ValueError(f"zero_tol must be a finite number >= 0, got {zero_tol}")
     t = op.tree
     if schedule is None:

@@ -1,4 +1,5 @@
-"""Command-line entry points.
+"""Command-line entry points: flags are parsed and checked here, and each
+report mode prints what its builder in ``io`` returns.
 
 Modes: analyze (certificates), norms (weight norms plus operator
 quantities), oracle (brute-force cross-check of the closed forms),
@@ -12,40 +13,24 @@ not read.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .certificate import _Rows
-from .classify import (
-    _check_schedule,
-    classify_operator,
-    seven_equivalences,
-)
-from .functions import norms, random_function
+from .classify import _check_schedule
 from .io import (
-    SCHEMA_VERSION,
     SpecError,
+    _ascii,
+    _finite,
+    analysis_report,
     bundled_fixtures,
     canonical_json,
     fixture_report,
     golden_dir,
     load_specs,
-    operator_quantities,
+    norms_report,
+    oracle_report,
 )
-from .operators import (
-    WeightedCompOp,
-    linf_op_norm,
-    lip_bounds,
-    random_map,
-)
-from .oracle import (
-    OracleSizeError,
-    norm_oracle_linf,
-    norm_oracle_lip,
-)
+from .operators import WeightedCompOp
 
 
 _FLAGS = {
@@ -53,9 +38,9 @@ _FLAGS = {
     "psi": {"help": "weight spec JSON path"},
     "phi": {"help": "self-map spec JSON path"},
     "depths": {"help": "comma-separated depth schedule"},
-    "window": {"type": int, "default": None, "help": "window depth for coverage checks"},
-    "tol": {"type": float, "default": 1e-6, "help": "trend zero tolerance"},
-    "seed": {"type": int, "default": 0, "help": "seed for any randomness"},
+    "window": {"type": _ascii(int), "default": None, "help": "window depth for coverage checks"},
+    "tol": {"type": _ascii(float), "default": 1e-6, "help": "trend zero tolerance"},
+    "seed": {"type": _ascii(int), "default": 0, "help": "seed for any randomness"},
     "out": {"help": "output file (a directory for examples); stdout when omitted"},
 }
 
@@ -98,10 +83,10 @@ def _load_operator(args) -> WeightedCompOp:
 
 
 def _schedule(args, depth_limit: int):
-    if not args.depths:
+    if args.depths is None:
         return None
     try:
-        return _check_schedule(tuple(int(x) for x in args.depths.split(",")), depth_limit)
+        return _check_schedule(tuple(map(_ascii(int), args.depths.split(","))), depth_limit)
     except ValueError as exc:
         raise SpecError("args.depths", str(exc)) from exc
 
@@ -117,37 +102,17 @@ def _cmd_analyze(args) -> int:
     op = _load_operator(args)
     if op.tree.depth_limit < 1:
         raise SpecError("tree.depth", f"analyze needs depth >= 1, got {op.tree.depth_limit}")
-    if not math.isfinite(args.tol) or args.tol < 0:
+    if _finite(args.tol) is None or args.tol < 0:
         raise SpecError("args.tol", f"must be a finite number >= 0, got {args.tol}")
     sched = _schedule(args, op.tree.depth_limit)
     window = _window(args, op.tree)
-    certs = classify_operator(op, sched, window, zero_tol=args.tol)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
-        "quantities": operator_quantities(op, window),
-    }
-    if bool(np.all(op.psi.values == 1.0)):
-        payload["seven_equivalences"] = seven_equivalences(op.phi).to_json()
-    _emit(canonical_json(payload), args.out)
+    _emit(canonical_json(analysis_report(op, sched, window, args.tol)), args.out)
     return 0
 
 
 def _cmd_norms(args) -> int:
     op = _load_operator(args)
-    rep = norms(op.psi)
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "psi_norms": {
-            "sup_norm": rep.sup_norm,
-            "lip_norm": rep.lip_norm,
-            "value_at_root": rep.value_at_root,
-            "d_sup": rep.d_sup,
-            "tail_profile": _Rows(range(rep.tail_sups.size), rep.tail_sups),
-        },
-        "quantities": operator_quantities(op, _window(args, op.tree)),
-    }
-    _emit(canonical_json(payload), args.out)
+    _emit(canonical_json(norms_report(op, _window(args, op.tree))), args.out)
     return 0
 
 
@@ -159,37 +124,7 @@ def _cmd_oracle(args) -> int:
     if args.seed < 0:
         raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
     tree, psi, phi = load_specs(args.tree, args.psi or None, args.phi or None)
-    if psi is None:
-        rng = np.random.default_rng(args.seed)
-        psi, phi = random_function(tree, rng), random_map(tree, rng)
-    op = WeightedCompOp(psi, phi)
-    try:
-        linf_res = norm_oracle_linf(op)
-    except OracleSizeError:
-        linf_res = norm_oracle_linf(op, method="ascent")
-    try:
-        lip_res = norm_oracle_lip(op, "exhaustive")
-    except OracleSizeError:
-        lip_res = norm_oracle_lip(op)
-    linf_formula = linf_op_norm(op)
-    exact, up = lip_bounds(op)  # the lower end is the exact norm
-    payload = {
-        "schema": SCHEMA_VERSION,
-        "seed": args.seed,
-        "linf": {
-            "oracle": linf_res.to_json(),
-            "formula": linf_formula,
-            "agree": abs(linf_res.value - linf_formula) <= 1e-9,
-        },
-        "lip": {
-            "oracle": lip_res.to_json(),
-            "formula": exact,
-            "bounds": [exact, up],
-            "agree": abs(lip_res.value - exact) <= 1e-9,
-            "within_bounds": exact - 1e-9 <= lip_res.value <= up + 1e-9,
-        },
-    }
-    _emit(canonical_json(payload), args.out)
+    _emit(canonical_json(oracle_report(tree, psi, phi, args.seed)), args.out)
     return 0
 
 

@@ -1,5 +1,9 @@
 """JSON schemas, canonical serialization, the bundled fixtures and their reports.
 
+Every report has one builder here, which the CLI prints: ``analysis_report``
+(``treewco analyze``; ``fixture_report`` extends it), ``norms_report`` and
+``oracle_report``.  Only this module writes the ``"schema"`` key.
+
 All reports are byte-stable and carry no timestamps or absolute paths.
 ``canonical_json`` writes them in one pass, in this format:
 
@@ -20,17 +24,6 @@ dict or list is written inline in that container's loop.  Any other value
 raises ``TypeError``, subclasses and numpy scalars included (an
 ``IntEnum``, an ``OrderedDict``, a named tuple, ``np.int64``, ``np.bool_``).
 
-A dict of at most ``_KEYS_PER_DICT`` (16) keys, all of exact type ``str``,
-reads its sorted keys, and the text before each value (separator, indent,
-encoded key and ``": "``), from the ``_KEYS`` table, keyed by the indent
-level and the key tuple.  The table holds key names and indentation, never
-a value, and stops growing at ``_KEYS_MAX`` (1,024) entries; threads that
-write at once may each add one more.  Every other dict (integer, bool or
-float keys, a ``str`` subclass key, more keys, or a full table) gets
-``str(k)`` and ``sorted`` on each call.  The table takes ``str`` keys only
-because ``True``, ``1`` and ``1.0`` are equal keys of one hash that print
-``"True"``, ``"1"`` and ``"1.0"``.
-
 The float text skips the round trip through ``float``: it is
 ``f"{x:.12g}"``, with ``".0"`` appended when it has neither ``"."`` nor
 ``"e"``, and ``repr(float(text))`` in its place when it has an ``"e"``.
@@ -46,34 +39,20 @@ since 0.0 and -0.0 are equal memo keys.
 ``tests/test_io_cli.py::TestCanonicalJson::test_float_text_is_the_round_trip_text``
 checks this on raw 64-bit patterns and the edge values.
 
-Per-depth profiles take a row path.  Their producers (``_tail`` for both
-essential-norm tails, every certificate the package builds, from the
-moment it is built, the squared weight's tail and the ``norms`` tail
-profile) hand the writer a ``certificate._Rows``: two read-only columns,
-the depths (a ``range``, or a schedule tuple of Python ``int`` that
-passed ``classify._check_schedule``), rising strictly from 0 or more, and
-a float64 array of values, normally a view of a row the operator caches.
-So no producer builds a list per row, and only an object of exactly that
-type takes the path, with no row checked.  The writer reads
-``values.tolist()`` through the float memo, writes a zero as its ``repr``
-in place (the memo never holds one), and joins the value texts with the
-row heads, the text between one value and the next, which depends only
-on the indent level and the depth.  When the last depth is ``k - 1`` for
-``k`` rows, the depths are ``range(k)`` and the heads come from the
-``_HEADS`` table; other depths get their heads from the same function on
-each call.  The bytes are the generic list path's for the list of rows
-that the ``_Rows`` equals, since the int prints as ``int.__repr__`` and
-the float by the rule above on both paths; a plain list of the same rows
-takes the generic path.  A profile of at least ``_STEP_ROWS`` (128) rows
-whose values run in fewer than ``k / _STEP_RATIO`` (k / 8) steps, runs of
-equal bit patterns in ``values.view(np.int64)``, is written one step at a
-time: the step of rows ``a, ..., e - 1`` with value text ``t`` is
-``t.join(heads[a:e]) + t``, one join per step.  That is the per-row join's
-text, since each step's value text comes from the same memo, float rule
-and zero rule, and equal bits are equal values of one text (``0.0`` and
-``-0.0`` differ in their bits, so they fall in separate steps).  Past the
-first few layers a running extreme is a step function of the depth, so
-most long profiles take this path.
+Per-depth profiles take a row path: every producer (the essential-norm
+tails, every certificate, the squared weight's tail, the ``norms`` tail
+profile) hands the writer a ``certificate._Rows`` of two read-only
+columns, depths rising strictly from 0 or more (a ``range`` or a checked
+schedule tuple) and a float64 array, normally a view of a row the operator
+caches.  Only that exact type takes the path, with no row checked: one
+join of the row heads (the text between one value and the next, a
+function of the indent level and the depth) with the value texts read
+through the float memo.  A long profile of few steps (runs of equal bit
+patterns) takes the step path, one join of its heads per step with the
+step's one value text.  Both write the generic path's bytes for the list
+of rows that the ``_Rows`` equals: ints print as ``int.__repr__``, floats
+by the rule above, and equal bits are equal texts (``0.0`` and ``-0.0``
+differ in their bits).
 
 Spec loading errors carry a JSON-pointer-style location so the CLI can
 print line-precise messages.
@@ -83,7 +62,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib import resources
@@ -94,12 +72,14 @@ from pathlib import Path
 import numpy as np
 
 from .certificate import FAILS, HOLDS, TREND_CONSISTENT, TREND_INCONSISTENT, _Rows
-from .classify import classify_operator
+from .classify import classify_operator, seven_equivalences
 from .functions import (
     VertexFunction,
     depth_cap,
     indicator,
+    norms,
     ramp_function,
+    random_function,
     sector_indicator,
 )
 from .operators import (
@@ -115,13 +95,20 @@ from .operators import (
     linf_op_norm,
     lip_bounds,
     map_from_table,
+    random_map,
     zline_double,
     zline_fold,
 )
-from .oracle import surjectivity_infeasibility
+from .oracle import (
+    OracleSizeError,
+    norm_oracle_linf,
+    norm_oracle_lip,
+    surjectivity_infeasibility,
+)
 from .trees import (
     RootedTree,
     TreeBudgetError,
+    _finite,
     _integer,
     explicit_tree,
     homogeneous,
@@ -143,6 +130,9 @@ __all__ = [
     "fixture_by_name",
     "fixture_report",
     "operator_quantities",
+    "analysis_report",
+    "norms_report",
+    "oracle_report",
 ]
 
 SCHEMA_VERSION = 1
@@ -195,11 +185,12 @@ def _row_heads(level: int, depths) -> list:
 
 
 # A profile of k >= _STEP_ROWS rows in fewer than k / _STEP_RATIO steps (runs
-# of equal value bits) is written one step at a time.  Finding the steps
-# costs a fixed handful of numpy calls: a one-step profile breaks even with
-# the per-row join at about 64 rows, and is 25% faster at 128.  At 128 rows
-# the step path breaks even at k / 8 steps, and from 1,000 rows at about
-# k / 4, so both constants keep it on the side where it wins.
+# of equal value bits), as a running extreme is past the first few layers,
+# is written one step at a time.  Finding the steps costs a fixed handful of
+# numpy calls: a one-step profile breaks even with the per-row join at about
+# 64 rows, and is 25% faster at 128.  At 128 rows the step path breaks even
+# at k / 8 steps, and from 1,000 rows at about k / 4, so both constants keep
+# it on the side where it wins.
 _STEP_ROWS = 128
 _STEP_RATIO = 8
 
@@ -245,8 +236,11 @@ def _write_rows(rows: _Rows, level: int, out: list, memo: dict) -> None:
 
 # _KEYS[(level, keys)] is the text before each value of a dict with these
 # keys at this level, in sorted key order, and a getter of its values in
-# that order (None when the insertion order is sorted); see the module
-# docstring for which dicts enter it
+# that order (None when the insertion order is sorted): key names and
+# indentation, never a value.  Only dicts of at most _KEYS_PER_DICT keys of
+# exact type str enter (True, 1 and 1.0 are equal keys that print
+# differently), until it holds _KEYS_MAX entries (threads that write at
+# once may each add one more); any other dict gets str(k) and sorted.
 _KEYS: dict = {}
 _KEYS_PER_DICT = 16
 _KEYS_MAX = 1024
@@ -356,17 +350,6 @@ def _require(d: dict, key: str, pointer: str):
     return d[key]
 
 
-def _finite(value) -> float | None:
-    """``value`` as a float, or None unless it is a finite non-bool number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        return None
-    try:
-        x = float(value)
-    except OverflowError:
-        return None
-    return x if math.isfinite(x) else None
-
-
 def _int(
     d: dict,
     key: str,
@@ -397,22 +380,31 @@ def _real(d: dict, key: str, pointer: str) -> float:
     return x
 
 
+def _ascii(parse):
+    """``parse`` of ASCII digits only, under ``parse``'s name, which an
+    argparse usage error prints: ``int`` and ``float`` also read ``"1_0"``
+    as 10, and other scripts' digits."""
+
+    def read(text: str):
+        if "_" in text or not text.isascii():
+            raise ValueError(f"expected ASCII digits, got {text!r}")
+        return parse(text)
+
+    read.__name__ = parse.__name__
+    return read
+
+
 def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
     """The ``(key, vertex id, entry)`` triples of a per-vertex table, which
-    names each vertex once (``"1"``, ``"01"`` and ``"1 "`` are all vertex 1,
-    while ``int`` would also read ``"1_0"`` and non-ASCII digits).  A key
-    that is not a string, which only the Python API can pass, is a vertex
-    id as ``check_vertex`` takes it, so a float or bool key is refused."""
+    names each vertex once (``"1"``, ``"01"`` and ``"1 "`` are all vertex 1;
+    ``_ascii`` refuses ``"1_0"``).  A key that is not a string, which only
+    the Python API can pass, is a vertex id as ``check_vertex`` takes it, so
+    a float or bool key is refused."""
     table = _object(_require(spec, key, pointer), f"{pointer}.{key}")
-    seen = set()
+    seen, read = set(), _ascii(int)
     for k, v in table.items():
         try:
-            if not isinstance(k, str):
-                vid = tree.check_vertex(k)
-            elif "_" in k or not k.isascii():
-                raise ValueError(f"expected a vertex id in ASCII digits, got {k!r}")
-            else:
-                vid = tree.check_vertex(int(k))
+            vid = tree.check_vertex(read(k) if isinstance(k, str) else k)
         except (KeyError, ValueError) as exc:
             raise SpecError(f"{pointer}.{key}.{k}", str(exc)) from exc
         if vid in seen:
@@ -756,26 +748,85 @@ def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> 
     }
 
 
+def analysis_report(op: WeightedCompOp, schedule=None, window_depth=None, zero_tol=1e-6) -> dict:
+    """The report ``treewco analyze`` prints: the certificates of both
+    spaces, the closed-form quantities and, under unit weight,
+    ``seven_equivalences``."""
+    certs = classify_operator(op, schedule, window_depth, zero_tol)
+    report = {
+        "schema": SCHEMA_VERSION,
+        "certificates": [c.to_json() for c in certs["linf"] + certs["lip"]],
+        "quantities": operator_quantities(op, window_depth),
+    }
+    if bool(np.all(op.psi.values == 1.0)):
+        report["seven_equivalences"] = seven_equivalences(op.phi).to_json()
+    return report
+
+
+def norms_report(op: WeightedCompOp, window_depth: int | None = None) -> dict:
+    """The report ``treewco norms`` prints: the weight's norms and tail
+    profile, and the closed-form quantities."""
+    rep = norms(op.psi)
+    return {
+        "schema": SCHEMA_VERSION,
+        "psi_norms": {
+            "sup_norm": rep.sup_norm,
+            "lip_norm": rep.lip_norm,
+            "value_at_root": rep.value_at_root,
+            "d_sup": rep.d_sup,
+            "tail_profile": _Rows(range(rep.tail_sups.size), rep.tail_sups),
+        },
+        "quantities": operator_quantities(op, window_depth),
+    }
+
+
+def oracle_report(tree: RootedTree, psi=None, phi=None, seed: int = 0) -> dict:
+    """The report ``treewco oracle`` prints: both norms searched by brute
+    force against their closed forms.  With no ``psi``, the weight and map
+    are drawn from ``seed``.  A search past its size cap falls back to the
+    ascent (bounded functions) or to the attained witness (Lipschitz)."""
+    if psi is None:
+        rng = np.random.default_rng(seed)
+        psi, phi = random_function(tree, rng), random_map(tree, rng)
+    op = WeightedCompOp(psi, phi)
+    try:
+        linf_res = norm_oracle_linf(op)
+    except OracleSizeError:
+        linf_res = norm_oracle_linf(op, method="ascent")
+    try:
+        lip_res = norm_oracle_lip(op, "exhaustive")
+    except OracleSizeError:
+        lip_res = norm_oracle_lip(op)
+    linf_formula = linf_op_norm(op)
+    exact, up = lip_bounds(op)  # the lower end is the exact norm
+    return {
+        "schema": SCHEMA_VERSION,
+        "seed": seed,
+        "linf": {
+            "oracle": linf_res.to_json(),
+            "formula": linf_formula,
+            "agree": abs(linf_res.value - linf_formula) <= 1e-9,
+        },
+        "lip": {
+            "oracle": lip_res.to_json(),
+            "formula": exact,
+            "bounds": [exact, up],
+            "agree": abs(lip_res.value - exact) <= 1e-9,
+            "within_bounds": exact - 1e-9 <= lip_res.value <= up + 1e-9,
+        },
+    }
+
+
 def fixture_report(fx: Fixture, depth: int | None = None) -> dict:
-    """Full deterministic report for one bundled fixture."""
+    """Full deterministic report for one bundled fixture: its
+    ``analysis_report`` with the fixture fields added."""
     depth = fx.depth if depth is None else _integer(depth, "fixture depth")
     op = fx.build(depth)
     window = fx.window_for(depth)
-    certs = classify_operator(op, window_depth=window)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "fixture": fx.name,
-        "description": fx.description,
-        "depth": depth,
-        "window_depth": window,
-        "tree": tree_to_spec(op.tree),
-        "certificates": [
-            c.to_json() for c in certs["linf"] + certs["lip"]
-        ],
-        "quantities": operator_quantities(op, window),
-        "expected": dict(sorted(fx.expected.items())),
-        "notes": list(fx.notes),
-    }
+    report = analysis_report(op, window_depth=window)
+    report.update(fixture=fx.name, description=fx.description, depth=depth, window_depth=window,
+                  tree=tree_to_spec(op.tree), expected=dict(sorted(fx.expected.items())),
+                  notes=list(fx.notes))
     if fx.extra:
         report.update(fx.extra(op, window))
     return report

@@ -46,7 +46,7 @@ from functools import cached_property
 import numpy as np
 
 from .functions import VertexFunction
-from .trees import RootedTree, _integer, zline_ids
+from .trees import RootedTree, _finite, _integer, zline_ids  # classify reads _finite here
 
 __all__ = [
     "MapSpecError",

@@ -610,10 +610,15 @@ class TestOnePass:
             tw.classify_operator(op, schedule)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("zero_tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize(
+        "zero_tol",
+        [float("nan"), -1.0, float("inf"), True, pytest.param(np.True_, id="np_True"), "x", None,
+         pytest.param(10**400, id="10**400")],
+    )
     def test_a_zero_tol_outside_the_cli_rule_is_refused(self, zero_tol):
         # the CLI's --tol rule: a finite number >= 0; inf would turn both
-        # Compact verdicts of the fold into TrendConsistent
+        # Compact verdicts of the fold into TrendConsistent, True once read
+        # as 1.0, and the others raised a TypeError or an OverflowError
         op = tw.composition_op(tw.zline_fold(tw.zline(8)))
         compact = [c.verdict for c in tw.classify_operator(op, zero_tol=0.0)["linf"]
                    if c.statement.endswith("Compact")]

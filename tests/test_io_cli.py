@@ -28,8 +28,6 @@ from treewco.cli import main
 from treewco.certificate import _Rows
 from treewco.io import SCHEMA_VERSION, _float_text, canonical_json, fixture_report, golden_dir
 
-from conftest import analyze_payload
-
 
 def write(tmp_path: Path, name: str, payload: dict) -> str:
     p = tmp_path / name
@@ -536,7 +534,7 @@ class TestCanonicalJson:
     def test_profiles_are_views_of_the_operator_rows(self, monkeypatch):
         t = tw.zline(8)
         op = tw.composition_op(tw.zline_fold(t))
-        payload = analyze_payload(op, 4)
+        payload = tw.analysis_report(op, None, 4)
         q = payload["quantities"]
         certs = {c["statement"]: c for c in payload["certificates"]}
         assert np.shares_memory(q["linf_ess_tail"].values, op.tail_sups)
@@ -559,7 +557,7 @@ class TestCanonicalJson:
         "op, window", [pytest.param(op, window, id=name) for name, op, window in _deep_operators()]
     )
     def test_deep_reports_match_the_round_trip_writer(self, op, window):
-        payload = analyze_payload(op, window)
+        payload = tw.analysis_report(op, None, window)
         assert canonical_json(payload) == reference_canonical_json(payload)
 
     @pytest.mark.parametrize(
@@ -987,6 +985,23 @@ BAD_ARGS = [
     ("analyze", ["--tol", "nan"], "args.tol: must be a finite number >= 0, got nan"),
     ("analyze", ["--tol", "inf"], "args.tol: must be a finite number >= 0, got inf"),
     ("analyze", ["--tol", "-1"], "args.tol: must be a finite number >= 0, got -1.0"),
+    # int() reads the next two as 10 and 3, as io._table once read its keys;
+    # an empty list once ran the default schedule
+    ("analyze", ["--depths", "1_0"], "args.depths: expected ASCII digits, got '1_0'"),
+    ("analyze", ["--depths", "\u0663"], "args.depths: expected ASCII digits, got '\u0663'"),
+    ("analyze", ["--depths", ""], "args.depths: invalid literal"),
+]
+
+
+# numbers that int() and float() read but the spec loader refuses: each is
+# an argparse usage error, as --window x is
+BAD_NUMBERS = [
+    ("analyze", "--window", "1_0", "int"),
+    ("analyze", "--window", "\u0663", "int"),
+    ("oracle", "--seed", "1_0", "int"),
+    ("oracle", "--seed", "\u0663", "int"),
+    ("analyze", "--tol", "1_0e-3", "float"),
+    ("analyze", "--tol", "\u0663e-3", "float"),
 ]
 
 
@@ -1022,6 +1037,16 @@ class TestMalformedSpecs:
         args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
         assert main([mode, *args, *extra]) == 1
         assert capsys.readouterr().err.startswith(f"spec error: {message}")
+
+    @pytest.mark.parametrize("mode,flag,value,kind", BAD_NUMBERS)
+    def test_number_in_other_than_ascii_digits_is_a_usage_error(
+        self, specs, capsys, mode, flag, value, kind
+    ):
+        args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
+        with pytest.raises(SystemExit) as exc:
+            main([mode, *args, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("depth", [0, 2])
     def test_explicit_depth_other_than_the_deepest_exits_one(

@@ -20,7 +20,7 @@ from treewco import SelfMap, VertexFunction, WeightedCompOp
 from treewco.certificate import _Rows
 from treewco.cli import main
 
-from conftest import analyze_payload, shuffled_edges
+from conftest import shuffled_edges
 
 
 def certificates(op, window=None) -> list:
@@ -107,7 +107,7 @@ def test_relabeling_by_an_automorphism_changes_no_report_entry(case):
     psi2[perm], img2[perm] = op.psi.values, perm[op.phi.image]
     op2 = WeightedCompOp(VertexFunction(t2, psi2), SelfMap(t2, img2, t.depth_limit))
 
-    rep, rep2 = analyze_payload(op, window), analyze_payload(op2, window)
+    rep, rep2 = tw.analysis_report(op, None, window), tw.analysis_report(op2, None, window)
     certs, certs2 = rep.pop("certificates"), rep2.pop("certificates")
     assert rep == rep2  # quantities and seven_equivalences
     by = {c.statement: c for c in certificates(op, window)}
@@ -174,7 +174,7 @@ def test_scaling_the_weight_by_a_power_of_two_scales_every_number(case, k):
     op, window = case
     factor = 2.0**k
     op2 = WeightedCompOp(VertexFunction(op.tree, factor * op.psi.values), op.phi)
-    rep, rep2 = analyze_payload(op, window), analyze_payload(op2, window)
+    rep, rep2 = tw.analysis_report(op, None, window), tw.analysis_report(op2, None, window)
 
     q, q2 = rep["quantities"], rep2["quantities"]
     for name in ("linf", "lip"):
@@ -207,8 +207,8 @@ def test_tree_spec_round_trip_keeps_the_analyze_text(tmp_path_factory, case):
     op2 = WeightedCompOp(
         VertexFunction(t2, op.psi.values), SelfMap(t2, op.phi.image, op.phi.domain_depth)
     )
-    text = tw.canonical_json(analyze_payload(op, window))
-    assert tw.canonical_json(analyze_payload(op2, window)) == text
+    text = tw.canonical_json(tw.analysis_report(op, None, window))
+    assert tw.canonical_json(tw.analysis_report(op2, None, window)) == text
 
     if op.phi.domain_depth < t.depth_limit:
         return  # a spec file's map table is total

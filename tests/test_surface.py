@@ -76,3 +76,28 @@ def test_only_classify_builds_certificates():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Certificate":
                 builders.add(m.name)
     assert builders == {"classify"}
+
+
+def lays_out_a_report(node) -> bool:
+    """A node that names ``SCHEMA_VERSION`` or writes a ``"schema"`` key:
+    a dict literal holding one, or an item assignment of one."""
+    if isinstance(node, (ast.Name, ast.alias, ast.Attribute)):
+        return "SCHEMA_VERSION" in (getattr(node, "id", None), getattr(node, "name", None),
+                                    getattr(node, "attr", None))
+    if isinstance(node, ast.Dict):
+        return any(isinstance(k, ast.Constant) and k.value == "schema" for k in node.keys)
+    return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.slice, ast.Constant) and node.slice.value == "schema")
+
+
+def test_only_io_lays_out_reports():
+    # the CLI prints what io's report builders return, and builds no
+    # payload, profile row or oracle call of its own
+    owners = set()
+    for m in pkgutil.iter_modules(tw.__path__):
+        module = importlib.import_module(f"treewco.{m.name}")
+        if any(map(lays_out_a_report, ast.walk(ast.parse(inspect.getsource(module))))):
+            owners.add(m.name)
+    assert owners == {"io"}
+    assert not package_imports(importlib.import_module("treewco.cli")) & {
+        "certificate", "functions", "oracle"}

@@ -45,7 +45,7 @@ The corpus, per seed:
 
 Entry points: ``analyze`` (``canonical_json`` of ``classify_operator``,
 ``operator_quantities`` and, under unit weight, ``seven_equivalences``,
-as ``treewco analyze`` assembles them; the builtin grid with no window
+the report ``treewco analyze`` prints; the builtin grid with no window
 and tolerance 1e-6), ``isometry.linf`` and ``isometry.lip`` (the public
 ``isometry_check_linf`` and ``isometry_check_lip`` on the windows
 ``None``, 0, 1 and ``N // 2``, each once, so that the root-only and
@@ -59,11 +59,20 @@ a deepest vertex of each tree; a search past its size cap records its
 error), ``tree`` (each distinct tree and its truncations to depths 0, 1
 and ``N // 2``: ``tree_to_spec`` with the vertex count, the depth limit
 and the layer sizes, a list of more than ``_MAX_LAYERS`` sizes written
-as its length and sum), and the ``cli.analyze``, ``cli.norms``,
-``cli.oracle`` (with the spec files, and with the tree alone) and
-``cli.export`` (with and without the map) outputs on spec files of the
-same operators, and ``cli.examples`` (its stdout and the reports it
-writes).
+as its length and sum), and the outputs on spec files of the same
+operators of ``cli.analyze`` (with no flag, with ``--window N // 2 --tol
+1e-3``, and with ``--depths`` at the sparse schedule), ``cli.norms``
+(with no flag and with ``--window N // 2``), ``cli.oracle`` (with the spec
+files, and with the tree alone) and ``cli.export`` (with and without the
+map), and ``cli.examples`` (its stdout and the reports it writes).  The
+CLI entries use only long-standing flags (``--depths``, ``--window``,
+``--tol``, ``--seed``, ``--out``), so an older ref writes the same corpus.
+
+``_analyze_text`` assembles the analyze report itself rather than calling
+``io.analysis_report``: ``--against`` runs this tool on the ref's ``src/``,
+and a ref from before that function would answer every ``analyze`` text
+with an ``AttributeError``.  Kept independent, it is also a second
+reference for the ``cli.analyze`` texts.
 
 ``--dump FILE`` writes this interpreter's corpus texts to FILE, one JSON
 line per text; ``--against`` runs it once per side.
@@ -171,11 +180,16 @@ def _guarded(fn) -> str:
         return f"error: {type(exc).__name__}: {exc}"
 
 
+def _sparse(n: int) -> tuple:
+    """The sparse schedule of a tree of depth ``n >= 1``."""
+    return tuple(sorted({1, (n + 2) // 3, n}))
+
+
 def _schedules(op) -> list:
     """The explicit depth schedules of one operator: a single depth, a
     sparse one, and one around the map's domain depth."""
     n, core = op.tree.depth_limit, op.phi.domain_depth
-    found = [(1,), (1, (n + 2) // 3, n), (core, core + 1, n)]
+    found = [(1,), _sparse(n), (core, core + 1, n)]
     found = [tuple(sorted({d for d in s if 1 <= d <= n})) for s in found]
     return list(dict.fromkeys(s for s in found if s))
 
@@ -275,9 +289,15 @@ def corpus(seed: int, workdir: Path):
             path.write_text(json.dumps(spec), encoding="utf-8")
             args += [f"--{key}", str(path)]
         tree_args, phi_args = args[:2], args[4:]
+        yield "cli.analyze", name, _guarded(lambda: _cli_text(["analyze", *args]))
         yield "cli.analyze", f"{name}/w{n // 2}/t0.001", _guarded(
             lambda: _cli_text(["analyze", *args, "--window", str(n // 2), "--tol", "1e-3"]))
+        sparse = ",".join(map(str, _sparse(n)))
+        yield "cli.analyze", f"{name}/s{sparse.replace(',', '-')}", _guarded(
+            lambda: _cli_text(["analyze", *args, "--depths", sparse]))
         yield "cli.norms", name, _guarded(lambda: _cli_text(["norms", *args]))
+        yield "cli.norms", f"{name}/w{n // 2}", _guarded(
+            lambda: _cli_text(["norms", *args, "--window", str(n // 2)]))
         yield "cli.oracle", name, _guarded(lambda: _cli_text(["oracle", *args]))
         yield "cli.export", name, _guarded(lambda: _cli_text(["export", *tree_args, *phi_args]))
         tname = name.split("/")[0]
