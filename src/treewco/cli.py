@@ -124,7 +124,8 @@ def _cmd_oracle(args) -> int:
     if args.seed < 0:
         raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
     tree, psi, phi = load_specs(args.tree, args.psi or None, args.phi or None)
-    _emit(canonical_json(oracle_report(tree, psi, phi, args.seed)), args.out)
+    source = tree if psi is None else WeightedCompOp(psi, phi)
+    _emit(canonical_json(oracle_report(source, args.seed)), args.out)
     return 0
 
 

@@ -490,16 +490,11 @@ def load_function_spec(
 ) -> VertexFunction:
     kind = _require(_object(spec, pointer), "kind", pointer)
     if kind == "table":
-        vals = np.zeros(tree.n_vertices)
-        seen = np.zeros(tree.n_vertices, dtype=bool)
-        for k, vid, v in _table(spec, "values", tree, pointer):
-            x = _finite(v)
-            if x is None:
-                raise SpecError(f"{pointer}.values.{k}", f"expected a finite number, got {v!r}")
-            vals[vid] = x
-            seen[vid] = True
-        if not seen.all():
-            missing = int(np.where(~seen)[0][0])
+        vals = np.full(tree.n_vertices, np.nan)  # _real writes finite numbers only
+        for k, vid, _ in _table(spec, "values", tree, pointer):
+            vals[vid] = _real(spec["values"], k, f"{pointer}.values")
+        if np.isnan(vals).any():
+            missing = int(np.flatnonzero(np.isnan(vals))[0])
             raise SpecError(
                 f"{pointer}.values", f"table is partial: vertex {missing} missing"
             )
@@ -780,15 +775,15 @@ def norms_report(op: WeightedCompOp, window_depth: int | None = None) -> dict:
     }
 
 
-def oracle_report(tree: RootedTree, psi=None, phi=None, seed: int = 0) -> dict:
-    """The report ``treewco oracle`` prints: both norms searched by brute
-    force against their closed forms.  With no ``psi``, the weight and map
-    are drawn from ``seed``.  A search past its size cap falls back to the
-    ascent (bounded functions) or to the attained witness (Lipschitz)."""
-    if psi is None:
+def oracle_report(source: WeightedCompOp | RootedTree, seed: int = 0) -> dict:
+    """The report ``treewco oracle`` prints: both norms of ``source``, an
+    operator or a tree to draw one on from ``seed``, searched by brute force
+    against their closed forms; a search past its size cap falls back to the
+    ascent (bounded functions) or the attained witness (Lipschitz)."""
+    op = source
+    if not isinstance(source, WeightedCompOp):
         rng = np.random.default_rng(seed)
-        psi, phi = random_function(tree, rng), random_map(tree, rng)
-    op = WeightedCompOp(psi, phi)
+        op = WeightedCompOp(random_function(source, rng), random_map(source, rng))
     try:
         linf_res = norm_oracle_linf(op)
     except OracleSizeError:
@@ -824,9 +819,15 @@ def fixture_report(fx: Fixture, depth: int | None = None) -> dict:
     op = fx.build(depth)
     window = fx.window_for(depth)
     report = analysis_report(op, window_depth=window)
-    report.update(fixture=fx.name, description=fx.description, depth=depth, window_depth=window,
-                  tree=tree_to_spec(op.tree), expected=dict(sorted(fx.expected.items())),
-                  notes=list(fx.notes))
+    report.update({
+        "fixture": fx.name,
+        "description": fx.description,
+        "depth": depth,
+        "window_depth": window,
+        "tree": tree_to_spec(op.tree),
+        "expected": dict(sorted(fx.expected.items())),
+        "notes": list(fx.notes),
+    })
     if fx.extra:
         report.update(fx.extra(op, window))
     return report

@@ -67,14 +67,13 @@ def _integer(value, what: str) -> int:
 
 def _finite(value) -> float | None:
     """``value`` as a float, or None unless it is a finite non-bool number."""
-    if type(value) is not float:  # a plain float skips the ABC check (~0.4 us)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            return None
-        try:
-            value = float(value)
-        except OverflowError:
-            return None
-    return value if math.isfinite(value) else None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return None
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
 
 
 def _check_breadth_first(parent: np.ndarray, depth: np.ndarray) -> None:

@@ -739,6 +739,16 @@ class TestCli:
         main(["oracle", "--tree", specs["tree"], "--seed", "9"])
         assert capsys.readouterr().out == first
 
+    def test_oracle_report_takes_an_operator_or_a_tree_to_draw_one_on(self, specs, capsys):
+        # the draw the oracle mode makes on a tree alone, made here
+        tree = tw.load_tree_spec(json.loads(Path(specs["tree"]).read_text(encoding="utf-8")))
+        rng = np.random.default_rng(9)
+        op = tw.WeightedCompOp(tw.random_function(tree, rng), tw.random_map(tree, rng))
+        assert main(["oracle", "--tree", specs["tree"], "--seed", "9"]) == 0
+        text = capsys.readouterr().out
+        assert canonical_json(treewco_io.oracle_report(op, 9)) == text
+        assert canonical_json(treewco_io.oracle_report(tree, 9)) == text
+
     def test_oracle_negative_seed_names_the_argument(self, specs, capsys):
         assert main(["oracle", "--tree", specs["tree"], "--seed", "-1"]) == 1
         assert capsys.readouterr().err == "spec error: args.seed: must be >= 0, got -1\n"
