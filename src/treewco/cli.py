@@ -69,14 +69,14 @@ def _write(path: Path, text: str, make_parent: bool = False) -> None:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        _write(Path(out), text)
-    else:
+    if out is None:
         sys.stdout.write(text)
+    else:
+        _write(Path(out), text)
 
 
 def _load_operator(args) -> WeightedCompOp:
-    if not args.tree or not args.psi or not args.phi:
+    if args.tree is None or args.psi is None or args.phi is None:
         raise SpecError("args", "analyze/norms need --tree, --psi and --phi")
     _, psi, phi = load_specs(args.tree, args.psi, args.phi)
     return WeightedCompOp(psi, phi)
@@ -117,13 +117,13 @@ def _cmd_norms(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    if bool(args.psi) != bool(args.phi):
+    if (args.psi is None) != (args.phi is None):
         raise SpecError("args", "oracle needs both --psi and --phi, or neither")
-    if not args.tree:
+    if args.tree is None:
         raise SpecError("args", "oracle needs at least --tree")
     if args.seed < 0:
         raise SpecError("args.seed", f"must be >= 0, got {args.seed}")
-    tree, psi, phi = load_specs(args.tree, args.psi or None, args.phi or None)
+    tree, psi, phi = load_specs(args.tree, args.psi, args.phi)
     source = tree if psi is None else WeightedCompOp(psi, phi)
     _emit(canonical_json(oracle_report(source, args.seed)), args.out)
     return 0
@@ -131,11 +131,11 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_examples(args) -> int:
     gold = golden_dir()
-    out_dir = Path(args.out) if args.out else None
+    out_dir = None if args.out is None else Path(args.out)
     drift = False
     for fx in bundled_fixtures():
         report = canonical_json(fixture_report(fx))
-        if out_dir:
+        if out_dir is not None:
             _write(out_dir / f"{fx.name}.json", report, make_parent=True)
         gold_path = gold / f"{fx.name}.json"
         if not gold_path.exists():
@@ -152,12 +152,14 @@ def _cmd_examples(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    if not args.tree:
+    if args.tree is None:
         raise SpecError("args", "export needs --tree")
-    tree, _, phi = load_specs(args.tree, phi_path=args.phi or None)
+    tree, _, phi = load_specs(args.tree, phi_path=args.phi)
     _emit(tree.to_dot(None if phi is None else phi.as_table()), args.out)
     return 0
 
+
+_PATH_FLAGS = ("tree", "psi", "phi", "out")
 
 # mode -> (command, the flags it reads); the parser offers each mode only its own
 _MODES = {
@@ -171,8 +173,13 @@ _MODES = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, flags = _MODES[args.mode]
     try:
-        return _MODES[args.mode][0](args)
+        for flag in flags:
+            # an empty path is refused, never read as an absent flag
+            if flag in _PATH_FLAGS and getattr(args, flag) == "":
+                raise SpecError(f"args.{flag}", "expected a path, got ''")
+        return command(args)
     except SpecError as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return 1

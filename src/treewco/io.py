@@ -85,8 +85,6 @@ from .functions import (
 from .operators import (
     SelfMap,
     WeightedCompOp,
-    _slope,
-    _slope_design,
     constant_map,
     identity_map,
     j_linf,
@@ -350,6 +348,15 @@ def _require(d: dict, key: str, pointer: str):
     return d[key]
 
 
+def _known(spec: dict, pointer: str, fields: tuple) -> None:
+    """Refuse a field outside ``fields``, as ``_read_json`` refuses a repeated
+    key: a misspelt optional field would otherwise load as its default."""
+    for key in spec:
+        if key not in fields:
+            known = ", ".join(fields) or "none"
+            raise SpecError(f"{pointer}.{key}", f"unknown field (known: {known})")
+
+
 def _int(
     d: dict,
     key: str,
@@ -413,8 +420,21 @@ def _table(spec: dict, key: str, tree: RootedTree, pointer: str):
         yield k, vid, v
 
 
+# family -> the fields its loader reads besides ``family``
+_TREE_FIELDS = {
+    "zline": ("depth",),
+    "homogeneous": ("q", "depth"),
+    "random": ("depth", "seed", "min_children", "max_children"),
+    "explicit": ("edges", "root", "depth"),
+}
+
+
 def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
     family = _require(_object(spec, pointer), "family", pointer)
+    if not isinstance(family, str) or family not in _TREE_FIELDS:
+        raise SpecError(f"{pointer}.family", f"unknown family {family!r}")
+    # tree_to_spec writes the schema version
+    _known(spec, pointer, ("schema", "family", *_TREE_FIELDS[family]))
     try:
         if family == "zline":
             return zline(_int(spec, "depth", pointer, minimum=0))
@@ -432,26 +452,25 @@ def load_tree_spec(spec: dict, pointer: str = "tree") -> RootedTree:
             return random_tree(depth, seed, lo, hi)
     except TreeBudgetError as exc:
         raise SpecError(f"{pointer}.depth", str(exc)) from exc
-    if family == "explicit":
-        edges = _require(spec, "edges", pointer)
-        root = _require(spec, "root", pointer)
-        if isinstance(root, (list, dict)):
-            raise SpecError(f"{pointer}.root", f"expected a vertex label, got {root!r}")
-        depth = (
-            _int(spec, "depth", pointer, minimum=0) if spec.get("depth") is not None else None
+    # the explicit family
+    edges = _require(spec, "edges", pointer)
+    root = _require(spec, "root", pointer)
+    if isinstance(root, (list, dict)):
+        raise SpecError(f"{pointer}.root", f"expected a vertex label, got {root!r}")
+    depth = (
+        _int(spec, "depth", pointer, minimum=0) if spec.get("depth") is not None else None
+    )
+    try:
+        tree = explicit_tree(edges, root)
+    except (ValueError, TypeError) as exc:
+        raise SpecError(f"{pointer}.edges", str(exc)) from exc
+    if depth is not None and depth != tree.depth_limit:
+        raise SpecError(
+            f"{pointer}.depth",
+            f"declared depth {depth} differs from the deepest vertex's depth "
+            f"{tree.depth_limit}",
         )
-        try:
-            tree = explicit_tree(edges, root)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"{pointer}.edges", str(exc)) from exc
-        if depth is not None and depth != tree.depth_limit:
-            raise SpecError(
-                f"{pointer}.depth",
-                f"declared depth {depth} differs from the deepest vertex's depth "
-                f"{tree.depth_limit}",
-            )
-        return tree
-    raise SpecError(f"{pointer}.family", f"unknown family {family!r}")
+    return tree
 
 
 # builtin name -> (builder, (param, parser), ...); the builder takes the
@@ -472,11 +491,13 @@ _MAPS = {
 
 def _builtin(spec: dict, tree: RootedTree, pointer: str, table: dict):
     """The builtin of ``table`` that ``spec`` names, built on ``tree``."""
+    _known(spec, pointer, ("schema", "kind", "name", "params"))
     name = _require(spec, "name", pointer)
     params = _object(spec.get("params", {}), f"{pointer}.params")
     if not isinstance(name, str) or name not in table:
         raise SpecError(f"{pointer}.name", f"unknown builtin {name!r}")
     builder, *fields = table[name]
+    _known(params, f"{pointer}.params", tuple(key for key, _ in fields))
     try:
         return builder(tree, *(parse(params, key, f"{pointer}.params") for key, parse in fields))
     except SpecError:
@@ -490,6 +511,7 @@ def load_function_spec(
 ) -> VertexFunction:
     kind = _require(_object(spec, pointer), "kind", pointer)
     if kind == "table":
+        _known(spec, pointer, ("schema", "kind", "values"))
         vals = np.full(tree.n_vertices, np.nan)  # _real writes finite numbers only
         for k, vid, _ in _table(spec, "values", tree, pointer):
             vals[vid] = _real(spec["values"], k, f"{pointer}.values")
@@ -507,6 +529,7 @@ def load_function_spec(
 def load_map_spec(spec: dict, tree: RootedTree, pointer: str = "phi") -> SelfMap:
     kind = _require(_object(spec, pointer), "kind", pointer)
     if kind == "table":
+        _known(spec, pointer, ("schema", "kind", "map"))
         images = {}
         for k, vid, v in _table(spec, "map", tree, pointer):
             try:
@@ -701,37 +724,20 @@ def fixture_by_name(name: str) -> Fixture:
     return fixtures[name]
 
 
-def _tail(column: np.ndarray, design: tuple | None) -> tuple[_Rows, float]:
-    """The rows of one ``tail_sups`` column, a ``_Rows`` over the column
-    itself, and their least-squares slope on ``design``, ``_slope_design``
-    of the depths (None for fewer than two rows, whose slope is 0): what
-    ``linf_ess_norm_profile`` or ``lip_ess_norm_profile`` and
-    ``tail_trend_slope`` give, bit for bit.  The slope is numpy
-    ``polyfit``'s, from one ``lstsq`` per column on polyfit's own scaled
-    matrix, built once for both columns.  A single two-column ``polyfit``
-    would be shorter, but it solves both columns in one LAPACK call, whose
-    slopes differ from the one-column ones in the last bits, and the
-    reports keep roundoff slopes such as ``1.34583129721e-16``."""
-    rows = _Rows(range(column.size), column)
-    return rows, 0.0 if design is None else _slope(design, column)
-
-
 def operator_quantities(op: WeightedCompOp, window_depth: int | None = None) -> dict:
     exact, up = lip_bounds(op)  # the lower end is the exact norm
     j = j_linf(op, window_depth)  # j_lip_bracket is (j / 3, j)
     klo, kup = k_lip_bracket(op)
     tails = op.tail_sups
-    design = _slope_design(np.arange(len(tails))) if len(tails) >= 2 else None
-    linf_tail, linf_slope = _tail(tails[:, 0], design)
-    lip_tail, lip_slope = _tail(tails[:, 1], design)
+    linf_slope, lip_slope = op.tail_slopes
     return {
         "linf_op_norm": linf_op_norm(op),
-        "linf_ess_tail": linf_tail,
+        "linf_ess_tail": _Rows(range(len(tails)), tails[:, 0]),
         "linf_ess_tail_slope": linf_slope,
         "lip_lower_bound": exact,
         "lip_upper_bound": up,
         "lip_exact_norm": exact,
-        "lip_ess_tail": lip_tail,
+        "lip_ess_tail": _Rows(range(len(tails)), tails[:, 1]),
         "lip_ess_tail_slope": lip_slope,
         "j_linf": j,
         "k_linf": k_linf(op),

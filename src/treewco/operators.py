@@ -28,7 +28,8 @@ closed form reads, each computed once per operator:
 ``preimage_sup``, the sup of |psi| over each vertex's preimage (one
 ``np.maximum.at`` over the image, ``-inf`` where there is no preimage);
 ``tail_sups``, both essential-norm tail profiles from one maximum per
-image depth and a suffix maximum; and ``head_sups``, two per-depth running
+image depth and a suffix maximum; ``tail_slopes``, the least-squares slope
+of each of those two columns; and ``head_sups``, two per-depth running
 reductions over id layers (``depth_running``: one ``reduceat`` over the
 layer offsets, then an ``accumulate`` over depths): the sups of |psi| and
 of the reach over depth <= d, whose last row gives both norms' sups.
@@ -320,6 +321,23 @@ class WeightedCompOp:
         tails = suffix[1:]
         tails.setflags(write=False)
         return tails
+
+    @cached_property
+    def tail_slopes(self) -> tuple[float, float]:
+        """The least-squares slopes of the two ``tail_sups`` columns over
+        the depths, (0.0, 0.0) for fewer than two rows: what
+        ``tail_trend_slope`` gives on ``linf_ess_norm_profile`` and
+        ``lip_ess_norm_profile``, bit for bit.  They are numpy ``polyfit``'s,
+        from one ``lstsq`` per column on polyfit's own scaled matrix, built
+        once for both.  A single two-column ``polyfit`` would be shorter,
+        but it solves both columns in one LAPACK call, whose slopes differ
+        from the one-column ones in the last bits, and the reports keep
+        roundoff slopes such as ``1.34583129721e-16``."""
+        tails = self.tail_sups
+        if len(tails) < 2:
+            return (0.0, 0.0)
+        design = _slope_design(np.arange(len(tails)))
+        return (_slope(design, tails[:, 0]), _slope(design, tails[:, 1]))
 
     @cached_property
     def preimage_argmin(self) -> np.ndarray:

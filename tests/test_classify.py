@@ -18,14 +18,13 @@ from treewco.classify import (
 )
 from treewco.io import (
     SCHEMA_VERSION,
-    _tail,
     canonical_json,
     fixture_report,
     golden_dir,
     operator_quantities,
     tree_to_spec,
 )
-from treewco.operators import STABILITY_MARGIN, _slope_design
+from treewco.operators import STABILITY_MARGIN, _slope, _slope_design
 
 from conftest import ref_bounded_below_witness, ref_preimages, shuffled_edges
 
@@ -704,8 +703,33 @@ class TestTailsFromColumns:
         design = _slope_design(np.arange(k))
         for i, kind in enumerate(columns):
             want = _bits(np.polyfit(n, tails[:, i], 1)[0])
-            assert _bits(_tail(tails[:, i], design)[1]) == want, kind
+            assert _bits(_slope(design, tails[:, i])) == want, kind
             assert _bits(tw.tail_trend_slope(list(enumerate(tails[:, i].tolist())))) == want, kind
+
+    @pytest.mark.parametrize("depth", [8, 64])
+    def test_a_repeat_report_fits_no_slope(self, depth, monkeypatch):
+        # the slopes are fitted once per operator, by tail_slopes; each
+        # report after the first reads them
+        t = tw.zline(depth)
+        psi = VertexFunction(t, 1.0 / (1.0 + t.depth))
+        op = WeightedCompOp(psi, tw.zline_fold(t))
+        fits = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: fits.append(1) or lstsq(*a, **k))
+        first = canonical_json(operator_quantities(op))
+        assert len(fits) == 2
+        sparse = tuple(range(1, depth + 1, 3))
+        calls = [
+            lambda op: operator_quantities(op, depth // 2),
+            lambda op: tw.analysis_report(op, sparse, depth // 4),
+            lambda op: tw.norms_report(op),
+        ]
+        texts = [canonical_json(call(op)) for call in calls]
+        assert len(fits) == 2
+        fresh = WeightedCompOp(op.psi, op.phi)
+        assert canonical_json(operator_quantities(fresh)) == first
+        for call, text in zip(calls, texts):
+            assert canonical_json(call(WeightedCompOp(op.psi, op.phi))) == text
 
     @pytest.mark.parametrize("depth", [0, 1, 2, 1000])
     def test_short_and_deep_profiles(self, depth):

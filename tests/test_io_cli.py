@@ -981,6 +981,24 @@ BAD_RANGES = [
 ]
 
 
+# fields no loader reads: each once loaded silently, so a misspelt
+# optional field ("min_chidren") left its field at the default.  Only a
+# spec's top level may carry "schema", which tree_to_spec writes
+UNKNOWN_FIELDS = [
+    ("tree", {"family": "random", "depth": 3, "seed": 1, "min_chidren": 2}, "tree.min_chidren"),
+    ("tree", {"family": "zline", "depth": 4, "q": 2}, "tree.q"),
+    ("tree", {"family": "explicit", "edges": [[0, 1]], "root": 0, "seed": 1}, "tree.seed"),
+    ("psi", {"kind": "table", "values": {}, "value": {}}, "psi.value"),
+    ("psi", {"kind": "builtin", "name": "F_N", "param": {"cap": 2}}, "psi.param"),
+    ("psi", {"kind": "builtin", "name": "F_N", "params": {"cap": 2, "r": 1.0}}, "psi.params.r"),
+    ("phi", {"kind": "table", "map": {}, "maps": {}}, "phi.maps"),
+    ("phi", {"kind": "builtin", "name": "identity", "params": {"target": 0}},
+     "phi.params.target"),
+    ("phi", {"kind": "builtin", "name": "constant", "params": {"target": 0, "schema": 1}},
+     "phi.params.schema"),
+]
+
+
 # command-line arguments out of range for the zline(4) specs; norms reads
 # only the window
 BAD_ARGS = [
@@ -1000,6 +1018,18 @@ BAD_ARGS = [
     ("analyze", ["--depths", "1_0"], "args.depths: expected ASCII digits, got '1_0'"),
     ("analyze", ["--depths", "\u0663"], "args.depths: expected ASCII digits, got '\u0663'"),
     ("analyze", ["--depths", ""], "args.depths: invalid literal"),
+]
+
+
+# an empty path flag, given to each mode; each of these once read as an
+# absent flag: oracle reported on a seeded random operator, norms wrote to
+# stdout, export dropped the map overlay and examples wrote no report files
+EMPTY_PATHS = [
+    ("analyze", ["--tree", "T", "--psi", "", "--phi", "P"], "psi"),
+    ("norms", ["--tree", "T", "--psi", "W", "--phi", "P", "--out", ""], "out"),
+    ("oracle", ["--tree", "T", "--psi", "", "--phi", ""], "psi"),
+    ("examples", ["--out", ""], "out"),
+    ("export", ["--tree", "T", "--phi", ""], "phi"),
 ]
 
 
@@ -1033,7 +1063,7 @@ class TestMalformedSpecs:
     @pytest.mark.parametrize(
         "which,spec,pointer",
         BAD_SECTIONS + BAD_TABLE_ENTRIES + BAD_RANGES + BAD_LOOKUPS + BAD_BUILDER_INPUTS
-        + BAD_TABLE_KEYS,
+        + BAD_TABLE_KEYS + UNKNOWN_FIELDS,
     )
     def test_bad_section_or_entry_exits_one_with_pointer(
         self, specs, tmp_path, capsys, which, spec, pointer
@@ -1042,11 +1072,42 @@ class TestMalformedSpecs:
         assert rc == 1
         assert err.startswith(f"spec error: {pointer}: ")
 
+    def test_an_unknown_field_is_named_with_the_fields_read(self, specs, tmp_path, capsys):
+        spec = {"family": "random", "depth": 3, "seed": 1, "min_chidren": 2}
+        assert self.analyze_err(specs, tmp_path, capsys, "tree", spec) == (1, (
+            "spec error: tree.min_chidren: unknown field (known: schema, family, depth, "
+            "seed, min_children, max_children)\n"
+        ))
+        spec = {"kind": "builtin", "name": "zfold", "params": {"target": 0}}
+        assert self.analyze_err(specs, tmp_path, capsys, "phi", spec) == (
+            1, "spec error: phi.params.target: unknown field (known: none)\n"
+        )
+
+    def test_schema_is_read_at_each_specs_top_level(self, specs, tmp_path, capsys):
+        paths = {
+            which: write(tmp_path, f"{which}.json", dict(json.loads(Path(path).read_text()),
+                                                         schema=SCHEMA_VERSION))
+            for which, path in specs.items()
+        }
+        def norms(files: dict) -> str:
+            assert main(["norms", *(x for k, v in files.items() for x in (f"--{k}", v))]) == 0
+            return capsys.readouterr().out
+
+        assert norms(paths) == norms(specs)
+
     @pytest.mark.parametrize("mode,extra,message", BAD_ARGS)
     def test_bad_argument_exits_one_with_pointer(self, specs, capsys, mode, extra, message):
         args = ["--tree", specs["tree"], "--psi", specs["psi"], "--phi", specs["phi"]]
         assert main([mode, *args, *extra]) == 1
         assert capsys.readouterr().err.startswith(f"spec error: {message}")
+
+    @pytest.mark.parametrize("mode,argv,flag", EMPTY_PATHS)
+    def test_empty_path_exits_one_naming_the_flag(self, specs, capsys, mode, argv, flag):
+        files = {"T": specs["tree"], "W": specs["psi"], "P": specs["phi"]}
+        assert main([mode, *(files.get(a, a) for a in argv)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"spec error: args.{flag}: expected a path, got ''\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("mode,flag,value,kind", BAD_NUMBERS)
     def test_number_in_other_than_ascii_digits_is_a_usage_error(
@@ -1213,6 +1274,7 @@ _TREES = _sections(
         {"depth": _depth6},
     ),
 )
+_PARAMS = {"cap": _depth6, "n": _depth6, "r": st.floats(-2, 2), "vertex": st.integers(0, 6)}
 _PSIS = _sections(
     (
         {
@@ -1221,15 +1283,18 @@ _PSIS = _sections(
         },
         {},
     ),
-    (
-        {
-            "kind": st.just("builtin"),
-            "name": st.sampled_from(["F_N", "g", "chi", "eta"]),
-            "params": st.fixed_dictionaries(
-                {"cap": _depth6, "n": _depth6, "r": st.floats(-2, 2), "vertex": st.integers(0, 6)}
-            ),
-        },
-        {},
+    # each builtin with the params it reads
+    *(
+        (
+            {
+                "kind": st.just("builtin"),
+                "name": st.just(name),
+                "params": st.fixed_dictionaries({k: _PARAMS[k] for k in keys}),
+            },
+            {},
+        )
+        for name, keys in (("F_N", ("cap",)), ("g", ("n", "r")), ("chi", ("vertex",)),
+                           ("eta", ("vertex",)))
     ),
 )
 _PHIS = _sections(
@@ -1243,10 +1308,14 @@ _PHIS = _sections(
     (
         {
             "kind": st.just("builtin"),
-            "name": st.sampled_from(["identity", "constant", "zfold", "double"]),
+            "name": st.just("constant"),
             "params": st.fixed_dictionaries({"target": st.integers(0, 6)}),
         },
         {},
+    ),
+    (
+        {"kind": st.just("builtin"), "name": st.sampled_from(["identity", "zfold", "double"])},
+        {"params": st.just({})},
     ),
 )
 _MODES = st.sampled_from(["analyze", "norms", "export"])

@@ -667,7 +667,8 @@ def ref_running(tree, values, depth, fold) -> list:
 def check_per_depth_rows(op):
     """``head_sups``, ``preimage_argmin``, ``preimage_inf``,
     ``first_off_one`` and ``_range_max``, and the norms and modulus read
-    from them, against per-vertex loops."""
+    from them, against per-vertex loops; ``tail_slopes`` against
+    ``np.polyfit`` on the ``tail_sups`` columns, bit for bit."""
     t, phi = op.tree, op.phi
     image_depth = [t.depth_of(int(phi.image[v])) for v in range(phi.domain_size)]
     a = [abs(float(x)) for x in op.psi.values[: phi.domain_size]]
@@ -692,6 +693,15 @@ def check_per_depth_rows(op):
     assert tw.lip_exact_norm(op) == max(x * max(1, d) for x, d in zip(a, image_depth))
     for within in range(t.depth_limit + 1):
         assert tw.j_linf(op, within) == ref_j_linf(op, pre, within)
+    n = len(op.tail_sups)
+    slopes = [np.polyfit(np.arange(n), op.tail_sups[:, i], 1)[0] if n >= 2 else 0.0
+              for i in (0, 1)]
+    assert [type(x) for x in op.tail_slopes] == [float, float]
+    assert [_bits(x) for x in op.tail_slopes] == [_bits(x) for x in slopes]
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
 
 
 class TestPerDepthRows:
@@ -713,12 +723,23 @@ class TestPerDepthRows:
         tw.classify_operator(op)
         tw.operator_quantities(op)
         cached = {"head_sups", "preimage_argmin", "preimage_inf", "first_off_one",
-                  "tail_sups", "psi_inf"}
+                  "tail_sups", "tail_slopes", "psi_inf"}
         assert cached <= vars(op).keys()
         assert {"_range_max"} <= vars(op.phi).keys()
-        for rows in (op.head_sups, op.preimage_argmin, op.preimage_inf, op.phi._range_max):
+        for rows in (op.head_sups, op.preimage_argmin, op.preimage_inf, op.tail_sups,
+                     op.phi._range_max):
             with pytest.raises(ValueError):
                 rows[0] = 5
+        with pytest.raises(TypeError):
+            op.tail_slopes[0] = 5.0
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_fewer_than_two_tail_rows_have_zero_slopes(self, depth):
+        for t in (tw.zline(depth), tw.homogeneous(3, depth)):
+            op = op_on(t, 1.0 + np.arange(len(t)), tw.constant_map(t, len(t) - 1))
+            assert len(op.tail_sups) == depth
+            assert op.tail_slopes == (0.0, 0.0)
+            assert [type(x) for x in op.tail_slopes] == [float, float]
 
     @pytest.mark.parametrize(
         "psi, moves, want",
