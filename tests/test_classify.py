@@ -715,9 +715,14 @@ class TestTailsFromColumns:
         op = WeightedCompOp(psi, tw.zline_fold(t))
         fits = []
         lstsq = np.linalg.lstsq
-        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: fits.append(1) or lstsq(*a, **k))
+
+        def counted(*args, **kwargs):
+            fits.append(args)
+            return lstsq(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "lstsq", counted)
         first = canonical_json(operator_quantities(op))
-        assert len(fits) == 2
+        assert len(fits) == 2  # one per tail column
         sparse = tuple(range(1, depth + 1, 3))
         calls = [
             lambda op: operator_quantities(op, depth // 2),

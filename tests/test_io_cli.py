@@ -1083,12 +1083,14 @@ class TestMalformedSpecs:
             1, "spec error: phi.params.target: unknown field (known: none)\n"
         )
 
-    def test_schema_is_read_at_each_specs_top_level(self, specs, tmp_path, capsys):
+    def test_schema_is_allowed_at_each_specs_top_level(self, specs, tmp_path, capsys):
         paths = {
-            which: write(tmp_path, f"{which}.json", dict(json.loads(Path(path).read_text()),
-                                                         schema=SCHEMA_VERSION))
+            which: write(tmp_path, f"{which}.json",
+                         dict(json.loads(Path(path).read_text(encoding="utf-8")),
+                              schema=SCHEMA_VERSION))
             for which, path in specs.items()
         }
+
         def norms(files: dict) -> str:
             assert main(["norms", *(x for k, v in files.items() for x in (f"--{k}", v))]) == 0
             return capsys.readouterr().out

@@ -42,8 +42,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("base", "head")
 
 
-def benchmark_spec(root: Path = ROOT) -> dict:
-    with open(root / "BENCHMARK.json", encoding="utf-8") as fh:
+def benchmark_spec() -> dict:
+    with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         return json.load(fh)
 
 
